@@ -8,8 +8,11 @@ all: check
 build:
 	$(GO) build ./...
 
+# The benchmark harness (perfbench/) is its own module; its tests run
+# here too.
 test:
 	$(GO) test ./...
+	$(GO) -C perfbench test ./...
 
 # eisrlint standalone over every package (tests included), with the
 # per-analyzer findings/timing summary. Exit status is distinct per

@@ -96,7 +96,7 @@ func (ft *FilterTable) Records() []*FilterRecord {
 // AIU is the Association Identification Unit: per-gate filter tables, the
 // flow table, and the binding between flows and plugin instances. Control
 // path methods (Bind, Unbind, ...) take the write lock; the data path
-// (LookupGate) runs under the read lock plus the flow table's own mutex.
+// (Resolve) runs under the read lock plus the flow table's own mutex.
 type AIU struct {
 	cfg Config
 
@@ -391,54 +391,6 @@ func (a *AIU) ClassifyKey(gate pcu.Type, k pkt.Key, c *cycles.Counter) *FilterRe
 		a.guard.Deliver(flt, nil)
 	}
 	return rec
-}
-
-// LookupGate is the gate macro's entry point (§3.2): given a packet at a
-// gate, return the plugin instance bound to the packet's flow and the
-// flow record. The fast path reads the FIX cached in the packet; the next
-// path hits the flow table; the slow path (classifyAndInsert) classifies
-// the packet against every gate's filter table and installs a flow record
-// so subsequent packets take the fast paths.
-//
-//eisr:fastpath
-//eisr:allow(snapdiscipline) deliberate second binds load: a stale FIX falls through to the flow-table path and reads a (possibly different) record's binds, each load generation-guarded by BindIfCurrent
-func (a *AIU) LookupGate(p *pkt.Packet, gate pcu.Type, now time.Time, c *cycles.Counter) (pcu.Instance, *FlowRecord) {
-	slot, ok := a.slots[gate]
-	if !ok {
-		return nil, nil
-	}
-	// Fastest: FIX already stored in the packet by an earlier gate. The
-	// generation captured alongside it guards against the record having
-	// been recycled for a different flow since (oldest-first recycling,
-	// PurgeIdle, flushes); on mismatch the FIX is dropped and the packet
-	// reclassifies below instead of dispatching through the new flow's
-	// instances.
-	if p.FIX != nil {
-		rec := p.FIX.(*FlowRecord)
-		c.Access(1) // one indirect load through the FIX
-		if b := rec.BindIfCurrent(slot, p.FIXGen); b != nil {
-			return b.Instance, rec
-		}
-		p.FIX = nil
-	}
-	if !p.KeyValid {
-		k, err := pkt.ExtractKey(p.Data, p.InIf)
-		if err != nil {
-			return nil, nil
-		}
-		p.Key, p.KeyValid = k, true
-	}
-	// Fast: flow-table hit. The generation is captured under the shard
-	// lock, so a record evicted between the lookup and the bind read is
-	// detected rather than silently dispatched.
-	if rec, gen := a.flows.LookupGen(p.Key, now, c); rec != nil {
-		if b := rec.BindIfCurrent(slot, gen); b != nil {
-			p.FIX, p.FIXGen = rec, gen
-			a.cachedLookups.Add(1)
-			return b.Instance, rec
-		}
-	}
-	return a.classifyAndInsert(p, slot, now, c)
 }
 
 // classifyAndInsert is the first-packet slow path: classify at every gate

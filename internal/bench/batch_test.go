@@ -1,13 +1,14 @@
 package bench
 
-// Batch sweep guards (satellite of the vector forwarding PR): the sweep
-// must be well-formed at any core count, ForwardBatch must not allocate
-// per packet on the steady-state hit path (asserted in every `go test`
-// — allocation counts are deterministic), and under `make bench-smoke`
+// Batch sweep guards: the sweep must be well-formed at any core count,
+// neither ProcessOne (a vector of one) nor ForwardBatch may allocate per
+// packet on the steady-state hit path (asserted in every `go test` —
+// allocation counts are deterministic), and under `make bench-smoke`
 // batching must actually pay: batch=8 no slower than batch=1 and
 // batch=16 at least 1.3x, on the 4-worker in-process topology.
 
 import (
+	"fmt"
 	"os"
 	"runtime"
 	"testing"
@@ -19,7 +20,9 @@ import (
 	"github.com/routerplugins/eisr/internal/netdev"
 	"github.com/routerplugins/eisr/internal/pcu"
 	"github.com/routerplugins/eisr/internal/pkt"
+	"github.com/routerplugins/eisr/internal/plugins"
 	"github.com/routerplugins/eisr/internal/routing"
+	"github.com/routerplugins/eisr/internal/telemetry"
 )
 
 func TestRunBatchSweepSmall(t *testing.T) {
@@ -113,18 +116,103 @@ func TestBenchSmokeForwardBatchZeroAlloc(t *testing.T) {
 	}
 }
 
+// BenchmarkForwardBatch measures the steady-state cache-hit cost per
+// packet by vector size; batch=1 is the vector of one Forward walks.
 func BenchmarkForwardBatch(b *testing.B) {
-	const batch = 32
-	r, fb, ps := newBatchAllocRig(b, batch)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, p := range ps {
-			p.OutIf = -1
+	for _, batch := range []int{1, 4, 8, 16, 32} {
+		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
+			r, fb, ps := newBatchAllocRig(b, batch)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, p := range ps {
+					p.OutIf = -1
+					p.Data[8] = 255 // restore the TTL so the loop stays on the forwarding path
+				}
+				fb.ForwardBatch(ps)
+				for r.TxDrain(1, 1<<16) > 0 {
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/pkt")
+		})
+	}
+}
+
+// newProcessOneRig builds the four default gates with a bound instance
+// at each — null instances at options, security and routing, a DRR
+// instance at sched — and returns the router with one primed packet and
+// its pristine header for re-forwarding it.
+func newProcessOneRig(tb testing.TB, tel *telemetry.Telemetry) (*ipcore.Router, *pkt.Packet, []byte) {
+	tb.Helper()
+	routes, err := routing.New(bmp.KindBSPL)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	routes.Add(pkt.MustParsePrefix("0.0.0.0/0"), routing.NextHop{IfIndex: 1})
+	a := aiu.New(aiu.Config{BMPKind: bmp.KindBSPL}, ipcore.DefaultGates...)
+	a.SetTelemetry(tel)
+	r, err := ipcore.New(ipcore.Config{
+		Mode: ipcore.ModePlugin, AIU: a, Routes: routes, VerifyChecksums: true, Tel: tel,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	r.AddInterface(netdev.NewInterface(0, netdev.Config{}))
+	r.AddInterface(netdev.NewInterface(1, netdev.Config{}))
+	for _, g := range []pcu.Type{pcu.TypeOptions, pcu.TypeSecurity, pcu.TypeRouting} {
+		if _, err := a.Bind(g, aiu.MatchAll(), &plugins.NullInstance{}, nil); err != nil {
+			tb.Fatal(err)
 		}
-		fb.ForwardBatch(ps)
-		for r.TxDrain(1, 1<<16) > 0 {
-		}
+	}
+	drr := plugins.NewDRRPlugin(&plugins.Env{Router: r, AIU: a})
+	msg := &pcu.Message{Kind: pcu.MsgCreateInstance, Args: map[string]string{"iface": "1", "quantum": "9180"}}
+	if err := drr.Callback(msg); err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := a.Bind(pcu.TypeSched, aiu.MatchAll(), msg.Reply.(*plugins.DRRInstance), nil); err != nil {
+		tb.Fatal(err)
+	}
+	data, err := pkt.BuildUDP(pkt.UDPSpec{
+		Src: pkt.AddrV4(0x0a000001), Dst: pkt.AddrV4(0x14000001),
+		SrcPort: 1000, DstPort: 9, TTL: 64, Payload: make([]byte, 32),
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	hdr := append([]byte(nil), data[:pkt.IPv4HeaderLen]...)
+	p, err := pkt.NewPacket(data, 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	p.Stamp = time.Now()
+	if !r.ProcessOne(p) {
+		tb.Fatal("priming packet dropped")
+	}
+	return r, p, hdr
+}
+
+// TestProcessOneZeroAlloc is the allocation guard for the scalar entry
+// point: on the cache-hit path through all four default gates with DRR
+// at sched, ProcessOne — Forward's vector of one plus the transmit
+// drain — allocates nothing, with telemetry off and on. Allocation
+// counts are deterministic, so this runs in every `go test`.
+func TestProcessOneZeroAlloc(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		tel  *telemetry.Telemetry
+	}{{"telemetry-off", nil}, {"telemetry-on", telemetry.New()}} {
+		t.Run(tc.name, func(t *testing.T) {
+			r, p, hdr := newProcessOneRig(t, tc.tel)
+			n := testing.AllocsPerRun(1000, func() {
+				copy(p.Data, hdr) // restore the TTL and checksum
+				if !r.ProcessOne(p) {
+					t.Fatal("cache-hit packet dropped")
+				}
+			})
+			if n != 0 {
+				t.Fatalf("ProcessOne allocated %v per packet, want 0", n)
+			}
+		})
 	}
 }
 

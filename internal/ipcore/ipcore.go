@@ -443,7 +443,9 @@ func (r *Router) Stats() Stats {
 
 // Forward runs one packet through the data path up to (and including)
 // output queueing. It returns true if the packet survived to an output
-// queue or local delivery.
+// queue or local delivery. In plugin mode the packet is a vector of one
+// through the gate walk, with its lane on this call's stack: Forward is
+// safe for concurrent callers and allocates nothing.
 //
 // The interface-state snapshot is loaded exactly once here and threaded
 // through the whole walk: a packet is forwarded against one coherent
@@ -456,7 +458,10 @@ func (r *Router) Forward(p *pkt.Packet) bool {
 	if r.mode == ModeBestEffort {
 		return r.forwardMono(p, st)
 	}
-	return r.forwardPlugin(p, st)
+	var lane [1]aiu.Lane
+	var state [1]laneState
+	lane[0].P = p
+	return r.walk(&vec{lanes: lane[:], state: state[:]}, st, nil) == 1
 }
 
 // forwardMono is the unmodified best-effort kernel: a chain of direct
@@ -467,17 +472,8 @@ func (r *Router) forwardMono(p *pkt.Packet, st *ifaceState) bool {
 	if !r.validate(p) {
 		return false
 	}
-	if r.deliverLocal(p, st) {
-		return true
-	}
-	nh, ok := r.cfg.Routes.Lookup(p.Key.Dst, r.Counter)
-	if !ok {
-		return r.dropNoRoute(p)
-	}
-	p.OutIf = nh.IfIndex
-	p.NextHop = nh.Gateway
-	if !r.decTTL(p) {
-		return false
+	if cont, ok := r.route(p, st, r.Counter); !cont {
+		return ok
 	}
 	if r.cfg.MonoSched != nil {
 		if err := r.cfg.MonoSched.Enqueue(p); err != nil {
@@ -494,285 +490,33 @@ func (r *Router) forwardMono(p *pkt.Packet, st *ifaceState) bool {
 	return r.enqueueFIFO(p, st)
 }
 
-// forwardPlugin is the EISR data path: gates in order, classification
-// via the AIU with flow caching, indirect calls into plugin instances.
-// Unlike the monolithic path, local delivery is decided at routing time,
-// *after* the security gate: a tunnel packet addressed to this gateway
-// is decrypted first, and the inner datagram is what gets forwarded or
-// delivered — the paper's "gate is inserted into the IP core code in
-// place of the traditional call to the kernel function responsible for
-// IPv6 security processing".
+// route is the forwarding decision, made once per packet: local
+// delivery, else the destination lookup (unless a routing instance
+// already chose the output interface), then the TTL decrement. cont
+// reports that the packet goes on to output; otherwise it reached its
+// verdict here and ok tells whether it survived (was delivered).
+//
+// In plugin mode the decision is made at the routing gate, *after* the
+// security gate: a tunnel packet addressed to this gateway is decrypted
+// first, and the inner datagram is what gets forwarded or delivered —
+// the paper's "gate is inserted into the IP core code in place of the
+// traditional call to the kernel function responsible for IPv6 security
+// processing".
 //
 //eisr:fastpath
-func (r *Router) forwardPlugin(p *pkt.Packet, st *ifaceState) bool {
-	// Path-trace origin sampling: Enabled is one nil check plus an
-	// atomic load, the only cost the untraced path pays for eisrpath.
-	// The key hash is computed only for sampling-on routers, and a
-	// packet that arrived with a wire context stays traced regardless.
-	if !p.Path.Active && p.KeyValid && r.ptrace.Enabled() {
-		if id, ok := r.ptrace.Origin(aiu.HashKey(p.Key)); ok {
-			p.Path.Active = true
-			p.Path.ID = id
-		}
+func (r *Router) route(p *pkt.Packet, st *ifaceState, c *cycles.Counter) (cont, ok bool) {
+	if r.deliverLocal(p, st) {
+		return false, true
 	}
-	// Tracer() is one nil check plus an atomic load; Acquire returns nil
-	// unless tracing is enabled and this packet is sampled, so the
-	// untraced path pays a couple of predicted branches.
-	te := r.tel.Tracer().Acquire()
-	if te != nil || p.Path.Active {
-		return r.forwardTraced(p, te, st)
-	}
-	return r.forwardGates(p, r.Counter, nil, st)
-}
-
-// Preallocated verdict strings for trace commits (header-copy only).
-const (
-	verdictForwarded = "forwarded"
-	verdictDelivered = "delivered"
-	verdictDropped   = "dropped"
-)
-
-// forwardTraced is the traced variant of the plugin path: it runs the
-// same gate walk with a stack-local cycles counter so this packet's
-// classifier accesses can be attributed to its trace entry, then merges
-// them into the shared counter so benchmark accounting is unchanged.
-// It serves both the router-local trace ring (te, may be nil — every
-// TraceEntry method is a nil no-op) and the in-band path context
-// (p.Path.Active), which share the packet clock reads.
-//
-//eisr:fastpath
-func (r *Router) forwardTraced(p *pkt.Packet, te *telemetry.TraceEntry, st *ifaceState) bool {
-	var cc cycles.Counter
-	start := r.clock()
-	ok := r.forwardGates(p, &cc, te, st)
-	elapsed := r.clock().Sub(start).Nanoseconds()
-	r.Counter.Merge(cc)
-	r.telPktNanos.Observe(uint64(elapsed))
-	te.RecordKey(p.Key, start.UnixNano())
-	te.RecordClassify(!p.CacheMiss, p.CacheMiss, cc.Mem, cc.FnPtr)
-	verdict, reason := verdictForwarded, ""
-	pv := pkt.PathVerdictForwarded
-	switch {
-	case !ok:
-		verdict, reason, pv = verdictDropped, p.DropMsg, pkt.PathVerdictDropped
-	case p.OutIf < 0:
-		verdict, pv = verdictDelivered, pkt.PathVerdictDelivered
-	}
-	te.Commit(verdict, reason, p.OutIf, elapsed)
-	if p.Path.Active {
-		r.pathStamp(p, pv, start, elapsed)
-	}
-	return ok
-}
-
-// pathStamp appends this router's hop record to an active in-band trace
-// context: queue residency (receive stamp to forwarding start), total
-// residency so far (TransmitWire re-stamps it at wire egress so output
-// queueing is included), the worker that forwarded it, and the gates
-// that dispatched an instance. When this router terminates the path —
-// local delivery or drop — the accumulated hops fold into the span
-// ring.
-//
-//eisr:fastpath
-func (r *Router) pathStamp(p *pkt.Packet, verdict uint8, start time.Time, elapsed int64) {
-	var queueNs int64
-	if !p.Stamp.IsZero() {
-		queueNs = start.Sub(p.Stamp).Nanoseconds()
-	}
-	var worker uint16
-	if r.pool != nil {
-		worker = uint16(aiu.SteerWorker(p.Key, r.pool.n))
-	}
-	p.Path.AppendHop(pkt.PathHop{
-		Router:  r.ptrace.Router(),
-		InIf:    int16(p.InIf),
-		OutIf:   int16(p.OutIf),
-		Worker:  worker,
-		Gates:   p.Path.LocalGates,
-		Verdict: verdict,
-		QueueNs: pkt.ClampNs(queueNs),
-		TotalNs: pkt.ClampNs(queueNs + elapsed),
-	})
-	p.Path.LocalGates = 0
-	p.Path.StampedHere = true
-	if verdict != pkt.PathVerdictForwarded {
-		r.ptrace.Fold(&p.Path, p.Key, start.UnixNano())
-		p.Path.Active = false
-	}
-}
-
-// hopIdentity resolves the plugin code and instance name recorded in a
-// trace hop. Instances that expose their plugin code (optional
-// interface) report it exactly; otherwise the gate's type occupies the
-// code's upper 16 bits with a zero implementation id.
-//
-//eisr:fastpath
-func hopIdentity(g pcu.Type, inst pcu.Instance) (uint32, string) {
-	code := uint32(g) << 16
-	if inst == nil {
-		return code, ""
-	}
-	if c, ok := inst.(interface{ PluginCode() pcu.Code }); ok {
-		code = uint32(c.PluginCode())
-	}
-	return code, inst.InstanceName()
-}
-
-// forwardGates is the gate walk shared by the traced and untraced plugin
-// paths. c receives the classifier cost accounting; te, when non-nil,
-// receives one hop per gate (with per-gate nanoseconds — the clock is
-// only read for traced packets).
-//
-//eisr:fastpath
-func (r *Router) forwardGates(p *pkt.Packet, c *cycles.Counter, te *telemetry.TraceEntry, st *ifaceState) bool {
-	if !r.validate(p) {
-		return false
-	}
-	now := p.Stamp
-	if now.IsZero() {
-		now = r.clock()
-	}
-	routed := false
-	schedHandled := false
-	for gi, g := range r.gates {
-		r.telGateDispatch[gi].Inc()
-		var gstart time.Time
-		if te != nil {
-			gstart = r.clock()
-		}
-		// The gate "macro": once the FIX is in the packet, fetch the
-		// instance with a single indirect load — no call into the AIU
-		// (§3.2: "macros implementing a gate can retrieve the instance
-		// pointers cached in the flow table by accessing the FIX stored
-		// in the packet"). The generation captured with the FIX guards
-		// the load: a record recycled for a new flow between gates
-		// fails the check and the packet reclassifies (LookupGate)
-		// instead of dispatching through the new flow's instances.
-		var inst pcu.Instance
-		if rec, ok := p.FIX.(*aiu.FlowRecord); ok {
-			c.Access(1)
-			if b := rec.BindIfCurrent(r.gateSlots[gi], p.FIXGen); b != nil {
-				inst = b.Instance
-			} else {
-				p.FIX = nil
-				inst, _ = r.aiu.LookupGate(p, g, now, c)
-			}
-		} else {
-			inst, _ = r.aiu.LookupGate(p, g, now, c)
-		}
-		// The in-band hop record's gate-chain summary: bit i set when
-		// gate i dispatched a plugin instance for this packet.
-		if inst != nil && p.Path.Active && gi < 8 {
-			p.Path.LocalGates |= 1 << uint(gi)
-		}
-		switch g {
-		case pcu.TypeRouting:
-			// The routing gate realizes §8's QoS routing: a bound
-			// instance may set the output interface per flow. The
-			// destination table remains the fallback.
-			if inst != nil {
-				if cont, _ := r.gateDispatch(g, inst, p); !cont {
-					return false
-				}
-			}
-			if r.deliverLocal(p, st) {
-				return true
-			}
-			if p.OutIf < 0 {
-				nh, ok := r.cfg.Routes.Lookup(p.Key.Dst, c)
-				if !ok {
-					return r.dropNoRoute(p)
-				}
-				p.OutIf = nh.IfIndex
-				p.NextHop = nh.Gateway
-			}
-			if !r.decTTL(p) {
-				return false
-			}
-			routed = true
-		case pcu.TypeSched:
-			if !routed {
-				// A gate set without an explicit routing gate still
-				// needs a forwarding decision before output.
-				if r.deliverLocal(p, st) {
-					return true
-				}
-				nh, ok := r.cfg.Routes.Lookup(p.Key.Dst, c)
-				if !ok {
-					return r.dropNoRoute(p)
-				}
-				p.OutIf = nh.IfIndex
-				p.NextHop = nh.Gateway
-				if !r.decTTL(p) {
-					return false
-				}
-				routed = true
-			}
-			if inst != nil {
-				cont, faulted := r.gateDispatch(g, inst, p)
-				if !cont {
-					return false
-				}
-				// A faulted scheduler never enqueued the packet: skip the
-				// handled bookkeeping so it falls through to the default
-				// FIFO below instead of silently vanishing.
-				if !faulted {
-					if p.Drop {
-						return r.pluginDrop(p, nil)
-					}
-					schedHandled = true
-					r.stats.schedEnq.Add(1)
-					r.stats.forwarded.Add(1)
-					r.telForwarded.Inc()
-				}
-			}
-		default:
-			if inst != nil {
-				cont, faulted := r.gateDispatch(g, inst, p)
-				if !cont {
-					return false
-				}
-				if !faulted && p.Drop {
-					return r.pluginDrop(p, nil)
-				}
-			}
-		}
-		if te != nil {
-			ns := r.clock().Sub(gstart).Nanoseconds()
-			code, iname := hopIdentity(g, inst)
-			te.RecordHop(r.gateNames[gi], code, iname, ns)
-			r.telGateNanos[gi].Observe(uint64(ns))
-		}
-		if p.PuntLocal {
-			r.stats.delivered.Add(1)
-			r.telDelivered.Inc()
-			if r.cfg.LocalSink != nil {
-				r.cfg.LocalSink(p)
-			}
-			// Same contract as deliverLocal: delivery is synchronous,
-			// the buffer recycles once the sink returns.
-			p.ReleaseBuf()
-			return true
-		}
-	}
-	if schedHandled {
-		return true
-	}
-	if !routed {
-		if r.deliverLocal(p, st) {
-			return true
-		}
-		nh, ok := r.cfg.Routes.Lookup(p.Key.Dst, c)
-		if !ok {
-			return r.dropNoRoute(p)
+	if p.OutIf < 0 {
+		nh, found := r.cfg.Routes.Lookup(p.Key.Dst, c)
+		if !found {
+			return false, r.dropNoRoute(p)
 		}
 		p.OutIf = nh.IfIndex
 		p.NextHop = nh.Gateway
-		if !r.decTTL(p) {
-			return false
-		}
 	}
-	return r.enqueueFIFO(p, st)
+	return r.decTTL(p), false
 }
 
 func (r *Router) pluginDrop(p *pkt.Packet, err error) bool {
@@ -804,11 +548,20 @@ func (r *Router) gateDispatch(g pcu.Type, inst pcu.Instance, p *pkt.Packet) (con
 		return true, false
 	}
 	r.stats.faults.Add(1)
+	return r.faultVerdict(p, flt), true
+}
+
+// faultVerdict applies the fault policy to one packet of a faulted
+// dispatch: under the forward policy the packet continues degraded
+// (true); otherwise it is dropped with the fault as reason.
+//
+//eisr:fastpath
+func (r *Router) faultVerdict(p *pkt.Packet, flt *pcu.PluginFault) bool {
 	if r.guard.Policy() == pcu.PolicyForward {
 		p.Drop = false
 		r.stats.degraded.Add(1)
 		r.telDegraded.Inc()
-		return true, true
+		return true
 	}
 	if !p.Drop {
 		p.MarkDrop(flt.Error())
@@ -816,11 +569,14 @@ func (r *Router) gateDispatch(g pcu.Type, inst pcu.Instance, p *pkt.Packet) (con
 	r.stats.dropped.Add(1)
 	r.countDrop(r.telDropFault)
 	p.ReleaseBuf()
-	return false, true
+	return false
 }
 
 // validate performs the version/checksum/sanity checks of ip_input.
+// The output interface is this forwarding pass's decision, so any value
+// the packet arrived with is cleared.
 func (r *Router) validate(p *pkt.Packet) bool {
+	p.OutIf = -1
 	switch p.Version() {
 	case 4:
 		if r.cfg.VerifyChecksums && !pkt.VerifyIPv4Checksum(p.Data) {
@@ -863,16 +619,21 @@ func (r *Router) deliverLocal(p *pkt.Packet, st *ifaceState) bool {
 	if !mine {
 		return false
 	}
+	r.deliver(p)
+	return true
+}
+
+// deliver hands a packet to the local sink. Delivery is synchronous: a
+// handler that retains payload must copy it, so the receive buffer
+// recycles as soon as the sink returns (the same validity contract the
+// driver's descriptor ring gave).
+func (r *Router) deliver(p *pkt.Packet) {
 	r.stats.delivered.Add(1)
 	r.telDelivered.Inc()
 	if r.cfg.LocalSink != nil {
 		r.cfg.LocalSink(p)
 	}
-	// Delivery is synchronous: a handler that retains payload must copy
-	// it, so the receive buffer recycles as soon as the sink returns
-	// (the same validity contract the driver's descriptor ring gave).
 	p.ReleaseBuf()
-	return true
 }
 
 func (r *Router) decTTL(p *pkt.Packet) bool {

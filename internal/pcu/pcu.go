@@ -102,16 +102,18 @@ type Instance interface {
 }
 
 // BatchHandler is the optional vector fast path of the plugin ABI: an
-// instance that also implements it receives whole per-worker packet
-// batches from the vector forwarding walk — one indirect call (and
-// typically one lock acquisition) per contiguous run of packets bound
-// to the instance, instead of one per packet. The core falls back to
-// per-packet HandlePacket automatically when the interface is absent.
+// instance that also implements it receives whole runs of a worker's
+// packet vector from the gate walk — one indirect call (and typically
+// one lock acquisition) per contiguous run of packets bound to the
+// instance, instead of one per packet. A run of one, and every
+// dispatch to an instance without the interface, goes through
+// HandlePacket.
 //
 // Contract:
-//   - ps is non-empty, in arrival order, and every packet's flow is
-//     bound to this instance at the dispatching gate. The slice is the
-//     core's scratch — the instance must not retain it past the call.
+//   - ps holds two or more packets, in arrival order, and every
+//     packet's flow is bound to this instance at the dispatching gate.
+//     The slice is the core's scratch — the instance must not retain it
+//     past the call.
 //   - Per-packet verdicts are signaled by marking the packet
 //     (p.MarkDrop); there is no per-packet error return. The core
 //     honors p.Drop after the call exactly as it honors a HandlePacket
