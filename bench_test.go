@@ -185,9 +185,14 @@ func BenchmarkFlowTableHit(b *testing.B) {
 	}
 }
 
+// BenchmarkFlowTableMissAndClassify times the first-packet path as a
+// churning workload meets it: every key is new, and the flow table is
+// already at its cap, so each miss classifies and recycles the oldest
+// record.
 func BenchmarkFlowTableMissAndClassify(b *testing.B) {
+	const flows = 1 << 12 // the table's cap
 	rng := rand.New(rand.NewSource(3))
-	a := aiu.New(aiu.Config{BMPKind: bmp.KindBSPL, MaxFlows: 1 << 20}, pcu.TypeSched)
+	a := aiu.New(aiu.Config{BMPKind: bmp.KindBSPL, InitialFlows: flows, MaxFlows: flows}, pcu.TypeSched)
 	var inst nullInst
 	for _, f := range trafficgen.FlowLikeFilters(rng, 1000, true) {
 		a.Bind(pcu.TypeSched, f, inst, nil)
@@ -195,13 +200,26 @@ func BenchmarkFlowTableMissAndClassify(b *testing.B) {
 	keys := trafficgen.RandomKeys(rng, 1<<16, true)
 	a.ClassifyKey(pcu.TypeSched, keys[0], nil)
 	now := time.Now()
+	var p pkt.Packet
+	miss := func(i int) {
+		// Key index and port repeat only every 64k flows, long after the
+		// table has recycled the previous use.
+		p = pkt.Packet{Key: keys[i&(1<<16-1)], KeyValid: true, OutIf: -1}
+		p.Key.SrcPort = uint16(i)
+		a.LookupGate(&p, pcu.TypeSched, now, nil)
+	}
+	// Fill every shard to its cap, twice over.
+	for i := 0; i < 2*flows; i++ {
+		miss(i)
+	}
+	before := a.FlowTable().Stats().Recycled
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// Fresh flows force the miss path.
-		p := &pkt.Packet{Key: keys[i&(1<<16-1)], KeyValid: true, OutIf: -1}
-		p.Key.SrcPort = uint16(i) // make the key unique-ish
-		a.LookupGate(p, pcu.TypeSched, now, nil)
+		miss(2*flows + i)
 	}
+	b.StopTimer()
+	b.ReportMetric(float64(a.FlowTable().Stats().Recycled-before)/float64(b.N), "recycles/op")
 }
 
 // --- Classifier scaling ----------------------------------------------

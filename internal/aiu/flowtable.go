@@ -77,7 +77,6 @@ type FlowRecord struct {
 
 	// Creation-order queue link for oldest-first recycling (per shard).
 	older, newer *FlowRecord
-	live         bool
 }
 
 // Bind returns the slot for a gate (indexed by the AIU's gate order).
@@ -90,9 +89,10 @@ func (r *FlowRecord) Bind(slot int) *GateBind { return &(*r.binds.Load())[slot] 
 // means the record was evicted (and possibly rebound to a new flow) in
 // the meantime and the caller must reclassify. The binds pointer is
 // loaded before the generation: eviction bumps the generation before
-// publishing the cleared binds, so a matching generation proves the
-// loaded slice predates the eviction (Go's sync/atomic operations are
-// sequentially consistent).
+// publishing the record's next bind set (the cleared set when the
+// record is freed, the new flow's when it is recycled), so a matching
+// generation proves the loaded slice predates the eviction (Go's
+// sync/atomic operations are sequentially consistent).
 //
 //eisr:fastpath
 func (r *FlowRecord) BindIfCurrent(slot int, gen uint64) *GateBind {
@@ -141,9 +141,13 @@ type FlowEvictListener interface {
 
 // FlowStats counts flow-table events, merged across shards.
 type FlowStats struct {
-	Hits     uint64
-	Misses   uint64
-	Inserts  uint64
+	Hits    uint64
+	Misses  uint64
+	Inserts uint64
+	// Recycled counts live records taken over by a new flow (oldest
+	// first, once the shard is at its cap); Removed counts records
+	// freed by Remove, PurgeIdle and FlushWhere. An eviction is one or
+	// the other, never both.
 	Recycled uint64
 	Removed  uint64
 	Live     int
@@ -207,6 +211,12 @@ type evictNotice struct {
 	slot     int
 	bind     GateBind
 }
+
+// evictNoticeBuf sizes the stack buffer an evicting caller collects
+// notices in: one per listening gate of one record covers the default
+// gate set, so recycling a record on the insert path allocates none.
+// More notices spill to the heap.
+const evictNoticeBuf = 4
 
 // notify delivers deferred evict callbacks. Must be called with no shard
 // lock held.
@@ -388,9 +398,13 @@ func (t *FlowTable) LookupGen(k pkt.Key, now time.Time, c *cycles.Counter) (*Flo
 // Insert creates (or refreshes) the record for a six-tuple, taking a
 // record from the shard's free list, growing it exponentially if
 // exhausted, or recycling the shard's oldest live record once the
-// allocation cap is reached. binds, when non-nil, is copied into the
-// record's gate slots under the shard lock, so a record can never be
-// observed half-filled or recycled between creation and fill.
+// allocation cap is reached. binds, when non-nil, becomes the record's
+// gate slots, published under the shard lock, so a record can never be
+// observed half-filled or recycled between creation and fill. The table
+// adopts a slice with one slot per gate — the caller must not reuse it —
+// and copies any other length into a fresh one. A nil binds refreshes
+// an existing record's slots unchanged and gives a new record cleared
+// ones.
 func (t *FlowTable) Insert(k pkt.Key, now time.Time, binds []GateBind) *FlowRecord {
 	r, _ := t.InsertGen(k, now, binds)
 	return r
@@ -399,8 +413,14 @@ func (t *FlowTable) Insert(k pkt.Key, now time.Time, binds []GateBind) *FlowReco
 // InsertGen is Insert returning the record's generation, captured under
 // the shard lock (see LookupGen).
 func (t *FlowTable) InsertGen(k pkt.Key, now time.Time, binds []GateBind) (*FlowRecord, uint64) {
+	set := binds
+	if len(set) != t.gates {
+		set = make([]GateBind, t.gates)
+		copy(set, binds)
+	}
 	h := HashKey(k)
 	sh := t.shardFor(h)
+	var buf [evictNoticeBuf]evictNotice
 	sh.mu.Lock()
 	// Refresh an existing record for the same key, if any.
 	idx := h & sh.mask
@@ -408,19 +428,22 @@ func (t *FlowTable) InsertGen(k pkt.Key, now time.Time, binds []GateBind) (*Flow
 		if r.Key == k {
 			r.touch(now)
 			if binds != nil {
-				r.publishBindsLocked(binds, t.gates)
+				r.binds.Store(&set)
 			}
 			gen := r.gen.Load()
 			sh.mu.Unlock()
 			return r, gen
 		}
 	}
-	r, notices := sh.takeRecord(t)
+	// A recycled record had its generation bumped in takeRecord, under
+	// this lock hold, so publishing the new flow's binds straight over
+	// the old flow's is safe: a FIX holder of the old flow fails its
+	// generation check before it could read them.
+	r, notices := sh.takeRecord(t, buf[:0])
 	r.Key = k
 	r.hash = h
 	r.touch(now)
-	r.publishBindsLocked(binds, t.gates)
-	r.live = true
+	r.binds.Store(&set)
 	r.next = sh.buckets[idx]
 	sh.buckets[idx] = r
 	sh.pushNewest(r)
@@ -435,9 +458,11 @@ func (t *FlowTable) InsertGen(k pkt.Key, now time.Time, binds []GateBind) (*Flow
 }
 
 // takeRecord pops the shard's free list, growing or recycling as needed,
-// and returns deferred evict notices for any record it recycled. Called
-// with the shard's write lock held.
-func (sh *flowShard) takeRecord(t *FlowTable) (*FlowRecord, []evictNotice) {
+// and appends deferred evict notices for a record it recycles to
+// notices. A recycled record keeps the evicted flow's binds: the caller
+// publishes the new flow's next. Called with the shard's write lock
+// held.
+func (sh *flowShard) takeRecord(t *FlowTable, notices []evictNotice) (*FlowRecord, []evictNotice) {
 	if sh.free == nil && sh.nAlloc < sh.maxAlloc {
 		grow := sh.nextGrow
 		sh.nextGrow *= 2
@@ -447,20 +472,16 @@ func (sh *flowShard) takeRecord(t *FlowTable) (*FlowRecord, []evictNotice) {
 		r := sh.free
 		sh.free = r.next
 		r.next = nil
-		return r, nil
+		return r, notices
 	}
 	// Recycle the shard's oldest live record.
 	r := sh.oldest
 	if r == nil {
 		// Degenerate configuration (max 0); allocate anyway.
-		r := &FlowRecord{}
-		b := make([]GateBind, t.gates)
-		r.binds.Store(&b)
-		return r, nil
+		return &FlowRecord{}, notices
 	}
-	notices := sh.evictLocked(t, r, nil)
+	notices = sh.evictLocked(t, r, notices)
 	sh.stats.Recycled++
-	sh.stats.Removed-- // evictLocked counted a removal; recycling is separate
 	r.next = nil
 	return r, notices
 }
@@ -469,11 +490,11 @@ func (sh *flowShard) takeRecord(t *FlowTable) (*FlowRecord, []evictNotice) {
 func (t *FlowTable) Remove(k pkt.Key) bool {
 	h := HashKey(k)
 	sh := t.shardFor(h)
+	var buf [evictNoticeBuf]evictNotice
 	sh.mu.Lock()
 	for r := sh.buckets[h&sh.mask]; r != nil; r = r.next {
 		if r.Key == k {
-			notices := sh.evictLocked(t, r, nil)
-			sh.freeLocked(r)
+			notices := sh.removeLocked(t, r, buf[:0])
 			sh.mu.Unlock()
 			notify(notices)
 			return true
@@ -491,13 +512,13 @@ func (t *FlowTable) Remove(k pkt.Key) bool {
 func (t *FlowTable) PurgeIdle(before time.Time) int {
 	n := 0
 	for _, sh := range t.shards {
+		var buf [evictNoticeBuf]evictNotice
+		notices := buf[:0]
 		sh.mu.Lock()
-		var notices []evictNotice
 		for r := sh.oldest; r != nil; {
 			next := r.newer
 			if r.LastUse().Before(before) {
-				notices = sh.evictLocked(t, r, notices)
-				sh.freeLocked(r)
+				notices = sh.removeLocked(t, r, notices)
 				n++
 			}
 			r = next
@@ -514,13 +535,13 @@ func (t *FlowTable) PurgeIdle(before time.Time) int {
 func (t *FlowTable) FlushWhere(pred func(*FlowRecord) bool) int {
 	n := 0
 	for _, sh := range t.shards {
+		var buf [evictNoticeBuf]evictNotice
+		notices := buf[:0]
 		sh.mu.Lock()
-		var notices []evictNotice
 		for r := sh.oldest; r != nil; {
 			next := r.newer
 			if pred(r) {
-				notices = sh.evictLocked(t, r, notices)
-				sh.freeLocked(r)
+				notices = sh.removeLocked(t, r, notices)
 				n++
 			}
 			r = next
@@ -532,12 +553,15 @@ func (t *FlowTable) FlushWhere(pred func(*FlowRecord) bool) int {
 }
 
 // evictLocked unlinks a live record from its chain and the shard's age
-// queue, bumps its generation, and publishes a cleared bind set. The
-// generation moves first: a FIX holder that still reads the old
-// generation is guaranteed to see the pre-eviction binds (BindIfCurrent).
-// Listener callbacks are NOT invoked here: they are appended to notices
-// for the caller to deliver once the shard lock is dropped, so plugin
-// code never runs under an AIU mutex.
+// queue and bumps its generation, so every FIX to it goes stale. It
+// leaves the binds alone: the caller publishes the record's next set —
+// the cleared set when the record is freed (removeLocked), the new
+// flow's when it is recycled (InsertGen) — always after the generation
+// moved, so a FIX holder that still reads the old generation is
+// guaranteed to see the pre-eviction binds (BindIfCurrent). Listener
+// callbacks are NOT invoked here: they are appended to notices for the
+// caller to deliver once the shard lock is dropped, so plugin code
+// never runs under an AIU mutex.
 func (sh *flowShard) evictLocked(t *FlowTable, r *FlowRecord, notices []evictNotice) []evictNotice {
 	idx := r.hash & sh.mask
 	for pp := &sh.buckets[idx]; *pp != nil; pp = &(*pp).next {
@@ -548,7 +572,6 @@ func (sh *flowShard) evictLocked(t *FlowTable, r *FlowRecord, notices []evictNot
 	}
 	sh.popAge(r)
 	sh.live--
-	sh.stats.Removed++
 	t.telEvictions.Inc()
 	t.telLive.Add(-1)
 	r.gen.Add(1)
@@ -558,25 +581,21 @@ func (sh *flowShard) evictLocked(t *FlowTable, r *FlowRecord, notices []evictNot
 			notices = append(notices, evictNotice{listener: l, key: r.Key, slot: slot, bind: old[slot]})
 		}
 	}
-	r.publishBindsLocked(nil, t.gates)
-	r.live = false
 	return notices
 }
 
-// publishBindsLocked atomically replaces the record's gate slots with a
-// fresh slice (zeroed, or a copy of src). Callers hold the record's
-// shard lock: concurrent publishers would otherwise race read-copy-
-// update cycles and lose slots.
-func (r *FlowRecord) publishBindsLocked(src []GateBind, gates int) {
-	b := make([]GateBind, gates)
-	copy(b, src)
-	r.binds.Store(&b)
-}
-
-// freeLocked returns a record to the shard's free list.
-func (sh *flowShard) freeLocked(r *FlowRecord) {
+// removeLocked evicts a live record for good: it counts the removal,
+// publishes a cleared bind set — so a record on the free list pins no
+// plugin instance and no per-flow state — and returns the record to the
+// shard's free list.
+func (sh *flowShard) removeLocked(t *FlowTable, r *FlowRecord, notices []evictNotice) []evictNotice {
+	notices = sh.evictLocked(t, r, notices)
+	sh.stats.Removed++
+	cleared := make([]GateBind, t.gates)
+	r.binds.Store(&cleared)
 	r.next = sh.free
 	sh.free = r
+	return notices
 }
 
 func (sh *flowShard) pushNewest(r *FlowRecord) {

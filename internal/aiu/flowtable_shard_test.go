@@ -1,9 +1,13 @@
 package aiu
 
 import (
+	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"github.com/routerplugins/eisr/internal/pkt"
 )
 
 func TestFlowTableShardCounts(t *testing.T) {
@@ -139,6 +143,148 @@ func TestFlowRecordGenerationBumpOnRemoveAndFlush(t *testing.T) {
 	if r2.BindIfCurrent(0, g2) != nil {
 		t.Error("FlushWhere must invalidate the generation")
 	}
+}
+
+// flowState is per-flow soft state tagged with the flow it belongs to.
+type flowState struct{ flow int }
+
+// Lanes holding a FIX to a record race that record's recycling for
+// other flows (run with -race). A recycled record publishes the new
+// flow's binds straight over the old flow's, with no cleared set in
+// between, so the generation bump before that publish is all that keeps
+// a lane from dispatching into the new flow: neither the gate macro
+// (Lane.FIX) nor BindIfCurrent may ever hand a lane that captured the
+// old generation the new flow's instance or Private state.
+func TestFlowTableRecycleRaceKeepsGenerationGuard(t *testing.T) {
+	const (
+		capacity = 8
+		flows    = 64
+		lanes    = 4
+		inserts  = 20000
+	)
+	ft := NewFlowTableSharded(64, capacity, capacity, 1, 1)
+	insts := make([]*testInstance, flows)
+	for f := range insts {
+		insts[f] = &testInstance{name: fmt.Sprint("flow", f)}
+	}
+	now := time.Now()
+	var stop atomic.Bool
+	var served, stale atomic.Uint64
+	var wg, ready sync.WaitGroup
+	errc := make(chan error, lanes)
+	for g := 0; g < lanes; g++ {
+		wg.Add(1)
+		ready.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			ready.Done()
+			p := &pkt.Packet{}
+			for i := g; !stop.Load(); i++ {
+				f := i % flows
+				rec, gen := ft.LookupGen(key(f), now, nil)
+				if rec == nil {
+					continue
+				}
+				// Hold the FIX while the writer recycles records.
+				for j := 0; j < 16; j++ {
+					p.FIX, p.FIXGen = rec, gen
+					l := Lane{P: p}
+					if l.FIX(0) {
+						served.Add(1)
+						if l.Inst != insts[f] {
+							errc <- fmt.Errorf("Lane.FIX for flow %d returned %v", f, l.Inst)
+							return
+						}
+					} else {
+						stale.Add(1)
+					}
+					if b := rec.BindIfCurrent(0, gen); b != nil {
+						st, _ := b.Private.(*flowState)
+						if b.Instance != insts[f] || st == nil || st.flow != f {
+							errc <- fmt.Errorf("BindIfCurrent for flow %d returned %v / %+v", f, b.Instance, st)
+							return
+						}
+					}
+				}
+			}
+		}(g)
+	}
+	// Recycle until the lanes have both been served and gone stale, so
+	// the two really overlapped (bounded, in case they never do).
+	ready.Wait()
+	deadline := time.Now().Add(10 * time.Second)
+	n := 0
+	for i := 0; n < inserts || (stale.Load() == 0 || served.Load() == 0) && time.Now().Before(deadline); i++ {
+		f := i % flows
+		if ft.Lookup(key(f), now, nil) == nil {
+			ft.InsertGen(key(f), now, []GateBind{{Instance: insts[f], Private: &flowState{flow: f}}})
+			n++
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Error(err)
+	}
+	if served.Load() == 0 || stale.Load() == 0 {
+		t.Errorf("lanes served %d and went stale %d times; the race needs both", served.Load(), stale.Load())
+	}
+	st := ft.Stats()
+	if st.Recycled != st.Inserts-capacity || st.Removed != 0 {
+		t.Errorf("inserts=%d recycled=%d removed=%d: every insert past the cap recycles, and nothing was removed", st.Inserts, st.Recycled, st.Removed)
+	}
+}
+
+// Recycling and removal are counted apart: a recycle is not a removal,
+// and every freed record (Remove, PurgeIdle, FlushWhere) is counted
+// once as removed and publishes a cleared bind set, so a record on the
+// free list pins no instance and no per-flow state.
+func TestFlowStatsRecycledAndRemoved(t *testing.T) {
+	const capacity = 4
+	ft := NewFlowTableSharded(16, capacity, capacity, 1, 1)
+	now := time.Now()
+	inst := &testInstance{name: "i"}
+	ins := func(i int) *FlowRecord {
+		return ft.Insert(key(i), now.Add(time.Duration(i)), []GateBind{{Instance: inst, Private: &flowState{flow: i}}})
+	}
+	recs := make([]*FlowRecord, 10)
+	for i := range recs {
+		recs[i] = ins(i)
+	}
+	want := FlowStats{Inserts: 10, Recycled: 6, Live: capacity, Alloc: capacity}
+	check := func(stage string) {
+		t.Helper()
+		got := ft.Stats()
+		got.Hits, got.Misses = 0, 0
+		if got != want {
+			t.Errorf("%s: stats %+v, want %+v", stage, got, want)
+		}
+	}
+	check("after recycling")
+	cleared := func(r *FlowRecord) {
+		t.Helper()
+		if b := *r.Bind(0); b != (GateBind{}) {
+			t.Errorf("freed record still binds %+v", b)
+		}
+	}
+	ft.Remove(key(9))
+	want.Removed, want.Live = 1, 3
+	check("after Remove")
+	cleared(recs[9])
+	ft.FlushWhere(func(r *FlowRecord) bool { return r.Key == key(8) })
+	want.Removed, want.Live = 2, 2
+	check("after FlushWhere")
+	cleared(recs[8])
+	ft.PurgeIdle(now.Add(time.Hour))
+	want.Removed, want.Live = 4, 0
+	check("after PurgeIdle")
+	cleared(recs[6])
+	cleared(recs[7])
+	// Freed records are reused from the free list, not recycled.
+	ins(20)
+	want.Inserts, want.Live = 11, 1
+	check("after reuse")
 }
 
 // PurgeIdle racing Lookup and Insert across shards: run with -race.

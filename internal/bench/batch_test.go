@@ -144,12 +144,26 @@ func BenchmarkForwardBatch(b *testing.B) {
 // its pristine header for re-forwarding it.
 func newProcessOneRig(tb testing.TB, tel *telemetry.Telemetry) (*ipcore.Router, *pkt.Packet, []byte) {
 	tb.Helper()
+	r := newDRRRouter(tb, tel, aiu.Config{BMPKind: bmp.KindBSPL})
+	p := newFlowPacket(tb, 1000)
+	hdr := append([]byte(nil), p.Data[:pkt.IPv4HeaderLen]...)
+	if !r.ProcessOne(p) {
+		tb.Fatal("priming packet dropped")
+	}
+	return r, p, hdr
+}
+
+// newDRRRouter assembles newProcessOneRig's router — null instances at
+// options, security and routing, DRR at sched, a default route out of
+// interface 1 — over an AIU built from cfg.
+func newDRRRouter(tb testing.TB, tel *telemetry.Telemetry, cfg aiu.Config) *ipcore.Router {
+	tb.Helper()
 	routes, err := routing.New(bmp.KindBSPL)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	routes.Add(pkt.MustParsePrefix("0.0.0.0/0"), routing.NextHop{IfIndex: 1})
-	a := aiu.New(aiu.Config{BMPKind: bmp.KindBSPL}, ipcore.DefaultGates...)
+	a := aiu.New(cfg, ipcore.DefaultGates...)
 	a.SetTelemetry(tel)
 	r, err := ipcore.New(ipcore.Config{
 		Mode: ipcore.ModePlugin, AIU: a, Routes: routes, VerifyChecksums: true, Tel: tel,
@@ -172,23 +186,26 @@ func newProcessOneRig(tb testing.TB, tel *telemetry.Telemetry) (*ipcore.Router, 
 	if _, err := a.Bind(pcu.TypeSched, aiu.MatchAll(), msg.Reply.(*plugins.DRRInstance), nil); err != nil {
 		tb.Fatal(err)
 	}
+	return r
+}
+
+// newFlowPacket builds a received UDP packet of the flow with the given
+// source port.
+func newFlowPacket(tb testing.TB, sport uint16) *pkt.Packet {
+	tb.Helper()
 	data, err := pkt.BuildUDP(pkt.UDPSpec{
 		Src: pkt.AddrV4(0x0a000001), Dst: pkt.AddrV4(0x14000001),
-		SrcPort: 1000, DstPort: 9, TTL: 64, Payload: make([]byte, 32),
+		SrcPort: sport, DstPort: 9, TTL: 64, Payload: make([]byte, 32),
 	})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	hdr := append([]byte(nil), data[:pkt.IPv4HeaderLen]...)
 	p, err := pkt.NewPacket(data, 0)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	p.Stamp = time.Now()
-	if !r.ProcessOne(p) {
-		tb.Fatal("priming packet dropped")
-	}
-	return r, p, hdr
+	return p
 }
 
 // TestProcessOneZeroAlloc is the allocation guard for the scalar entry
@@ -213,6 +230,54 @@ func TestProcessOneZeroAlloc(t *testing.T) {
 				t.Fatalf("ProcessOne allocated %v per packet, want 0", n)
 			}
 		})
+	}
+}
+
+// firstPacketAllocs is the heap-object budget of a new flow's first
+// packet when it recycles a flow record: the flow's gate binds (the
+// slice and the header the flow table publishes it through), the
+// classification's access counter (handed to the BMP plugins through
+// an interface call, so it escapes), the flow's DRR queue, and that
+// queue's first FIFO growth. Nothing else: no label formatting, no copy
+// of the binds, no evict-notice slice, no FIFO preallocated to the
+// queue limit.
+const firstPacketAllocs = 5
+
+// TestFirstPacketAllocBudget pins the first-packet cost: with DRR at
+// the scheduling gate and the flow table at its cap, every packet of a
+// fresh flow classifies, recycles the oldest record (whose DRR queue is
+// reclaimed) and creates a queue, within firstPacketAllocs heap objects.
+func TestFirstPacketAllocBudget(t *testing.T) {
+	const (
+		tableFlows = 64
+		runs       = 500
+	)
+	r := newDRRRouter(t, nil, aiu.Config{
+		BMPKind: bmp.KindBSPL, FlowShards: 1, FlowBuckets: tableFlows,
+		InitialFlows: tableFlows, MaxFlows: tableFlows,
+	})
+	ps := make([]*pkt.Packet, tableFlows+runs+1)
+	for i := range ps {
+		ps[i] = newFlowPacket(t, uint16(1000+i))
+	}
+	for _, p := range ps[:tableFlows] {
+		if !r.ProcessOne(p) {
+			t.Fatal("fill packet dropped")
+		}
+	}
+	next := tableFlows
+	n := testing.AllocsPerRun(runs, func() {
+		if !r.ProcessOne(ps[next]) {
+			t.Fatal("first packet dropped")
+		}
+		next++
+	})
+	st := r.AIU().FlowTable().Stats()
+	if st.Live != tableFlows || st.Recycled != uint64(runs+1) {
+		t.Fatalf("flow table live=%d recycled=%d, want %d and %d: the fresh flows must recycle", st.Live, st.Recycled, tableFlows, runs+1)
+	}
+	if n != firstPacketAllocs {
+		t.Fatalf("a new flow's first packet allocated %v heap objects, want %d", n, firstPacketAllocs)
 	}
 }
 

@@ -16,7 +16,7 @@ func TestSchedScaleEiffelZeroAlloc(t *testing.T) {
 	const flows = 512
 	qs := make([]*sched.EiffelQueue, flows)
 	for i := range qs {
-		qs[i] = e.NewQueue("", 1)
+		qs[i] = e.NewQueue(1)
 	}
 	ps := scalePackets(flows)
 	for i, p := range ps {

@@ -187,7 +187,8 @@ func (i *DRRInstance) newFlowQueue(rec *aiu.FlowRecord, b *aiu.GateBind) *sched.
 			weight = res.Weight
 		}
 	}
-	q := i.drr.NewQueue(rec.Key.String(), weight)
+	q := i.drr.NewQueue("", weight)
+	q.Key = rec.Key
 	b.Private = q
 	return q
 }
@@ -223,19 +224,22 @@ func (i *DRRInstance) FlowEvicted(key pkt.Key, slot int, b aiu.GateBind) {
 
 // FlowShare is one flow's service snapshot.
 type FlowShare struct {
+	// Label is the flow's key, rendered by Shares: flow creation keeps
+	// the key and formats nothing.
 	Label  string
 	Weight float64
 	Served uint64
 	Drops  uint64
 }
 
-// Shares snapshots per-flow service for the link-sharing demos.
+// Shares snapshots per-flow service for the link-sharing demos, in
+// the order of DRR.Queues.
 func (i *DRRInstance) Shares() []FlowShare {
 	i.mu.Lock()
 	defer i.mu.Unlock()
 	var out []FlowShare
 	for _, q := range i.drr.Queues() {
-		out = append(out, FlowShare{Label: q.Label, Weight: q.Weight, Served: q.Served, Drops: q.Drops})
+		out = append(out, FlowShare{Label: q.Key.String(), Weight: q.Weight, Served: q.Served, Drops: q.Drops})
 	}
 	return out
 }

@@ -14,10 +14,9 @@ import (
 // bucket-wheel scheduler of internal/sched's Eiffel behind the same
 // plugin surface as DRR. Flows get their per-flow queue lazily through
 // the scheduling gate's soft-state slot; weights come from the
-// reservation installed with the flow's filter. Where DRR's per-flow
-// FIFO preallocation caps the practical flow count, Eiffel's intrusive
-// packet chaining keeps per-flow state to one small header, so the same
-// plugin verbs scale to a million live flows.
+// reservation installed with the flow's filter. Eiffel's intrusive
+// packet chaining keeps per-flow state to one small header with no
+// packet array, so the same plugin verbs scale to a million live flows.
 type EiffelPlugin struct {
 	env   *Env
 	namer instanceNamer
@@ -189,7 +188,8 @@ func (i *EiffelInstance) newFlowQueue(rec *aiu.FlowRecord, b *aiu.GateBind) *sch
 			weight = res.Weight
 		}
 	}
-	q := i.eif.NewQueue(rec.Key.String(), weight)
+	q := i.eif.NewQueue(weight)
+	q.Key = rec.Key
 	b.Private = q
 	return q
 }
@@ -233,7 +233,7 @@ func (i *EiffelInstance) Shares() []FlowShare {
 	defer i.mu.Unlock()
 	var out []FlowShare
 	for _, q := range i.eif.Queues() {
-		out = append(out, FlowShare{Label: q.Label, Weight: q.Weight, Served: q.Served, Drops: q.Drops})
+		out = append(out, FlowShare{Label: q.Key.String(), Weight: q.Weight, Served: q.Served, Drops: q.Drops})
 	}
 	return out
 }

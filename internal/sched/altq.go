@@ -85,7 +85,8 @@ func (l *DRRLeaf) Enqueue(p *pkt.Packet) error {
 	if l.PerFlow && p.KeyValid {
 		q := l.flows[p.Key]
 		if q == nil {
-			q = l.DRR.NewQueue(p.Key.String(), 1)
+			q = l.DRR.NewQueue("", 1)
+			q.Key = p.Key
 			l.flows[p.Key] = q
 		}
 		return l.DRR.EnqueueFlow(q, p)

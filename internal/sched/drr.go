@@ -33,8 +33,10 @@ type DRR struct {
 	total  int // queued packets across all flows
 	limit  int // per-queue packet limit
 
-	// All live queues (including idle), for listing and teardown.
-	queues map[*DRRQueue]struct{}
+	// All live queues (including idle), for listing and teardown. Each
+	// queue records its index here; RemoveQueue swaps the last queue
+	// into the freed slot.
+	queues []*DRRQueue
 
 	// Tel, when non-nil, records per-instance scheduler metrics
 	// (enqueue/dequeue/drop counts, backlog, live queues, deficit). Set
@@ -58,13 +60,20 @@ type DRRQueue struct {
 	onList     bool
 	fresh      bool // next visit starts a new round (grants quantum)
 	parent     *DRR
-	// Label names the flow in demos and experiment output.
+	idx        int // position in parent.queues
+	// Label names the queue in demos and experiment output.
 	Label string
+	// Key is the flow a per-flow plugin created the queue for (zero
+	// otherwise). Listings render it on demand, so creating a flow's
+	// queue formats nothing.
+	Key pkt.Key
 }
 
 // NewDRR builds a DRR scheduler. quantum is the byte allowance per unit
 // weight per round (0 = 1500, one MTU-ish packet); perQueueLimit bounds
-// each flow queue (0 = 128 packets).
+// each flow queue (0 = 128 packets). A flow queue's FIFO starts empty
+// and grows on demand up to that limit (see FIFO), so a flow that never
+// backs up costs a few dozen bytes of queue, not the whole limit.
 func NewDRR(quantum, perQueueLimit int) *DRR {
 	if quantum <= 0 {
 		quantum = 1500
@@ -72,7 +81,7 @@ func NewDRR(quantum, perQueueLimit int) *DRR {
 	if perQueueLimit <= 0 {
 		perQueueLimit = 128
 	}
-	return &DRR{quantum: quantum, limit: perQueueLimit, queues: make(map[*DRRQueue]struct{})}
+	return &DRR{quantum: quantum, limit: perQueueLimit}
 }
 
 // NewQueue creates a flow queue with the given weight (<=0 means 1).
@@ -80,9 +89,8 @@ func (d *DRR) NewQueue(label string, weight float64) *DRRQueue {
 	if weight <= 0 {
 		weight = 1
 	}
-	q := &DRRQueue{Weight: weight, parent: d, Label: label}
-	q.fifo = *NewFIFO(d.limit)
-	d.queues[q] = struct{}{}
+	q := &DRRQueue{Weight: weight, parent: d, Label: label, fifo: FIFO{limit: d.limit}, idx: len(d.queues)}
+	d.queues = append(d.queues, q)
 	d.Tel.SetQueues(len(d.queues))
 	return q
 }
@@ -106,7 +114,11 @@ func (d *DRR) RemoveQueue(q *DRRQueue) {
 	if q.onList {
 		d.unlink(q)
 	}
-	delete(d.queues, q)
+	last := len(d.queues) - 1
+	d.queues[q.idx] = d.queues[last]
+	d.queues[q.idx].idx = q.idx
+	d.queues[last] = nil
+	d.queues = d.queues[:last]
 	d.Tel.SetQueues(len(d.queues))
 	q.parent = nil
 }
@@ -194,13 +206,10 @@ func (d *DRR) Dequeue() *pkt.Packet {
 // Len implements Scheduler.
 func (d *DRR) Len() int { return d.total }
 
-// Queues lists live queues (stable order not guaranteed).
+// Queues lists live queues in creation order, except that removing a
+// queue moves the last-created one into its place.
 func (d *DRR) Queues() []*DRRQueue {
-	out := make([]*DRRQueue, 0, len(d.queues))
-	for q := range d.queues {
-		out = append(out, q)
-	}
-	return out
+	return append([]*DRRQueue(nil), d.queues...)
 }
 
 func (d *DRR) link(q *DRRQueue) {

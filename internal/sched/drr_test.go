@@ -1,7 +1,9 @@
 package sched
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"github.com/routerplugins/eisr/internal/pkt"
@@ -33,6 +35,89 @@ func TestFIFOOrderAndLimit(t *testing.T) {
 	}
 	if f.Dequeue() != nil || f.Len() != 0 {
 		t.Error("FIFO not empty after drain")
+	}
+}
+
+// A FIFO starts with no backing array and grows geometrically while its
+// backlog reaches new highs, never past the limit; compaction and
+// growth keep arrival order.
+func TestFIFOGrowsOnDemandToLimit(t *testing.T) {
+	f := NewFIFO(100)
+	if cap(f.q) != 0 {
+		t.Fatalf("new FIFO holds %d slots, want none", cap(f.q))
+	}
+	next, want := 0, 0
+	push := func() {
+		t.Helper()
+		if err := f.Enqueue(mkPkt(next)); err != nil {
+			t.Fatalf("enqueue %d: %v", next, err)
+		}
+		next++
+	}
+	pop := func() {
+		t.Helper()
+		if p := f.Dequeue(); p == nil || len(p.Data) != want {
+			t.Fatalf("dequeue: got %v, want packet %d", p, want)
+		}
+		want++
+	}
+	var caps []int
+	for i := 0; i < 100; i++ {
+		push()
+		if c := cap(f.q); len(caps) == 0 || caps[len(caps)-1] != c {
+			caps = append(caps, c)
+		}
+	}
+	if got, exp := fmt.Sprint(caps), "[4 8 16 32 64 100]"; got != exp {
+		t.Errorf("capacities %s, want %s", got, exp)
+	}
+	if err := f.Enqueue(mkPkt(0)); err != ErrQueueFull {
+		t.Errorf("enqueue past the limit: %v", err)
+	}
+	// A steady backlog below the peak compacts in place: no growth.
+	for i := 0; i < 1000; i++ {
+		pop()
+		push()
+	}
+	if cap(f.q) != 100 {
+		t.Errorf("capacity %d after steady state, want 100", cap(f.q))
+	}
+	for f.Len() > 0 {
+		pop()
+	}
+}
+
+// Queues lists queues in creation order; removal moves the last queue
+// into the freed slot.
+func TestDRRQueuesOrder(t *testing.T) {
+	d := NewDRR(1500, 0)
+	var qs []*DRRQueue
+	for _, l := range []string{"a", "b", "c", "d"} {
+		qs = append(qs, d.NewQueue(l, 1))
+	}
+	label := func() string {
+		var out []string
+		for _, q := range d.Queues() {
+			out = append(out, q.Label)
+		}
+		return strings.Join(out, "")
+	}
+	if got := label(); got != "abcd" {
+		t.Errorf("queues %q, want abcd", got)
+	}
+	d.RemoveQueue(qs[1])
+	if got := label(); got != "adc" {
+		t.Errorf("after removing b: %q, want adc", got)
+	}
+	d.RemoveQueue(qs[2])
+	d.RemoveQueue(qs[2]) // a second removal is a no-op
+	if got := label(); got != "ad" {
+		t.Errorf("after removing c: %q, want ad", got)
+	}
+	d.RemoveQueue(qs[3])
+	d.RemoveQueue(qs[0])
+	if got := label(); got != "" {
+		t.Errorf("after removing all: %q", got)
 	}
 }
 

@@ -25,8 +25,8 @@ import (
 // rotation is amortized O(1) — the scan is two masked TrailingZeros64
 // calls regardless of how far the wheel advances), serves one packet,
 // and reinserts the flow at its new rank. Per-flow state is one
-// EiffelQueue (~100 bytes) with no preallocated FIFO, so a million
-// live flows cost ~100 MB where DRR's 128-slot FIFOs would cost ~1 GB.
+// fixed-size EiffelQueue with no packet array at all, where a DRR flow
+// also carries a FIFO array that grows with its deepest backlog.
 //
 // Fairness: a flow's virtual finish time advances by
 // bytes/(weight×quantum) buckets per packet served, so backlogged
@@ -51,8 +51,10 @@ type Eiffel struct {
 
 	total int // queued packets across all flows
 
-	// All live queues (including idle), for listing and teardown.
-	queues map[*EiffelQueue]struct{}
+	// All live queues (including idle), for listing and teardown. Each
+	// queue records its index here; removal swaps the last queue into
+	// the freed slot.
+	queues []*EiffelQueue
 
 	// Tel, when non-nil, records per-instance scheduler metrics; a nil
 	// bundle no-ops every record call.
@@ -85,8 +87,6 @@ type EiffelQueue struct {
 	// rejections (queue limit).
 	Served uint64
 	Drops  uint64
-	// Label names the flow in demos and experiment output.
-	Label string
 
 	invW float64 // 1/(Weight×quantum): bucket advance per byte served
 	vfin float64 // virtual finish rank, in quantum units
@@ -95,9 +95,15 @@ type EiffelQueue struct {
 	n          int
 
 	next     *EiffelQueue // bucket list link; nil when idle
+	bucket   int32        // wheel index while inBucket
 	inBucket bool
-	bucket   int // wheel index while inBucket
 	parent   *Eiffel
+	idx      int // position in parent.queues
+
+	// Key is the flow a per-flow plugin created the queue for (zero
+	// otherwise): the queue's only name. Listings render it on demand,
+	// so creating a flow's queue formats nothing.
+	Key pkt.Key
 }
 
 // NewEiffel builds an Eiffel scheduler. quantum is the byte width of
@@ -110,10 +116,7 @@ func NewEiffel(quantum, perQueueLimit int) *Eiffel {
 	if perQueueLimit <= 0 {
 		perQueueLimit = 128
 	}
-	return &Eiffel{
-		quantum: quantum, limit: perQueueLimit,
-		queues: make(map[*EiffelQueue]struct{}),
-	}
+	return &Eiffel{quantum: quantum, limit: perQueueLimit}
 }
 
 // Horizon reports the wheel depth in quanta (ranks further ahead clamp
@@ -123,15 +126,16 @@ func (e *Eiffel) Horizon() int { return eiffelBuckets }
 // NewQueue creates a flow queue with the given weight (<=0 means 1).
 //
 //eisr:slowpath
-func (e *Eiffel) NewQueue(label string, weight float64) *EiffelQueue {
+func (e *Eiffel) NewQueue(weight float64) *EiffelQueue {
 	if weight <= 0 {
 		weight = 1
 	}
 	q := &EiffelQueue{
-		Weight: weight, Label: label, parent: e,
+		Weight: weight, parent: e,
 		invW: 1 / (weight * float64(e.quantum)),
+		idx:  len(e.queues),
 	}
-	e.queues[q] = struct{}{}
+	e.queues = append(e.queues, q)
 	e.Tel.SetQueues(len(e.queues))
 	return q
 }
@@ -158,8 +162,18 @@ func (e *Eiffel) RemoveQueue(q *EiffelQueue) {
 	if q.inBucket {
 		e.unlink(q)
 	}
-	delete(e.queues, q)
+	e.drop(q)
 	e.Tel.SetQueues(len(e.queues))
+}
+
+// drop takes an unlinked, empty queue out of the live set: the last
+// queue moves into its slot.
+func (e *Eiffel) drop(q *EiffelQueue) {
+	last := len(e.queues) - 1
+	e.queues[q.idx] = e.queues[last]
+	e.queues[q.idx].idx = q.idx
+	e.queues[last] = nil
+	e.queues = e.queues[:last]
 	q.parent = nil
 }
 
@@ -170,10 +184,10 @@ func (e *Eiffel) RemoveQueue(q *EiffelQueue) {
 //eisr:slowpath
 func (e *Eiffel) PurgeIdle() int {
 	n := 0
-	for q := range e.queues {
-		if q.n == 0 && !q.inBucket {
-			delete(e.queues, q)
-			q.parent = nil
+	// Backwards, so the queue each removal moves in has been visited.
+	for i := len(e.queues) - 1; i >= 0; i-- {
+		if q := e.queues[i]; q.n == 0 && !q.inBucket {
+			e.drop(q)
 			n++
 		}
 	}
@@ -273,13 +287,10 @@ func (e *Eiffel) Dequeue() *pkt.Packet {
 // Len implements Scheduler.
 func (e *Eiffel) Len() int { return e.total }
 
-// Queues lists live queues (stable order not guaranteed).
+// Queues lists live queues in creation order, except that removing a
+// queue moves the last-created one into its place.
 func (e *Eiffel) Queues() []*EiffelQueue {
-	out := make([]*EiffelQueue, 0, len(e.queues))
-	for q := range e.queues {
-		out = append(out, q)
-	}
-	return out
+	return append([]*EiffelQueue(nil), e.queues...)
 }
 
 // insert places a backlogged flow on the wheel at its virtual finish
@@ -309,7 +320,7 @@ func (e *Eiffel) insert(q *EiffelQueue) {
 	}
 	bk.tail = q
 	q.inBucket = true
-	q.bucket = b
+	q.bucket = int32(b)
 }
 
 // unlink removes a flow from its bucket's list (control path: flow
@@ -334,7 +345,7 @@ func (e *Eiffel) unlink(q *EiffelQueue) {
 		break
 	}
 	if bk.head == nil {
-		e.clearBit(q.bucket)
+		e.clearBit(int(q.bucket))
 	}
 	q.next = nil
 	q.inBucket = false

@@ -15,8 +15,8 @@ func (c *countOwner) ReleaseMbuf(p *pkt.Packet) { c.n++ }
 
 func TestEiffelRoundRobinEqualWeights(t *testing.T) {
 	e := NewEiffel(1500, 0)
-	qa := e.NewQueue("a", 1)
-	qb := e.NewQueue("b", 1)
+	qa := e.NewQueue(1)
+	qb := e.NewQueue(1)
 	for i := 0; i < 10; i++ {
 		e.EnqueueFlow(qa, mkPkt(1000))
 		e.EnqueueFlow(qb, mkPkt(1000))
@@ -39,7 +39,7 @@ func TestEiffelWeightedShares(t *testing.T) {
 	weights := []float64{1, 2, 4}
 	qs := make([]*EiffelQueue, len(weights))
 	for i, w := range weights {
-		qs[i] = e.NewQueue("", w)
+		qs[i] = e.NewQueue(w)
 		for j := 0; j < 4000; j++ {
 			if err := e.EnqueueFlow(qs[i], mkPkt(500)); err != nil {
 				t.Fatal(err)
@@ -68,7 +68,7 @@ func TestEiffelWeightedShares(t *testing.T) {
 // the FFS scan keeps finding work across the wrap.
 func TestEiffelWheelWrap(t *testing.T) {
 	e := NewEiffel(1, 1<<20)
-	q := e.NewQueue("w", 1)
+	q := e.NewQueue(1)
 	const n = 200
 	for i := 0; i < n; i++ {
 		if err := e.EnqueueFlow(q, mkPkt(150)); err != nil {
@@ -93,8 +93,8 @@ func TestEiffelHorizonClampNoStarvation(t *testing.T) {
 	tel := telemetry.New()
 	e := NewEiffel(1500, 0)
 	e.Tel = tel.SchedMetrics("eiffel", "t")
-	heavy := e.NewQueue("heavy", 1)
-	light := e.NewQueue("light", 1e-7)
+	heavy := e.NewQueue(1)
+	light := e.NewQueue(1e-7)
 	for i := 0; i < 20; i++ {
 		e.EnqueueFlow(heavy, mkPkt(1000))
 		e.EnqueueFlow(light, mkPkt(1000))
@@ -114,7 +114,7 @@ func TestEiffelHorizonClampNoStarvation(t *testing.T) {
 
 func TestEiffelQueueLimitDrops(t *testing.T) {
 	e := NewEiffel(1500, 2)
-	q := e.NewQueue("x", 1)
+	q := e.NewQueue(1)
 	e.EnqueueFlow(q, mkPkt(10))
 	e.EnqueueFlow(q, mkPkt(10))
 	if err := e.EnqueueFlow(q, mkPkt(10)); err != ErrQueueFull {
@@ -130,8 +130,8 @@ func TestEiffelRemoveQueueReleasesAndCounts(t *testing.T) {
 	e := NewEiffel(1500, 0)
 	e.Tel = tel.SchedMetrics("eiffel", "t")
 	own := &countOwner{}
-	qa := e.NewQueue("a", 1)
-	qb := e.NewQueue("b", 1)
+	qa := e.NewQueue(1)
+	qb := e.NewQueue(1)
 	for i := 0; i < 3; i++ {
 		p := mkPkt(10)
 		p.Owner = own
@@ -165,9 +165,9 @@ func TestEiffelRemoveQueueReleasesAndCounts(t *testing.T) {
 
 func TestEiffelPurgeIdle(t *testing.T) {
 	e := NewEiffel(1500, 0)
-	busy := e.NewQueue("busy", 1)
+	busy := e.NewQueue(1)
 	for i := 0; i < 16; i++ {
-		e.NewQueue("", 1)
+		e.NewQueue(1)
 	}
 	e.EnqueueFlow(busy, mkPkt(10))
 	if n := e.PurgeIdle(); n != 16 {
@@ -181,9 +181,42 @@ func TestEiffelPurgeIdle(t *testing.T) {
 	}
 }
 
+// PurgeIdle and RemoveQueue swap queues around the live set; interleaved
+// idle and busy queues must come out exactly right, and every survivor
+// must stay removable.
+func TestEiffelPurgeIdleInterleaved(t *testing.T) {
+	e := NewEiffel(1500, 0)
+	var busy []*EiffelQueue
+	for i := 0; i < 12; i++ {
+		q := e.NewQueue(1)
+		if i%3 == 0 {
+			e.EnqueueFlow(q, mkPkt(10))
+			busy = append(busy, q)
+		}
+	}
+	if n := e.PurgeIdle(); n != 8 {
+		t.Errorf("purged %d idle queues, want 8", n)
+	}
+	live := e.Queues()
+	if len(live) != len(busy) {
+		t.Fatalf("%d queues left, want %d", len(live), len(busy))
+	}
+	for i, q := range live {
+		if q.n != 1 || q.idx != i {
+			t.Errorf("queue %d: backlog %d, index %d", i, q.n, q.idx)
+		}
+	}
+	for _, q := range busy {
+		e.RemoveQueue(q)
+	}
+	if len(e.Queues()) != 0 || e.Len() != 0 {
+		t.Errorf("after removing the survivors: %d queues, %d packets", len(e.Queues()), e.Len())
+	}
+}
+
 func TestEiffelEnqueueViaFIX(t *testing.T) {
 	e := NewEiffel(1500, 0)
-	q := e.NewQueue("f", 1)
+	q := e.NewQueue(1)
 	p := mkPkt(100)
 	p.FIX = q
 	if err := e.Enqueue(p); err != nil {
@@ -201,8 +234,8 @@ func TestEiffelIdleFlowNoCredit(t *testing.T) {
 	// A flow that sleeps must re-activate at the current virtual time,
 	// not burst on banked rank it never used.
 	e := NewEiffel(1000, 0)
-	qa := e.NewQueue("a", 1)
-	qb := e.NewQueue("b", 1)
+	qa := e.NewQueue(1)
+	qb := e.NewQueue(1)
 	for i := 0; i < 20; i++ {
 		e.EnqueueFlow(qb, mkPkt(1000))
 	}

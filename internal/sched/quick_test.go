@@ -111,7 +111,7 @@ func TestQuickEiffelConservation(t *testing.T) {
 		for i := range qs {
 			// Weights spanning nine orders of magnitude: tiny weights
 			// exercise the horizon clamp, not a livelock.
-			qs[i] = e.NewQueue("", math.Pow(10, -float64(rng.Intn(9)))*float64(1+rng.Intn(4)))
+			qs[i] = e.NewQueue(math.Pow(10, -float64(rng.Intn(9))) * float64(1+rng.Intn(4)))
 		}
 		in := 0
 		for i := 0; i < nPkts; i++ {
@@ -149,7 +149,7 @@ func TestQuickEiffelDRRFairness(t *testing.T) {
 		for i := 0; i < nFlows; i++ {
 			w := float64(1 + rng.Intn(4))
 			dqs[i] = d.NewQueue("", w)
-			eqs[i] = e.NewQueue("", w)
+			eqs[i] = e.NewQueue(w)
 		}
 		// Identical arrivals, heavy enough to stay backlogged throughout.
 		const perFlow = 600
@@ -224,7 +224,7 @@ func TestQuickSchedDrainAnyWeight(t *testing.T) {
 			return false
 		}
 		e := NewEiffel(1500, 0)
-		eq := e.NewQueue("", weight)
+		eq := e.NewQueue(weight)
 		return drain(e, func(p *pkt.Packet) error { return e.EnqueueFlow(eq, p) })
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {

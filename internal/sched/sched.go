@@ -40,15 +40,20 @@ type FIFO struct {
 	limit int
 }
 
+// fifoMinCap is a FIFO's first backing array: room for a short burst,
+// 32 bytes, so a flow queue that never backs up costs one small
+// allocation instead of its whole limit.
+const fifoMinCap = 4
+
 // NewFIFO builds a FIFO with a packet limit (0 = 512, the customary
-// ifqueue depth).
+// ifqueue depth). Nothing is preallocated: the backing array grows
+// geometrically on demand, capped at the limit, so a FIFO costs memory
+// in proportion to the deepest backlog it has held.
 func NewFIFO(limit int) *FIFO {
 	if limit <= 0 {
 		limit = 512
 	}
-	// Preallocate to the limit: Enqueue's append then never grows the
-	// backing array (Dequeue resets length, not capacity).
-	return &FIFO{q: make([]*pkt.Packet, 0, limit), limit: limit}
+	return &FIFO{limit: limit}
 }
 
 // Enqueue implements Scheduler.
@@ -58,20 +63,29 @@ func (f *FIFO) Enqueue(p *pkt.Packet) error {
 	if f.Len() >= f.limit {
 		return ErrQueueFull
 	}
-	if len(f.q) == cap(f.q) && f.head > 0 {
-		// The slice ran into its preallocated cap with dequeued slots
-		// at the front: compact the live region in place (a bounded
-		// pointer memmove, no allocation) and clear the vacated tail so
-		// the array does not pin departed packets.
-		n := copy(f.q, f.q[f.head:])
-		for i := n; i < len(f.q); i++ {
-			f.q[i] = nil
+	if len(f.q) == cap(f.q) {
+		if f.head > 0 {
+			// The slice ran into its cap with dequeued slots at the
+			// front: compact the live region in place (a bounded pointer
+			// memmove, no allocation) and clear the vacated tail so the
+			// array does not pin departed packets.
+			n := copy(f.q, f.q[f.head:])
+			for i := n; i < len(f.q); i++ {
+				f.q[i] = nil
+			}
+			f.q = f.q[:n]
+			f.head = 0
+		} else {
+			// Full with nothing dequeued in front: the backlog is at a
+			// new high. Double the array, capped at the limit (the limit
+			// check above guarantees room below it).
+			n := min(max(2*cap(f.q), fifoMinCap), f.limit)
+			//eisr:allow(fastpath) growth is geometric and capped at the limit, and happens only while the backlog reaches a new high: at most log2(limit/fifoMinCap)+1 times in a queue's life, never in steady state
+			f.q = append(make([]*pkt.Packet, 0, n), f.q...)
 		}
-		f.q = f.q[:n]
-		f.head = 0
 	}
-	//eisr:allow(fastpath) preallocated to the limit at construction; the limit check and compaction above bound it under cap
-	f.q = append(f.q, p)
+	f.q = f.q[:len(f.q)+1]
+	f.q[len(f.q)-1] = p
 	return nil
 }
 
