@@ -33,10 +33,13 @@ vet: $(BIN)/eisrlint
 # server's connection-teardown bookkeeping, the netio RX/TX goroutines
 # racing forwarding workers and Stop, the routing table's lock-free
 # lookups racing batched applies, the route-feed daemon's flush/sweep
-# machinery racing its sources, and the analyzer suite (whose shared
-# fixture loader is hit from parallel tests).
+# machinery racing its sources, the analyzer suite (whose shared
+# fixture loader is hit from parallel tests), and the packet-ownership
+# handoff: pooled packets recycled by netdev while workers hand them to
+# scheduler plugins (netdev, sched, plugins, bench), plus the BMP
+# engines' copy-on-write derivations (bmp).
 race:
-	$(GO) test -race . ./internal/aiu ./internal/pcu ./internal/ipcore ./internal/telemetry ./internal/ctl ./internal/netio ./internal/routing ./internal/routefeed ./internal/analysis/...
+	$(GO) test -race . ./internal/aiu ./internal/pcu ./internal/ipcore ./internal/telemetry ./internal/ctl ./internal/netio ./internal/routing ./internal/routefeed ./internal/analysis/... ./internal/netdev ./internal/bmp ./internal/sched ./internal/plugins ./internal/bench
 
 # Overhead guards: the telemetry-off flow-cache hit path must stay
 # allocation-free and the disabled record calls under 2ns per packet;

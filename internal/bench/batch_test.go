@@ -233,6 +233,59 @@ func TestProcessOneZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestInjectProcessOneZeroAlloc is the allocation guard for the whole
+// simulated receive cycle: Inject copies the datagram into a pooled
+// packet, Poll takes it off the RX ring, and ProcessOne walks it to the
+// DRR queue and transmits it, which returns the packet to its pool. On
+// a cache hit the cycle allocates nothing, with telemetry off and on —
+// and the same holds across an in-memory link, whose far end receives
+// into a packet from its own pool.
+func TestInjectProcessOneZeroAlloc(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		tel  *telemetry.Telemetry
+		peer bool
+	}{
+		{"telemetry-off", nil, false},
+		{"telemetry-on", telemetry.New(), false},
+		{"telemetry-off/peer", nil, true},
+		{"telemetry-on/peer", telemetry.New(), true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newDRRRouter(t, tc.tel, aiu.Config{BMPKind: bmp.KindBSPL})
+			in := r.Interface(0)
+			var peer *netdev.Interface
+			if tc.peer {
+				peer = netdev.NewInterface(2, netdev.Config{})
+				netdev.Connect(r.Interface(1), peer)
+			}
+			data := newFlowPacket(t, 1000).Data
+			cycle := func() {
+				if err := in.Inject(data); err != nil {
+					t.Fatal(err)
+				}
+				if p := in.Poll(); p == nil || !r.ProcessOne(p) {
+					t.Fatal("cache-hit packet dropped")
+				}
+				if peer != nil {
+					q := peer.Poll()
+					if q == nil {
+						t.Fatal("nothing crossed the link")
+					}
+					q.ReleaseBuf()
+				}
+			}
+			cycle() // the first packet classifies and builds the DRR queue
+			if n := testing.AllocsPerRun(1000, cycle); n != 0 {
+				t.Fatalf("Inject → Poll → ProcessOne allocated %v per packet, want 0", n)
+			}
+			if fb := in.Stats().MbufFallback; fb != 0 {
+				t.Fatalf("%d mbuf fallbacks: a packet was not returned to its pool", fb)
+			}
+		})
+	}
+}
+
 // firstPacketAllocs is the heap-object budget of a new flow's first
 // packet when it recycles a flow record: the flow's gate binds (the
 // slice and the header the flow table publishes it through), the

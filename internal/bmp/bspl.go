@@ -23,25 +23,33 @@ import (
 // (D = 32) and 8 for IPv6, and exactly the paper's 5/7 whenever D is 31-
 // or 127-wide or less, which any realistic filter population satisfies.
 //
+// An entry is 32 bytes: its key, the steering bit, and one pointer to
+// the immutable route record (prefix and value) of its precomputed BMP.
+// Every entry that shares a BMP shares the record, and the reference
+// PATRICIA stores the same records as its values, so a lookup touches
+// one entry per probe and resolves the value once, at the end.
+//
 // Mutations come in two flavors. Insert/Delete are cheap bookkeeping that
 // mark the structure dirty for a lazy full rebuild on the next lookup —
 // the original control-path design. ApplyDelta is the incremental path:
 // it derives a new BSPL whose per-length tables are persistent
-// (copy-on-write at group granularity, see ptable) and repairs markers
-// and precomputed BMPs only in the affected prefix neighborhood, falling
-// back (ok=false) when the delta would change the set of distinct
-// lengths — which would invalidate every entry's binary-search path.
-// Deletes never shrink the length set (emptied tables are kept), so
-// churn within an established length population stays incremental.
+// (copy-on-write at chunk and group granularity, see ptable) and repairs
+// markers and precomputed BMPs only along the paths that can change
+// (applyAdd), falling back (ok=false) when the delta would change the
+// set of distinct lengths — which would invalidate every entry's
+// binary-search path. Deletes never shrink the length set (emptied
+// tables are kept), so churn within an established length population
+// stays incremental.
 type BSPL struct {
 	store map[pkt.Prefix]any
 	dirty bool
 
-	// ref mirrors the real prefixes (Len > 0) in a PATRICIA and answers
-	// the neighborhood queries incremental maintenance needs: best
-	// matching prefix up to a length, longer-prefix existence, and
-	// subtree enumeration. Maintained copy-on-write by ApplyDelta so the
-	// receiver's ref stays intact.
+	// ref mirrors the real prefixes (Len > 0) in a PATRICIA whose values
+	// are their *bsplRoute records, and answers the neighborhood queries
+	// incremental maintenance needs: best matching prefix up to a length,
+	// longer-prefix existence, and the frontier under a prefix.
+	// Maintained copy-on-write by ApplyDelta so the receiver's ref stays
+	// intact.
 	ref *Patricia
 
 	fam [2]bsplFamily // 0: IPv4, 1: IPv6
@@ -57,9 +65,16 @@ type bsplFamily struct {
 	// visit position i). Derived from lens alone, shared immutably
 	// across incremental derivations, used for exact marker liveness.
 	marklens [][]int
-	// defVal is the value of the zero-length prefix, if any.
-	defVal any
-	defSet bool
+	// def is the zero-length prefix's route, if any.
+	def *bsplRoute
+}
+
+// bsplRoute is one installed prefix and its value. Records are
+// immutable: a re-add builds a new one, so a published entry's BMP never
+// changes under a reader.
+type bsplRoute struct {
+	prefix pkt.Prefix
+	val    any
 }
 
 // computeMarkLens derives, for each position in lens, which prefix
@@ -95,14 +110,14 @@ func lenIn(set []int, l int) bool {
 }
 
 type bsplEntry struct {
-	// bmp is the longest real prefix matching this entry's bit string,
-	// including the entry itself when it is a real prefix.
-	bmpVal    any
-	bmpPrefix pkt.Prefix
-	bmpOK     bool
+	key pkt.Addr
 	// hasLonger directs the binary search upward: some real prefix
 	// longer than this entry's length extends this bit string.
 	hasLonger bool
+	// bmp is the longest real prefix matching this entry's bit string,
+	// including the entry itself when it is a real prefix; nil when none
+	// does.
+	bmp *bsplRoute
 }
 
 // NewBSPL returns an empty binary-search-on-prefix-lengths table.
@@ -141,6 +156,16 @@ func famIndex(v6 bool) int {
 	return 0
 }
 
+// bmpOf returns the longest route in ref of length at most L matching
+// key, or nil.
+func bmpOf(ref *Patricia, key pkt.Addr, L int) *bsplRoute {
+	v, _, ok := ref.lookupMax(key, L, nil)
+	if !ok {
+		return nil
+	}
+	return v.(*bsplRoute)
+}
+
 // lenIndex returns the position of L in f.lens, or -1.
 func (f *bsplFamily) lenIndex(L int) int {
 	i := sort.SearchInts(f.lens, L)
@@ -164,11 +189,11 @@ func (t *BSPL) rebuild() {
 	for p, v := range t.store {
 		f := &t.fam[famIndex(p.Addr.IsV6())]
 		if p.Len == 0 {
-			f.defVal, f.defSet = v, true
+			f.def = &bsplRoute{prefix: p, val: v}
 			continue
 		}
 		lenCount[famIndex(p.Addr.IsV6())][p.Len]++
-		ref.Insert(p, v)
+		ref.Insert(p, &bsplRoute{prefix: p, val: v})
 	}
 	for fi := range t.fam {
 		f := &t.fam[fi]
@@ -214,11 +239,7 @@ func (t *BSPL) rebuild() {
 		f := &t.fam[fi]
 		for i, tab := range f.tables {
 			L := f.lens[i]
-			tab.each(func(key pkt.Addr, e *bsplEntry) {
-				if v, mp, ok := ref.lookupMax(key, L, nil); ok {
-					e.bmpVal, e.bmpPrefix, e.bmpOK = v, mp, true
-				}
-			})
+			tab.each(func(e *bsplEntry) { e.bmp = bmpOf(ref, e.key, L) })
 		}
 	}
 	t.ref = ref
@@ -226,10 +247,11 @@ func (t *BSPL) rebuild() {
 }
 
 // ApplyDelta implements Incremental. It derives a new BSPL sharing all
-// untouched hash-table groups with the receiver and repairs only the
-// binary-search paths of the mutated prefixes plus the entries in their
-// covered neighborhoods, so a delta's cost tracks how much of the prefix
-// space it disturbs, not the table size.
+// untouched hash-table chunks and groups with the receiver and repairs
+// only the binary-search paths of the mutated prefixes plus the short
+// path segments below them that can change (applyAdd), so a delta's
+// cost tracks how much of the prefix space it disturbs, not the table
+// size.
 //
 // ok=false (receiver untouched, caller rebuilds) when the receiver has
 // pending lazy mutations, or when an added prefix introduces a length
@@ -265,7 +287,7 @@ func (t *BSPL) ApplyDelta(d Delta) (Table, bool) {
 		dst.lens = src.lens
 		dst.marklens = src.marklens
 		dst.tables = append([]*ptable(nil), src.tables...)
-		dst.defVal, dst.defSet = src.defVal, src.defSet
+		dst.def = src.def
 	}
 	owned := [2][]bool{
 		make([]bool, len(nt.fam[0].tables)),
@@ -309,61 +331,71 @@ func replayPath(f *bsplFamily, p pkt.Prefix, fn func(mid int, L int, key pkt.Add
 	}
 }
 
+// applyAdd installs p -> v. p's own path gets its markers and its
+// entry; then entries below p whose best match p now is adopt its
+// record. Those entries lie only on the frontier's paths — the
+// shortest stored prefixes q strictly under p — at the levels in
+// (p.Len, q.Len):
+//
+//   - an entry at a level of at least q.Len whose bits extend q already
+//     has a BMP at least as long as q, longer than p;
+//   - every entry below q.Len that a longer prefix r under q visits is
+//     also on q's own path, because the two binary searches take the
+//     same turns until they reach a level of at least q.Len.
+//
+// So a change to a short prefix replays one path segment per frontier
+// prefix instead of the path of every prefix beneath it.
 func (t *BSPL) applyAdd(p pkt.Prefix, v any, tab func(fi, i int) *ptable) {
 	fi := famIndex(p.Addr.IsV6())
 	f := &t.fam[fi]
 	t.store[p] = v
+	rec := &bsplRoute{prefix: p, val: v}
 	if p.Len == 0 {
-		f.defVal, f.defSet = v, true
+		f.def = rec
 		return
 	}
 	root := t.ref.rootFor(p.Addr.IsV6())
 	added := false
-	*root = patInsertCOW(*root, p, v, &added)
+	*root = patInsertCOW(*root, p, rec, &added)
 	if added {
 		t.ref.n++
 	}
 
 	// Seed p's own binary-search path: markers steering upward below
-	// p.Len, the real entry at p.Len. Fresh entries get their BMP from
-	// the reference trie (which already includes p).
+	// p.Len, the real entry at p.Len. Fresh markers get their BMP from
+	// the reference trie.
 	replayPath(f, p, func(mid, L int, key pkt.Addr) {
 		e, fresh := tab(fi, mid).upd(key)
-		if fresh {
-			if bv, bp, ok := t.ref.lookupMax(key, L, nil); ok {
-				e.bmpVal, e.bmpPrefix, e.bmpOK = bv, bp, true
-			}
-		}
 		if p.Len > L {
 			e.hasLonger = true
+			if fresh {
+				e.bmp = bmpOf(t.ref, key, L)
+			}
 		} else {
 			// p is now the longest possible BMP at its own level.
-			e.bmpVal, e.bmpPrefix, e.bmpOK = v, p, true
+			e.bmp = rec
 		}
 	})
 
-	// Repair the covered neighborhood: every entry at a level deeper
-	// than p.Len whose bit string p now covers must adopt p as its BMP
-	// if p is longer than what it had. Those entries live exactly on the
-	// search paths of the real prefixes under p, so enumerating the
-	// subtree in the reference trie and replaying each path visits all
-	// of them.
-	t.ref.walkUnder(p, func(q pkt.Prefix, _ any) {
-		if q == p {
-			return
-		}
+	t.ref.walkFrontier(p, func(q pkt.Prefix) {
 		replayPath(f, q, func(mid, L int, key pkt.Addr) {
-			if L <= p.Len {
+			if L <= p.Len || L >= q.Len {
 				return
 			}
-			e, _ := tab(fi, mid).upd(key)
-			if !e.bmpOK || e.bmpPrefix.Len <= p.Len {
-				e.bmpVal, e.bmpPrefix, e.bmpOK = v, p, true
+			pt := tab(fi, mid)
+			if e := pt.get(key); e != nil && e.bmp != nil && e.bmp.prefix.Len > p.Len {
+				return
 			}
+			e, _ := pt.upd(key)
+			e.bmp = rec
 		})
 	})
 }
 
+// applyDel withdraws p. Entries whose BMP was p fall back to the next
+// shorter match; by applyAdd's argument they lie only on the frontier
+// paths at levels in (p.Len, q.Len). Then p's own path drops the
+// entries that no longer serve anyone.
 func (t *BSPL) applyDel(p pkt.Prefix, tab func(fi, i int) *ptable) {
 	fi := famIndex(p.Addr.IsV6())
 	f := &t.fam[fi]
@@ -372,7 +404,7 @@ func (t *BSPL) applyDel(p pkt.Prefix, tab func(fi, i int) *ptable) {
 	}
 	delete(t.store, p)
 	if p.Len == 0 {
-		f.defVal, f.defSet = nil, false
+		f.def = nil
 		return
 	}
 	root := t.ref.rootFor(p.Addr.IsV6())
@@ -382,23 +414,17 @@ func (t *BSPL) applyDel(p pkt.Prefix, tab func(fi, i int) *ptable) {
 		t.ref.n--
 	}
 
-	// Entries in the covered neighborhood whose precomputed BMP was p
-	// fall back to whatever the reference trie (p already removed) says.
-	t.ref.walkUnder(p, func(q pkt.Prefix, _ any) {
+	t.ref.walkFrontier(p, func(q pkt.Prefix) {
 		replayPath(f, q, func(mid, L int, key pkt.Addr) {
-			if L < p.Len {
+			if L <= p.Len || L >= q.Len {
 				return
 			}
-			e := t.fam[fi].tables[mid].get(key)
-			if e == nil || !e.bmpOK || e.bmpPrefix != p {
+			e := f.tables[mid].get(key)
+			if e == nil || e.bmp == nil || e.bmp.prefix != p {
 				return
 			}
 			me, _ := tab(fi, mid).upd(key)
-			if bv, bp, ok := t.ref.lookupMax(key, L, nil); ok {
-				me.bmpVal, me.bmpPrefix, me.bmpOK = bv, bp, true
-			} else {
-				me.bmpVal, me.bmpPrefix, me.bmpOK = nil, pkt.Prefix{}, false
-			}
+			me.bmp = bmpOf(t.ref, key, L)
 		})
 	})
 
@@ -414,8 +440,7 @@ func (t *BSPL) applyDel(p pkt.Prefix, tab func(fi, i int) *ptable) {
 	// BMP would rot and steer lookups past shorter matches.
 	replayPath(f, p, func(mid, L int, key pkt.Addr) {
 		pt := tab(fi, mid)
-		e := pt.get(key)
-		if e == nil {
+		if pt.get(key) == nil {
 			return
 		}
 		_, real := t.store[pkt.PrefixFrom(key, L)]
@@ -428,11 +453,7 @@ func (t *BSPL) applyDel(p pkt.Prefix, tab func(fi, i int) *ptable) {
 		}
 		me, _ := pt.upd(key)
 		me.hasLonger = marker
-		if bv, bp, ok := t.ref.lookupMax(key, L, nil); ok {
-			me.bmpVal, me.bmpPrefix, me.bmpOK = bv, bp, true
-		} else {
-			me.bmpVal, me.bmpPrefix, me.bmpOK = nil, pkt.Prefix{}, false
-		}
+		me.bmp = bmpOf(t.ref, key, L)
 	})
 }
 
@@ -445,14 +466,7 @@ func (t *BSPL) Lookup(a pkt.Addr, c *cycles.Counter) (any, pkt.Prefix, bool) {
 		t.rebuild()
 	}
 	f := &t.fam[famIndex(a.IsV6())]
-	var (
-		bestVal any
-		bestP   pkt.Prefix
-		bestOK  bool
-	)
-	if f.defSet {
-		bestVal, bestP, bestOK = f.defVal, pkt.PrefixFrom(a, 0), true
-	}
+	best := f.def
 	lo, hi := 0, len(f.lens)-1
 	for lo <= hi {
 		mid := (lo + hi) / 2
@@ -462,15 +476,18 @@ func (t *BSPL) Lookup(a pkt.Addr, c *cycles.Counter) (any, pkt.Prefix, bool) {
 			hi = mid - 1
 			continue
 		}
-		if e.bmpOK {
-			bestVal, bestP, bestOK = e.bmpVal, e.bmpPrefix, true
+		if e.bmp != nil {
+			best = e.bmp
 		}
 		if !e.hasLonger {
 			break
 		}
 		lo = mid + 1
 	}
-	return bestVal, bestP, bestOK
+	if best == nil {
+		return nil, pkt.Prefix{}, false
+	}
+	return best.val, best.prefix, true
 }
 
 // WorstCaseProbes returns the paper's Table 2 accounting for the maximum

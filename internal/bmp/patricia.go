@@ -254,21 +254,27 @@ func patDeleteCOW(n *patNode, p pkt.Prefix, removed *bool) *patNode {
 	return patCompact(nn)
 }
 
-// anyUnder reports whether some stored prefix q whose first p.Len bits
-// equal p's satisfies pred, short-circuiting on the first hit. BSPL
-// delete uses it to decide whether a marker still has a source.
-func (t *Patricia) anyUnder(p pkt.Prefix, pred func(q pkt.Prefix, v any) bool) bool {
+// under returns the root of the subtree holding every stored prefix
+// whose first p.Len bits equal p's, or nil when there is none.
+func (t *Patricia) under(p pkt.Prefix) *patNode {
 	n := *t.rootFor(p.Addr.IsV6())
 	for n != nil && n.prefix.Len < p.Len {
 		if !n.prefix.Contains(p.Addr) {
-			return false
+			return nil
 		}
 		n = n.child[p.Addr.Bit(n.prefix.Len)]
 	}
 	if n == nil || n.prefix.Addr.CommonPrefixLen(p.Addr) < p.Len {
-		return false
+		return nil
 	}
-	return patAny(n, pred)
+	return n
+}
+
+// anyUnder reports whether some stored prefix q whose first p.Len bits
+// equal p's satisfies pred, short-circuiting on the first hit. BSPL
+// delete uses it to decide whether a marker still has a source.
+func (t *Patricia) anyUnder(p pkt.Prefix, pred func(q pkt.Prefix, v any) bool) bool {
+	return patAny(t.under(p), pred)
 }
 
 func patAny(n *patNode, pred func(pkt.Prefix, any) bool) bool {
@@ -281,32 +287,24 @@ func patAny(n *patNode, pred func(pkt.Prefix, any) bool) bool {
 	return patAny(n.child[0], pred) || patAny(n.child[1], pred)
 }
 
-// walkUnder calls fn for every stored prefix q whose first p.Len bits
-// equal p's (q at least as long as p, p itself included). BSPL update
-// uses it to enumerate the affected prefix neighborhood.
-func (t *Patricia) walkUnder(p pkt.Prefix, fn func(q pkt.Prefix, v any)) {
-	n := *t.rootFor(p.Addr.IsV6())
-	for n != nil && n.prefix.Len < p.Len {
-		if !n.prefix.Contains(p.Addr) {
-			return
-		}
-		n = n.child[p.Addr.Bit(n.prefix.Len)]
-	}
-	if n == nil || n.prefix.Addr.CommonPrefixLen(p.Addr) < p.Len {
-		return
-	}
-	patWalk(n, fn)
+// walkFrontier calls fn for the frontier under p: every stored prefix q
+// longer than p whose first p.Len bits equal p's, with no stored prefix
+// strictly between p and q. BSPL update repairs only these prefixes'
+// paths (BSPL.applyAdd).
+func (t *Patricia) walkFrontier(p pkt.Prefix, fn func(q pkt.Prefix)) {
+	patFrontier(t.under(p), p.Len, fn)
 }
 
-func patWalk(n *patNode, fn func(pkt.Prefix, any)) {
+func patFrontier(n *patNode, l int, fn func(pkt.Prefix)) {
 	if n == nil {
 		return
 	}
-	if n.hasVal {
-		fn(n.prefix, n.val)
+	if n.hasVal && n.prefix.Len > l {
+		fn(n.prefix)
+		return
 	}
-	patWalk(n.child[0], fn)
-	patWalk(n.child[1], fn)
+	patFrontier(n.child[0], l, fn)
+	patFrontier(n.child[1], l, fn)
 }
 
 // Lookup implements Table.

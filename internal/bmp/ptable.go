@@ -7,15 +7,18 @@ import "github.com/routerplugins/eisr/internal/pkt"
 // call get on a published table with no synchronization, while the
 // single writer derives a new table via clone and mutates only that.
 //
-// The layout is three-level: a small root of chunk pointers, fixed-size
-// chunks of group pointers, and short entry groups (the hash buckets).
-// Every level is copy-on-write at generation granularity: clone bumps
-// the generation and copies just the root; a mutation copies the chunk
-// and group it lands in the first time this generation touches them. A
-// delta that lands in k buckets therefore copies O(k) chunks and groups
-// plus one root of n/(chunk size) pointers — update cost tracks the
-// touched neighborhood, not the table size — while the published
-// table's chunks and groups are never mutated again.
+// The layout is a small root of chunk pointers over fixed-size chunks
+// that hold their groups — the hash buckets, short entry slices — inline,
+// so a probe is root → chunk → group's entries with no pointer per
+// bucket and no empty-slot checks: every chunk exists from the start.
+// Chunks and groups are copy-on-write at generation granularity: clone
+// bumps the generation and copies just the root; a mutation copies the
+// chunk (128 groups, 4KiB) and the group's entries it lands in the first
+// time this generation touches them. A delta that lands in k buckets
+// therefore copies O(k) chunks and groups plus one root of n/128
+// pointers — update cost tracks the touched neighborhood, not the table
+// size — while the published table's chunks and groups are never
+// mutated again.
 type ptable struct {
 	gen    uint64
 	mask   uint32 // bucket-index mask (buckets - 1)
@@ -23,24 +26,25 @@ type ptable struct {
 	chunks []*pchunk
 }
 
-// pchunkBits sizes a chunk at 512 buckets: a touched chunk costs a 4KiB
-// pointer-slice copy, and the root stays at ~512 pointers even for a
+// pchunkBits sizes a chunk at 128 groups of 32 bytes: a touched chunk
+// costs a 4KiB copy, and the root stays at ~2k pointers even for a
 // million-prefix table (2^18 buckets).
-const pchunkBits = 9
+const (
+	pchunkBits = 7
+	pchunkMask = 1<<pchunkBits - 1
+)
 
 type pchunk struct {
 	gen    uint64
-	groups []*pgroup
+	groups []pgroup
 }
 
+// pgroup is one bucket. gen is the generation that owns entries: a
+// chunk copied by a later generation shares its groups' entries until
+// each group is touched.
 type pgroup struct {
 	gen     uint64
-	entries []pentry
-}
-
-type pentry struct {
-	key pkt.Addr
-	e   bsplEntry
+	entries []bsplEntry
 }
 
 // ptableTargetLoad is the mean entries-per-group above which the table
@@ -48,30 +52,43 @@ type pentry struct {
 // keeps probe cost at a handful of key compares.
 const ptableTargetLoad = 6
 
+// newPtable sizes a table for hint entries. A table starts at a single
+// bucket, so the classifier's many one- and two-entry tables stay tiny.
 func newPtable(hint int) *ptable {
-	buckets := uint32(8)
+	buckets := uint32(1)
 	for int(buckets)*ptableTargetLoad < hint {
 		buckets <<= 1
 	}
 	t := &ptable{mask: buckets - 1}
-	t.chunks = make([]*pchunk, numChunks(buckets))
+	t.chunks = t.newChunks(buckets)
 	return t
 }
 
-func numChunks(buckets uint32) int {
-	n := int(buckets) >> pchunkBits
-	if n == 0 {
-		n = 1
+// newChunks allocates every chunk of a table with the given bucket
+// count, owned by the current generation: three allocations in all (the
+// groups, the chunk headers, the root).
+func (t *ptable) newChunks(buckets uint32) []*pchunk {
+	per := uint32(1) << pchunkBits
+	if buckets < per {
+		per = buckets
 	}
-	return n
+	groups := make([]pgroup, buckets)
+	chunks := make([]pchunk, buckets/per)
+	roots := make([]*pchunk, len(chunks))
+	for i := range chunks {
+		g := groups[uint32(i)*per : uint32(i+1)*per : uint32(i+1)*per]
+		for j := range g {
+			g[j].gen = t.gen
+		}
+		chunks[i] = pchunk{gen: t.gen, groups: g}
+		roots[i] = &chunks[i]
+	}
+	return roots
 }
 
-// chunkLen is the group-slot count of one chunk for this table size.
-func (t *ptable) chunkLen() int {
-	if int(t.mask)+1 < 1<<pchunkBits {
-		return int(t.mask) + 1
-	}
-	return 1 << pchunkBits
+// group returns the bucket of key (read-only unless owned).
+func (t *ptable) group(idx uint32) *pgroup {
+	return &t.chunks[idx>>pchunkBits].groups[idx&pchunkMask]
 }
 
 // addrHash mixes a truncated address into a bucket hash. Keys within one
@@ -99,21 +116,10 @@ func addrHash(a pkt.Addr) uint32 {
 // get returns the entry for key, or nil. Safe for concurrent use on a
 // published (no longer mutated) table; performs no allocation.
 func (t *ptable) get(key pkt.Addr) *bsplEntry {
-	if t == nil || t.n == 0 {
-		return nil
-	}
-	idx := addrHash(key) & t.mask
-	ch := t.chunks[idx>>pchunkBits]
-	if ch == nil {
-		return nil
-	}
-	g := ch.groups[idx&(1<<pchunkBits-1)]
-	if g == nil {
-		return nil
-	}
+	g := t.group(addrHash(key) & t.mask)
 	for i := range g.entries {
 		if g.entries[i].key == key {
-			return &g.entries[i].e
+			return &g.entries[i]
 		}
 	}
 	return nil
@@ -127,38 +133,28 @@ func (t *ptable) clone() *ptable {
 	return nt
 }
 
-// ownedGroup returns the group for bucket idx with its chunk, copying
-// either level first unless this generation already owns it.
+// ownedGroup returns the group for bucket idx, copying its chunk and
+// then its entries first unless this generation already owns them.
 func (t *ptable) ownedGroup(idx uint32) *pgroup {
 	ci := idx >> pchunkBits
 	ch := t.chunks[ci]
-	if ch == nil {
-		ch = &pchunk{gen: t.gen, groups: make([]*pgroup, t.chunkLen())}
+	if ch.gen != t.gen {
+		ch = &pchunk{gen: t.gen, groups: append([]pgroup(nil), ch.groups...)}
 		t.chunks[ci] = ch
-	} else if ch.gen != t.gen {
-		nc := &pchunk{gen: t.gen, groups: append([]*pgroup(nil), ch.groups...)}
-		t.chunks[ci] = nc
-		ch = nc
 	}
-	si := idx & (1<<pchunkBits - 1)
-	g := ch.groups[si]
-	if g == nil {
-		g = &pgroup{gen: t.gen}
-		ch.groups[si] = g
-		return g
-	}
+	g := &ch.groups[idx&pchunkMask]
 	if g.gen != t.gen {
-		ng := &pgroup{gen: t.gen, entries: append([]pentry(nil), g.entries...)}
-		ch.groups[si] = ng
-		return ng
+		g.gen = t.gen
+		g.entries = append([]bsplEntry(nil), g.entries...)
 	}
 	return g
 }
 
-// upd returns a mutable entry for key, inserting a zero entry if absent;
-// fresh reports whether the key was new. The returned pointer is valid
-// until the next upd/del on this table (growth rehashes groups), so
-// callers mutate it immediately. Writer-side only.
+// upd returns a mutable entry for key, inserting an entry with only its
+// key set if absent; fresh reports whether the key was new. The
+// returned pointer is valid until the next upd/del on this table
+// (growth rehashes groups), so callers mutate it immediately.
+// Writer-side only.
 func (t *ptable) upd(key pkt.Addr) (e *bsplEntry, fresh bool) {
 	if int(t.mask+1)*ptableTargetLoad < t.n+1 {
 		t.grow()
@@ -166,47 +162,35 @@ func (t *ptable) upd(key pkt.Addr) (e *bsplEntry, fresh bool) {
 	g := t.ownedGroup(addrHash(key) & t.mask)
 	for i := range g.entries {
 		if g.entries[i].key == key {
-			return &g.entries[i].e, false
+			return &g.entries[i], false
 		}
 	}
-	g.entries = append(g.entries, pentry{key: key})
+	g.entries = append(g.entries, bsplEntry{key: key})
 	t.n++
-	return &g.entries[len(g.entries)-1].e, true
+	return &g.entries[len(g.entries)-1], true
 }
 
 // del removes key if present. Writer-side only.
 func (t *ptable) del(key pkt.Addr) bool {
 	idx := addrHash(key) & t.mask
-	ch := t.chunks[idx>>pchunkBits]
-	if ch == nil {
-		return false
-	}
-	g := ch.groups[idx&(1<<pchunkBits-1)]
-	if g == nil {
-		return false
-	}
-	found := false
+	g := t.group(idx)
+	at := -1
 	for i := range g.entries {
 		if g.entries[i].key == key {
-			found = true
+			at = i
 			break
 		}
 	}
-	if !found {
+	if at < 0 {
 		return false
 	}
-	g = t.ownedGroup(idx)
-	for i := range g.entries {
-		if g.entries[i].key == key {
-			last := len(g.entries) - 1
-			g.entries[i] = g.entries[last]
-			g.entries[last] = pentry{}
-			g.entries = g.entries[:last]
-			t.n--
-			return true
-		}
-	}
-	return false
+	g = t.ownedGroup(idx) // a copy keeps the order, so at still holds
+	last := len(g.entries) - 1
+	g.entries[at] = g.entries[last]
+	g.entries[last] = bsplEntry{}
+	g.entries = g.entries[:last]
+	t.n--
+	return true
 }
 
 // grow doubles the bucket count and rehashes into generation-owned
@@ -216,33 +200,12 @@ func (t *ptable) grow() {
 	old := t.chunks
 	buckets := (t.mask + 1) << 1
 	t.mask = buckets - 1
-	t.chunks = make([]*pchunk, numChunks(buckets))
-	reinsert := func(pe pentry) {
-		idx := addrHash(pe.key) & t.mask
-		ci := idx >> pchunkBits
-		ch := t.chunks[ci]
-		if ch == nil {
-			ch = &pchunk{gen: t.gen, groups: make([]*pgroup, t.chunkLen())}
-			t.chunks[ci] = ch
-		}
-		si := idx & (1<<pchunkBits - 1)
-		g := ch.groups[si]
-		if g == nil {
-			g = &pgroup{gen: t.gen}
-			ch.groups[si] = g
-		}
-		g.entries = append(g.entries, pe)
-	}
+	t.chunks = t.newChunks(buckets)
 	for _, ch := range old {
-		if ch == nil {
-			continue
-		}
-		for _, g := range ch.groups {
-			if g == nil {
-				continue
-			}
-			for i := range g.entries {
-				reinsert(g.entries[i])
+		for gi := range ch.groups {
+			for _, e := range ch.groups[gi].entries {
+				g := t.group(addrHash(e.key) & t.mask)
+				g.entries = append(g.entries, e)
 			}
 		}
 	}
@@ -250,17 +213,12 @@ func (t *ptable) grow() {
 
 // each calls fn for every entry. The pointer is mutable writer-side
 // during a build; fn must not call upd/del.
-func (t *ptable) each(fn func(key pkt.Addr, e *bsplEntry)) {
+func (t *ptable) each(fn func(e *bsplEntry)) {
 	for _, ch := range t.chunks {
-		if ch == nil {
-			continue
-		}
-		for _, g := range ch.groups {
-			if g == nil {
-				continue
-			}
+		for gi := range ch.groups {
+			g := &ch.groups[gi]
 			for i := range g.entries {
-				fn(g.entries[i].key, &g.entries[i].e)
+				fn(&g.entries[i])
 			}
 		}
 	}

@@ -151,6 +151,9 @@ type Config struct {
 	ICMPRate int
 	// LocalSink receives packets addressed to one of the router's own
 	// interfaces (daemons, control protocols). nil = count and drop.
+	// Delivery is synchronous and the packet is recycled when the sink
+	// returns: a sink must not keep the *pkt.Packet or its Data past
+	// the call — it copies what it needs (Clone for a whole packet).
 	LocalSink func(p *pkt.Packet)
 	// Clock supplies the AIU's notion of now; defaults to time.Now.
 	Clock func() time.Time
@@ -519,36 +522,24 @@ func (r *Router) route(p *pkt.Packet, st *ifaceState, c *cycles.Counter) (cont, 
 	return r.decTTL(p), false
 }
 
-func (r *Router) pluginDrop(p *pkt.Packet, err error) bool {
-	if err != nil && !p.Drop {
-		p.MarkDrop(err.Error())
-	}
-	r.stats.pluginDrops.Add(1)
-	r.stats.dropped.Add(1)
-	r.countDrop(r.telDropPlugin)
-	p.ReleaseBuf()
-	return false
-}
-
 // gateDispatch runs one gate's instance through the fault barrier and
-// applies the packet verdict. It returns cont (keep walking the gate
-// chain) and faulted: a faulted-but-continuing packet is *degraded* —
+// applies the fault policy. It returns the instance's verdict — a
+// non-nil err rejects the packet, which the caller drops — then cont
+// (keep walking the gate chain; false when the fault policy dropped the
+// packet) and faulted: a faulted-but-continuing packet is *degraded* —
 // the caller must treat the gate as if no instance were bound (no
 // p.Drop honor, no sched bookkeeping), because the instance may have
 // panicked before doing any of its work. The no-fault path adds only
 // the barrier's open-coded defer; the fault arms below are cold.
 //
 //eisr:fastpath
-func (r *Router) gateDispatch(g pcu.Type, inst pcu.Instance, p *pkt.Packet) (cont, faulted bool) {
+func (r *Router) gateDispatch(g pcu.Type, inst pcu.Instance, p *pkt.Packet) (err error, cont, faulted bool) {
 	err, flt := r.guard.Dispatch(g, inst, p)
 	if flt == nil {
-		if err != nil {
-			return r.pluginDrop(p, err), false
-		}
-		return true, false
+		return err, true, false
 	}
 	r.stats.faults.Add(1)
-	return r.faultVerdict(p, flt), true
+	return nil, r.faultVerdict(p, flt), true
 }
 
 // faultVerdict applies the fault policy to one packet of a faulted
@@ -624,9 +615,9 @@ func (r *Router) deliverLocal(p *pkt.Packet, st *ifaceState) bool {
 }
 
 // deliver hands a packet to the local sink. Delivery is synchronous: a
-// handler that retains payload must copy it, so the receive buffer
-// recycles as soon as the sink returns (the same validity contract the
-// driver's descriptor ring gave).
+// handler that retains payload must copy it, so the packet recycles as
+// soon as the sink returns (the same validity contract the driver's
+// descriptor ring gave).
 func (r *Router) deliver(p *pkt.Packet) {
 	r.stats.delivered.Add(1)
 	r.telDelivered.Inc()
@@ -849,7 +840,10 @@ func (r *Router) transmit(p *pkt.Packet, st *ifaceState) {
 // ProcessOne runs a single received packet through the complete
 // forward-and-transmit cycle — the measurement path of §7.3, where the
 // packet is timestamped on receive and the cycle counter is read just
-// before it is handed back to the hardware.
+// before it is handed back to the hardware. It reads the packet's output
+// interface after Forward handed the packet on, which is sound only
+// because the caller drives receive and transmit on one goroutine:
+// nothing can drain and recycle the packet before this read.
 func (r *Router) ProcessOne(p *pkt.Packet) bool {
 	if !r.Forward(p) {
 		return false

@@ -14,14 +14,25 @@
 // HandlePacket. The forwarding decision (local delivery, route lookup,
 // TTL) is Router.route, made once per packet.
 //
+// A packet has one owner (pkt.BufOwner). The walk owns its lanes'
+// packets until each reaches a verdict: it retires a dropped or
+// delivered packet itself, and it hands a forwarded one to an output
+// stage — a scheduling instance that takes it, or the default output
+// FIFO. Once handed over the packet belongs to that stage, whose
+// drainer may transmit and recycle it at once, so the walk never reads
+// or writes it again.
+//
 // Traced packets (trace-ring sample or in-band path context) are lanes
 // like any other, with a per-lane hook: a lane-local cycles counter so
 // the packet's classifier accesses can be attributed to its trace
-// entry, a hop record per gate, and the trace commit and path stamp at
-// the packet's verdict.
+// entry, a hop record per gate, and at the verdict the trace-ring
+// commit and the path stamp. The hook reads the packet before it
+// leaves the walk — right before the handoff of a forwarded packet,
+// before the release of a retired one — and commits after.
 package ipcore
 
 import (
+	"errors"
 	"time"
 
 	"github.com/routerplugins/eisr/internal/aiu"
@@ -40,16 +51,34 @@ const DefaultBatchSize = 32
 // lanes.
 type laneState struct {
 	routed   bool // forwarding decision made
-	sched    bool // a scheduler instance took the packet
 	degraded bool // faulted at the current gate under the forward policy
 	ran      bool // dispatched at the current gate as part of a run
+	taken    bool // ... and the run's handler took the packet
 
-	// Trace hook state, valid only when traced is set (traceBegin).
-	traced bool
-	te     *telemetry.TraceEntry // trace-ring entry; nil for path-only tracing
-	start  time.Time
-	cc     *cycles.Counter // the lane's classifier accounting (traceBegin)
+	tr *laneTrace // trace hook state; nil unless the packet is traced
 }
+
+// laneTrace is a traced lane's hook state (traceBegin).
+type laneTrace struct {
+	te    *telemetry.TraceEntry // trace-ring entry; nil for path-only tracing
+	start time.Time
+	cc    cycles.Counter // the lane's classifier accounting
+
+	// owner is the packet's pool, held back from the packet while the
+	// walk owns it so that a drop or delivery cannot recycle the packet
+	// before traceDone has read it; traceDone releases it.
+	owner pkt.BufOwner
+	// handed is set once the packet went to an output stage
+	// (traceHandoff); from then on the hook reads only what it
+	// recorded here.
+	handed bool
+	outIf  int32
+	reason string
+}
+
+// errNotQueued is the drop reason for a packet a scheduling instance's
+// HandleBatch returned without taking it or marking it dropped.
+var errNotQueued = errors.New("ipcore: scheduler did not queue the packet")
 
 // vec is one vector in flight: the lookup lanes handed to aiu.Resolve
 // (a nil packet marks a lane whose packet reached its verdict) and the
@@ -143,8 +172,7 @@ func (r *Router) walk(w *vec, st *ifaceState, run []*pkt.Packet) int {
 	for i := range lanes {
 		l, s := &lanes[i], &state[i]
 		p := l.P
-		// The trace fields are read only when traced is set.
-		s.routed, s.sched, s.degraded, s.ran, s.traced = false, false, false, false, false
+		*s = laneState{}
 		l.C = r.Counter
 		// Path-trace origin sampling: Enabled is one nil check plus an
 		// atomic load, the only cost the untraced path pays for eisrpath.
@@ -204,10 +232,14 @@ func (r *Router) walk(w *vec, st *ifaceState, run []*pkt.Packet) int {
 		}
 		if g == pcu.TypeSched {
 			// A gate set without an explicit routing gate still needs a
-			// forwarding decision before output.
+			// forwarding decision before output. A scheduling instance
+			// takes the packet, so the trace hook reads it first.
 			for i := range lanes {
 				if lanes[i].P != nil && !state[i].routed {
 					r.laneRoute(w, i, st)
+				}
+				if lanes[i].P != nil && lanes[i].Inst != nil && state[i].tr != nil {
+					r.traceHandoff(w, i)
 				}
 			}
 		}
@@ -220,24 +252,36 @@ func (r *Router) walk(w *vec, st *ifaceState, run []*pkt.Packet) int {
 				continue
 			}
 			// A faulted-but-continuing packet is degraded: the gate is
-			// treated as if no instance were bound.
-			degraded := false
+			// treated as if no instance were bound. A taken packet
+			// belongs to the instance now: the walk must not touch it.
+			degraded, taken := false, false
 			switch {
 			case l.Inst == nil:
 			case s.ran || (run != nil && r.dispatchRun(w, g, i, run)):
 				if l.P == nil {
 					continue // its run faulted under the drop policy
 				}
-				degraded, s.ran, s.degraded = s.degraded, false, false
+				degraded, taken = s.degraded, s.taken
+				s.ran, s.degraded, s.taken = false, false, false
 			default:
-				cont, faulted := r.gateDispatch(g, l.Inst, p)
+				// At the scheduling gate the error is the whole verdict:
+				// nil means the instance took the packet.
+				err, cont, faulted := r.gateDispatch(g, l.Inst, p)
+				if err != nil {
+					r.laneDrop(w, i, err)
+					continue
+				}
 				if !cont {
 					r.laneDone(w, i, false)
 					continue
 				}
-				degraded = faulted
+				degraded, taken = faulted, !faulted && g == pcu.TypeSched
 			}
 			switch {
+			case taken:
+				r.stats.schedEnq.Add(1)
+				r.stats.forwarded.Add(1)
+				r.telForwarded.Inc()
 			case g == pcu.TypeRouting:
 				// The routing gate realizes §8's QoS routing: a bound
 				// instance may have set the output interface; the
@@ -248,21 +292,20 @@ func (r *Router) walk(w *vec, st *ifaceState, run []*pkt.Packet) int {
 			case l.Inst == nil || degraded:
 				// No instance, or a faulted one treated as absent: it may
 				// have panicked before doing any of its work.
-			case p.Drop:
-				r.pluginDrop(p, nil)
-				r.laneDone(w, i, false)
+			case p.Drop || g == pcu.TypeSched:
+				// Marked, or handed back by a scheduler's HandleBatch.
+				r.laneDrop(w, i, errNotQueued)
 				continue
-			case g == pcu.TypeSched:
-				s.sched = true
-				r.stats.schedEnq.Add(1)
-				r.stats.forwarded.Add(1)
-				r.telForwarded.Inc()
 			}
-			if s.traced && s.te != nil {
+			if t := s.tr; t != nil && t.te != nil {
 				ns := r.clock().Sub(gstart).Nanoseconds()
 				code, iname := hopIdentity(g, l.Inst)
-				s.te.RecordHop(r.gateNames[gi], code, iname, ns)
+				t.te.RecordHop(r.gateNames[gi], code, iname, ns)
 				r.telGateNanos[gi].Observe(uint64(ns))
+			}
+			if taken {
+				r.laneDone(w, i, true)
+				continue
 			}
 			if p.PuntLocal {
 				r.deliver(p)
@@ -275,10 +318,10 @@ func (r *Router) walk(w *vec, st *ifaceState, run []*pkt.Packet) int {
 		if p == nil {
 			continue
 		}
-		switch s := &state[i]; {
-		case s.sched:
-			r.laneDone(w, i, true)
-		case s.routed || r.laneRoute(w, i, st):
+		if state[i].routed || r.laneRoute(w, i, st) {
+			if state[i].tr != nil {
+				r.traceHandoff(w, i)
+			}
 			r.laneDone(w, i, r.enqueueFIFO(p, st))
 		}
 	}
@@ -304,7 +347,7 @@ func (r *Router) laneRoute(w *vec, i int, st *ifaceState) bool {
 //
 //eisr:fastpath
 func (r *Router) laneDone(w *vec, i int, ok bool) {
-	if w.state[i].traced {
+	if w.state[i].tr != nil {
 		r.traceDone(w, i, ok)
 	}
 	w.lanes[i].P = nil
@@ -314,15 +357,37 @@ func (r *Router) laneDone(w *vec, i int, ok bool) {
 	}
 }
 
+// laneDrop drops lane i's packet on a plugin's verdict: a HandlePacket
+// error, or a packet a HandleBatch marked or handed back. err is the
+// reason unless the plugin marked one. A traced lane keeps the reason:
+// its trace must not read a handed-off packet once it is released.
+//
+//eisr:fastpath
+func (r *Router) laneDrop(w *vec, i int, err error) {
+	p := w.lanes[i].P
+	if !p.Drop {
+		p.MarkDrop(err.Error())
+	}
+	if t := w.state[i].tr; t != nil {
+		t.reason = p.DropMsg
+	}
+	r.stats.pluginDrops.Add(1)
+	r.stats.dropped.Add(1)
+	r.countDrop(r.telDropPlugin)
+	p.ReleaseBuf()
+	r.laneDone(w, i, false)
+}
+
 // dispatchRun sends the run starting at lane i through HandleBatch
 // behind the fault barrier, when lane i's instance implements
 // pcu.BatchHandler and binds two or more packets in a row: the
 // following live lanes bound to the same instance, where lanes that are
 // done or have no instance at the gate sit inside the run without
-// splitting it. The run's lanes are marked ran; a contained panic
-// counts one fault against the instance and the whole run receives the
-// fault policy. It reports false, having done nothing, when lane i must
-// go through HandlePacket instead.
+// splitting it. The run's lanes are marked ran, and taken where the
+// handler cleared the packet's slot. A contained panic counts one fault
+// against the instance and the rest of the run receives the fault
+// policy. It reports false, having done nothing, when lane i must go
+// through HandlePacket instead.
 //
 //eisr:fastpath
 func (r *Router) dispatchRun(w *vec, g pcu.Type, i int, run []*pkt.Packet) bool {
@@ -347,13 +412,20 @@ func (r *Router) dispatchRun(w *vec, g pcu.Type, i int, run []*pkt.Packet) bool 
 		return false
 	}
 	flt := r.guard.DispatchBatch(g, bh, inst, run[:n])
+	n = 0
 	for ; i < end; i++ {
 		l := &w.lanes[i]
 		if l.P == nil || l.Inst == nil {
 			continue
 		}
-		w.state[i].ran = true
-		if flt == nil {
+		s := &w.state[i]
+		s.ran = true
+		// A cleared slot is the handler's receipt for the packet, even
+		// from a run that went on to panic.
+		s.taken = run[n] == nil
+		run[n] = nil
+		n++
+		if flt == nil || s.taken {
 			continue
 		}
 		if r.faultVerdict(l.P, flt) {
@@ -376,43 +448,87 @@ const (
 )
 
 // traceBegin is the trace hook at a traced packet's entry: it starts
-// the packet clock and gives the lane its own classifier accounting.
-// Tracing is sampled, and this is its exception path: the lane counter
-// is allocated here because the route lookup's matcher interface call
-// leaks it, and the untraced lanes must stay on Forward's stack.
+// the packet clock, gives the lane its own classifier accounting and
+// holds back the packet's pool owner (see laneTrace.owner). Tracing is
+// sampled, and this is its exception path: the hook state is allocated
+// here because the route lookup's matcher interface call leaks the
+// lane counter, and the untraced lanes must stay on Forward's stack.
 //
 //eisr:slowpath
 func (r *Router) traceBegin(l *aiu.Lane, s *laneState, te *telemetry.TraceEntry) {
-	s.traced, s.te, s.start, s.cc = true, te, r.clock(), new(cycles.Counter)
-	l.C = s.cc
+	t := &laneTrace{te: te, start: r.clock()}
+	t.owner, l.P.Owner = l.P.Owner, nil
+	s.tr = t
+	l.C = &t.cc
+}
+
+// traceHandoff is the trace hook right before lane i's packet goes to
+// an output stage: it records what the trace needs from the packet,
+// stamps the in-band path context as forwarded, and gives the packet
+// back its pool owner so the stage can release it. A packet the stage
+// then rejects keeps its forwarded hop, as one the wire driver drops at
+// its TX ring does; its trace-ring entry reports the drop.
+//
+//eisr:fastpath
+func (r *Router) traceHandoff(w *vec, i int) {
+	t := w.state[i].tr
+	if t.handed {
+		return // degraded past a faulted scheduler: already recorded
+	}
+	p := w.lanes[i].P
+	r.traceRecord(p, t, pkt.PathVerdictForwarded, r.clock().Sub(t.start).Nanoseconds())
+	p.Owner, t.owner = t.owner, nil
+	t.handed = true
+}
+
+// traceRecord copies the packet's trace data into the ring entry (t.te,
+// may be nil — every TraceEntry method is a nil no-op) and the hook
+// state, and stamps an active path context with verdict pv.
+//
+//eisr:fastpath
+func (r *Router) traceRecord(p *pkt.Packet, t *laneTrace, pv uint8, elapsed int64) {
+	t.outIf = p.OutIf
+	t.te.RecordKey(p.Key, t.start.UnixNano())
+	t.te.RecordClassify(!p.CacheMiss, p.CacheMiss, t.cc.Mem, t.cc.FnPtr)
+	if p.Path.Active {
+		r.pathStamp(p, pv, t.start, elapsed)
+	}
 }
 
 // traceDone is the trace hook at a traced packet's verdict: it credits
 // the lane-local classifier accounting to the shared counter (so
-// benchmark accounting is unchanged), then finishes the router-local
-// trace entry (s.te, may be nil — every TraceEntry method is a nil
-// no-op) and stamps the in-band path context.
+// benchmark accounting is unchanged) and commits the router-local trace
+// entry. A packet the walk retired itself (dropped or delivered) is
+// still the walk's: the hook records it, then releases it. A handed-off
+// packet is not touched.
 //
 //eisr:fastpath
 func (r *Router) traceDone(w *vec, i int, ok bool) {
-	p, s := w.lanes[i].P, &w.state[i]
-	elapsed := r.clock().Sub(s.start).Nanoseconds()
-	r.Counter.Merge(*s.cc)
+	t := w.state[i].tr
+	elapsed := r.clock().Sub(t.start).Nanoseconds()
+	r.Counter.Merge(t.cc)
 	r.telPktNanos.Observe(uint64(elapsed))
-	s.te.RecordKey(p.Key, s.start.UnixNano())
-	s.te.RecordClassify(!p.CacheMiss, p.CacheMiss, s.cc.Mem, s.cc.FnPtr)
+	if !t.handed {
+		p := w.lanes[i].P
+		pv := pkt.PathVerdictForwarded
+		switch {
+		case !ok:
+			pv, t.reason = pkt.PathVerdictDropped, p.DropMsg
+		case p.OutIf < 0:
+			pv = pkt.PathVerdictDelivered
+		}
+		r.traceRecord(p, t, pv, elapsed)
+		p.Owner = t.owner
+		p.ReleaseBuf()
+	}
 	verdict, reason := verdictForwarded, ""
-	pv := pkt.PathVerdictForwarded
 	switch {
 	case !ok:
-		verdict, reason, pv = verdictDropped, p.DropMsg, pkt.PathVerdictDropped
-	case p.OutIf < 0:
-		verdict, pv = verdictDelivered, pkt.PathVerdictDelivered
+		verdict, reason = verdictDropped, t.reason
+	case t.outIf < 0:
+		verdict = verdictDelivered
 	}
-	s.te.Commit(verdict, reason, p.OutIf, elapsed)
-	if p.Path.Active {
-		r.pathStamp(p, pv, s.start, elapsed)
-	}
+	t.te.Commit(verdict, reason, t.outIf, elapsed)
 }
 
 // pathStamp appends this router's hop record to an active in-band trace

@@ -178,20 +178,21 @@ type Interface struct {
 	stats ifStats
 	tel   ifTel
 
-	// The receive buffer pool: Inject copies wire bytes into a pool
-	// buffer, exactly like a DMA engine filling preallocated mbufs, and
-	// stamps the packet's Owner so whoever retires it (transmit, drop,
-	// shed) returns the buffer with ReleaseMbuf. mbufFree is the LIFO
-	// free list of recycled MTU-sized buffers; mbufMade counts buffers
-	// created so far, capped at BufDepth (RX ring plus any reserve
-	// declared with ReserveMbufs: with a worker pool, a packet can sit
-	// in a worker's ingress queue long after it left the RX ring, so
-	// the reserve must cover the total worker queue depth). When the
-	// pool is exhausted — more packets in flight than the declared
-	// depth, the signature of a missing release upstream — nextMbuf
-	// degrades to a counted heap allocation instead of corrupting a
-	// buffer still in flight.
-	mbufFree  [][]byte
+	// The receive mbuf pool. An mbuf is a whole packet: the pkt.Packet
+	// header with its MTU-sized buffer attached. Inject takes one off
+	// the free list, copies the wire bytes into its buffer — exactly
+	// like a DMA engine filling a preallocated mbuf — resets the header
+	// in place and stamps its Owner, so whoever retires the packet
+	// (transmit, drop, shed) returns it whole with ReleaseMbuf.
+	// mbufFree is the LIFO free list; mbufMade counts mbufs created so
+	// far, capped at BufDepth (RX ring plus any reserve declared with
+	// ReserveMbufs: with a worker pool, a packet can sit in a worker's
+	// ingress queue long after it left the RX ring, so the reserve must
+	// cover the total worker queue depth). When the pool is exhausted —
+	// more packets in flight than the declared depth, the signature of
+	// a missing release upstream — nextMbuf degrades to a counted heap
+	// allocation instead of reusing a packet still in flight.
+	mbufFree  []*pkt.Packet
 	mbufMade  int
 	mbufExtra int
 
@@ -306,9 +307,11 @@ func Connect(a, b *Interface) {
 
 // Inject delivers raw datagram bytes into the interface's RX ring as if
 // they arrived from the wire — the traffic generator's entry point. Like
-// a real driver it allocates a packet buffer (the mbuf) and copies the
-// wire bytes into it, then parses the headers and timestamps the packet;
-// the caller's slice is not retained.
+// a real driver it takes a packet (the mbuf) from its pool and copies
+// the wire bytes into it, then parses the headers and timestamps the
+// packet; the caller's slice is not retained. In steady state, with
+// every packet released by whoever retires it, Inject allocates
+// nothing.
 func (i *Interface) Inject(data []byte) error {
 	i.mu.Lock()
 	up := i.up
@@ -323,11 +326,10 @@ func (i *Interface) Inject(data []byte) error {
 		i.tel.rxDropTooBig.Inc()
 		return ErrTooBig
 	}
-	buf := i.nextMbuf(len(data))
-	copy(buf, data)
-	p, err := pkt.NewPacket(buf, i.Index)
-	if err != nil {
-		i.releaseRaw(buf)
+	p := i.nextMbuf(len(data))
+	copy(p.Data, data)
+	if err := p.Reset(p.Data, i.Index); err != nil {
+		i.ReleaseMbuf(p)
 		i.stats.rxDropMalformed.Add(1)
 		i.tel.rxDropMalformed.Inc()
 		return err
@@ -366,7 +368,7 @@ func (i *Interface) ReserveMbufs(extra int) {
 	i.mu.Unlock()
 }
 
-// BufDepth reports the receive buffer pool depth: the number of packets
+// BufDepth reports the receive mbuf pool depth: the number of packets
 // that can be in flight (RX ring, worker queues, output queues) before
 // allocation falls back to the heap. Wire drivers size their own pools
 // from it.
@@ -379,48 +381,46 @@ func (i *Interface) BufDepth() int {
 // depthLocked is BufDepth with i.mu already held.
 func (i *Interface) depthLocked() int { return cap(i.rx) + i.mbufExtra + 1 }
 
-// nextMbuf hands out a receive buffer: recycled from the free list,
-// created lazily up to the pool depth, or — pool exhausted — a counted
-// heap fallback (graceful degradation, never a recycled-in-flight
-// buffer).
-func (i *Interface) nextMbuf(n int) []byte {
+// nextMbuf hands out a receive packet whose Data holds n bytes of an
+// MTU-sized buffer: recycled from the free list, created lazily up to
+// the pool depth, or — pool exhausted — a counted heap fallback
+// (graceful degradation, never a packet still in flight). The header is
+// stale; the caller resets it.
+func (i *Interface) nextMbuf(n int) *pkt.Packet {
 	i.mu.Lock()
 	if l := len(i.mbufFree); l > 0 {
-		buf := i.mbufFree[l-1]
+		p := i.mbufFree[l-1]
 		i.mbufFree[l-1] = nil
 		i.mbufFree = i.mbufFree[:l-1]
 		i.mu.Unlock()
-		return buf[:n]
+		p.Data = p.Data[:n]
+		return p
 	}
 	if i.mbufMade < i.depthLocked() {
 		i.mbufMade++
 		i.mu.Unlock()
-		return make([]byte, i.MTU)[:n]
+		return &pkt.Packet{Data: make([]byte, n, i.MTU)}
 	}
 	i.mu.Unlock()
 	i.stats.mbufFallback.Add(1)
 	i.tel.mbufFallback.Inc()
-	return make([]byte, i.MTU)[:n]
+	return &pkt.Packet{Data: make([]byte, n, i.MTU)}
 }
 
 // ReleaseMbuf implements pkt.BufOwner: the holder retiring a packet
-// returns its receive buffer for recycling. Data that was resliced or
-// replaced (decapsulation, plugins swapping in their own buffer) no
-// longer reaches back to a full pool buffer and is left to the garbage
-// collector; the free list is capped at the pool depth so released
-// fallback buffers cannot grow it without bound.
+// returns it, header and buffer, for recycling; from here on the pool
+// owns p and the next Inject may reuse it. A packet whose Data was
+// resliced or replaced (decapsulation, plugins swapping in their own
+// buffer) no longer reaches back to a full pool buffer and is left to
+// the garbage collector; the free list is capped at the pool depth so
+// released fallback packets cannot grow it without bound.
 func (i *Interface) ReleaseMbuf(p *pkt.Packet) {
-	i.releaseRaw(p.Data)
-}
-
-func (i *Interface) releaseRaw(b []byte) {
-	if cap(b) < i.MTU {
+	if cap(p.Data) < i.MTU {
 		return
 	}
-	b = b[:i.MTU]
 	i.mu.Lock()
 	if len(i.mbufFree) < i.depthLocked() {
-		i.mbufFree = append(i.mbufFree, b)
+		i.mbufFree = append(i.mbufFree, p)
 	}
 	i.mu.Unlock()
 }
@@ -494,7 +494,7 @@ func (i *Interface) RxLen() int { return len(i.rx) }
 // before returning. This is safe because no arm retains p.Data past
 // the call: drivers copy into their own wire buffers synchronously
 // (the TransmitWire contract) and the in-memory peer path copies into
-// the peer's mbuf pool below.
+// a packet from the peer's mbuf pool below.
 func (i *Interface) Transmit(p *pkt.Packet) error {
 	defer p.ReleaseBuf()
 	i.mu.Lock()
@@ -527,18 +527,23 @@ func (i *Interface) Transmit(p *pkt.Packet) error {
 	i.tel.txPackets.Inc()
 	i.tel.txBytes.Add(uint64(len(p.Data)))
 	if peer != nil {
-		// Copy into the peer's own mbuf pool, like a wire would: the
-		// sender's buffer recycles the moment Transmit returns, so the
-		// peer must not alias it.
-		buf := peer.nextMbuf(len(p.Data))
-		copy(buf, p.Data)
-		q := &pkt.Packet{Data: buf, InIf: peer.Index, OutIf: -1, TOS: p.TOS, Path: p.Path, Owner: peer}
+		if len(p.Data) > peer.MTU {
+			peer.stats.rxDropTooBig.Add(1)
+			peer.tel.rxDropTooBig.Inc()
+			return nil
+		}
+		// Copy into a packet from the peer's own mbuf pool, like a wire
+		// would: the sender's packet recycles the moment Transmit
+		// returns, so the peer must not alias it. A datagram whose key
+		// does not parse is still delivered, keyless, for the peer's
+		// core to count; the TOS is the sender's.
+		q := peer.nextMbuf(len(p.Data))
+		copy(q.Data, p.Data)
+		_ = q.Reset(q.Data, peer.Index)
+		q.TOS, q.Path, q.Owner = p.TOS, p.Path, peer
 		// The trace context crosses the in-memory link like it crosses
 		// the wire: router-local accumulation state does not.
 		q.Path.LocalGates, q.Path.StampedHere = 0, false
-		if k, err := pkt.ExtractKey(q.Data, peer.Index); err == nil {
-			q.Key, q.KeyValid = k, true
-		}
 		q.Stamp = peer.clock()
 		select {
 		case peer.rx <- q:

@@ -179,3 +179,132 @@ func TestMbufRingRecycling(t *testing.T) {
 		t.Error("driver aliased the caller's buffer")
 	}
 }
+
+// TestMbufPoolResetsRecycledPacket: a released packet goes back on the
+// free list whole, and the next Inject hands out the same *pkt.Packet
+// with every header field from its previous life cleared.
+func TestMbufPoolResetsRecycledPacket(t *testing.T) {
+	i := NewInterface(0, Config{RxRing: 4})
+	if err := i.Inject(buildUDP(t, 100)); err != nil {
+		t.Fatal(err)
+	}
+	p := i.Poll()
+	p.MarkDrop("stale")
+	p.OutIf, p.FIX, p.FIXGen, p.CacheMiss, p.PuntLocal = 3, "stale-fix", 9, true, true
+	p.Path.Active, p.Path.NHops = true, 2
+	p.QNext = &pkt.Packet{}
+	p.ReleaseBuf()
+
+	data, err := pkt.BuildUDP(pkt.UDPSpec{
+		Src: pkt.MustParseAddr("10.9.9.9"), Dst: pkt.MustParseAddr("10.0.0.2"),
+		SrcPort: 7, DstPort: 8, Payload: make([]byte, 20),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := i.Inject(data); err != nil {
+		t.Fatal(err)
+	}
+	q := i.Poll()
+	if q != p {
+		t.Fatal("Inject did not reuse the released packet")
+	}
+	want, _ := pkt.NewPacket(data, 0)
+	if q.Drop || q.DropMsg != "" || q.OutIf != -1 || q.FIX != nil || q.FIXGen != 0 ||
+		q.CacheMiss || q.PuntLocal || q.Path != (pkt.PathContext{}) || q.QNext != nil {
+		t.Errorf("recycled header not reset: %+v", q)
+	}
+	if q.Key != want.Key || !q.KeyValid || q.TOS != want.TOS || q.Owner != i || q.Stamp.IsZero() {
+		t.Errorf("recycled header: key %v valid %v tos %d owner %v, want key %v", q.Key, q.KeyValid, q.TOS, q.Owner, want.Key)
+	}
+	if string(q.Data) != string(data) {
+		t.Error("recycled packet carries the wrong bytes")
+	}
+}
+
+// TestMbufDoubleReleaseIsNoop: the owner is cleared on the first
+// release, so a second one cannot put the packet on the free list twice
+// (which would hand it to two receivers).
+func TestMbufDoubleReleaseIsNoop(t *testing.T) {
+	i := NewInterface(0, Config{RxRing: 4})
+	if err := i.Inject(buildUDP(t, 10)); err != nil {
+		t.Fatal(err)
+	}
+	p := i.Poll()
+	p.ReleaseBuf()
+	p.ReleaseBuf()
+	if n := len(i.mbufFree); n != 1 {
+		t.Fatalf("free list holds %d packets after a double release, want 1", n)
+	}
+	for k := 0; k < 2; k++ {
+		if err := i.Inject(buildUDP(t, 10)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if a, b := i.Poll(), i.Poll(); a == b {
+		t.Fatal("two receives share one packet")
+	}
+}
+
+// TestMbufReslicedOrReplacedNotPooled: a packet whose Data no longer
+// spans a full MTU buffer — resliced by decapsulation, or replaced by a
+// plugin — is left to the garbage collector, not pooled.
+func TestMbufReslicedOrReplacedNotPooled(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		edit func(p *pkt.Packet)
+	}{
+		{"resliced", func(p *pkt.Packet) { p.Data = p.Data[pkt.IPv4HeaderLen:] }},
+		{"replaced", func(p *pkt.Packet) { p.Data = append([]byte(nil), p.Data...) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			i := NewInterface(0, Config{RxRing: 4})
+			if err := i.Inject(buildUDP(t, 10)); err != nil {
+				t.Fatal(err)
+			}
+			p := i.Poll()
+			tc.edit(p)
+			p.ReleaseBuf()
+			if n := len(i.mbufFree); n != 0 {
+				t.Fatalf("free list holds %d packets, want 0", n)
+			}
+			if err := i.Inject(buildUDP(t, 10)); err != nil {
+				t.Fatal(err)
+			}
+			if i.Poll() == p {
+				t.Fatal("a packet with a foreign buffer was reused")
+			}
+		})
+	}
+}
+
+// TestMbufExhaustionFallsBack: with more packets in flight than the pool
+// depth, Inject still delivers, on counted heap packets; releasing them
+// all refills the free list only up to the depth.
+func TestMbufExhaustionFallsBack(t *testing.T) {
+	i := NewInterface(0, Config{RxRing: 2})
+	depth := i.BufDepth()
+	var held []*pkt.Packet
+	for k := 0; k < depth+3; k++ {
+		if err := i.Inject(buildUDP(t, 10)); err != nil {
+			t.Fatal(err)
+		}
+		held = append(held, i.Poll())
+	}
+	if got := i.Stats().MbufFallback; got != 3 {
+		t.Fatalf("MbufFallback = %d, want 3", got)
+	}
+	for _, p := range held {
+		p.ReleaseBuf()
+	}
+	if n := len(i.mbufFree); n != depth {
+		t.Fatalf("free list holds %d packets, want the depth %d", n, depth)
+	}
+	if err := i.Inject(buildUDP(t, 10)); err != nil {
+		t.Fatal(err)
+	}
+	i.Poll()
+	if got := i.Stats().MbufFallback; got != 3 {
+		t.Fatalf("MbufFallback = %d after a recycled receive, want 3", got)
+	}
+}

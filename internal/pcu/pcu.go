@@ -97,7 +97,10 @@ type Instance interface {
 	// InstanceName identifies the instance ("drr0", "sec2", ...).
 	InstanceName() string
 	// HandlePacket processes one packet at the instance's gate. An
-	// error marks the packet dropped with the error text.
+	// error marks the packet dropped with the error text. At the
+	// scheduling gate the error is the whole verdict: nil means the
+	// instance took (queued) the packet, which is then the instance's
+	// alone — the core does not read or write it again.
 	HandlePacket(p *pkt.Packet) error
 }
 
@@ -114,15 +117,22 @@ type Instance interface {
 //     packet's flow is bound to this instance at the dispatching gate.
 //     The slice is the core's scratch — the instance must not retain it
 //     past the call.
-//   - Per-packet verdicts are signaled by marking the packet
-//     (p.MarkDrop); there is no per-packet error return. The core
-//     honors p.Drop after the call exactly as it honors a HandlePacket
-//     error, so drop accounting is identical on both paths.
+//   - An instance that takes a packet — a scheduler queueing it — sets
+//     its slot to nil; that is the only way to take one. From then on
+//     the packet is the instance's and the core never touches it again
+//     (the drainer may transmit and recycle it at any moment). Only
+//     scheduling instances take packets; at the scheduling gate a
+//     packet left in the slice was not queued and is dropped.
+//   - Other per-packet verdicts are signaled by marking the packet
+//     (p.MarkDrop) and leaving it in the slice; there is no per-packet
+//     error return. The core honors p.Drop after the call exactly as it
+//     honors a HandlePacket error, so each rejected packet is dropped
+//     once, with identical accounting on both paths.
 //   - A panic is contained by the same Guard barrier as HandlePacket
-//     and counts one fault against the instance; the whole batch then
-//     receives the fault policy (the per-packet path would have faulted
-//     each packet individually — batching coarsens the blast radius to
-//     the batch, never beyond it).
+//     and counts one fault against the instance; every packet still in
+//     the slice then receives the fault policy (the per-packet path
+//     would have faulted each packet individually — batching coarsens
+//     the blast radius to the batch, never beyond it).
 type BatchHandler interface {
 	HandleBatch(ps []*pkt.Packet)
 }

@@ -216,18 +216,32 @@ func ExtractKey(data []byte, inIf int32) (Key, error) {
 // NewPacket wraps raw datagram bytes into a Packet, extracting the
 // six-tuple. It is the receive-path entry point used by device drivers.
 func NewPacket(data []byte, inIf int32) (*Packet, error) {
-	p := &Packet{Data: data, InIf: inIf, OutIf: -1}
-	k, err := ExtractKey(data, inIf)
-	if err != nil {
+	p := new(Packet)
+	if err := p.Reset(data, inIf); err != nil {
 		return nil, err
 	}
-	p.Key = k
-	p.KeyValid = true
+	return p, nil
+}
+
+// Reset reinitializes p in place as a freshly received packet carrying
+// data from interface inIf: every header field is cleared, the six-tuple
+// is extracted once and the TOS (IPv6 traffic class) is read from the IP
+// header. On a malformed datagram it returns the extraction error and
+// leaves p cleared with KeyValid false. NewPacket builds on it, and a
+// driver recycling whole packets (netdev's mbuf pool) calls it on every
+// reuse, so a recycled packet carries nothing of its previous life.
+func (p *Packet) Reset(data []byte, inIf int32) error {
+	*p = Packet{Data: data, InIf: inIf, OutIf: -1}
+	k, err := ExtractKey(data, inIf)
+	if err != nil {
+		return err
+	}
+	p.Key, p.KeyValid = k, true
 	switch data[0] >> 4 {
 	case 4:
 		p.TOS = data[1]
 	case 6:
 		p.TOS = data[0]<<4 | data[1]>>4
 	}
-	return p, nil
+	return nil
 }

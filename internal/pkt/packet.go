@@ -133,24 +133,35 @@ type Packet struct {
 	// it.
 	QNext *Packet
 
-	// Owner, when non-nil, is the buffer pool Data was drawn from. The
-	// holder that retires the packet (transmit, drop, shed) returns the
-	// buffer with ReleaseBuf so the pool can recycle it; a nil Owner
-	// means the data is caller-managed (generated packets, wire-driver
-	// slots) and release is a no-op.
+	// Owner, when non-nil, is the pool the packet was drawn from: the
+	// mbuf is this header and its Data buffer together. The holder that
+	// retires the packet (transmit, drop, shed) returns it with
+	// ReleaseBuf so the pool can recycle both; a nil Owner means the
+	// packet is caller-managed (generated packets, wire-driver slots)
+	// and release is a no-op.
 	Owner BufOwner
 }
 
-// BufOwner recycles a packet's receive buffer. netdev.Interface
-// implements it for its mbuf pool; the indirection keeps the packet
-// header free of a netdev dependency.
+// BufOwner recycles whole packets: header and receive buffer.
+// netdev.Interface implements it for its mbuf pool; the indirection
+// keeps the packet header free of a netdev dependency.
+//
+// A pooled packet has exactly one owner at a time — the driver, then
+// the forwarding core, then whichever stage it is handed to (an output
+// queue, a scheduler instance, the transmit path) — and only the owner
+// reads or writes it. Handing a packet on ends the giver's ownership
+// just as releasing it does: the next owner may transmit and release
+// it, and the pool may give the same *Packet to the next received
+// datagram, at any moment after. A stage that must keep anything past
+// its turn copies it (Clone for a whole packet).
 type BufOwner interface {
 	ReleaseMbuf(p *Packet)
 }
 
-// ReleaseBuf returns the packet's data buffer to its pool, if any. The
-// owner is cleared first so a second release on another path is a
-// harmless no-op rather than a double free.
+// ReleaseBuf returns the packet to its pool, if any; the caller must
+// not touch p afterwards. The owner is cleared first so a second
+// release on another path is a harmless no-op rather than a double
+// free.
 //
 //eisr:fastpath
 func (p *Packet) ReleaseBuf() {

@@ -150,15 +150,16 @@ func (i *DRRInstance) HandlePacket(p *pkt.Packet) error {
 // HandleBatch implements pcu.BatchHandler: the same per-packet enqueue
 // as HandlePacket under one queue-mutex acquisition for the whole batch
 // — the lock/unlock pair and its cache-line bounce amortize across the
-// run. Rejected packets (no flow record, full queue) are marked with
-// the same preallocated reasons the scalar path returns as errors; the
-// core honors p.Drop after the dispatch exactly as it honors those.
+// run. Each queued packet's slot is cleared (it is the queue's now);
+// rejected packets (no flow record, full queue) stay in the slice,
+// marked with the same preallocated reasons the scalar path returns as
+// errors.
 //
 //eisr:fastpath
 func (i *DRRInstance) HandleBatch(ps []*pkt.Packet) {
 	//eisr:allow(fastpath) per-instance queue mutex, bounded critical section, never held across a plugin or channel boundary
 	i.mu.Lock()
-	for _, p := range ps {
+	for j, p := range ps {
 		rec, _ := p.FIX.(*aiu.FlowRecord)
 		if rec == nil {
 			p.MarkDrop(errNoFlowRecord.Error())
@@ -171,7 +172,9 @@ func (i *DRRInstance) HandleBatch(ps []*pkt.Packet) {
 		}
 		if err := i.drr.EnqueueFlow(q, p); err != nil {
 			p.MarkDrop(err.Error())
+			continue
 		}
+		ps[j] = nil
 	}
 	i.mu.Unlock()
 }

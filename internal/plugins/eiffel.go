@@ -151,15 +151,15 @@ func (i *EiffelInstance) HandlePacket(p *pkt.Packet) error {
 }
 
 // HandleBatch implements pcu.BatchHandler: the per-packet enqueue under
-// one queue-mutex acquisition for the whole batch. Rejected packets are
-// marked with the same preallocated reasons the scalar path returns as
-// errors.
+// one queue-mutex acquisition for the whole batch. Each queued packet's
+// slot is cleared; rejected packets stay in the slice, marked with the
+// same preallocated reasons the scalar path returns as errors.
 //
 //eisr:fastpath
 func (i *EiffelInstance) HandleBatch(ps []*pkt.Packet) {
 	//eisr:allow(fastpath) per-instance queue mutex, bounded critical section, never held across a plugin or channel boundary
 	i.mu.Lock()
-	for _, p := range ps {
+	for j, p := range ps {
 		rec, _ := p.FIX.(*aiu.FlowRecord)
 		if rec == nil {
 			p.MarkDrop(errNoFlowRecord.Error())
@@ -172,7 +172,9 @@ func (i *EiffelInstance) HandleBatch(ps []*pkt.Packet) {
 		}
 		if err := i.eif.EnqueueFlow(q, p); err != nil {
 			p.MarkDrop(err.Error())
+			continue
 		}
+		ps[j] = nil
 	}
 	i.mu.Unlock()
 }

@@ -1,6 +1,7 @@
 package plugins
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -109,6 +110,14 @@ func (r *REDPlugin) Callback(msg *pcu.Message) error {
 	}
 }
 
+// RED's verdicts on a packet it does not queue. Preallocated: the
+// early-drop arm runs per packet under congestion.
+var (
+	errREDForced = errors.New("red: forced drop")
+	errREDEarly  = errors.New("red: early drop")
+	errREDFull   = errors.New("red: queue full")
+)
+
 // REDInstance is one interface's RED queue.
 type REDInstance struct {
 	name  string
@@ -138,7 +147,8 @@ type REDStats struct {
 func (i *REDInstance) InstanceName() string { return i.name }
 
 // HandlePacket implements pcu.Instance: the RED admission test followed
-// by FIFO enqueue.
+// by FIFO enqueue. A nil return means the packet is queued and no
+// longer the caller's; a rejected packet comes back as an error.
 func (i *REDInstance) HandlePacket(p *pkt.Packet) error {
 	i.mu.Lock()
 	defer i.mu.Unlock()
@@ -149,8 +159,7 @@ func (i *REDInstance) HandlePacket(p *pkt.Packet) error {
 	case i.avg >= i.maxth:
 		i.earlyDrops++
 		i.count = 0
-		p.MarkDrop("red: forced drop")
-		return nil
+		return errREDForced
 	case i.avg >= i.minth:
 		pb := i.maxp * (i.avg - i.minth) / (i.maxth - i.minth)
 		pa := pb / (1 - float64(i.count)*pb)
@@ -161,16 +170,14 @@ func (i *REDInstance) HandlePacket(p *pkt.Packet) error {
 		if i.rng.Float64() < pa {
 			i.earlyDrops++
 			i.count = 0
-			p.MarkDrop("red: early drop")
-			return nil
+			return errREDEarly
 		}
 	default:
 		i.count = 0
 	}
 	if err := i.fifo.Enqueue(p); err != nil {
 		i.tailDrops++
-		p.MarkDrop("red: queue full")
-		return nil
+		return errREDFull
 	}
 	i.enq++
 	return nil

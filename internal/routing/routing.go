@@ -95,8 +95,11 @@ func (t *Table) SetTelemetry(tel *telemetry.Telemetry) {
 }
 
 // rebuildLocked constructs a fresh BMP structure from the route list,
-// primes every lazily built internal (the data path must never mutate
-// the published structure), and publishes it. Called with t.mu held.
+// primes its lazily built internals (the data path must never mutate
+// the published structure), and publishes it. One lookup primes it:
+// the lazy engines (BSPL, CPE) rebuild everything, both address
+// families, on their first lookup after a mutation. Called with t.mu
+// held.
 func (t *Table) rebuildLocked() {
 	b, err := bmp.New(t.kind)
 	if err != nil {
@@ -105,9 +108,7 @@ func (t *Table) rebuildLocked() {
 	for p, nh := range t.list {
 		b.Insert(p, nh)
 	}
-	for p := range t.list {
-		b.Lookup(p.Addr, nil)
-	}
+	b.Lookup(pkt.Addr{}, nil)
 	t.snap.Store(&tableSnap{bmp: b})
 }
 

@@ -281,7 +281,10 @@ func New(opts Options) (*Router, error) {
 
 // AddLocalHandler registers a handler for locally delivered UDP traffic
 // on a port — the hook daemons (e.g. the route daemon) use to receive
-// their protocol packets.
+// their protocol packets. The handler runs synchronously inside the
+// core's local delivery and must not keep the packet or its Data after
+// it returns (the packet is recycled); the in-tree daemons parse the
+// payload in place.
 func (r *Router) AddLocalHandler(port uint16, h func(p *pkt.Packet)) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
