@@ -1,7 +1,7 @@
 GO ?= go
 BIN := $(CURDIR)/bin
 
-.PHONY: all build test lint race vet check bench-smoke wire-smoke fib-churn-smoke clean
+.PHONY: all build test lint race vet check bench-smoke wire-smoke fib-churn-smoke loc clean
 
 all: check
 
@@ -67,6 +67,11 @@ wire-smoke:
 # with zero unexplained drops and bounded convergence.
 fib-churn-smoke:
 	./scripts/fib_churn_smoke.sh
+
+# Code size of the core packages (ipcore, telemetry, netio, netdev):
+# non-test, non-comment, non-blank Go lines per package.
+loc:
+	./scripts/loc.sh
 
 check: build test lint vet race
 

@@ -122,9 +122,9 @@ type AIU struct {
 	firstPacketLookups atomic.Uint64
 	cachedLookups      atomic.Uint64
 
-	// Telemetry cells (SetTelemetry). Nil when telemetry is off; every
-	// record method on a nil cell is a no-op.
-	telFirstPkt *telemetry.Counter
+	// Registry-owned telemetry cells (SetTelemetry): the quantities
+	// with no Stats twin. Nil when telemetry is off; every record method
+	// on a nil cell is a no-op.
 	telAccesses *telemetry.Counter
 	telFnPtr    *telemetry.Counter
 	telDepth    *telemetry.Histogram
@@ -451,7 +451,6 @@ func (a *AIU) classifyAndInsert(p *pkt.Packet, slot int, now time.Time, c *cycle
 	}
 	rec, gen := a.flows.InsertGen(p.Key, now, binds)
 	a.firstPacketLookups.Add(1)
-	a.telFirstPkt.Inc()
 	a.telAccesses.Add(lc.Mem)
 	a.telFnPtr.Add(lc.FnPtr)
 	a.telDepth.Observe(lc.Total())

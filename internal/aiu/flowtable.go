@@ -190,15 +190,12 @@ type FlowTable struct {
 	shardMask uint32
 	gates     int
 
-	// Telemetry cells (SetTelemetry, assembly time). Shared by every
-	// shard — the cells are themselves internally sharded. Nil when
-	// telemetry is off; record methods on nil cells are no-ops.
-	telHits      *telemetry.Counter
-	telMisses    *telemetry.Counter
-	telInserts   *telemetry.Counter
-	telEvictions *telemetry.Counter
-	telLive      *telemetry.Gauge
-	telChain     *telemetry.Histogram
+	// Registry-owned telemetry cells (SetTelemetry, assembly time): the
+	// quantities with no FlowStats counter. Shared by every shard — the
+	// cells are themselves internally sharded. Nil when telemetry is
+	// off; record methods on nil cells are no-ops.
+	telLive  *telemetry.Gauge
+	telChain *telemetry.Histogram
 }
 
 // evictNotice is a deferred FlowEvicted callback: eviction captures the
@@ -383,14 +380,12 @@ func (t *FlowTable) LookupGen(k pkt.Key, now time.Time, c *cycles.Counter) (*Flo
 			gen := r.gen.Load()
 			sh.mu.RUnlock()
 			sh.hits.Add(1)
-			t.telHits.Inc()
 			t.telChain.Observe(chain)
 			return r, gen
 		}
 	}
 	sh.mu.RUnlock()
 	sh.misses.Add(1)
-	t.telMisses.Inc()
 	t.telChain.Observe(chain)
 	return nil, 0
 }
@@ -450,7 +445,6 @@ func (t *FlowTable) InsertGen(k pkt.Key, now time.Time, binds []GateBind) (*Flow
 	sh.live++
 	sh.stats.Inserts++
 	gen := r.gen.Load()
-	t.telInserts.Inc()
 	t.telLive.Add(1)
 	sh.mu.Unlock()
 	notify(notices)
@@ -572,7 +566,6 @@ func (sh *flowShard) evictLocked(t *FlowTable, r *FlowRecord, notices []evictNot
 	}
 	sh.popAge(r)
 	sh.live--
-	t.telEvictions.Inc()
 	t.telLive.Add(-1)
 	r.gen.Add(1)
 	old := *r.binds.Load()

@@ -194,11 +194,9 @@ func (a *AIU) Resolve(lanes []Lane, slot int, now time.Time) {
 		sh.mu.RUnlock()
 		if runHits > 0 {
 			sh.hits.Add(runHits)
-			t.telHits.Add(runHits)
 		}
 		if runMisses > 0 {
 			sh.misses.Add(runMisses)
-			t.telMisses.Add(runMisses)
 		}
 		i = last + 1
 	}

@@ -108,9 +108,9 @@ func BenchmarkFlowCacheHitTelemetry(b *testing.B) {
 	}
 }
 
-// Satellite S1/S5 timing guard: the exact disabled record calls the hit
-// path makes (telHits.Inc + telChain.Observe) must cost under 2ns per
-// packet. Run via `make bench-smoke` (EISR_BENCH_SMOKE=1).
+// Timing guard: a disabled counter Inc plus the hit path's disabled
+// telChain.Observe must cost under 2ns per packet. Run via `make
+// bench-smoke` (EISR_BENCH_SMOKE=1).
 func TestBenchSmokeTelemetryOffOverhead(t *testing.T) {
 	if os.Getenv("EISR_BENCH_SMOKE") == "" {
 		t.Skip("timing guard; run via make bench-smoke (EISR_BENCH_SMOKE=1)")

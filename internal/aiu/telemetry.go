@@ -17,8 +17,8 @@ import (
 // eisr_filters/eisr_dag_nodes size each gate's filter table and its
 // set-pruning DAG.
 func (a *AIU) SetTelemetry(t *telemetry.Telemetry) {
-	a.telFirstPkt = t.Counter("eisr_classifier_first_packet_total",
-		"first-packet classifications (full filter-table lookup at every gate)")
+	t.CounterFunc("eisr_classifier_first_packet_total",
+		"first-packet classifications (full filter-table lookup at every gate)", a.firstPacketLookups.Load)
 	a.telAccesses = t.Counter("eisr_classifier_accesses_total",
 		"classifier memory accesses on first-packet lookups (Table 2 units)")
 	a.telFnPtr = t.Counter("eisr_classifier_fnptr_loads_total",
@@ -41,16 +41,18 @@ func (a *AIU) SetTelemetry(t *telemetry.Telemetry) {
 func (a *AIU) filterGauge(g pcu.Type) *telemetry.Gauge { return a.telFilters[g] }
 
 // SetTelemetry attaches flow-table metric cells. Same wiring contract as
-// AIU.SetTelemetry: assembly time only.
+// AIU.SetTelemetry: assembly time only. The lookup, insert and eviction
+// counts are views over the table's own Stats cells.
 func (t *FlowTable) SetTelemetry(reg *telemetry.Telemetry) {
-	t.telHits = reg.Counter("eisr_flowcache_total",
-		"flow-cache lookups by result", telemetry.Label{Key: "result", Value: "hit"})
-	t.telMisses = reg.Counter("eisr_flowcache_total",
-		"flow-cache lookups by result", telemetry.Label{Key: "result", Value: "miss"})
-	t.telInserts = reg.Counter("eisr_flowcache_inserts_total",
-		"flow records installed")
-	t.telEvictions = reg.Counter("eisr_flowcache_evictions_total",
-		"flow records evicted (recycled, purged, or flushed)")
+	result := func(r string) telemetry.Label { return telemetry.Label{Key: "result", Value: r} }
+	reg.CounterFunc("eisr_flowcache_total", "flow-cache lookups by result",
+		func() uint64 { return t.Stats().Hits }, result("hit"))
+	reg.CounterFunc("eisr_flowcache_total", "flow-cache lookups by result",
+		func() uint64 { return t.Stats().Misses }, result("miss"))
+	reg.CounterFunc("eisr_flowcache_inserts_total", "flow records installed",
+		func() uint64 { return t.Stats().Inserts })
+	reg.CounterFunc("eisr_flowcache_evictions_total", "flow records evicted (recycled, purged, or flushed)",
+		func() uint64 { s := t.Stats(); return s.Recycled + s.Removed })
 	t.telLive = reg.Gauge("eisr_flowcache_live",
 		"live flow records")
 	t.telChain = reg.Histogram("eisr_flowcache_chain_length",

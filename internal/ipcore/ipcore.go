@@ -72,25 +72,43 @@ type Stats struct {
 	Fragmented   uint64
 }
 
-// coreStats is the lock-free live counter set; Stats() snapshots it.
+// coreStats is the lock-free live counter set, the only record of these
+// events: Stats() snapshots it and the metrics registry reads it.
 // Per-packet counter updates must not take a mutex — the 8%-overhead
 // result depends on the data path being lean. The cells are sharded
 // telemetry counters rather than single atomics: with several workers
 // forwarding concurrently, a single cell per verdict would put one
 // contended cache line on every worker's hit path.
 type coreStats struct {
-	forwarded   telemetry.Counter
-	delivered   telemetry.Counter
-	dropped     telemetry.Counter
-	ttlExpired  telemetry.Counter
-	badChecksum telemetry.Counter
-	noRoute     telemetry.Counter
-	pluginDrops telemetry.Counter
-	faults      telemetry.Counter
-	degraded    telemetry.Counter
-	schedEnq    telemetry.Counter
-	icmpSent    telemetry.Counter
-	fragmented  telemetry.Counter
+	forwarded  telemetry.Counter
+	delivered  telemetry.Counter
+	faults     telemetry.Counter
+	degraded   telemetry.Counter
+	schedEnq   telemetry.Counter
+	icmpSent   telemetry.Counter
+	fragmented telemetry.Counter
+	drops      [numDropReasons]telemetry.Counter
+}
+
+// dropReason indexes the core's drop cells, one per reason.
+type dropReason uint8
+
+const (
+	dropBadChecksum dropReason = iota
+	dropMalformed
+	dropTTL
+	dropNoRoute
+	dropPlugin
+	dropFault
+	dropQueue
+	dropMTU
+	numDropReasons
+)
+
+// dropReasonLabels are the eisr_drops_total reason label values.
+var dropReasonLabels = [numDropReasons]string{
+	"bad-checksum", "malformed", "ttl-expired", "no-route",
+	"plugin", "plugin-fault", "queue-full", "mtu",
 }
 
 // ifaceState is one immutable generation of the router's interface
@@ -222,26 +240,14 @@ type Router struct {
 	// every forwarded packet (benchmark instrumentation).
 	Counter *cycles.Counter
 
-	// Telemetry cells. The slices are always allocated to gate length so
-	// the per-gate fast path can index them unconditionally; with
-	// telemetry off every cell is nil and every record call is a no-op.
+	// Registry-owned telemetry cells: the events with no Stats twin. The
+	// slices are always allocated to gate length so the per-gate fast
+	// path can index them unconditionally; with telemetry off every cell
+	// is nil and every record call is a no-op.
 	tel             *telemetry.Telemetry
 	gateNames       []string
 	telGateDispatch []*telemetry.Counter
 	telGateNanos    []*telemetry.Histogram
-	telForwarded    *telemetry.Counter
-	telDelivered    *telemetry.Counter
-	telDropped      *telemetry.Counter
-	telDropChecksum *telemetry.Counter
-	telDropMalform  *telemetry.Counter
-	telDropTTL      *telemetry.Counter
-	telDropNoRoute  *telemetry.Counter
-	telDropPlugin   *telemetry.Counter
-	telDropFault    *telemetry.Counter
-	telDropQueue    *telemetry.Counter
-	telDropMTU      *telemetry.Counter
-	telPoolDrop     *telemetry.Counter
-	telDegraded     *telemetry.Counter
 	telPktNanos     *telemetry.Histogram
 
 	// ptrace is the in-band path tracer (eisrpath), captured from the
@@ -315,39 +321,20 @@ func (r *Router) initTelemetry(t *telemetry.Telemetry) {
 		r.telGateNanos[i] = t.Histogram("eisr_gate_ns",
 			"per-gate dispatch nanoseconds (traced packets only)", l)
 	}
-	verdict := func(v string) *telemetry.Counter {
-		return t.Counter("eisr_verdicts_total", "packet fates",
-			telemetry.Label{Key: "verdict", Value: v})
+	verdict := func(v string) telemetry.Label { return telemetry.Label{Key: "verdict", Value: v} }
+	t.CounterFunc("eisr_verdicts_total", "packet fates", r.stats.forwarded.Value, verdict("forwarded"))
+	t.CounterFunc("eisr_verdicts_total", "packet fates", r.stats.delivered.Value, verdict("delivered"))
+	t.CounterFunc("eisr_verdicts_total", "packet fates", r.dropped, verdict("dropped"))
+	for why := range r.stats.drops {
+		t.CounterFunc("eisr_drops_total", "packets dropped by reason", r.stats.drops[why].Value,
+			telemetry.Label{Key: "reason", Value: dropReasonLabels[why]})
 	}
-	r.telForwarded = verdict("forwarded")
-	r.telDelivered = verdict("delivered")
-	r.telDropped = verdict("dropped")
-	reason := func(why string) *telemetry.Counter {
-		return t.Counter("eisr_drops_total", "packets dropped by reason",
-			telemetry.Label{Key: "reason", Value: why})
-	}
-	r.telDropChecksum = reason("bad-checksum")
-	r.telDropMalform = reason("malformed")
-	r.telDropTTL = reason("ttl-expired")
-	r.telDropNoRoute = reason("no-route")
-	r.telDropPlugin = reason("plugin")
-	r.telDropFault = reason("plugin-fault")
-	r.telDropQueue = reason("queue-full")
-	r.telDropMTU = reason("mtu")
-	r.telPoolDrop = t.Counter("eisr_pool_drop_full",
-		"packets dropped at Submit because the owning worker's ingress queue was full")
-	r.telDegraded = t.Counter("eisr_degraded_packets_total",
-		"packets forwarded past a faulted gate under the forward policy")
+	t.CounterFunc("eisr_pool_drop_full",
+		"packets dropped at Submit because the owning worker's ingress queue was full", r.pool.DropTotal)
+	t.CounterFunc("eisr_degraded_packets_total",
+		"packets forwarded past a faulted gate under the forward policy", r.stats.degraded.Value)
 	r.telPktNanos = t.Histogram("eisr_packet_ns",
 		"end-to-end data-path nanoseconds (traced packets only)")
-}
-
-// countDrop records the dropped verdict plus its reason cell.
-//
-//eisr:fastpath
-func (r *Router) countDrop(why *telemetry.Counter) {
-	r.telDropped.Inc()
-	why.Inc()
 }
 
 // AddInterface attaches an interface to the router.
@@ -428,20 +415,31 @@ func (r *Router) Routes() *routing.Table { return r.cfg.Routes }
 
 // Stats snapshots the counters.
 func (r *Router) Stats() Stats {
+	s := &r.stats
 	return Stats{
-		Forwarded:    r.stats.forwarded.Value(),
-		Delivered:    r.stats.delivered.Value(),
-		Dropped:      r.stats.dropped.Value(),
-		TTLExpired:   r.stats.ttlExpired.Value(),
-		BadChecksum:  r.stats.badChecksum.Value(),
-		NoRoute:      r.stats.noRoute.Value(),
-		PluginDrops:  r.stats.pluginDrops.Value(),
-		PluginFaults: r.stats.faults.Value(),
-		Degraded:     r.stats.degraded.Value(),
-		SchedEnq:     r.stats.schedEnq.Value(),
-		ICMPSent:     r.stats.icmpSent.Value(),
-		Fragmented:   r.stats.fragmented.Value(),
+		Forwarded:    s.forwarded.Value(),
+		Delivered:    s.delivered.Value(),
+		Dropped:      r.dropped(),
+		TTLExpired:   s.drops[dropTTL].Value(),
+		BadChecksum:  s.drops[dropBadChecksum].Value(),
+		NoRoute:      s.drops[dropNoRoute].Value(),
+		PluginDrops:  s.drops[dropPlugin].Value(),
+		PluginFaults: s.faults.Value(),
+		Degraded:     s.degraded.Value(),
+		SchedEnq:     s.schedEnq.Value(),
+		ICMPSent:     s.icmpSent.Value(),
+		Fragmented:   s.fragmented.Value(),
 	}
+}
+
+// dropped totals every drop reason plus the worker pool's ingress
+// sheds.
+func (r *Router) dropped() uint64 {
+	n := r.pool.DropTotal()
+	for i := range r.stats.drops {
+		n += r.stats.drops[i].Value()
+	}
+	return n
 }
 
 // Forward runs one packet through the data path up to (and including)
@@ -480,14 +478,12 @@ func (r *Router) forwardMono(p *pkt.Packet, st *ifaceState) bool {
 	}
 	if r.cfg.MonoSched != nil {
 		if err := r.cfg.MonoSched.Enqueue(p); err != nil {
-			r.stats.dropped.Add(1)
-			r.countDrop(r.telDropQueue)
+			r.stats.drops[dropQueue].Add(1)
 			p.ReleaseBuf()
 			return false
 		}
 		r.stats.schedEnq.Add(1)
 		r.stats.forwarded.Add(1)
-		r.telForwarded.Inc()
 		return true
 	}
 	return r.enqueueFIFO(p, st)
@@ -551,14 +547,12 @@ func (r *Router) faultVerdict(p *pkt.Packet, flt *pcu.PluginFault) bool {
 	if r.guard.Policy() == pcu.PolicyForward {
 		p.Drop = false
 		r.stats.degraded.Add(1)
-		r.telDegraded.Inc()
 		return true
 	}
 	if !p.Drop {
 		p.MarkDrop(flt.Error())
 	}
-	r.stats.dropped.Add(1)
-	r.countDrop(r.telDropFault)
+	r.stats.drops[dropFault].Add(1)
 	p.ReleaseBuf()
 	return false
 }
@@ -571,25 +565,21 @@ func (r *Router) validate(p *pkt.Packet) bool {
 	switch p.Version() {
 	case 4:
 		if r.cfg.VerifyChecksums && !pkt.VerifyIPv4Checksum(p.Data) {
-			r.stats.badChecksum.Add(1)
-			r.stats.dropped.Add(1)
-			r.countDrop(r.telDropChecksum)
+			r.stats.drops[dropBadChecksum].Add(1)
 			p.ReleaseBuf()
 			return false
 		}
 	case 6:
 		// No header checksum in IPv6.
 	default:
-		r.stats.dropped.Add(1)
-		r.countDrop(r.telDropMalform)
+		r.stats.drops[dropMalformed].Add(1)
 		p.ReleaseBuf()
 		return false
 	}
 	if !p.KeyValid {
 		k, err := pkt.ExtractKey(p.Data, p.InIf)
 		if err != nil {
-			r.stats.dropped.Add(1)
-			r.countDrop(r.telDropMalform)
+			r.stats.drops[dropMalformed].Add(1)
 			p.ReleaseBuf()
 			return false
 		}
@@ -620,7 +610,6 @@ func (r *Router) deliverLocal(p *pkt.Packet, st *ifaceState) bool {
 // descriptor ring gave).
 func (r *Router) deliver(p *pkt.Packet) {
 	r.stats.delivered.Add(1)
-	r.telDelivered.Inc()
 	if r.cfg.LocalSink != nil {
 		r.cfg.LocalSink(p)
 	}
@@ -636,9 +625,7 @@ func (r *Router) decTTL(p *pkt.Packet) bool {
 		_, err = pkt.DecHopLimit(p.Data)
 	}
 	if err != nil {
-		r.stats.ttlExpired.Add(1)
-		r.stats.dropped.Add(1)
-		r.countDrop(r.telDropTTL)
+		r.stats.drops[dropTTL].Add(1)
 		r.sendICMPError(p, pkt.ICMPv4TimeExceeded, pkt.ICMPv6TimeExceeded, 0, 0)
 		p.ReleaseBuf()
 		return false
@@ -649,9 +636,7 @@ func (r *Router) decTTL(p *pkt.Packet) bool {
 // dropNoRoute counts a routing failure and answers with an ICMP
 // destination-unreachable when enabled.
 func (r *Router) dropNoRoute(p *pkt.Packet) bool {
-	r.stats.noRoute.Add(1)
-	r.stats.dropped.Add(1)
-	r.countDrop(r.telDropNoRoute)
+	r.stats.drops[dropNoRoute].Add(1)
 	r.sendICMPError(p, pkt.ICMPv4DestUnreach, pkt.ICMPv6DestUnreach, 0, 0)
 	p.ReleaseBuf()
 	return false
@@ -736,19 +721,16 @@ func (r *Router) takeICMPToken() bool {
 func (r *Router) enqueueFIFO(p *pkt.Packet, st *ifaceState) bool {
 	q := st.outQ[p.OutIf]
 	if q == nil {
-		r.stats.dropped.Add(1)
-		r.countDrop(r.telDropQueue)
+		r.stats.drops[dropQueue].Add(1)
 		p.ReleaseBuf()
 		return false
 	}
 	if err := q.Enqueue(p); err != nil {
-		r.stats.dropped.Add(1)
-		r.countDrop(r.telDropQueue)
+		r.stats.drops[dropQueue].Add(1)
 		p.ReleaseBuf()
 		return false
 	}
 	r.stats.forwarded.Add(1)
-	r.telForwarded.Inc()
 	return true
 }
 
@@ -828,8 +810,7 @@ func (r *Router) transmit(p *pkt.Packet, st *ifaceState) {
 				return
 			}
 		}
-		r.stats.dropped.Add(1)
-		r.countDrop(r.telDropMTU)
+		r.stats.drops[dropMTU].Add(1)
 		r.sendICMPError(p, pkt.ICMPv4DestUnreach, pkt.ICMPv6PacketTooBig, 4, 0)
 		p.ReleaseBuf()
 		return

@@ -101,8 +101,14 @@ func (p *Pool) Forwarded(i int) uint64 { return p.fwd.Value(i) }
 // its queue was full.
 func (p *Pool) Drops(i int) uint64 { return p.drops.Value(i) }
 
-// DropTotal returns the pool-wide Submit overload drop count.
-func (p *Pool) DropTotal() uint64 { return p.drops.Total() }
+// DropTotal returns the pool-wide Submit overload drop count (0 for a
+// nil pool: a router without workers sheds nothing at Submit).
+func (p *Pool) DropTotal() uint64 {
+	if p == nil {
+		return 0
+	}
+	return p.drops.Total()
+}
 
 // Start launches the workers. Idempotent.
 func (p *Pool) Start() {
@@ -159,8 +165,6 @@ func (p *Pool) Submit(pk *pkt.Packet) bool {
 		return true
 	default:
 		p.drops.Inc(w)
-		p.r.stats.dropped.Add(1)
-		p.r.countDrop(p.r.telPoolDrop)
 		return false
 	}
 }

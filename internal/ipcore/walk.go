@@ -281,7 +281,6 @@ func (r *Router) walk(w *vec, st *ifaceState, run []*pkt.Packet) int {
 			case taken:
 				r.stats.schedEnq.Add(1)
 				r.stats.forwarded.Add(1)
-				r.telForwarded.Inc()
 			case g == pcu.TypeRouting:
 				// The routing gate realizes §8's QoS routing: a bound
 				// instance may have set the output interface; the
@@ -371,9 +370,7 @@ func (r *Router) laneDrop(w *vec, i int, err error) {
 	if t := w.state[i].tr; t != nil {
 		t.reason = p.DropMsg
 	}
-	r.stats.pluginDrops.Add(1)
-	r.stats.dropped.Add(1)
-	r.countDrop(r.telDropPlugin)
+	r.stats.drops[dropPlugin].Add(1)
 	p.ReleaseBuf()
 	r.laneDone(w, i, false)
 }

@@ -120,6 +120,8 @@ type Stats struct {
 // ifStats is the live counter set: lock-free atomics so the per-packet
 // paths (Inject, InjectPacket, Transmit — including the driver RX
 // goroutine racing the forwarding workers) never serialize on a mutex.
+// It is the only record of these events: Stats snapshots it and the
+// metrics registry reads it (SetTelemetry).
 type ifStats struct {
 	rxPackets atomic.Uint64
 	rxBytes   atomic.Uint64
@@ -138,28 +140,6 @@ type ifStats struct {
 	mbufFallback atomic.Uint64
 }
 
-// ifTel is the optional registered metric set (SetTelemetry): the same
-// events as ifStats, exported on the Prometheus endpoint with an iface
-// label. Every cell is nil until a registry is attached; record calls
-// are nil-receiver no-ops.
-type ifTel struct {
-	rxPackets *telemetry.Counter
-	rxBytes   *telemetry.Counter
-	txPackets *telemetry.Counter
-	txBytes   *telemetry.Counter
-
-	rxDropRing      *telemetry.Counter
-	rxDropTooBig    *telemetry.Counter
-	rxDropDown      *telemetry.Counter
-	rxDropMalformed *telemetry.Counter
-	rxDropOverload  *telemetry.Counter
-	txDropRing      *telemetry.Counter
-	txDropTooBig    *telemetry.Counter
-	txDropDown      *telemetry.Counter
-
-	mbufFallback *telemetry.Counter
-}
-
 // Interface is one network interface. Packets received from the
 // attached link (or wire driver) are queued on the RX ring for the
 // router core to drain; packets the core transmits go out on the TX
@@ -176,7 +156,6 @@ type Interface struct {
 	driver Driver
 
 	stats ifStats
-	tel   ifTel
 
 	// The receive mbuf pool. An mbuf is a whole packet: the pkt.Packet
 	// header with its MTU-sized buffer attached. Inject takes one off
@@ -265,10 +244,9 @@ func (i *Interface) Driver() Driver {
 	return i.driver
 }
 
-// SetTelemetry registers the interface's counters on a metrics registry
-// (Prometheus exposition). Nil-safe; call before traffic for complete
-// counts. Events recorded before attachment are visible in Stats but
-// not in the registry.
+// SetTelemetry exports the interface's counters on a metrics registry
+// (Prometheus exposition): the registry reads the interface's own
+// cells, so every event counted in Stats is in the export too. Nil-safe.
 func (i *Interface) SetTelemetry(t *telemetry.Telemetry) {
 	if t == nil {
 		return
@@ -276,23 +254,23 @@ func (i *Interface) SetTelemetry(t *telemetry.Telemetry) {
 	l := telemetry.Label{Key: "iface", Value: i.Name}
 	dir := func(d string) telemetry.Label { return telemetry.Label{Key: "dir", Value: d} }
 	reason := func(why string) telemetry.Label { return telemetry.Label{Key: "reason", Value: why} }
-	i.tel = ifTel{
-		rxPackets: t.Counter("eisr_netdev_packets_total", "packets per interface and direction", l, dir("rx")),
-		txPackets: t.Counter("eisr_netdev_packets_total", "packets per interface and direction", l, dir("tx")),
-		rxBytes:   t.Counter("eisr_netdev_bytes_total", "bytes per interface and direction", l, dir("rx")),
-		txBytes:   t.Counter("eisr_netdev_bytes_total", "bytes per interface and direction", l, dir("tx")),
+	s := &i.stats
+	t.CounterFunc("eisr_netdev_packets_total", "packets per interface and direction", s.rxPackets.Load, l, dir("rx"))
+	t.CounterFunc("eisr_netdev_packets_total", "packets per interface and direction", s.txPackets.Load, l, dir("tx"))
+	t.CounterFunc("eisr_netdev_bytes_total", "bytes per interface and direction", s.rxBytes.Load, l, dir("rx"))
+	t.CounterFunc("eisr_netdev_bytes_total", "bytes per interface and direction", s.txBytes.Load, l, dir("tx"))
 
-		rxDropRing:      t.Counter("eisr_netdev_drops_total", "interface drops by direction and reason", l, dir("rx"), reason("ring-full")),
-		rxDropTooBig:    t.Counter("eisr_netdev_drops_total", "interface drops by direction and reason", l, dir("rx"), reason("too-big")),
-		rxDropDown:      t.Counter("eisr_netdev_drops_total", "interface drops by direction and reason", l, dir("rx"), reason("down")),
-		rxDropMalformed: t.Counter("eisr_netdev_drops_total", "interface drops by direction and reason", l, dir("rx"), reason("malformed")),
-		rxDropOverload:  t.Counter("eisr_netdev_drops_total", "interface drops by direction and reason", l, dir("rx"), reason("overload")),
-		txDropRing:      t.Counter("eisr_netdev_drops_total", "interface drops by direction and reason", l, dir("tx"), reason("ring-full")),
-		txDropTooBig:    t.Counter("eisr_netdev_drops_total", "interface drops by direction and reason", l, dir("tx"), reason("too-big")),
-		txDropDown:      t.Counter("eisr_netdev_drops_total", "interface drops by direction and reason", l, dir("tx"), reason("down")),
+	const drops = "interface drops by direction and reason"
+	t.CounterFunc("eisr_netdev_drops_total", drops, s.rxDropRing.Load, l, dir("rx"), reason("ring-full"))
+	t.CounterFunc("eisr_netdev_drops_total", drops, s.rxDropTooBig.Load, l, dir("rx"), reason("too-big"))
+	t.CounterFunc("eisr_netdev_drops_total", drops, s.rxDropDown.Load, l, dir("rx"), reason("down"))
+	t.CounterFunc("eisr_netdev_drops_total", drops, s.rxDropMalformed.Load, l, dir("rx"), reason("malformed"))
+	t.CounterFunc("eisr_netdev_drops_total", drops, s.rxDropOverload.Load, l, dir("rx"), reason("overload"))
+	t.CounterFunc("eisr_netdev_drops_total", drops, s.txDropRing.Load, l, dir("tx"), reason("ring-full"))
+	t.CounterFunc("eisr_netdev_drops_total", drops, s.txDropTooBig.Load, l, dir("tx"), reason("too-big"))
+	t.CounterFunc("eisr_netdev_drops_total", drops, s.txDropDown.Load, l, dir("tx"), reason("down"))
 
-		mbufFallback: t.Counter("eisr_netdev_mbuf_fallback_total", "receive buffers heap-allocated after pool exhaustion", l),
-	}
+	t.CounterFunc("eisr_netdev_mbuf_fallback_total", "receive buffers heap-allocated after pool exhaustion", s.mbufFallback.Load, l)
 }
 
 // Connect wires two interfaces as a point-to-point link (both ways).
@@ -318,12 +296,10 @@ func (i *Interface) Inject(data []byte) error {
 	i.mu.Unlock()
 	if !up {
 		i.stats.rxDropDown.Add(1)
-		i.tel.rxDropDown.Inc()
 		return ErrDown
 	}
 	if len(data) > i.MTU {
 		i.stats.rxDropTooBig.Add(1)
-		i.tel.rxDropTooBig.Inc()
 		return ErrTooBig
 	}
 	p := i.nextMbuf(len(data))
@@ -331,7 +307,6 @@ func (i *Interface) Inject(data []byte) error {
 	if err := p.Reset(p.Data, i.Index); err != nil {
 		i.ReleaseMbuf(p)
 		i.stats.rxDropMalformed.Add(1)
-		i.tel.rxDropMalformed.Inc()
 		return err
 	}
 	p.Owner = i
@@ -340,13 +315,10 @@ func (i *Interface) Inject(data []byte) error {
 	case i.rx <- p:
 		i.stats.rxPackets.Add(1)
 		i.stats.rxBytes.Add(uint64(len(data)))
-		i.tel.rxPackets.Inc()
-		i.tel.rxBytes.Add(uint64(len(data)))
 		return nil
 	default:
 		p.ReleaseBuf()
 		i.stats.rxDropRing.Add(1)
-		i.tel.rxDropRing.Inc()
 		return ErrRingFull
 	}
 }
@@ -403,7 +375,6 @@ func (i *Interface) nextMbuf(n int) *pkt.Packet {
 	}
 	i.mu.Unlock()
 	i.stats.mbufFallback.Add(1)
-	i.tel.mbufFallback.Inc()
 	return &pkt.Packet{Data: make([]byte, n, i.MTU)}
 }
 
@@ -430,7 +401,6 @@ func (i *Interface) ReleaseMbuf(p *pkt.Packet) {
 // against the receiving interface, like any other RX drop.
 func (i *Interface) CountRxOverload() {
 	i.stats.rxDropOverload.Add(1)
-	i.tel.rxDropOverload.Inc()
 }
 
 // InjectPacket enqueues an already-built packet — the zero-copy,
@@ -445,12 +415,9 @@ func (i *Interface) InjectPacket(p *pkt.Packet) error {
 	case i.rx <- p:
 		i.stats.rxPackets.Add(1)
 		i.stats.rxBytes.Add(uint64(len(p.Data)))
-		i.tel.rxPackets.Inc()
-		i.tel.rxBytes.Add(uint64(len(p.Data)))
 		return nil
 	default:
 		i.stats.rxDropRing.Add(1)
-		i.tel.rxDropRing.Inc()
 		return ErrRingFull
 	}
 }
@@ -502,34 +469,26 @@ func (i *Interface) Transmit(p *pkt.Packet) error {
 	i.mu.Unlock()
 	if !up {
 		i.stats.txDropDown.Add(1)
-		i.tel.txDropDown.Inc()
 		return ErrDown
 	}
 	if len(p.Data) > i.MTU {
 		i.stats.txDropTooBig.Add(1)
-		i.tel.txDropTooBig.Inc()
 		return ErrTooBig
 	}
 	if driver != nil {
 		if err := driver.TransmitWire(p); err != nil {
 			i.stats.txDropRing.Add(1)
-			i.tel.txDropRing.Inc()
 			return err
 		}
 		i.stats.txPackets.Add(1)
 		i.stats.txBytes.Add(uint64(len(p.Data)))
-		i.tel.txPackets.Inc()
-		i.tel.txBytes.Add(uint64(len(p.Data)))
 		return nil
 	}
 	i.stats.txPackets.Add(1)
 	i.stats.txBytes.Add(uint64(len(p.Data)))
-	i.tel.txPackets.Inc()
-	i.tel.txBytes.Add(uint64(len(p.Data)))
 	if peer != nil {
 		if len(p.Data) > peer.MTU {
 			peer.stats.rxDropTooBig.Add(1)
-			peer.tel.rxDropTooBig.Inc()
 			return nil
 		}
 		// Copy into a packet from the peer's own mbuf pool, like a wire
@@ -549,12 +508,9 @@ func (i *Interface) Transmit(p *pkt.Packet) error {
 		case peer.rx <- q:
 			peer.stats.rxPackets.Add(1)
 			peer.stats.rxBytes.Add(uint64(len(q.Data)))
-			peer.tel.rxPackets.Inc()
-			peer.tel.rxBytes.Add(uint64(len(q.Data)))
 		default:
 			q.ReleaseBuf()
 			peer.stats.rxDropRing.Add(1)
-			peer.tel.rxDropRing.Inc()
 		}
 	}
 	return nil

@@ -59,7 +59,9 @@ type wireBuf struct {
 }
 
 // linkStats is the live counter set (atomics; the RX goroutine, TX
-// drain, and forwarding workers all record concurrently).
+// drain, and forwarding workers all record concurrently). It is the
+// only record of these events: Stats snapshots it and the metrics
+// registry reads it.
 type linkStats struct {
 	rxPackets      atomic.Uint64
 	rxBytes        atomic.Uint64
@@ -78,22 +80,12 @@ type linkStats struct {
 	txBatchedPkts  atomic.Uint64
 }
 
-// linkTel is the optional registered metric set; every cell is nil
-// without a registry, and record calls are nil-receiver no-ops.
+// linkTel is the link's registry-owned metric set: the batch-size
+// histograms, which have no Stats twin. Nil without a registry, and
+// record calls on nil cells are no-ops.
 type linkTel struct {
-	rxPackets      *telemetry.Counter
-	rxBytes        *telemetry.Counter
-	rxDropRing     *telemetry.Counter
-	rxDropTooBig   *telemetry.Counter
-	rxDropBadPath  *telemetry.Counter
-	rxDropBadKey   *telemetry.Counter
-	rxErrTransient *telemetry.Counter
-	txPackets      *telemetry.Counter
-	txBytes        *telemetry.Counter
-	txDropRing     *telemetry.Counter
-	txErrors       *telemetry.Counter
-	batchSize      *telemetry.Histogram
-	txBatchSize    *telemetry.Histogram
+	batchSize   *telemetry.Histogram
+	txBatchSize *telemetry.Histogram
 }
 
 // UDPLink is a wire driver carrying an interface's traffic as UDP
@@ -224,28 +216,31 @@ func NewUDPLink(ifc *netdev.Interface, cfg Config) (*UDPLink, error) {
 	return l, nil
 }
 
-// setTelemetry registers the link's cells under the eisr_netio_*
-// families, labeled by interface name.
+// setTelemetry exports the link's counters under the eisr_netio_*
+// families, labeled by interface name, and registers its batch-size
+// histograms.
 func (l *UDPLink) setTelemetry(t *telemetry.Telemetry) {
 	lbl := telemetry.Label{Key: "iface", Value: l.ifc.Name}
 	dir := func(d string) telemetry.Label { return telemetry.Label{Key: "dir", Value: d} }
 	reason := func(why string) telemetry.Label { return telemetry.Label{Key: "reason", Value: why} }
+	s := &l.stats
+	t.CounterFunc("eisr_netio_packets_total", "wire packets per link and direction", s.rxPackets.Load, lbl, dir("rx"))
+	t.CounterFunc("eisr_netio_packets_total", "wire packets per link and direction", s.txPackets.Load, lbl, dir("tx"))
+	t.CounterFunc("eisr_netio_bytes_total", "wire bytes per link and direction", s.rxBytes.Load, lbl, dir("rx"))
+	t.CounterFunc("eisr_netio_bytes_total", "wire bytes per link and direction", s.txBytes.Load, lbl, dir("tx"))
+
+	const drops = "wire drops by direction and reason"
+	t.CounterFunc("eisr_netio_drops_total", drops, s.rxDropRing.Load, lbl, dir("rx"), reason("ring-full"))
+	t.CounterFunc("eisr_netio_drops_total", drops, s.rxDropTooBig.Load, lbl, dir("rx"), reason("too-big"))
+	t.CounterFunc("eisr_netio_drops_total", drops, s.rxDropBadPath.Load, lbl, dir("rx"), reason("bad-path"))
+	t.CounterFunc("eisr_netio_drops_total", drops, s.rxDropBadKey.Load, lbl, dir("rx"), reason("bad-key"))
+	t.CounterFunc("eisr_netio_drops_total", drops, s.txDropRing.Load, lbl, dir("tx"), reason("ring-full"))
+
+	t.CounterFunc("eisr_netio_rx_errors_total", "transient socket read errors per link (counted and skipped, never fatal)", s.rxErrTransient.Load, lbl)
+	t.CounterFunc("eisr_netio_tx_errors_total", "socket write failures per link", s.txErrors.Load, lbl)
 	l.tel = linkTel{
-		rxPackets: t.Counter("eisr_netio_packets_total", "wire packets per link and direction", lbl, dir("rx")),
-		txPackets: t.Counter("eisr_netio_packets_total", "wire packets per link and direction", lbl, dir("tx")),
-		rxBytes:   t.Counter("eisr_netio_bytes_total", "wire bytes per link and direction", lbl, dir("rx")),
-		txBytes:   t.Counter("eisr_netio_bytes_total", "wire bytes per link and direction", lbl, dir("tx")),
-
-		rxDropRing:    t.Counter("eisr_netio_drops_total", "wire drops by direction and reason", lbl, dir("rx"), reason("ring-full")),
-		rxDropTooBig:  t.Counter("eisr_netio_drops_total", "wire drops by direction and reason", lbl, dir("rx"), reason("too-big")),
-		rxDropBadPath: t.Counter("eisr_netio_drops_total", "wire drops by direction and reason", lbl, dir("rx"), reason("bad-path")),
-		rxDropBadKey:  t.Counter("eisr_netio_drops_total", "wire drops by direction and reason", lbl, dir("rx"), reason("bad-key")),
-		txDropRing:    t.Counter("eisr_netio_drops_total", "wire drops by direction and reason", lbl, dir("tx"), reason("ring-full")),
-
-		rxErrTransient: t.Counter("eisr_netio_rx_errors_total", "transient socket read errors per link (counted and skipped, never fatal)", lbl),
-		txErrors:       t.Counter("eisr_netio_tx_errors_total", "socket write failures per link", lbl),
-		batchSize:      t.Histogram("eisr_netio_rx_batch", "datagrams drained per RX wakeup", lbl),
-		txBatchSize:    t.Histogram("eisr_netio_tx_batch", "datagrams written per TX drain wakeup", lbl),
+		batchSize:   t.Histogram("eisr_netio_rx_batch", "datagrams drained per RX wakeup", lbl),
+		txBatchSize: t.Histogram("eisr_netio_tx_batch", "datagrams written per TX drain wakeup", lbl),
 	}
 }
 
@@ -348,7 +343,6 @@ func (l *UDPLink) rxBatch() (n int, closed bool) {
 				return n, true
 			}
 			l.stats.rxErrTransient.Add(1)
-			l.tel.rxErrTransient.Inc()
 			if l.jr != nil && l.errBurst.onset(time.Now().UnixNano()) {
 				l.jr.Record(telemetry.EvRxErrBurst, l.ifc.Name+" "+err.Error())
 			}
@@ -375,37 +369,29 @@ func (l *UDPLink) rxBatch() (n int, closed bool) {
 func (l *UDPLink) deliver(slot *rxSlot, n int) {
 	data := slot.buf[:n]
 	p := &slot.p
-	*p = pkt.Packet{InIf: l.ifc.Index, OutIf: -1}
 	// Strip a path-trace encapsulation, if any, before MTU and key
-	// checks: both apply to the inner datagram.
-	consumed, ok := pkt.DecodePath(data, &p.Path)
+	// checks: both apply to the inner datagram. The context is decoded
+	// aside because Reset clears the packet.
+	var path pkt.PathContext
+	consumed, ok := pkt.DecodePath(data, &path)
 	if !ok {
 		l.stats.rxDropBadPath.Add(1)
-		l.tel.rxDropBadPath.Inc()
 		return
 	}
 	data = data[consumed:]
 	if len(data) > l.mtu {
 		l.stats.rxDropTooBig.Add(1)
-		l.tel.rxDropTooBig.Inc()
 		return
 	}
-	k, err := pkt.ExtractKey(data, l.ifc.Index)
-	if err != nil {
+	if p.Reset(data, l.ifc.Index) != nil {
 		l.stats.rxDropBadKey.Add(1)
-		l.tel.rxDropBadKey.Inc()
 		return
 	}
-	p.Data, p.Key, p.KeyValid = data, k, true
-	switch data[0] >> 4 {
-	case 4:
-		p.TOS = data[1]
-	case 6:
-		p.TOS = data[0]<<4 | data[1]>>4
+	if path.Active {
+		p.Path = path
 	}
 	if l.ifc.InjectPacket(p) != nil {
 		l.stats.rxDropRing.Add(1)
-		l.tel.rxDropRing.Inc()
 		if l.jr != nil && l.rxBurst.onset(time.Now().UnixNano()) {
 			l.jr.Record(telemetry.EvRxRingBurst, l.ifc.Name)
 		}
@@ -413,8 +399,6 @@ func (l *UDPLink) deliver(slot *rxSlot, n int) {
 	}
 	l.stats.rxPackets.Add(1)
 	l.stats.rxBytes.Add(uint64(n))
-	l.tel.rxPackets.Inc()
-	l.tel.rxBytes.Add(uint64(n))
 }
 
 // TransmitWire queues one egress datagram: grab a wire buffer, copy the
@@ -429,7 +413,6 @@ func (l *UDPLink) TransmitWire(p *pkt.Packet) error {
 	case wb = <-l.free:
 	default:
 		l.stats.txDropRing.Add(1)
-		l.tel.txDropRing.Inc()
 		if l.jr != nil && l.txBurst.onset(time.Now().UnixNano()) {
 			l.jr.Record(telemetry.EvTxRingBurst, l.ifc.Name)
 		}
@@ -464,7 +447,6 @@ func (l *UDPLink) TransmitWire(p *pkt.Packet) error {
 	//eisr:allow(fastpath) pool-conservation makes this send non-blocking
 	l.free <- wb
 	l.stats.txDropRing.Add(1)
-	l.tel.txDropRing.Inc()
 	if l.jr != nil && l.txBurst.onset(time.Now().UnixNano()) {
 		l.jr.Record(telemetry.EvTxRingBurst, l.ifc.Name)
 	}
@@ -515,15 +497,11 @@ func (l *UDPLink) transmitOne(wb *wireBuf) {
 	peer := l.peer.Load()
 	if peer == nil {
 		l.stats.txErrors.Add(1)
-		l.tel.txErrors.Inc()
 	} else if _, err := l.conn.WriteToUDPAddrPort(wb.buf[:wb.n], *peer); err != nil {
 		l.stats.txErrors.Add(1)
-		l.tel.txErrors.Inc()
 	} else {
 		l.stats.txPackets.Add(1)
 		l.stats.txBytes.Add(uint64(wb.n))
-		l.tel.txPackets.Inc()
-		l.tel.txBytes.Add(uint64(wb.n))
 	}
 	// Same conservation argument as TransmitWire's fallback: we hold a
 	// pool buffer, so the free list has room and the send cannot block.

@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"sort"
-	"sync/atomic"
 	"time"
 )
 
@@ -30,13 +29,10 @@ const (
 	EvFeedResync        = "feed-resync"
 )
 
-// journalEntry is one slot of the event ring, guarded by the same
-// per-entry busy try-lock discipline as the trace and span rings.
+// journalEntry is one slot of the event ring.
 type journalEntry struct {
-	busy      atomic.Uint32
-	committed bool
+	slot
 
-	seq       uint64
 	unixMilli int64
 	kind      string
 	detail    string
@@ -50,23 +46,15 @@ type journalEntry struct {
 // burst) can journal without violating fastpath discipline. A nil
 // *Journal no-ops every method.
 type Journal struct {
-	entries []journalEntry
-	mask    uint64
-	seq     atomic.Uint64
-	skipped atomic.Uint64
+	ring[journalEntry, *journalEntry]
 }
 
 // NewJournal builds a journal with size slots (rounded up to a power of
 // two; 0 = DefaultJournalSize).
 func NewJournal(size int) *Journal {
-	if size <= 0 {
-		size = DefaultJournalSize
-	}
-	n := 1
-	for n < size {
-		n <<= 1
-	}
-	return &Journal{entries: make([]journalEntry, n), mask: uint64(n - 1)}
+	j := &Journal{}
+	j.allocate(size, DefaultJournalSize)
+	return j
 }
 
 // EnableJournal installs the event journal (size 0 = default).
@@ -103,18 +91,23 @@ func (j *Journal) Record(kind, detail string) {
 	if j == nil {
 		return
 	}
-	seq := j.seq.Add(1) - 1
-	e := &j.entries[seq&j.mask]
-	if !e.busy.CompareAndSwap(0, 1) {
-		j.skipped.Add(1)
+	e := j.claim()
+	if e == nil {
 		return
 	}
-	e.seq = seq
 	e.unixMilli = time.Now().UnixMilli()
 	e.kind = kind
 	e.detail = detail
-	e.committed = true
-	e.busy.Store(0)
+	e.commit()
+}
+
+// Skipped reports how many events lost their slot to a concurrent
+// reader or a lapped writer.
+func (j *Journal) Skipped() uint64 {
+	if j == nil {
+		return 0
+	}
+	return j.skipped.Load()
 }
 
 // NextSeq returns the sequence number the next event will get — the
@@ -141,35 +134,17 @@ func (j *Journal) Snapshot(since uint64, max int) []EventSample {
 	if j == nil {
 		return nil
 	}
-	n := len(j.entries)
-	if max <= 0 || max > n {
-		max = n
+	if max <= 0 || max > len(j.entries) {
+		max = len(j.entries)
 	}
 	out := make([]EventSample, 0, max)
-	next := j.seq.Load()
-	for i := uint64(0); i < uint64(n); i++ {
-		seq := next - 1 - i
-		if seq+1 == 0 { // wrapped past the first-ever event
-			break
-		}
-		if seq < since {
-			break
-		}
-		e := &j.entries[seq&j.mask]
-		if !e.busy.CompareAndSwap(0, 1) {
-			continue
-		}
-		if e.committed && e.seq == seq {
-			out = append(out, EventSample{
-				Seq: e.seq, Time: time.UnixMilli(e.unixMilli),
-				Kind: e.kind, Detail: e.detail,
-			})
-		}
-		e.busy.Store(0)
-		if next-1-i == 0 {
-			break
-		}
-	}
+	j.scan(since, func(e *journalEntry) bool {
+		out = append(out, EventSample{
+			Seq: e.Seq, Time: time.UnixMilli(e.unixMilli),
+			Kind: e.kind, Detail: e.detail,
+		})
+		return true
+	})
 	sort.Slice(out, func(a, b int) bool { return out[a].Seq < out[b].Seq })
 	if len(out) > max {
 		out = out[len(out)-max:]

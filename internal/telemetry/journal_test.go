@@ -112,3 +112,18 @@ func TestJournalConcurrentRecordSnapshot(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
+
+func TestJournalSkippedCountsHeldSlots(t *testing.T) {
+	j := NewJournal(2)
+	e := j.claim() // held, like a reader mid-copy
+	j.Record(EvConfig, "a")
+	j.Record(EvConfig, "b") // lands on the held slot: skipped
+	if got := j.Skipped(); got != 1 {
+		t.Fatalf("Skipped = %d, want 1", got)
+	}
+	e.commit()
+	var nilJ *Journal
+	if nilJ.Skipped() != 0 {
+		t.Fatal("nil journal skipped non-zero")
+	}
+}

@@ -192,14 +192,11 @@ func (pt *PathTracer) SnapshotSpans(max int) []SpanSample {
 	return pt.spans.Snapshot(max)
 }
 
-// SpanEntry is one folded path in the ring. The busy/committed
-// discipline is the TraceRing contract: every cross-goroutine access to
-// the plain fields is bracketed by the per-entry atomic try-lock.
+// SpanEntry is one folded path in the ring, claimed and released
+// through its slot header like a TraceEntry.
 type SpanEntry struct {
-	busy      atomic.Uint32
-	committed bool
+	slot
 
-	Seq     uint64
 	Unix    int64 // fold time, unix nanoseconds
 	ID      uint64
 	Key     pkt.Key
@@ -211,23 +208,15 @@ type SpanEntry struct {
 // SpanRing holds terminated path spans, claimed round-robin like the
 // packet trace ring: writers skip a busy slot rather than block.
 type SpanRing struct {
-	entries []SpanEntry
-	mask    uint64
-	seq     atomic.Uint64
-	skipped atomic.Uint64
+	ring[SpanEntry, *SpanEntry]
 }
 
 // NewSpanRing builds a ring with size slots (rounded up to a power of
 // two; 0 = DefaultSpanSize).
 func NewSpanRing(size int) *SpanRing {
-	if size <= 0 {
-		size = DefaultSpanSize
-	}
-	n := 1
-	for n < size {
-		n <<= 1
-	}
-	return &SpanRing{entries: make([]SpanEntry, n), mask: uint64(n - 1)}
+	r := &SpanRing{}
+	r.allocate(size, DefaultSpanSize)
+	return r
 }
 
 // record folds one context into the ring.
@@ -237,21 +226,17 @@ func (r *SpanRing) record(c *pkt.PathContext, k pkt.Key, now int64, total uint64
 	if r == nil {
 		return
 	}
-	seq := r.seq.Add(1) - 1
-	e := &r.entries[seq&r.mask]
-	if !e.busy.CompareAndSwap(0, 1) {
-		r.skipped.Add(1)
+	e := r.claim()
+	if e == nil {
 		return
 	}
-	e.Seq = seq
 	e.Unix = now
 	e.ID = c.ID
 	e.Key = k
 	e.NHops = c.NHops
 	e.Hops = c.Hops
 	e.TotalNs = total
-	e.committed = true
-	e.busy.Store(0)
+	e.commit()
 }
 
 // SpanHop is one hop of an exported span, with the verdict rendered.
@@ -283,44 +268,29 @@ func (r *SpanRing) Snapshot(max int) []SpanSample {
 	if r == nil {
 		return nil
 	}
-	n := len(r.entries)
-	if max <= 0 || max > n {
-		max = n
+	if max <= 0 || max > len(r.entries) {
+		max = len(r.entries)
 	}
 	out := make([]SpanSample, 0, max)
-	next := r.seq.Load()
-	for i := uint64(0); i < uint64(n) && len(out) < max; i++ {
-		seq := next - 1 - i
-		if seq+1 == 0 { // wrapped past the first-ever entry
-			break
+	r.scan(0, func(e *SpanEntry) bool {
+		s := SpanSample{
+			Seq: e.Seq, Time: time.Unix(0, e.Unix),
+			TraceID: fmt.Sprintf("%016x", e.ID),
+			Flow:    e.Key.String(),
+			TotalNs: e.TotalNs,
 		}
-		e := &r.entries[seq&r.mask]
-		if !e.busy.CompareAndSwap(0, 1) {
-			continue
+		for h := 0; h < int(e.NHops); h++ {
+			hop := e.Hops[h]
+			s.Hops = append(s.Hops, SpanHop{
+				Router: hop.Router, InIf: hop.InIf, OutIf: hop.OutIf,
+				Worker: hop.Worker, Gates: hop.Gates,
+				Verdict: pkt.PathVerdictString(hop.Verdict),
+				QueueNs: hop.QueueNs, TotalNs: hop.TotalNs,
+			})
 		}
-		if e.committed && e.Seq == seq {
-			s := SpanSample{
-				Seq: e.Seq, Time: time.Unix(0, e.Unix),
-				TraceID: fmt.Sprintf("%016x", e.ID),
-				Flow:    e.Key.String(),
-				TotalNs: e.TotalNs,
-			}
-			for h := 0; h < int(e.NHops); h++ {
-				hop := e.Hops[h]
-				s.Hops = append(s.Hops, SpanHop{
-					Router: hop.Router, InIf: hop.InIf, OutIf: hop.OutIf,
-					Worker: hop.Worker, Gates: hop.Gates,
-					Verdict: pkt.PathVerdictString(hop.Verdict),
-					QueueNs: hop.QueueNs, TotalNs: hop.TotalNs,
-				})
-			}
-			out = append(out, s)
-		}
-		e.busy.Store(0)
-		if next-1-i == 0 {
-			break
-		}
-	}
+		out = append(out, s)
+		return len(out) < max
+	})
 	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
 	return out
 }

@@ -38,7 +38,7 @@ func (t *Telemetry) Snapshot() []MetricValue {
 		}
 		switch m.kind {
 		case KindCounter:
-			mv.Counter = m.c.Value()
+			mv.Counter = m.read()
 		case KindGauge:
 			mv.Gauge = m.g.Value()
 		case KindHistogram:
@@ -94,7 +94,7 @@ func (t *Telemetry) WritePrometheus(w io.Writer) error {
 		}
 		switch m.kind {
 		case KindCounter:
-			if _, err := fmt.Fprintf(w, "%s %d\n", m.full, m.c.Value()); err != nil {
+			if _, err := fmt.Fprintf(w, "%s %d\n", m.full, m.read()); err != nil {
 				return err
 			}
 		case KindGauge:

@@ -37,7 +37,9 @@ func (k Kind) String() string {
 }
 
 // metric is one registered metric: a family name, its label set, and
-// exactly one live cell.
+// exactly one live cell. A counter is exported through read: the
+// registry's own cell's Value, or a view over a cell its layer owns
+// (CounterFunc).
 type metric struct {
 	family string
 	labels []Label
@@ -45,9 +47,10 @@ type metric struct {
 	help   string
 	kind   Kind
 
-	c *Counter
-	g *Gauge
-	h *Histogram
+	c    *Counter
+	read func() uint64
+	g    *Gauge
+	h    *Histogram
 }
 
 // Telemetry is the metric registry plus the optional trace ring. All
@@ -92,17 +95,25 @@ func renderFull(family string, labels []Label) string {
 	return sb.String()
 }
 
-// register resolves or creates the metric for full name. Returns nil on
-// a kind clash (the name is already taken by a different metric type),
-// which degrades that call site to a no-op rather than corrupting the
-// export.
-func (t *Telemetry) register(family, help string, kind Kind, labels []Label) *metric {
+// noMetric is what register resolves to without a registry or on a
+// kind clash (the name is already taken by a different metric type):
+// its cells are nil, so that call site degrades to a no-op rather than
+// corrupting the export. Never written.
+var noMetric metric
+
+// register resolves or creates the metric for full name. A new counter
+// reads read, or a fresh registry cell when read is nil; the first
+// registration of a full name wins.
+func (t *Telemetry) register(family, help string, kind Kind, labels []Label, read func() uint64) *metric {
+	if t == nil {
+		return &noMetric
+	}
 	full := renderFull(family, labels)
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if m, ok := t.byFull[full]; ok {
 		if m.kind != kind {
-			return nil
+			return &noMetric
 		}
 		return m
 	}
@@ -112,7 +123,11 @@ func (t *Telemetry) register(family, help string, kind Kind, labels []Label) *me
 	}
 	switch kind {
 	case KindCounter:
-		m.c = &Counter{}
+		if read == nil {
+			m.c = &Counter{}
+			read = m.c.Value
+		}
+		m.read = read
 	case KindGauge:
 		m.g = &Gauge{}
 	case KindHistogram:
@@ -126,38 +141,27 @@ func (t *Telemetry) register(family, help string, kind Kind, labels []Label) *me
 // Counter registers (or finds) a counter. Nil-safe: a nil receiver
 // returns a nil *Counter, whose methods are no-ops.
 func (t *Telemetry) Counter(family, help string, labels ...Label) *Counter {
-	if t == nil {
-		return nil
-	}
-	m := t.register(family, help, KindCounter, labels)
-	if m == nil {
-		return nil
-	}
-	return m.c
+	return t.register(family, help, KindCounter, labels, nil).c
+}
+
+// CounterFunc registers a counter whose cell belongs to the caller:
+// Snapshot and /metrics call read at scrape time. A layer that already
+// counts an event for its own Stats exports that one cell this way
+// instead of recording the event twice, so the registry also sees
+// everything counted before it was attached. Nil-safe; a full name
+// already registered keeps its first reader.
+func (t *Telemetry) CounterFunc(family, help string, read func() uint64, labels ...Label) {
+	t.register(family, help, KindCounter, labels, read)
 }
 
 // Gauge registers (or finds) a gauge.
 func (t *Telemetry) Gauge(family, help string, labels ...Label) *Gauge {
-	if t == nil {
-		return nil
-	}
-	m := t.register(family, help, KindGauge, labels)
-	if m == nil {
-		return nil
-	}
-	return m.g
+	return t.register(family, help, KindGauge, labels, nil).g
 }
 
 // Histogram registers (or finds) a histogram.
 func (t *Telemetry) Histogram(family, help string, labels ...Label) *Histogram {
-	if t == nil {
-		return nil
-	}
-	m := t.register(family, help, KindHistogram, labels)
-	if m == nil {
-		return nil
-	}
-	return m.h
+	return t.register(family, help, KindHistogram, labels, nil).h
 }
 
 // EnableTrace installs a packet trace ring of the given size (rounded

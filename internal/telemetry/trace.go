@@ -24,15 +24,14 @@ type Hop struct {
 }
 
 // TraceEntry is one packet's path record. Entries live in the ring's
-// backing array and are claimed/released with a per-entry atomic
-// try-lock (busy): a writer that cannot claim a slot skips tracing that
-// packet instead of blocking, and a reader that cannot claim skips the
-// slot instead of tearing it — the data path never waits on telemetry.
+// backing array and are claimed and released through their slot
+// header's atomic try-lock: a writer that cannot claim a slot skips
+// tracing that packet instead of blocking, and a reader that cannot
+// claim skips the slot instead of tearing it — the data path never
+// waits on telemetry.
 type TraceEntry struct {
-	busy      atomic.Uint32
-	committed bool
+	slot
 
-	Seq         uint64
 	Start       int64 // unix nanoseconds at receive
 	Key         pkt.Key
 	Hops        [MaxHops]Hop
@@ -97,22 +96,16 @@ func (e *TraceEntry) Commit(verdict, dropReason string, outIf int32, totalNanos 
 	e.DropReason = dropReason
 	e.OutIf = outIf
 	e.TotalNanos = totalNanos
-	e.committed = true
-	e.busy.Store(0)
+	e.commit()
 }
 
 // TraceRing is the fixed per-packet trace buffer: writers claim slots
 // round-robin by sequence number; readers snapshot committed entries
-// newest first. All cross-goroutine access to an entry's plain fields
-// is bracketed by the entry's busy try-lock, so the ring is
-// race-detector clean without putting a mutex on the data path.
+// newest first.
 type TraceRing struct {
-	entries []TraceEntry
-	mask    uint64
-	seq     atomic.Uint64
-	pkts    atomic.Uint64
-	sample  uint64
-	skipped atomic.Uint64 // packets not traced because the slot was busy
+	ring[TraceEntry, *TraceEntry]
+	pkts   atomic.Uint64
+	sample uint64
 }
 
 // DefaultTraceSize is the ring size used when callers pass 0.
@@ -122,17 +115,12 @@ const DefaultTraceSize = 4096
 // two; 0 = DefaultTraceSize), tracing every sample-th packet (<=1 =
 // every packet).
 func NewTraceRing(size, sample int) *TraceRing {
-	if size <= 0 {
-		size = DefaultTraceSize
-	}
-	n := 1
-	for n < size {
-		n <<= 1
-	}
 	if sample < 1 {
 		sample = 1
 	}
-	return &TraceRing{entries: make([]TraceEntry, n), mask: uint64(n - 1), sample: uint64(sample)}
+	r := &TraceRing{sample: uint64(sample)}
+	r.allocate(size, DefaultTraceSize)
+	return r
 }
 
 // Acquire claims the next slot for writing, or returns nil when this
@@ -148,13 +136,10 @@ func (r *TraceRing) Acquire() *TraceEntry {
 	if r.sample > 1 && r.pkts.Add(1)%r.sample != 0 {
 		return nil
 	}
-	seq := r.seq.Add(1) - 1
-	e := &r.entries[seq&r.mask]
-	if !e.busy.CompareAndSwap(0, 1) {
-		r.skipped.Add(1)
+	e := r.claim()
+	if e == nil {
 		return nil
 	}
-	e.Seq = seq
 	e.Start = 0
 	e.Key = pkt.Key{}
 	e.NHops = 0
@@ -163,7 +148,6 @@ func (r *TraceRing) Acquire() *TraceEntry {
 	e.TotalNanos = 0
 	e.Verdict, e.DropReason = "", ""
 	e.OutIf = -1
-	e.committed = false
 	return e
 }
 
@@ -200,37 +184,22 @@ func (r *TraceRing) Snapshot(max int) []TraceSample {
 	if r == nil {
 		return nil
 	}
-	n := len(r.entries)
-	if max <= 0 || max > n {
-		max = n
+	if max <= 0 || max > len(r.entries) {
+		max = len(r.entries)
 	}
 	out := make([]TraceSample, 0, max)
-	next := r.seq.Load()
-	for i := uint64(0); i < uint64(n) && len(out) < max; i++ {
-		seq := next - 1 - i
-		if seq+1 == 0 { // wrapped past the first-ever entry
-			break
+	r.scan(0, func(e *TraceEntry) bool {
+		s := TraceSample{
+			Seq: e.Seq, Time: time.Unix(0, e.Start),
+			Flow:     e.Key.String(),
+			CacheHit: e.CacheHit, FirstPacket: e.FirstPacket,
+			Accesses: e.Accesses, FnPtr: e.FnPtr,
+			TotalNanos: e.TotalNanos, Verdict: e.Verdict,
+			DropReason: e.DropReason, OutIf: e.OutIf,
 		}
-		e := &r.entries[seq&r.mask]
-		if !e.busy.CompareAndSwap(0, 1) {
-			continue
-		}
-		if e.committed && e.Seq == seq {
-			s := TraceSample{
-				Seq: e.Seq, Time: time.Unix(0, e.Start),
-				Flow:     e.Key.String(),
-				CacheHit: e.CacheHit, FirstPacket: e.FirstPacket,
-				Accesses: e.Accesses, FnPtr: e.FnPtr,
-				TotalNanos: e.TotalNanos, Verdict: e.Verdict,
-				DropReason: e.DropReason, OutIf: e.OutIf,
-			}
-			s.Hops = append(s.Hops, e.Hops[:e.NHops]...)
-			out = append(out, s)
-		}
-		e.busy.Store(0)
-		if next-1-i == 0 {
-			break
-		}
-	}
+		s.Hops = append(s.Hops, e.Hops[:e.NHops]...)
+		out = append(out, s)
+		return len(out) < max
+	})
 	return out
 }
