@@ -42,7 +42,7 @@ func main() {
 	ctlAddr := flag.String("ctl", "127.0.0.1:4242", "control socket listen address")
 	nIfaces := flag.Int("ifaces", 2, "number of simulated interfaces")
 	bestEffort := flag.Bool("best-effort", false, "run the monolithic best-effort kernel (no plugins)")
-	bmpKind := flag.String("bmp", "bspl", "BMP algorithm: linear|patricia|bspl|cpe")
+	bmpKind := flag.String("bmp", "", "BMP algorithm for FIB and classifier: linear|patricia|bspl|cpe (empty: cpe FIB, bspl classifier)")
 	config := flag.String("config", "", "boot configuration script")
 	verify := flag.Bool("verify-checksums", true, "validate IPv4 header checksums")
 	routed := flag.Bool("routed", false, "run the distance-vector route daemon")

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -283,6 +284,64 @@ func TestInjectProcessOneZeroAlloc(t *testing.T) {
 				t.Fatalf("%d mbuf fallbacks: a packet was not returned to its pool", fb)
 			}
 		})
+	}
+}
+
+// recycleDriver is a wire driver that hands every transmitted packet
+// straight to its next owner: clearing the output interface stands in
+// for the reset the next Inject gives a recycled packet, so any read of
+// a packet after its handoff races with it.
+type recycleDriver struct{ sent atomic.Int64 }
+
+func (*recycleDriver) Start() {}
+func (*recycleDriver) Stop()  {}
+func (d *recycleDriver) TransmitWire(p *pkt.Packet) error {
+	p.OutIf = -1
+	d.sent.Add(1)
+	return nil
+}
+
+// TestProcessOneConcurrentDrain drives Inject → Poll → ProcessOne while
+// another goroutine drains the output interface, so packets are
+// transmitted and recycled by either goroutine. ProcessOne must not
+// read a packet it handed to the scheduler; under -race, a read of the
+// packet's output interface after the handoff is reported.
+func TestProcessOneConcurrentDrain(t *testing.T) {
+	r := newDRRRouter(t, nil, aiu.Config{BMPKind: bmp.KindBSPL})
+	drv := &recycleDriver{}
+	r.Interface(1).AttachDriver(drv)
+	in := r.Interface(0)
+	data := newFlowPacket(t, 1000).Data
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if r.TxDrain(1, 8) == 0 {
+				runtime.Gosched()
+			}
+		}
+	}()
+	const packets = 5000
+	for i := 0; i < packets; i++ {
+		if err := in.Inject(data); err != nil {
+			t.Fatal(err)
+		}
+		if p := in.Poll(); p == nil || !r.ProcessOne(p) {
+			t.Fatalf("packet %d dropped", i)
+		}
+	}
+	close(stop)
+	<-done
+	for r.TxDrain(1, 64) > 0 {
+	}
+	if n := drv.sent.Load(); n != packets {
+		t.Fatalf("transmitted %d of %d packets", n, packets)
 	}
 }
 

@@ -33,7 +33,7 @@ type FIBRow struct {
 	AllocsPerLookup float64
 	// IncUpdateNS is the mean cost of one single-route mutation batch
 	// (withdraw + re-announce pairs) on the full table — the
-	// incremental ApplyDelta path for PATRICIA/BSPL.
+	// incremental ApplyDelta path.
 	IncUpdateNS float64
 	// Rebuild is the cost of building the same table from scratch (the
 	// path every route flap paid before incremental updates).
@@ -47,8 +47,8 @@ type FIBRow struct {
 type FIBOptions struct {
 	// Sizes are the table sizes (default 10k, 100k, 1M).
 	Sizes []int
-	// Kinds are the BMP engines (default the incremental pair:
-	// patricia, bspl).
+	// Kinds are the BMP engines (default the incremental ones:
+	// patricia, bspl, cpe).
 	Kinds []string
 	// UpdateOps is how many single-route mutation batches are timed
 	// per point (default 200).
@@ -102,7 +102,7 @@ func RunFIB(opts FIBOptions) ([]FIBRow, error) {
 	}
 	kinds := opts.Kinds
 	if len(kinds) == 0 {
-		kinds = []string{"patricia", "bspl"}
+		kinds = []string{"patricia", "bspl", "cpe"}
 	}
 	updateOps := opts.UpdateOps
 	if updateOps <= 0 {

@@ -13,7 +13,7 @@ import (
 // TestFIBZeroAllocLookup is the always-on guard: a snapshot lookup on a
 // loaded table allocates nothing, for every incremental engine.
 func TestFIBZeroAllocLookup(t *testing.T) {
-	for _, kind := range []string{"patricia", "bspl"} {
+	for _, kind := range []string{"patricia", "bspl", "cpe"} {
 		rng := rand.New(rand.NewSource(7))
 		routes := genRoutes(rng, 10_000)
 		probes := fibProbes(rng, routes, 4096)
@@ -40,8 +40,8 @@ func TestFIBSweepSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 2 {
-		t.Fatalf("got %d rows, want 2", len(rows))
+	if len(rows) != 3 {
+		t.Fatalf("got %d rows, want 3", len(rows))
 	}
 	for _, r := range rows {
 		if r.LookupNS <= 0 || r.IncUpdateNS <= 0 || r.Rebuild <= 0 {

@@ -7,7 +7,10 @@
 // controlled prefix expansion [Srinivasan & Varghese, SIGMETRICS'98] as
 // the state of the art. All three are implemented here, plus a linear
 // scan that serves as the brute-force reference for property tests and as
-// the O(n) baseline in scaling benchmarks.
+// the O(n) baseline in scaling benchmarks. CPE, laid out as a
+// popcount-compressed trie read in at most four levels, is the routing
+// table's default; BSPL is the classifier's, whose many tiny tables
+// would each waste a CPE directory.
 //
 // Every implementation satisfies Table and threads a cycles.Counter so the
 // classifier can reproduce the paper's Table 2 memory-access accounting.
@@ -51,7 +54,7 @@ const (
 	KindCPE      Kind = "cpe"
 )
 
-// New constructs a table of the given kind. CPE uses its default stride.
+// New constructs a table of the given kind.
 func New(kind Kind) (Table, error) {
 	switch kind {
 	case KindLinear:
@@ -61,7 +64,7 @@ func New(kind Kind) (Table, error) {
 	case KindBSPL:
 		return NewBSPL(), nil
 	case KindCPE:
-		return NewCPE(8), nil
+		return NewCPE(), nil
 	default:
 		return nil, fmt.Errorf("bmp: unknown algorithm %q", kind)
 	}

@@ -9,9 +9,28 @@ import (
 	"github.com/routerplugins/eisr/internal/pkt"
 )
 
-// allTables builds one instance of every algorithm for cross-checking.
+// allTables builds one instance of every algorithm for cross-checking,
+// plus a CPE emptied by deletion, so each case also runs over a laid-out
+// directory, dead arenas and released values.
 func allTables() []Table {
-	return []Table{NewLinear(), NewPatricia(), NewBSPL(), NewCPE(8), NewCPE(4)}
+	return []Table{NewLinear(), NewPatricia(), NewBSPL(), NewCPE(), emptiedCPE()}
+}
+
+// emptiedCPE returns a CPE that held IPv4 and IPv6 prefixes, laid them
+// out, and had every one deleted again.
+func emptiedCPE() *CPE {
+	tab := NewCPE()
+	rng := rand.New(rand.NewSource(8))
+	ps := append(randomPrefixes(rng, 200, false), randomPrefixes(rng, 20, true)...)
+	for i, p := range ps {
+		tab.Insert(p, i)
+	}
+	tab.Lookup(pkt.MustParseAddr("10.0.0.1"), nil)
+	for _, p := range ps {
+		tab.Delete(p)
+	}
+	tab.Lookup(pkt.MustParseAddr("10.0.0.1"), nil)
+	return tab
 }
 
 func TestNewByKind(t *testing.T) {
@@ -168,7 +187,7 @@ func TestPropertyAllAlgorithmsAgree(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		v6 := trial%2 == 1
 		ref := NewLinear()
-		others := []Table{NewPatricia(), NewBSPL(), NewCPE(8), NewCPE(4)}
+		others := []Table{NewPatricia(), NewBSPL(), NewCPE()}
 		prefixes := randomPrefixes(rng, 80, v6)
 		// Add some deliberately nested prefixes to stress splits.
 		for i := 0; i+1 < len(prefixes); i += 7 {
@@ -275,7 +294,7 @@ func TestLinearAccessGrowsWithN(t *testing.T) {
 }
 
 func TestCPEAccessBound(t *testing.T) {
-	tab := NewCPE(8)
+	tab := NewCPE()
 	rng := rand.New(rand.NewSource(3))
 	for _, p := range randomPrefixes(rng, 5000, false) {
 		tab.Insert(p, 1)
@@ -316,7 +335,7 @@ func TestTableStress(t *testing.T) {
 	// Larger randomized churn against the reference, one run per algo.
 	rng := rand.New(rand.NewSource(55))
 	ref := NewLinear()
-	tabs := []Table{NewPatricia(), NewBSPL(), NewCPE(8)}
+	tabs := []Table{NewPatricia(), NewBSPL(), NewCPE()}
 	live := map[pkt.Prefix]bool{}
 	for op := 0; op < 3000; op++ {
 		if rng.Intn(3) != 0 || len(live) == 0 {
@@ -373,7 +392,7 @@ func BenchmarkLookup(b *testing.B) {
 		func() Table { return NewLinear() },
 		func() Table { return NewPatricia() },
 		func() Table { return NewBSPL() },
-		func() Table { return NewCPE(8) },
+		func() Table { return NewCPE() },
 	} {
 		tab := mk()
 		for i, p := range prefixes {

@@ -20,7 +20,7 @@ type Delta struct {
 func (d Delta) Empty() bool { return len(d.Adds) == 0 && len(d.Dels) == 0 }
 
 // Incremental is implemented by BMP engines that can apply a delta as a
-// copy-on-write derivation: ApplyDelta returns a table that shares all
+// copy-on-write derivation (PATRICIA, BSPL and CPE): ApplyDelta returns a table that shares all
 // untouched structure with the receiver, so update cost scales with the
 // affected prefix neighborhood rather than the table size.
 //
@@ -33,7 +33,8 @@ func (d Delta) Empty() bool { return len(d.Adds) == 0 && len(d.Dels) == 0 }
 //
 // ok=false means this delta cannot be applied incrementally (for BSPL:
 // the set of distinct prefix lengths would change, which invalidates
-// every marker's binary-search path); the caller falls back to a full
+// every marker's binary-search path; for BSPL and CPE: the receiver has
+// pending Insert/Delete mutations); the caller falls back to a full
 // rebuild. The receiver is untouched in that case.
 type Incremental interface {
 	Table

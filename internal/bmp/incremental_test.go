@@ -54,10 +54,10 @@ func assertEquiv(t *testing.T, step string, got Table, model map[pkt.Prefix]any,
 }
 
 // incrementalKinds are the engines that implement ApplyDelta.
-func incrementalKinds() []Kind { return []Kind{KindPatricia, KindBSPL} }
+func incrementalKinds() []Kind { return []Kind{KindPatricia, KindBSPL, KindCPE} }
 
 // primed returns a non-dirty incremental table over the model: BSPL
-// builds lazily on first lookup, so prime it the way the routing table
+// and CPE build lazily on first lookup, so prime them the way the routing table
 // does before publishing a snapshot.
 func primed(kind Kind, model map[pkt.Prefix]any) Incremental {
 	b := refModel(kind, model).(Incremental)
@@ -105,6 +105,15 @@ func TestIncrementalHandCases(t *testing.T) {
 			{del: true, p: "172.16.5.0/24"},
 			{p: "172.16.5.0/24", v: "b2"},
 		},
+		"ipv6-beside-ipv4": {
+			{p: "2001:db8::/32", v: "site"},
+			{p: "10.0.0.0/8", v: "eight"},
+			{p: "2001:db8:0:1::/64", v: "subnet"},
+			{p: "::/0", v: "d6"},
+			{del: true, p: "2001:db8::/32"},
+			{p: "2001:db8:0:1::42/128", v: "host"},
+			{del: true, p: "::/0"},
+		},
 		"withdraw-middle-of-chain": {
 			{p: "10.0.0.0/8", v: "l8"},
 			{p: "10.128.0.0/9", v: "l9"},
@@ -120,6 +129,8 @@ func TestIncrementalHandCases(t *testing.T) {
 		ip4(10, 128, 1, 1), ip4(10, 144, 0, 1), ip4(10, 192, 0, 1),
 		ip4(192, 168, 3, 4), ip4(172, 16, 5, 9), ip4(172, 16, 9, 9),
 		ip4(8, 8, 8, 8), ip4(0, 0, 0, 1),
+		pkt.MustParseAddr("2001:db8:0:1::42"), pkt.MustParseAddr("2001:db8:0:1::7"),
+		pkt.MustParseAddr("2001:db8:ff::1"), pkt.MustParseAddr("2002::1"),
 	}
 	for name, seq := range seqs {
 		for _, kind := range incrementalKinds() {
@@ -285,5 +296,62 @@ func TestIncrementalLengthSetFallback(t *testing.T) {
 	}
 	if v, _, found := n2.Lookup(ip4(10, 9, 9, 1), nil); !found || v != "c2" {
 		t.Fatalf("lookup after emptied-length re-add: (%v,%v)", v, found)
+	}
+}
+
+// TestCPEValuesBounded re-announces the same prefixes with a new metric
+// every round: each round kills every value the last one made, and the
+// value slice must stay bounded instead of growing with the rounds.
+func TestCPEValuesBounded(t *testing.T) {
+	type nextHop struct{ IfIndex, Metric int }
+	var ps []pkt.Prefix
+	for i := 0; i < 40; i++ {
+		ps = append(ps, pkt.PrefixFrom(pkt.AddrV4(uint32(10)<<24|uint32(i)<<12), 8+i%24))
+	}
+	model := map[pkt.Prefix]any{}
+	cur := primed(KindCPE, model)
+	for round := 0; round < 200; round++ {
+		var d Delta
+		for i, p := range ps {
+			v := nextHop{IfIndex: i % 3, Metric: round}
+			d.Adds = append(d.Adds, PrefixVal{Prefix: p, Val: v})
+			model[p] = v
+		}
+		nxt, ok := cur.ApplyDelta(d)
+		if !ok {
+			t.Fatalf("round %d: ApplyDelta fell back", round)
+		}
+		cur = nxt.(Incremental)
+		if n := len(cur.(*CPE).vals); n > 2*len(ps)+cpeMinDead {
+			t.Fatalf("round %d: %d values for %d prefixes", round, n, len(ps))
+		}
+	}
+	probes := make([]pkt.Addr, 0, len(ps))
+	for _, p := range ps {
+		probes = append(probes, p.Addr)
+	}
+	assertEquiv(t, "after churn", cur, model, probes)
+}
+
+// TestCPEDefaultOnlyNoDirectory pins the memory rule: a table holding
+// only a default route allocates no directory, pool or values.
+func TestCPEDefaultOnlyNoDirectory(t *testing.T) {
+	tab := NewCPE()
+	tab.Insert(mustPrefix(t, "0.0.0.0/0"), "default")
+	if v, p, ok := tab.Lookup(ip4(192, 0, 2, 1), nil); !ok || v != "default" || p != (pkt.Prefix{}) {
+		t.Fatalf("default lookup = (%v,%v,%v)", v, p, ok)
+	}
+	if tab.dir != nil || tab.pool != nil || tab.vals != nil {
+		t.Fatalf("default-only table allocated dir=%d pool=%d vals=%d", len(tab.dir), len(tab.pool), len(tab.vals))
+	}
+	// A longer prefix brings the directory; withdrawing it drops it.
+	p := mustPrefix(t, "10.0.0.0/8")
+	nxt, _ := tab.ApplyDelta(Delta{Adds: []PrefixVal{{Prefix: p, Val: "ten"}}})
+	if nxt.(*CPE).dir == nil {
+		t.Fatal("no directory after adding a /8")
+	}
+	nxt, _ = nxt.(Incremental).ApplyDelta(Delta{Dels: []pkt.Prefix{p}})
+	if c := nxt.(*CPE); c.dir != nil || c.pool != nil {
+		t.Fatal("directory kept after the last prefix longer than /0 went")
 	}
 }

@@ -455,6 +455,17 @@ func (r *Router) dropped() uint64 {
 //
 //eisr:fastpath
 func (r *Router) Forward(p *pkt.Packet) bool {
+	ok, _ := r.forward(p)
+	return ok
+}
+
+// forward is Forward that also returns the output interface the packet
+// was routed to, or -1 when it was not routed. The interface is taken
+// from the walk, not from the packet: once the packet is handed to an
+// output stage, a concurrent drainer may already have recycled it.
+//
+//eisr:fastpath
+func (r *Router) forward(p *pkt.Packet) (bool, int32) {
 	st := r.state.Load()
 	if r.mode == ModeBestEffort {
 		return r.forwardMono(p, st)
@@ -462,31 +473,36 @@ func (r *Router) Forward(p *pkt.Packet) bool {
 	var lane [1]aiu.Lane
 	var state [1]laneState
 	lane[0].P = p
-	return r.walk(&vec{lanes: lane[:], state: state[:]}, st, nil) == 1
+	ok := r.walk(&vec{lanes: lane[:], state: state[:]}, st, nil) == 1
+	if !state[0].routed {
+		return ok, -1
+	}
+	return ok, state[0].outIf
 }
 
 // forwardMono is the unmodified best-effort kernel: a chain of direct
-// ("hardwired") function calls.
+// ("hardwired") function calls. It returns forward's results.
 //
 //eisr:fastpath
-func (r *Router) forwardMono(p *pkt.Packet, st *ifaceState) bool {
+func (r *Router) forwardMono(p *pkt.Packet, st *ifaceState) (bool, int32) {
 	if !r.validate(p) {
-		return false
+		return false, -1
 	}
 	if cont, ok := r.route(p, st, r.Counter); !cont {
-		return ok
+		return ok, -1
 	}
+	out := p.OutIf
 	if r.cfg.MonoSched != nil {
 		if err := r.cfg.MonoSched.Enqueue(p); err != nil {
 			r.stats.drops[dropQueue].Add(1)
 			p.ReleaseBuf()
-			return false
+			return false, out
 		}
 		r.stats.schedEnq.Add(1)
 		r.stats.forwarded.Add(1)
-		return true
+		return true, out
 	}
-	return r.enqueueFIFO(p, st)
+	return r.enqueueFIFO(p, st), out
 }
 
 // route is the forwarding decision, made once per packet: local
@@ -821,16 +837,17 @@ func (r *Router) transmit(p *pkt.Packet, st *ifaceState) {
 // ProcessOne runs a single received packet through the complete
 // forward-and-transmit cycle — the measurement path of §7.3, where the
 // packet is timestamped on receive and the cycle counter is read just
-// before it is handed back to the hardware. It reads the packet's output
-// interface after Forward handed the packet on, which is sound only
-// because the caller drives receive and transmit on one goroutine:
-// nothing can drain and recycle the packet before this read.
+// before it is handed back to the hardware. It drains the output
+// interface the walk routed the packet to, never reading the packet
+// after handing it on, so another goroutine may drain the same
+// interface concurrently.
 func (r *Router) ProcessOne(p *pkt.Packet) bool {
-	if !r.Forward(p) {
+	ok, out := r.forward(p)
+	if !ok {
 		return false
 	}
-	if p.OutIf >= 0 {
-		r.TxDrain(p.OutIf, 4)
+	if out >= 0 {
+		r.TxDrain(out, 4)
 	}
 	return true
 }

@@ -50,10 +50,11 @@ const DefaultBatchSize = 32
 // laneState is the walk's own per-packet state, indexed like the lookup
 // lanes.
 type laneState struct {
-	routed   bool // forwarding decision made
-	degraded bool // faulted at the current gate under the forward policy
-	ran      bool // dispatched at the current gate as part of a run
-	taken    bool // ... and the run's handler took the packet
+	routed   bool  // forwarding decision made
+	outIf    int32 // ... and its output interface
+	degraded bool  // faulted at the current gate under the forward policy
+	ran      bool  // dispatched at the current gate as part of a run
+	taken    bool  // ... and the run's handler took the packet
 
 	tr *laneTrace // trace hook state; nil unless the packet is traced
 }
@@ -134,7 +135,7 @@ func (b *Batcher) ForwardBatch(ps []*pkt.Packet) int {
 		case p == nil:
 		case r.mode == ModeBestEffort:
 			// The best-effort kernel has no gates to walk.
-			if r.forwardMono(p, st) {
+			if ok, _ := r.forwardMono(p, st); ok {
 				total++
 			}
 		default:
@@ -337,7 +338,7 @@ func (r *Router) laneRoute(w *vec, i int, st *ifaceState) bool {
 		r.laneDone(w, i, ok)
 		return false
 	}
-	w.state[i].routed = true
+	w.state[i].routed, w.state[i].outIf = true, l.P.OutIf
 	return true
 }
 

@@ -11,6 +11,7 @@
 package pkt
 
 import (
+	"encoding/binary"
 	"fmt"
 	"net/netip"
 )
@@ -136,25 +137,26 @@ func (a Addr) Bit(i int) byte {
 }
 
 // Truncate zeroes all bits past the first n, yielding the canonical form
-// of an n-bit prefix of the address.
+// of an n-bit prefix of the address. It masks the address as two 64-bit
+// words, not byte by byte: BSPL truncates once per hash probe.
 func (a Addr) Truncate(n int) Addr {
-	if n < 0 {
-		n = 0
-	}
 	if n >= a.BitLen() {
 		return a
 	}
-	out := a
-	byteIdx := n >> 3
-	bitIdx := uint(n & 7)
-	if bitIdx != 0 {
-		out.b[byteIdx] &= byte(0xff << (8 - bitIdx))
-		byteIdx++
+	hi := binary.BigEndian.Uint64(a.b[:8])
+	lo := binary.BigEndian.Uint64(a.b[8:])
+	switch {
+	case n <= 0:
+		hi, lo = 0, 0
+	case n < 64:
+		hi &^= ^uint64(0) >> uint(n)
+		lo = 0
+	default:
+		lo &^= ^uint64(0) >> uint(n-64)
 	}
-	for i := byteIdx; i < len(out.b); i++ {
-		out.b[i] = 0
-	}
-	return out
+	binary.BigEndian.PutUint64(a.b[:8], hi)
+	binary.BigEndian.PutUint64(a.b[8:], lo)
+	return a
 }
 
 // CommonPrefixLen returns the number of leading bits a and b share. Both

@@ -93,6 +93,54 @@ func TestTruncate(t *testing.T) {
 	}
 }
 
+// truncateBytes is the byte-at-a-time reference Truncate is checked
+// against: keep the first n bits, clear every later bit of all 16 bytes.
+func truncateBytes(a Addr, n int) Addr {
+	for i := range a.b {
+		switch {
+		case 8*i+8 <= n:
+		case 8*i >= n:
+			a.b[i] = 0
+		default:
+			a.b[i] &= byte(0xff << (8 - uint(n-8*i)))
+		}
+	}
+	return a
+}
+
+func TestTruncateEveryLength(t *testing.T) {
+	for _, s := range []string{"255.255.255.255", "129.132.66.201", "ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff", "2001:db8:aaaa:5555:1234:5678:9abc:def0"} {
+		a := MustParseAddr(s)
+		for n := 0; n <= a.BitLen(); n++ {
+			want := truncateBytes(a, n)
+			if got := a.Truncate(n); got != want {
+				t.Errorf("%s.Truncate(%d) = %s, want %s", s, n, got, want)
+			}
+			if got := PrefixFrom(a, n); got != (Prefix{Addr: want, Len: n}) {
+				t.Errorf("PrefixFrom(%s, %d) = %s, want %s/%d", s, n, got, want, n)
+			}
+		}
+	}
+}
+
+var wordSink uint32
+
+// The benchmarks consume the result the way BSPL's probe does: the
+// IPv4 word feeds the hash.
+func BenchmarkTruncate(b *testing.B) {
+	a := MustParseAddr("129.132.66.201")
+	for i := 0; i < b.N; i++ {
+		wordSink += a.Truncate(i & 31).V4Uint()
+	}
+}
+
+func BenchmarkPrefixFrom(b *testing.B) {
+	a := MustParseAddr("129.132.66.201")
+	for i := 0; i < b.N; i++ {
+		wordSink += PrefixFrom(a, i&31).Addr.V4Uint()
+	}
+}
+
 func TestCommonPrefixLen(t *testing.T) {
 	a := MustParseAddr("128.252.153.1")
 	b := MustParseAddr("128.252.153.7")

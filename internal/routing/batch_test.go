@@ -16,8 +16,8 @@ func ip4(a, b, c, d byte) pkt.Addr {
 
 // TestApplyBatchKindsAgree churns randomized batches through one table
 // per BMP kind and checks that every kind answers every probe
-// identically — the incremental engines (patricia, bspl) against the
-// rebuild-only ones (linear, cpe).
+// identically — the incremental engines (patricia, bspl, cpe) against
+// the rebuild-only one (linear).
 func TestApplyBatchKindsAgree(t *testing.T) {
 	kinds := []bmp.Kind{bmp.KindLinear, bmp.KindPatricia, bmp.KindBSPL, bmp.KindCPE}
 	tabs := make([]*Table, len(kinds))
@@ -115,7 +115,7 @@ func TestApplyBatchSinglePublish(t *testing.T) {
 // invariants that hold across generations: a hit must return one of the
 // values ever installed for a covering prefix.
 func TestConcurrentLookupDuringBatches(t *testing.T) {
-	for _, kind := range []bmp.Kind{bmp.KindPatricia, bmp.KindBSPL} {
+	for _, kind := range []bmp.Kind{bmp.KindPatricia, bmp.KindBSPL, bmp.KindCPE} {
 		t.Run(string(kind), func(t *testing.T) {
 			tb, err := New(kind)
 			if err != nil {
@@ -190,7 +190,7 @@ var sinkNH NextHop
 // populated table — the number the fib bench's incremental-vs-rebuild
 // comparison tracks.
 func BenchmarkApplyBatchIncremental(b *testing.B) {
-	for _, kind := range []bmp.Kind{bmp.KindPatricia, bmp.KindBSPL} {
+	for _, kind := range []bmp.Kind{bmp.KindPatricia, bmp.KindBSPL, bmp.KindCPE} {
 		b.Run(string(kind), func(b *testing.B) {
 			tb, err := New(kind)
 			if err != nil {

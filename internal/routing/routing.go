@@ -52,11 +52,10 @@ type Route struct {
 // core's hit path; copy-on-write moves the entire cost to route churn,
 // which is control-path by definition.
 //
-// Engines that implement bmp.Incremental (PATRICIA, BSPL) derive each
-// generation from the published one via ApplyDelta, copying only the
-// structure the batch touches; the others (linear, CPE) rebuild from
-// the route list. Either way exactly one snapshot is published per
-// mutation batch.
+// Engines that implement bmp.Incremental (PATRICIA, BSPL, CPE) derive
+// each generation from the published one via ApplyDelta, copying only
+// the structure the batch touches; linear rebuilds from the route list.
+// Either way exactly one snapshot is published per mutation batch.
 type Table struct {
 	mu   sync.Mutex // serializes mutators
 	kind bmp.Kind
@@ -70,10 +69,11 @@ type tableSnap struct {
 	bmp bmp.Table
 }
 
-// New builds a table on the given BMP algorithm ("" = BSPL).
+// New builds a table on the given BMP algorithm ("" = CPE, whose
+// lookup reads at most four levels).
 func New(kind bmp.Kind) (*Table, error) {
 	if kind == "" {
-		kind = bmp.KindBSPL
+		kind = bmp.KindCPE
 	}
 	// Validate the kind and publish an empty structure.
 	b, err := bmp.New(kind)

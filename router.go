@@ -66,7 +66,9 @@ type Options struct {
 	// paper's four gates.
 	Gates []pcu.Type
 	// BMP selects the longest-prefix-match engine for classifier and
-	// routing ("linear", "patricia", "bspl", "cpe"; default bspl).
+	// routing ("linear", "patricia", "bspl", "cpe"). Empty gives the
+	// FIB cpe and the classifier bspl: classifier tables are many and
+	// tiny, and a CPE directory each would waste memory.
 	BMP string
 	// FlowBuckets / MaxFlows size the AIU flow cache.
 	FlowBuckets int
@@ -176,9 +178,6 @@ func New(opts Options) (*Router, error) {
 		mode = ipcore.ModePlugin
 	}
 	kind := bmp.Kind(opts.BMP)
-	if kind == "" {
-		kind = bmp.KindBSPL
-	}
 	routes, err := routing.New(kind)
 	if err != nil {
 		return nil, err
