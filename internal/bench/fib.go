@@ -354,8 +354,8 @@ func RunFIBChurn(opts FIBChurnOptions) (FIBChurnResult, error) {
 
 	sendRange := func(from, to int) error {
 		for i := from; i < to; i++ {
-			for int64(i)-received.Load() >= int64(opts.Window) {
-				time.Sleep(50 * time.Microsecond)
+			if err := awaitWindow(int64(i), received.Load, int64(opts.Window), windowStall); err != nil {
+				return err
 			}
 			data, err := wireDatagram(uint32(i))
 			if err != nil {
@@ -449,6 +449,27 @@ func RunFIBChurn(opts FIBChurnOptions) (FIBChurnResult, error) {
 		res.ConvergeMax = time.Duration(convMax)
 	}
 	return res, nil
+}
+
+// windowStall bounds how long a full send window may go without one
+// delivery. Past it a datagram was lost in a kernel socket buffer, and
+// the window would never reopen.
+const windowStall = 2 * time.Second
+
+// awaitWindow blocks while sent-received fills the window. It fails,
+// naming sent and received, once received has not moved for stall.
+func awaitWindow(sent int64, received func() int64, window int64, stall time.Duration) error {
+	last, moved := received(), time.Now()
+	for sent-last >= window {
+		if time.Since(moved) > stall {
+			return fmt.Errorf("fib-churn: no delivery for %v with the window full: sent %d, received %d", stall, sent, last)
+		}
+		time.Sleep(50 * time.Microsecond)
+		if r := received(); r != last {
+			last, moved = r, time.Now()
+		}
+	}
+	return nil
 }
 
 // buildFIBWirePair assembles the churn topology: router A carries the

@@ -3,6 +3,8 @@ package bench
 import (
 	"math/rand"
 	"os"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -79,6 +81,30 @@ func TestFIBChurnSmall(t *testing.T) {
 		t.Fatalf("churn did not run: %+v", res)
 	}
 	t.Logf("\n%s", FIBChurnTable(res))
+}
+
+// TestAwaitWindow: the churn sender's window wait returns once a
+// delivery reopens the window, and fails, naming sent and received,
+// when deliveries stop with the window full.
+func TestAwaitWindow(t *testing.T) {
+	var n atomic.Int64
+	go func() {
+		time.Sleep(5 * time.Millisecond)
+		n.Store(7)
+	}()
+	if err := awaitWindow(10, n.Load, 4, time.Second); err != nil {
+		t.Fatalf("window reopened by a delivery: %v", err)
+	}
+
+	stalled := func() int64 { return 5 }
+	start := time.Now()
+	err := awaitWindow(10, stalled, 4, 20*time.Millisecond)
+	if err == nil || !strings.Contains(err.Error(), "sent 10, received 5") {
+		t.Fatalf("stalled deliveries: err %v, want one naming sent 10, received 5", err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("stall reported after %v, want about 20ms", d)
+	}
 }
 
 // TestBenchSmokeFIBScale is the bench-smoke guard (EISR_BENCH_SMOKE=1):

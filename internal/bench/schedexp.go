@@ -27,7 +27,7 @@ func RunDRRShare(weights []float64, pktSize, pktsPerFlow int, linkBps float64, s
 	d := sched.NewDRR(1500, pktsPerFlow+1)
 	queues := make([]*sched.DRRQueue, len(weights))
 	for i, w := range weights {
-		queues[i] = d.NewQueue(fmt.Sprintf("flow%d(w=%g)", i, w), w)
+		queues[i] = d.NewQueue(w)
 		for j := 0; j < pktsPerFlow; j++ {
 			d.EnqueueFlow(queues[i], &pkt.Packet{Data: make([]byte, pktSize)})
 		}
@@ -47,7 +47,7 @@ func RunDRRShare(weights []float64, pktSize, pktsPerFlow int, linkBps float64, s
 	rows := make([]DRRShareRow, len(queues))
 	for i, q := range queues {
 		rows[i] = DRRShareRow{
-			Label: q.Label, Weight: q.Weight, ServedBytes: q.Served,
+			Label: fmt.Sprintf("flow%d(w=%g)", i, q.Weight), Weight: q.Weight, ServedBytes: q.Served,
 			Share:     float64(q.Served) / float64(total),
 			FairShare: q.Weight / wsum,
 		}
@@ -164,7 +164,7 @@ func RunSchedOverhead(pkts int) []SchedOverheadRow {
 	drr := sched.NewDRR(1500, 128)
 	dq := [3]*sched.DRRQueue{}
 	for i := range dq {
-		dq[i] = drr.NewQueue(fmt.Sprintf("f%d", i), 1)
+		dq[i] = drr.NewQueue(1)
 	}
 	i := 0
 	rows = append(rows, SchedOverheadRow{"DRR plugin (per-flow queues)", timeSched(pkts, mk(), func(p *pkt.Packet) error {

@@ -190,7 +190,7 @@ func runDRRScale(n, ops int) SchedScaleRow {
 	before := heapInUse()
 	qs := make([]*sched.DRRQueue, n)
 	for i := range qs {
-		qs[i] = d.NewQueue("", 1)
+		qs[i] = d.NewQueue(1)
 	}
 	perQueue := (float64(heapInUse()) - float64(before)) / float64(n)
 	enq, deq, allocs := scaleSteady(n, ops, func(f int, p *pkt.Packet) error {

@@ -80,15 +80,10 @@ func TestREDRejectionsArePluginDrops(t *testing.T) {
 // core then drops each rejected packet exactly once and never touches a
 // queued one until it is transmitted.
 func TestHandleBatchContract(t *testing.T) {
-	for _, plugin := range []string{"drr", "eiffel"} {
+	for _, plugin := range schedPlugins {
 		t.Run(plugin, func(t *testing.T) {
 			rg := newRig(t)
-			if err := rg.reg.Load(NewDRRPlugin(rg.env)); err != nil {
-				t.Fatal(err)
-			}
-			if err := rg.reg.Load(NewEiffelPlugin(rg.env)); err != nil {
-				t.Fatal(err)
-			}
+			rg.loadSched(t)
 			inst := rg.create(t, plugin, map[string]string{"iface": "1", "qlen": "4"})
 			rg.bind(t, plugin, inst, map[string]string{"filter": "*, *, *, *, *, *"})
 			bh := inst.(pcu.BatchHandler)

@@ -67,51 +67,36 @@ func ParseCurve(s string) (sched.Curve, error) {
 func (h *HFSCPlugin) Callback(msg *pcu.Message) error {
 	switch msg.Kind {
 	case pcu.MsgCreateInstance:
-		ifIdx, err := argIf(msg)
-		if err != nil {
-			return err
-		}
-		rate, err := argFloat(msg, "rate", 0)
-		if err != nil {
-			return err
-		}
-		if rate <= 0 {
-			return fmt.Errorf("plugins: hfsc create-instance requires rate=BYTES/S")
-		}
-		inst := &HFSCInstance{
-			name: h.namer.next(), env: h.env, ifIdx: ifIdx,
-			hfsc: sched.NewHFSC(rate), classes: make(map[string]*sched.Class),
-			epoch: h.env.now(),
-		}
-		inst.hfsc.Tel = h.env.Tel.SchedMetrics("hfsc", inst.name)
-		if slot, ok := h.env.AIU.Slot(pcu.TypeSched); ok {
-			inst.slot = slot
-		} else {
-			return fmt.Errorf("plugins: AIU has no scheduling gate")
-		}
-		// A default best-effort class catches unbound flows.
-		ls := sched.LinearCurve(rate / 10)
-		def, err := inst.hfsc.AddClass("default", nil, nil, &ls, nil, nil)
-		if err != nil {
-			return err
-		}
-		inst.classes["default"] = def
-		inst.def = def
-		if h.env.Router != nil {
-			h.env.Router.RegisterDrainer(ifIdx, inst)
-		}
-		msg.Reply = inst
-		return nil
+		return createSched(h.env, msg, func(ifIdx int32) (schedInstance, error) {
+			rate, err := argFloat(msg, "rate", 0)
+			if err != nil {
+				return nil, err
+			}
+			if rate <= 0 {
+				return nil, fmt.Errorf("plugins: hfsc create-instance requires rate=BYTES/S")
+			}
+			slot, err := schedSlot(h.env)
+			if err != nil {
+				return nil, err
+			}
+			inst := &HFSCInstance{
+				outIf: outIf{ifIdx}, name: h.namer.next(), env: h.env, slot: slot,
+				hfsc: sched.NewHFSC(rate), classes: make(map[string]*sched.Class),
+				epoch: h.env.now(),
+			}
+			inst.hfsc.Tel = h.env.Tel.SchedMetrics("hfsc", inst.name)
+			// A default best-effort class catches unbound flows.
+			ls := sched.LinearCurve(rate / 10)
+			def, err := inst.hfsc.AddClass("default", nil, nil, &ls, nil, nil)
+			if err != nil {
+				return nil, err
+			}
+			inst.classes["default"] = def
+			inst.def = def
+			return inst, nil
+		})
 	case pcu.MsgFreeInstance:
-		inst, ok := msg.Instance.(*HFSCInstance)
-		if !ok {
-			return fmt.Errorf("plugins: not an HFSC instance")
-		}
-		if h.env.Router != nil {
-			h.env.Router.UnregisterDrainer(inst.ifIdx, inst)
-		}
-		h.env.AIU.UnbindInstance(inst)
-		return nil
+		return freeSched[*HFSCInstance](h.env, msg)
 	case pcu.MsgRegisterInstance:
 		inst, ok := msg.Instance.(*HFSCInstance)
 		if !ok {
@@ -144,9 +129,9 @@ func (h *HFSCPlugin) Callback(msg *pcu.Message) error {
 
 // HFSCInstance is one interface's H-FSC hierarchy.
 type HFSCInstance struct {
+	outIf
 	name  string
 	env   *Env
-	ifIdx int32
 	slot  int
 	epoch time.Time
 

@@ -91,6 +91,64 @@ func deregister(env *Env, gate pcu.Type, msg *pcu.Message) error {
 	return env.AIU.Unbind(rec)
 }
 
+// schedInstance is an instance at the scheduling gate: it owns the
+// output queue of one interface.
+type schedInstance interface {
+	pcu.Instance
+	ipcore.Drainer
+	IfIndex() int32
+}
+
+// outIf is the interface a scheduling instance drains; every
+// scheduling instance embeds it.
+type outIf struct{ ifIdx int32 }
+
+// IfIndex reports the interface this instance schedules.
+func (o outIf) IfIndex() int32 { return o.ifIdx }
+
+// createSched performs the common create-instance handling of a
+// scheduling plugin: parse iface=, build the instance for that
+// interface, and register it as the interface's drainer.
+func createSched(env *Env, msg *pcu.Message, build func(ifIdx int32) (schedInstance, error)) error {
+	ifIdx, err := argIf(msg)
+	if err != nil {
+		return err
+	}
+	inst, err := build(ifIdx)
+	if err != nil {
+		return err
+	}
+	if env.Router != nil {
+		env.Router.RegisterDrainer(ifIdx, inst)
+	}
+	msg.Reply = inst
+	return nil
+}
+
+// freeSched performs the common free-instance handling of a scheduling
+// plugin whose instances are of type I: unregister the drainer and
+// unbind the instance's filters. Another plugin's instance is refused.
+func freeSched[I schedInstance](env *Env, msg *pcu.Message) error {
+	inst, ok := msg.Instance.(I)
+	if !ok {
+		return fmt.Errorf("plugins: cannot free %T here", msg.Instance)
+	}
+	if env.Router != nil {
+		env.Router.UnregisterDrainer(inst.IfIndex(), inst)
+	}
+	env.AIU.UnbindInstance(inst)
+	return nil
+}
+
+// schedSlot is the scheduling gate's soft-state slot in a flow record.
+func schedSlot(env *Env) (int, error) {
+	slot, ok := env.AIU.Slot(pcu.TypeSched)
+	if !ok {
+		return 0, fmt.Errorf("plugins: AIU has no scheduling gate")
+	}
+	return slot, nil
+}
+
 func argFloat(msg *pcu.Message, key string, def float64) (float64, error) {
 	s, ok := msg.Args[key]
 	if !ok {

@@ -1,6 +1,7 @@
 package plugins
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -11,6 +12,7 @@ import (
 	"github.com/routerplugins/eisr/internal/pcu"
 	"github.com/routerplugins/eisr/internal/pkt"
 	"github.com/routerplugins/eisr/internal/routing"
+	"github.com/routerplugins/eisr/internal/telemetry"
 )
 
 // rig wires a full plugin-mode router with a PCU.
@@ -85,65 +87,139 @@ func udp(t *testing.T, src string, sport uint16, size int) *pkt.Packet {
 	return p
 }
 
-func TestDRRPluginEndToEnd(t *testing.T) {
-	rg := newRig(t)
-	if err := rg.reg.Load(NewDRRPlugin(rg.env)); err != nil {
+// schedPlugins are the per-flow scheduling plugins: each table test
+// below runs once per plugin and reaches the instance only through PCU
+// messages and the ipcore.Drainer interface.
+var schedPlugins = []string{"drr", "eiffel"}
+
+// loadSched loads both per-flow scheduling plugins into the rig.
+func (rg *rig) loadSched(t *testing.T) {
+	t.Helper()
+	for _, pl := range []pcu.Plugin{NewDRRPlugin(rg.env), NewEiffelPlugin(rg.env)} {
+		if err := rg.reg.Load(pl); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// shares sends the "stats" message and returns the per-flow snapshot.
+func (rg *rig) shares(t *testing.T, plugin string, inst pcu.Instance) []FlowShare {
+	t.Helper()
+	msg := &pcu.Message{Kind: pcu.MsgCustom, Verb: "stats", Instance: inst}
+	if err := rg.reg.Send(plugin, msg); err != nil {
 		t.Fatal(err)
 	}
-	inst := rg.create(t, "drr", map[string]string{"iface": "1", "quantum": "1500"})
-	drr := inst.(*DRRInstance)
-	// Reserved flow gets weight 3; everything else weight 1.
-	rg.bind(t, "drr", inst, map[string]string{
-		"filter": "10.0.0.1, *, UDP, 111, *, *", "weight": "3",
-	})
-	rg.bind(t, "drr", inst, map[string]string{"filter": "*, *, *, *, *, *"})
+	return msg.Reply.([]FlowShare)
+}
 
-	// Backlog two flows without draining.
-	for i := 0; i < 60; i++ {
-		if !rg.r.Forward(udp(t, "10.0.0.1", 111, 500)) {
-			t.Fatal("forward reserved failed")
-		}
-		if !rg.r.Forward(udp(t, "10.0.0.2", 222, 500)) {
-			t.Fatal("forward best-effort failed")
-		}
-	}
-	if drr.Backlog() != 120 {
-		t.Fatalf("backlog = %d", drr.Backlog())
-	}
-	// Serve 60 packets; reserved flow should get ~3x the service.
-	for i := 0; i < 60; i++ {
-		rg.r.TxDrain(1, 1)
-	}
-	var reserved, best uint64
-	for _, s := range drr.Shares() {
-		if s.Weight == 3 {
-			reserved = s.Served
-		} else {
-			best = s.Served
-		}
-	}
-	if reserved == 0 || best == 0 {
-		t.Fatalf("shares: reserved=%d best=%d", reserved, best)
-	}
-	ratio := float64(reserved) / float64(best)
-	if ratio < 2.4 || ratio > 3.6 {
-		t.Errorf("weighted share ratio = %.2f want ~3", ratio)
+func TestDRRPluginEndToEnd(t *testing.T) {
+	for _, plugin := range schedPlugins {
+		t.Run(plugin, func(t *testing.T) {
+			rg := newRig(t)
+			rg.loadSched(t)
+			inst := rg.create(t, plugin, map[string]string{"iface": "1", "quantum": "1500"})
+			drainer := inst.(ipcore.Drainer)
+			// Reserved flow gets weight 3; everything else weight 1.
+			rg.bind(t, plugin, inst, map[string]string{
+				"filter": "10.0.0.1, *, UDP, 111, *, *", "weight": "3",
+			})
+			rg.bind(t, plugin, inst, map[string]string{"filter": "*, *, *, *, *, *"})
+
+			// Backlog two flows without draining.
+			for i := 0; i < 60; i++ {
+				if !rg.r.Forward(udp(t, "10.0.0.1", 111, 500)) {
+					t.Fatal("forward reserved failed")
+				}
+				if !rg.r.Forward(udp(t, "10.0.0.2", 222, 500)) {
+					t.Fatal("forward best-effort failed")
+				}
+			}
+			if drainer.Backlog() != 120 {
+				t.Fatalf("backlog = %d", drainer.Backlog())
+			}
+			// Serve 60 packets; reserved flow should get ~3x the service.
+			for i := 0; i < 60; i++ {
+				rg.r.TxDrain(1, 1)
+			}
+			if drainer.Backlog() != 60 {
+				t.Fatalf("backlog after 60 served = %d", drainer.Backlog())
+			}
+			var reserved, best uint64
+			for _, s := range rg.shares(t, plugin, inst) {
+				if s.Weight == 3 {
+					reserved = s.Served
+				} else {
+					best = s.Served
+				}
+			}
+			if reserved == 0 || best == 0 {
+				t.Fatalf("shares: reserved=%d best=%d", reserved, best)
+			}
+			ratio := float64(reserved) / float64(best)
+			if ratio < 2.4 || ratio > 3.6 {
+				t.Errorf("weighted share ratio = %.2f want ~3", ratio)
+			}
+		})
 	}
 }
 
 func TestDRRPluginFlowEviction(t *testing.T) {
-	rg := newRig(t)
-	rg.reg.Load(NewDRRPlugin(rg.env))
-	inst := rg.create(t, "drr", map[string]string{"iface": "1"}).(*DRRInstance)
-	rg.bind(t, "drr", inst, map[string]string{"filter": "*, *, *, *, *, *"})
-	rg.r.Forward(udp(t, "10.0.0.1", 1, 100))
-	if got := len(inst.Scheduler().Queues()); got != 1 {
-		t.Fatalf("queues = %d", got)
+	for _, plugin := range schedPlugins {
+		t.Run(plugin, func(t *testing.T) {
+			rg := newRig(t)
+			rg.loadSched(t)
+			inst := rg.create(t, plugin, map[string]string{"iface": "1"})
+			rg.bind(t, plugin, inst, map[string]string{"filter": "*, *, *, *, *, *"})
+			rg.r.Forward(udp(t, "10.0.0.1", 1, 100))
+			rg.r.Forward(udp(t, "10.0.0.1", 1, 100))
+			if got := len(rg.shares(t, plugin, inst)); got != 1 {
+				t.Fatalf("queues = %d", got)
+			}
+			// Evict the flow: its queue, and the two packets it still
+			// holds, must be reclaimed.
+			rg.a.FlowTable().FlushWhere(func(*aiu.FlowRecord) bool { return true })
+			if got := len(rg.shares(t, plugin, inst)); got != 0 {
+				t.Errorf("queues after eviction = %d", got)
+			}
+			if got := inst.(ipcore.Drainer).Backlog(); got != 0 {
+				t.Errorf("backlog after eviction = %d", got)
+			}
+		})
 	}
-	// Evict the flow: its queue must be reclaimed.
-	rg.a.FlowTable().FlushWhere(func(*aiu.FlowRecord) bool { return true })
-	if got := len(inst.Scheduler().Queues()); got != 0 {
-		t.Errorf("queues after eviction = %d", got)
+}
+
+// TestSchedPluginTelemetryLabels: with telemetry on, every eisr_sched_*
+// cell an instance registers carries its plugin and instance names,
+// and the instance's traffic moves its own cells.
+func TestSchedPluginTelemetryLabels(t *testing.T) {
+	for _, plugin := range schedPlugins {
+		t.Run(plugin, func(t *testing.T) {
+			rg := newRig(t)
+			rg.env.Tel = telemetry.New()
+			rg.loadSched(t)
+			inst := rg.create(t, plugin, map[string]string{"iface": "1"})
+			rg.bind(t, plugin, inst, map[string]string{"filter": "*, *, *, *, *, *"})
+			for i := 0; i < 3; i++ {
+				rg.r.Forward(udp(t, "10.0.0.1", 1, 100))
+			}
+			cells := 0
+			for _, mv := range rg.env.Tel.Snapshot() {
+				if !strings.HasPrefix(mv.Family, "eisr_sched_") {
+					continue
+				}
+				cells++
+				want := []telemetry.Label{{Key: "plugin", Value: plugin}, {Key: "instance", Value: inst.InstanceName()}}
+				if len(mv.Labels) != 2 || mv.Labels[0] != want[0] || mv.Labels[1] != want[1] {
+					t.Errorf("%s: labels %v, want %v", mv.Family, mv.Labels, want)
+				}
+				if mv.Family == "eisr_sched_enqueued_total" && mv.Counter != 3 {
+					t.Errorf("%s = %d, want 3", mv.Full, mv.Counter)
+				}
+			}
+			if cells == 0 {
+				t.Fatal("no eisr_sched_* cells registered")
+			}
+		})
 	}
 }
 
@@ -402,46 +478,54 @@ func TestNullPluginDispatch(t *testing.T) {
 }
 
 func TestFreeInstanceClearsBindings(t *testing.T) {
-	rg := newRig(t)
-	rg.reg.Load(NewDRRPlugin(rg.env))
-	inst := rg.create(t, "drr", map[string]string{"iface": "1"})
-	rg.bind(t, "drr", inst, map[string]string{"filter": "*, *, *, *, *, *"})
-	if err := rg.reg.Send("drr", &pcu.Message{Kind: pcu.MsgFreeInstance, Instance: inst}); err != nil {
-		t.Fatal(err)
-	}
-	ft, _ := rg.a.Table(pcu.TypeSched)
-	if len(ft.Records()) != 0 {
-		t.Error("filter bindings survive free-instance")
-	}
-	// The drainer is gone: forwarded packets take the default FIFO.
-	p := udp(t, "10.0.0.1", 1, 10)
-	if !rg.r.ProcessOne(p) {
-		t.Fatal("forward after free failed")
-	}
-	if rg.sink.Poll() == nil {
-		t.Error("packet lost after free-instance")
+	for _, plugin := range schedPlugins {
+		t.Run(plugin, func(t *testing.T) {
+			rg := newRig(t)
+			rg.loadSched(t)
+			inst := rg.create(t, plugin, map[string]string{"iface": "1"})
+			rg.bind(t, plugin, inst, map[string]string{"filter": "*, *, *, *, *, *"})
+			if err := rg.reg.Send(plugin, &pcu.Message{Kind: pcu.MsgFreeInstance, Instance: inst}); err != nil {
+				t.Fatal(err)
+			}
+			ft, _ := rg.a.Table(pcu.TypeSched)
+			if len(ft.Records()) != 0 {
+				t.Error("filter bindings survive free-instance")
+			}
+			// The drainer is gone: forwarded packets take the default FIFO.
+			p := udp(t, "10.0.0.1", 1, 10)
+			if !rg.r.ProcessOne(p) {
+				t.Fatal("forward after free failed")
+			}
+			if rg.sink.Poll() == nil {
+				t.Error("packet lost after free-instance")
+			}
+		})
 	}
 }
 
 func TestDeregisterInstanceMessage(t *testing.T) {
-	rg := newRig(t)
-	rg.reg.Load(NewDRRPlugin(rg.env))
-	inst := rg.create(t, "drr", map[string]string{"iface": "1"})
-	rg.bind(t, "drr", inst, map[string]string{"filter": "10.0.0.0/8, *, UDP, *, *, *"})
-	msg := &pcu.Message{
-		Kind: pcu.MsgDeregisterInstance, Instance: inst,
-		Args: map[string]string{"filter": "10.0.0.0/8, *, UDP, *, *, *"},
-	}
-	if err := rg.reg.Send("drr", msg); err != nil {
-		t.Fatal(err)
-	}
-	ft, _ := rg.a.Table(pcu.TypeSched)
-	if len(ft.Records()) != 0 {
-		t.Error("deregister left the binding")
-	}
-	// Unknown filter errors.
-	if err := rg.reg.Send("drr", msg); err == nil {
-		t.Error("double deregister should fail")
+	for _, plugin := range schedPlugins {
+		t.Run(plugin, func(t *testing.T) {
+			rg := newRig(t)
+			rg.loadSched(t)
+			inst := rg.create(t, plugin, map[string]string{"iface": "1"})
+			rg.bind(t, plugin, inst, map[string]string{"filter": "10.0.0.0/8, *, UDP, *, *, *"})
+			msg := &pcu.Message{
+				Kind: pcu.MsgDeregisterInstance, Instance: inst,
+				Args: map[string]string{"filter": "10.0.0.0/8, *, UDP, *, *, *"},
+			}
+			if err := rg.reg.Send(plugin, msg); err != nil {
+				t.Fatal(err)
+			}
+			ft, _ := rg.a.Table(pcu.TypeSched)
+			if len(ft.Records()) != 0 {
+				t.Error("deregister left the binding")
+			}
+			// Unknown filter errors.
+			if err := rg.reg.Send(plugin, msg); err == nil {
+				t.Error("double deregister should fail")
+			}
+		})
 	}
 }
 

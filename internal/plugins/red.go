@@ -40,57 +40,42 @@ func (r *REDPlugin) PluginCode() pcu.Code { return pcu.MakeCode(pcu.TypeSched, 3
 func (r *REDPlugin) Callback(msg *pcu.Message) error {
 	switch msg.Kind {
 	case pcu.MsgCreateInstance:
-		ifIdx, err := argIf(msg)
-		if err != nil {
-			return err
-		}
-		minth, err := argInt(msg, "minth", 5)
-		if err != nil {
-			return err
-		}
-		maxth, err := argInt(msg, "maxth", 15)
-		if err != nil {
-			return err
-		}
-		maxp, err := argFloat(msg, "maxp", 0.1)
-		if err != nil {
-			return err
-		}
-		wq, err := argFloat(msg, "wq", 0.2)
-		if err != nil {
-			return err
-		}
-		qlen, err := argInt(msg, "qlen", 64)
-		if err != nil {
-			return err
-		}
-		seed, err := argInt(msg, "seed", 1)
-		if err != nil {
-			return err
-		}
-		if minth >= maxth {
-			return fmt.Errorf("plugins: red requires minth < maxth")
-		}
-		inst := &REDInstance{
-			name: r.namer.next(), ifIdx: ifIdx,
-			minth: float64(minth), maxth: float64(maxth), maxp: maxp, wq: wq,
-			fifo: sched.NewFIFO(qlen), rng: rand.New(rand.NewSource(int64(seed))),
-		}
-		if r.env.Router != nil {
-			r.env.Router.RegisterDrainer(ifIdx, inst)
-		}
-		msg.Reply = inst
-		return nil
+		return createSched(r.env, msg, func(ifIdx int32) (schedInstance, error) {
+			minth, err := argInt(msg, "minth", 5)
+			if err != nil {
+				return nil, err
+			}
+			maxth, err := argInt(msg, "maxth", 15)
+			if err != nil {
+				return nil, err
+			}
+			maxp, err := argFloat(msg, "maxp", 0.1)
+			if err != nil {
+				return nil, err
+			}
+			wq, err := argFloat(msg, "wq", 0.2)
+			if err != nil {
+				return nil, err
+			}
+			qlen, err := argInt(msg, "qlen", 64)
+			if err != nil {
+				return nil, err
+			}
+			seed, err := argInt(msg, "seed", 1)
+			if err != nil {
+				return nil, err
+			}
+			if minth >= maxth {
+				return nil, fmt.Errorf("plugins: red requires minth < maxth")
+			}
+			return &REDInstance{
+				outIf: outIf{ifIdx}, name: r.namer.next(),
+				minth: float64(minth), maxth: float64(maxth), maxp: maxp, wq: wq,
+				fifo: sched.NewFIFO(qlen), rng: rand.New(rand.NewSource(int64(seed))),
+			}, nil
+		})
 	case pcu.MsgFreeInstance:
-		inst, ok := msg.Instance.(*REDInstance)
-		if !ok {
-			return fmt.Errorf("plugins: not a RED instance")
-		}
-		if r.env.Router != nil {
-			r.env.Router.UnregisterDrainer(inst.ifIdx, inst)
-		}
-		r.env.AIU.UnbindInstance(inst)
-		return nil
+		return freeSched[*REDInstance](r.env, msg)
 	case pcu.MsgRegisterInstance:
 		return register(r.env, pcu.TypeSched, msg, nil)
 	case pcu.MsgDeregisterInstance:
@@ -120,8 +105,8 @@ var (
 
 // REDInstance is one interface's RED queue.
 type REDInstance struct {
-	name  string
-	ifIdx int32
+	outIf
+	name string
 
 	mu    sync.Mutex
 	fifo  *sched.FIFO

@@ -30,7 +30,7 @@ func NewALTQDRR(nQueues, quantum int) *ALTQDRR {
 	a := &ALTQDRR{drr: NewDRR(quantum, 0)}
 	a.queues = make([]*DRRQueue, nQueues)
 	for i := range a.queues {
-		a.queues[i] = a.drr.NewQueue("", 1)
+		a.queues[i] = a.drr.NewQueue(1)
 	}
 	return a
 }
@@ -74,7 +74,7 @@ type DRRLeaf struct {
 // NewDRRLeaf builds a DRR-backed leaf queue.
 func NewDRRLeaf(quantum int) *DRRLeaf {
 	d := NewDRR(quantum, 0)
-	return &DRRLeaf{DRR: d, defq: d.NewQueue("default", 1), flows: make(map[pkt.Key]*DRRQueue)}
+	return &DRRLeaf{DRR: d, defq: d.NewQueue(1), flows: make(map[pkt.Key]*DRRQueue)}
 }
 
 // Enqueue implements LeafQueue.
@@ -85,7 +85,7 @@ func (l *DRRLeaf) Enqueue(p *pkt.Packet) error {
 	if l.PerFlow && p.KeyValid {
 		q := l.flows[p.Key]
 		if q == nil {
-			q = l.DRR.NewQueue("", 1)
+			q = l.DRR.NewQueue(1)
 			q.Key = p.Key
 			l.flows[p.Key] = q
 		}

@@ -92,13 +92,16 @@ func TestFIFOGrowsOnDemandToLimit(t *testing.T) {
 func TestDRRQueuesOrder(t *testing.T) {
 	d := NewDRR(1500, 0)
 	var qs []*DRRQueue
+	names := map[*DRRQueue]string{}
 	for _, l := range []string{"a", "b", "c", "d"} {
-		qs = append(qs, d.NewQueue(l, 1))
+		q := d.NewQueue(1)
+		qs = append(qs, q)
+		names[q] = l
 	}
 	label := func() string {
 		var out []string
 		for _, q := range d.Queues() {
-			out = append(out, q.Label)
+			out = append(out, names[q])
 		}
 		return strings.Join(out, "")
 	}
@@ -123,8 +126,8 @@ func TestDRRQueuesOrder(t *testing.T) {
 
 func TestDRRRoundRobinEqualWeights(t *testing.T) {
 	d := NewDRR(1500, 0)
-	qa := d.NewQueue("a", 1)
-	qb := d.NewQueue("b", 1)
+	qa := d.NewQueue(1)
+	qb := d.NewQueue(1)
 	for i := 0; i < 10; i++ {
 		d.EnqueueFlow(qa, mkPkt(1000))
 		d.EnqueueFlow(qb, mkPkt(1000))
@@ -149,7 +152,7 @@ func TestDRRWeightedShares(t *testing.T) {
 	weights := []float64{1, 2, 4}
 	qs := make([]*DRRQueue, len(weights))
 	for i, w := range weights {
-		qs[i] = d.NewQueue("", w)
+		qs[i] = d.NewQueue(w)
 		for j := 0; j < 4000; j++ {
 			if err := d.EnqueueFlow(qs[i], mkPkt(500)); err != nil {
 				t.Fatal(err)
@@ -182,8 +185,8 @@ func TestDRRFairnessBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	const quantum, maxPkt = 1500, 1500
 	d := NewDRR(quantum, 1<<20)
-	qa := d.NewQueue("a", 1)
-	qb := d.NewQueue("b", 1)
+	qa := d.NewQueue(1)
+	qb := d.NewQueue(1)
 	for i := 0; i < 5000; i++ {
 		d.EnqueueFlow(qa, mkPkt(64+rng.Intn(maxPkt-64)))
 		d.EnqueueFlow(qb, mkPkt(64+rng.Intn(maxPkt-64)))
@@ -210,8 +213,8 @@ func TestDRRIdleFlowNoCredit(t *testing.T) {
 	// A flow that goes idle must not bank deficit: after rejoining, it
 	// does not burst beyond quantum + maxPkt relative to fair share.
 	d := NewDRR(1000, 0)
-	qa := d.NewQueue("a", 1)
-	qb := d.NewQueue("b", 1)
+	qa := d.NewQueue(1)
+	qb := d.NewQueue(1)
 	for i := 0; i < 20; i++ {
 		d.EnqueueFlow(qb, mkPkt(1000))
 	}
@@ -234,7 +237,7 @@ func TestDRRIdleFlowNoCredit(t *testing.T) {
 
 func TestDRRQueueLimitDrops(t *testing.T) {
 	d := NewDRR(1500, 2)
-	q := d.NewQueue("x", 1)
+	q := d.NewQueue(1)
 	d.EnqueueFlow(q, mkPkt(10))
 	d.EnqueueFlow(q, mkPkt(10))
 	if err := d.EnqueueFlow(q, mkPkt(10)); err != ErrQueueFull {
@@ -247,8 +250,8 @@ func TestDRRQueueLimitDrops(t *testing.T) {
 
 func TestDRRRemoveQueue(t *testing.T) {
 	d := NewDRR(1500, 0)
-	qa := d.NewQueue("a", 1)
-	qb := d.NewQueue("b", 1)
+	qa := d.NewQueue(1)
+	qb := d.NewQueue(1)
 	d.EnqueueFlow(qa, mkPkt(10))
 	d.EnqueueFlow(qb, mkPkt(20))
 	d.RemoveQueue(qa)
@@ -270,7 +273,7 @@ func TestDRRRemoveQueue(t *testing.T) {
 
 func TestDRREnqueueViaFIX(t *testing.T) {
 	d := NewDRR(1500, 0)
-	q := d.NewQueue("f", 1)
+	q := d.NewQueue(1)
 	p := mkPkt(100)
 	p.FIX = q
 	if err := d.Enqueue(p); err != nil {

@@ -4,7 +4,6 @@ import (
 	"math/bits"
 
 	"github.com/routerplugins/eisr/internal/pkt"
-	"github.com/routerplugins/eisr/internal/telemetry"
 )
 
 // Eiffel is the million-flow scheduler: a circular, find-first-set
@@ -39,8 +38,7 @@ import (
 // horizon for a guaranteed O(1) wheel and freedom from the fractional
 // weight livelock DRR's integer grant suffered.
 type Eiffel struct {
-	quantum int // bytes per unit weight per virtual-time unit (bucket width)
-	limit   int // per-flow packet limit
+	flowSet[*EiffelQueue] // quantum is the bucket width per unit weight
 
 	buckets [eiffelBuckets]eiffelBucket
 	l0      [eiffelWords]uint64
@@ -48,17 +46,6 @@ type Eiffel struct {
 
 	cur  int    // wheel index of the bucket currently being served
 	curV uint64 // virtual rank (quantum count) of buckets[cur]
-
-	total int // queued packets across all flows
-
-	// All live queues (including idle), for listing and teardown. Each
-	// queue records its index here; removal swaps the last queue into
-	// the freed slot.
-	queues []*EiffelQueue
-
-	// Tel, when non-nil, records per-instance scheduler metrics; a nil
-	// bundle no-ops every record call.
-	Tel *telemetry.SchedMetrics
 }
 
 // Wheel geometry: 4096 buckets (quanta of horizon) summarized by one
@@ -82,12 +69,6 @@ type eiffelBucket struct {
 // Packets chain through pkt.Packet.QNext, so the queue itself is a
 // fixed-size header regardless of backlog.
 type EiffelQueue struct {
-	Weight float64
-	// Served counts bytes dequeued for this flow; Drops counts enqueue
-	// rejections (queue limit).
-	Served uint64
-	Drops  uint64
-
 	invW float64 // 1/(Weight×quantum): bucket advance per byte served
 	vfin float64 // virtual finish rank, in quantum units
 
@@ -98,25 +79,16 @@ type EiffelQueue struct {
 	bucket   int32        // wheel index while inBucket
 	inBucket bool
 	parent   *Eiffel
-	idx      int // position in parent.queues
 
-	// Key is the flow a per-flow plugin created the queue for (zero
-	// otherwise): the queue's only name. Listings render it on demand,
-	// so creating a flow's queue formats nothing.
-	Key pkt.Key
+	// The header goes last: the fields a dequeue touches stay together.
+	FlowQueue
 }
 
 // NewEiffel builds an Eiffel scheduler. quantum is the byte width of
 // one wheel bucket per unit weight (0 = 1500, one MTU-ish packet);
 // perQueueLimit bounds each flow queue (0 = 128 packets).
 func NewEiffel(quantum, perQueueLimit int) *Eiffel {
-	if quantum <= 0 {
-		quantum = 1500
-	}
-	if perQueueLimit <= 0 {
-		perQueueLimit = 128
-	}
-	return &Eiffel{quantum: quantum, limit: perQueueLimit}
+	return &Eiffel{flowSet: newFlowSet[*EiffelQueue](quantum, perQueueLimit)}
 }
 
 // Horizon reports the wheel depth in quanta (ranks further ahead clamp
@@ -127,72 +99,27 @@ func (e *Eiffel) Horizon() int { return eiffelBuckets }
 //
 //eisr:slowpath
 func (e *Eiffel) NewQueue(weight float64) *EiffelQueue {
-	if weight <= 0 {
-		weight = 1
-	}
-	q := &EiffelQueue{
-		Weight: weight, parent: e,
-		invW: 1 / (weight * float64(e.quantum)),
-		idx:  len(e.queues),
-	}
-	e.queues = append(e.queues, q)
-	e.Tel.SetQueues(len(e.queues))
+	q := e.add(&EiffelQueue{parent: e}, weight)
+	q.invW = 1 / (q.Weight * float64(e.quantum))
 	return q
 }
 
-// RemoveQueue drops a flow queue and any packets it still holds
-// (called when the AIU evicts the flow or the instance is freed).
-// Discarded packets return their receive buffers to the pool and are
-// subtracted from the backlog telemetry.
-func (e *Eiffel) RemoveQueue(q *EiffelQueue) {
-	if q == nil || q.parent != e {
-		return
+// Len reports the packets queued.
+func (q *EiffelQueue) Len() int { return q.n }
+
+// detach implements PerFlowQueue.
+func (q *EiffelQueue) detach() {
+	for p := q.head; p != nil; {
+		next := p.QNext
+		p.QNext = nil
+		p.ReleaseBuf()
+		p = next
 	}
-	if q.n > 0 {
-		e.total -= q.n
-		e.Tel.RecordPurged(q.n)
-		for p := q.head; p != nil; {
-			next := p.QNext
-			p.QNext = nil
-			p.ReleaseBuf()
-			p = next
-		}
-		q.head, q.tail, q.n = nil, nil, 0
-	}
+	q.head, q.tail, q.n = nil, nil, 0
 	if q.inBucket {
-		e.unlink(q)
+		q.parent.unlink(q)
 	}
-	e.drop(q)
-	e.Tel.SetQueues(len(e.queues))
-}
-
-// drop takes an unlinked, empty queue out of the live set: the last
-// queue moves into its slot.
-func (e *Eiffel) drop(q *EiffelQueue) {
-	last := len(e.queues) - 1
-	e.queues[q.idx] = e.queues[last]
-	e.queues[q.idx].idx = q.idx
-	e.queues[last] = nil
-	e.queues = e.queues[:last]
 	q.parent = nil
-}
-
-// PurgeIdle removes every empty flow queue, returning how many were
-// reclaimed — the idle-flow eviction sweep a million-flow deployment
-// runs from the control plane.
-//
-//eisr:slowpath
-func (e *Eiffel) PurgeIdle() int {
-	n := 0
-	// Backwards, so the queue each removal moves in has been visited.
-	for i := len(e.queues) - 1; i >= 0; i-- {
-		if q := e.queues[i]; q.n == 0 && !q.inBucket {
-			e.drop(q)
-			n++
-		}
-	}
-	e.Tel.SetQueues(len(e.queues))
-	return n
 }
 
 // EnqueueFlow admits a packet to a specific flow queue. An idle flow
@@ -206,7 +133,7 @@ func (e *Eiffel) EnqueueFlow(q *EiffelQueue, p *pkt.Packet) error {
 	}
 	if q.n >= e.limit {
 		q.Drops++
-		e.Tel.RecordDrop()
+		e.tel.RecordDrop()
 		return ErrQueueFull
 	}
 	p.QNext = nil
@@ -218,7 +145,7 @@ func (e *Eiffel) EnqueueFlow(q *EiffelQueue, p *pkt.Packet) error {
 	q.tail = p
 	q.n++
 	e.total++
-	e.Tel.RecordEnqueue()
+	e.tel.RecordEnqueue()
 	if !q.inBucket {
 		if q.vfin < float64(e.curV) {
 			q.vfin = float64(e.curV)
@@ -280,17 +207,8 @@ func (e *Eiffel) Dequeue() *pkt.Packet {
 	if q.n > 0 {
 		e.insert(q)
 	}
-	e.Tel.RecordDequeue(-1)
+	e.tel.RecordDequeue(-1)
 	return p
-}
-
-// Len implements Scheduler.
-func (e *Eiffel) Len() int { return e.total }
-
-// Queues lists live queues in creation order, except that removing a
-// queue moves the last-created one into its place.
-func (e *Eiffel) Queues() []*EiffelQueue {
-	return append([]*EiffelQueue(nil), e.queues...)
 }
 
 // insert places a backlogged flow on the wheel at its virtual finish
@@ -307,7 +225,7 @@ func (e *Eiffel) insert(q *EiffelQueue) {
 	if d >= eiffelBuckets {
 		d = eiffelBuckets - 1
 		q.vfin = float64(e.curV + d)
-		e.Tel.RecordHorizonClamp()
+		e.tel.RecordHorizonClamp()
 	}
 	b := (e.cur + int(d)) & eiffelMask
 	bk := &e.buckets[b]

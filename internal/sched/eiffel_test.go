@@ -92,7 +92,7 @@ func TestEiffelWheelWrap(t *testing.T) {
 func TestEiffelHorizonClampNoStarvation(t *testing.T) {
 	tel := telemetry.New()
 	e := NewEiffel(1500, 0)
-	e.Tel = tel.SchedMetrics("eiffel", "t")
+	e.SetTelemetry(tel.SchedMetrics("eiffel", "t"))
 	heavy := e.NewQueue(1)
 	light := e.NewQueue(1e-7)
 	for i := 0; i < 20; i++ {
@@ -128,7 +128,7 @@ func TestEiffelQueueLimitDrops(t *testing.T) {
 func TestEiffelRemoveQueueReleasesAndCounts(t *testing.T) {
 	tel := telemetry.New()
 	e := NewEiffel(1500, 0)
-	e.Tel = tel.SchedMetrics("eiffel", "t")
+	e.SetTelemetry(tel.SchedMetrics("eiffel", "t"))
 	own := &countOwner{}
 	qa := e.NewQueue(1)
 	qb := e.NewQueue(1)
@@ -260,7 +260,7 @@ func TestEiffelIdleFlowNoCredit(t *testing.T) {
 // into a test failure instead of a hung suite.
 func TestDRRFractionalWeightNoLivelock(t *testing.T) {
 	d := NewDRR(1500, 0)
-	q := d.NewQueue("tiny", 0.0001)
+	q := d.NewQueue(0.0001)
 	for i := 0; i < 5; i++ {
 		if err := d.EnqueueFlow(q, mkPkt(1000)); err != nil {
 			t.Fatal(err)
@@ -290,9 +290,9 @@ func TestDRRFractionalWeightNoLivelock(t *testing.T) {
 func TestDRRRemoveQueueTelemetry(t *testing.T) {
 	tel := telemetry.New()
 	d := NewDRR(1500, 0)
-	d.Tel = tel.SchedMetrics("drr", "t")
+	d.SetTelemetry(tel.SchedMetrics("drr", "t"))
 	own := &countOwner{}
-	q := d.NewQueue("x", 1)
+	q := d.NewQueue(1)
 	for i := 0; i < 4; i++ {
 		p := mkPkt(10)
 		p.Owner = own

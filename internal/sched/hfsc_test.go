@@ -270,8 +270,8 @@ func TestHSFDRRLeaf(t *testing.T) {
 	leafQ := NewDRRLeaf(1500)
 	ls := LinearCurve(1e6)
 	cls, _ := h.AddClass("shared", nil, nil, &ls, nil, leafQ)
-	f1 := leafQ.DRR.NewQueue("f1", 1)
-	f2 := leafQ.DRR.NewQueue("f2", 1)
+	f1 := leafQ.DRR.NewQueue(1)
+	f2 := leafQ.DRR.NewQueue(1)
 	for i := 0; i < 100; i++ {
 		p := mkPkt(1000)
 		p.FIX = f1

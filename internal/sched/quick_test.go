@@ -78,7 +78,7 @@ func TestQuickDRRConservation(t *testing.T) {
 		d := NewDRR(1500, nPkts+1)
 		qs := make([]*DRRQueue, nFlows)
 		for i := range qs {
-			qs[i] = d.NewQueue("", float64(1+rng.Intn(4)))
+			qs[i] = d.NewQueue(float64(1 + rng.Intn(4)))
 		}
 		in := 0
 		for i := 0; i < nPkts; i++ {
@@ -148,7 +148,7 @@ func TestQuickEiffelDRRFairness(t *testing.T) {
 		eqs := make([]*EiffelQueue, nFlows)
 		for i := 0; i < nFlows; i++ {
 			w := float64(1 + rng.Intn(4))
-			dqs[i] = d.NewQueue("", w)
+			dqs[i] = d.NewQueue(w)
 			eqs[i] = e.NewQueue(w)
 		}
 		// Identical arrivals, heavy enough to stay backlogged throughout.
@@ -219,7 +219,7 @@ func TestQuickSchedDrainAnyWeight(t *testing.T) {
 			}
 		}
 		d := NewDRR(1500, 0)
-		dq := d.NewQueue("", weight)
+		dq := d.NewQueue(weight)
 		if !drain(d, func(p *pkt.Packet) error { return d.EnqueueFlow(dq, p) }) {
 			return false
 		}

@@ -46,7 +46,8 @@ func Modules() []string {
 }
 
 // LoadPlugin loads a module by name into this router — the modload
-// analog. Names: "drr", "eiffel", "hfsc", "red", "ipsec", "firewall", "stats",
+// analog. Names: "drr" and "eiffel" (one per-flow scheduling plugin
+// over two disciplines), "hfsc", "red", "ipsec", "firewall", "stats",
 // "tcpmon", "l4route", "options", "null-<gate>" for the empty plugins
 // used in the overhead measurements, and "chaos-<gate>" for the
 // fault-injection plugin exercising the isolation layer.

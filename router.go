@@ -41,26 +41,13 @@ import (
 	"github.com/routerplugins/eisr/internal/routefeed"
 	"github.com/routerplugins/eisr/internal/routing"
 	"github.com/routerplugins/eisr/internal/rsvpd"
-	"github.com/routerplugins/eisr/internal/sched"
 	"github.com/routerplugins/eisr/internal/telemetry"
-)
-
-// Mode re-exports the kernel flavor.
-type Mode = ipcore.Mode
-
-// The kernel flavors.
-const (
-	ModeBestEffort = ipcore.ModeBestEffort
-	ModePlugin     = ipcore.ModePlugin
 )
 
 // Options configures a Router.
 type Options struct {
-	// Mode selects plugin (default) or monolithic best-effort.
-	Mode Mode
-	// UsePluginMode forces plugin mode explicitly when Mode's zero
-	// value (best effort) is not intended; New defaults to plugin mode
-	// unless BestEffort is set.
+	// BestEffort builds the monolithic best-effort kernel: no gates, no
+	// AIU, no plugins. The default is plugin mode.
 	BestEffort bool
 	// Gates overrides the gate set (plugin mode). Defaults to the
 	// paper's four gates.
@@ -88,8 +75,6 @@ type Options struct {
 	// gate walk in one pass (0 = the engine default; 1 degenerates to
 	// per-packet forwarding). Only meaningful with Workers > 1.
 	BatchSize int
-	// CollapseDAGNodes enables the §5.1.2 node-collapsing optimization.
-	CollapseDAGNodes bool
 	// ShareIdenticalTables enables the §5.1.2 inter-DAG optimization:
 	// gates with identical filter tables share classification results.
 	ShareIdenticalTables bool
@@ -98,9 +83,6 @@ type Options struct {
 	// SendICMPErrors makes the core answer TTL expiry and routing
 	// failures with ICMP errors, as a real router does.
 	SendICMPErrors bool
-	// MonoSched installs a hard-wired scheduler in best-effort mode
-	// (the ALTQ baseline).
-	MonoSched sched.Scheduler
 	// Clock overrides the time source (simulations).
 	Clock func() time.Time
 	// Telemetry attaches the allocation-free metrics registry: per-gate
@@ -124,12 +106,6 @@ type Options struct {
 	// and folds contexts that arrive from peers). Runtime-mutable via
 	// "pmgr pathtrace N". Only meaningful with Telemetry.
 	PathSample int
-	// SpanBuffer sizes the folded-span ring (entries, rounded up to a
-	// power of two; 0 = the default). Only meaningful with Telemetry.
-	SpanBuffer int
-	// EventJournal sizes the structured event journal ring (0 = the
-	// default). Only meaningful with Telemetry.
-	EventJournal int
 	// FaultPolicy selects what happens to a packet whose plugin dispatch
 	// panicked: "drop" (default) discards it, "forward" continues past
 	// the faulted gate on the default path.
@@ -171,11 +147,8 @@ type Router struct {
 // New assembles a router.
 func New(opts Options) (*Router, error) {
 	mode := ipcore.ModePlugin
-	if opts.BestEffort || opts.Mode == ipcore.ModeBestEffort && opts.MonoSched != nil {
+	if opts.BestEffort {
 		mode = ipcore.ModeBestEffort
-	}
-	if opts.Mode == ipcore.ModePlugin {
-		mode = ipcore.ModePlugin
 	}
 	kind := bmp.Kind(opts.BMP)
 	routes, err := routing.New(kind)
@@ -190,7 +163,6 @@ func New(opts Options) (*Router, error) {
 	if mode == ipcore.ModePlugin {
 		a = aiu.New(aiu.Config{
 			BMPKind:              kind,
-			CollapseNodes:        opts.CollapseDAGNodes,
 			FlowBuckets:          opts.FlowBuckets,
 			MaxFlows:             opts.MaxFlows,
 			FlowShards:           opts.FlowShards,
@@ -207,8 +179,8 @@ func New(opts Options) (*Router, error) {
 		tel.EnableTrace(size, opts.TraceSample)
 		// The event journal and path tracer must exist before ipcore and
 		// the links capture their pointers at assembly below.
-		tel.EnableJournal(opts.EventJournal)
-		tel.EnablePathTrace(opts.RouterID, opts.SpanBuffer, opts.PathSample)
+		tel.EnableJournal(0)
+		tel.EnablePathTrace(opts.RouterID, 0, opts.PathSample)
 		if a != nil {
 			a.SetTelemetry(tel)
 		}
@@ -244,15 +216,15 @@ func New(opts Options) (*Router, error) {
 	guard := pcu.NewGuard(policy, health)
 	core, err := ipcore.New(ipcore.Config{
 		Mode: mode, Gates: gates, AIU: a, Routes: routes,
-		MonoSched: opts.MonoSched, VerifyChecksums: opts.VerifyChecksums,
-		SendICMPErrors: opts.SendICMPErrors,
-		Clock:          opts.Clock,
-		Workers:        opts.Workers,
-		BatchSize:      opts.BatchSize,
-		Reclaim:        rc,
-		Tel:            tel,
-		Guard:          guard,
-		LocalSink:      func(p *pkt.Packet) { r.dispatchLocal(p) },
+		VerifyChecksums: opts.VerifyChecksums,
+		SendICMPErrors:  opts.SendICMPErrors,
+		Clock:           opts.Clock,
+		Workers:         opts.Workers,
+		BatchSize:       opts.BatchSize,
+		Reclaim:         rc,
+		Tel:             tel,
+		Guard:           guard,
+		LocalSink:       func(p *pkt.Packet) { r.dispatchLocal(p) },
 	})
 	if err != nil {
 		return nil, err
