@@ -164,16 +164,16 @@ func BenchmarkFlowTableHash(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	keys := trafficgen.RandomKeys(rng, 1024, true)
 	b.ResetTimer()
-	var sink uint32
+	var sink uint64
 	for i := 0; i < b.N; i++ {
-		sink ^= aiu.HashKey(keys[i&1023])
+		sink ^= pkt.FlowHash(keys[i&1023])
 	}
 	_ = sink
 }
 
 func BenchmarkFlowTableHit(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
-	ft := aiu.NewFlowTable(32768, 1024, 65536, 4)
+	ft := aiu.NewFlowTable(1024, 65536, 4)
 	keys := trafficgen.RandomKeys(rng, 1024, true)
 	now := time.Now()
 	for _, k := range keys {
@@ -204,8 +204,10 @@ func BenchmarkFlowTableMissAndClassify(b *testing.B) {
 	miss := func(i int) {
 		// Key index and port repeat only every 64k flows, long after the
 		// table has recycled the previous use.
-		p = pkt.Packet{Key: keys[i&(1<<16-1)], KeyValid: true, OutIf: -1}
-		p.Key.SrcPort = uint16(i)
+		k := keys[i&(1<<16-1)]
+		k.SrcPort = uint16(i)
+		p = pkt.Packet{OutIf: -1}
+		p.SetKey(k)
 		a.LookupGate(&p, pcu.TypeSched, now, nil)
 	}
 	// Fill every shard to its cap, twice over.

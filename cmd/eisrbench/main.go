@@ -19,7 +19,7 @@ import (
 )
 
 var experiments = []string{
-	"table1", "table2", "table3", "flowcache", "dagscale", "gates",
+	"table1", "table2", "table3", "flowcache", "hashflood", "dagscale", "gates",
 	"drrshare", "hfsc", "schedovh", "sched-scale", "telemetry",
 	"parallel", "batch", "faults", "wire", "pathtrace", "fib", "fib-churn",
 	"ablate-cache", "ablate-bmp", "ablate-collapse", "ablate-interdag",
@@ -89,6 +89,11 @@ func main() {
 			fatal(err)
 		}
 		fmt.Println(bench.FlowCacheTable(res))
+	}
+	if run("hashflood") {
+		ran = true
+		opts := bench.HashFloodOptions{Seed: *seed}
+		fmt.Println(bench.HashFloodTable(bench.RunHashFlood(opts)))
 	}
 	if run("dagscale") {
 		ran = true

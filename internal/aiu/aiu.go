@@ -24,14 +24,14 @@ type Config struct {
 	// optimization (all-wildcard levels are skipped). It is off by
 	// default so access counts match Table 2's six-edge accounting.
 	CollapseNodes bool
-	// FlowBuckets, InitialFlows, MaxFlows size the flow table.
-	FlowBuckets  int
+	// InitialFlows and MaxFlows size the flow table; its bucket index
+	// grows with the records.
 	InitialFlows int
 	MaxFlows     int
 	// FlowShards is the flow-table shard count (rounded up to a power
-	// of two; 0 = DefaultFlowShards). Each shard has its own lock, free
-	// list, and recycle queue; the shard is picked from the top byte of
-	// the five-tuple hash, the same byte the ipcore worker pool steers
+	// of two; 0 = DefaultFlowShards). Each shard has its own lock,
+	// index, slab, and recycle queue; the shard is picked from the top
+	// byte of the flow hash, the same byte the ipcore worker pool steers
 	// by, so a power-of-two worker count gives every shard a single
 	// owning worker.
 	FlowShards int
@@ -50,9 +50,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.BMPKind == "" {
 		c.BMPKind = bmp.KindBSPL
-	}
-	if c.FlowBuckets == 0 {
-		c.FlowBuckets = DefaultFlowBuckets
 	}
 	if c.InitialFlows == 0 {
 		c.InitialFlows = DefaultInitialFlows
@@ -86,6 +83,11 @@ type FilterTable struct {
 	// a twin table's result maps here with one indexed load.
 	sig       uint64
 	bySpecIdx []*FilterRecord
+
+	// Registry-owned gauges (SetTelemetry): installed filters and DAG
+	// nodes. Nil when telemetry is off.
+	telFilters  *telemetry.Gauge
+	telDAGNodes *telemetry.Gauge
 }
 
 // Records lists the installed records in installation order.
@@ -101,9 +103,8 @@ type AIU struct {
 	cfg Config
 
 	mu     sync.RWMutex
-	gates  []pcu.Type       // gate order; slot i in flow records = gates[i]
-	slots  map[pcu.Type]int // gate -> slot
-	tables map[pcu.Type]*FilterTable
+	gates  []pcu.Type     // gate order; slot i in flow records = gates[i]
+	tables []*FilterTable // tables[i] is gates[i]'s
 	flows  *FlowTable
 	nextID uint64
 	seq    uint64
@@ -128,8 +129,6 @@ type AIU struct {
 	telAccesses *telemetry.Counter
 	telFnPtr    *telemetry.Counter
 	telDepth    *telemetry.Histogram
-	telFilters  map[pcu.Type]*telemetry.Gauge
-	telDAGNodes map[pcu.Type]*telemetry.Gauge
 }
 
 // New builds an AIU serving the given gates, in gate order. The gate
@@ -140,14 +139,12 @@ func New(cfg Config, gates ...pcu.Type) *AIU {
 	a := &AIU{
 		cfg:    cfg,
 		gates:  append([]pcu.Type(nil), gates...),
-		slots:  make(map[pcu.Type]int, len(gates)),
-		tables: make(map[pcu.Type]*FilterTable, len(gates)),
+		tables: make([]*FilterTable, len(gates)),
 	}
 	for i, g := range gates {
-		a.slots[g] = i
-		a.tables[g] = &FilterTable{gate: g}
+		a.tables[i] = &FilterTable{gate: g}
 	}
-	a.flows = NewFlowTableSharded(cfg.FlowBuckets, cfg.InitialFlows, cfg.MaxFlows, len(gates), cfg.FlowShards)
+	a.flows = NewFlowTableSharded(cfg.InitialFlows, cfg.MaxFlows, len(gates), cfg.FlowShards)
 	// Probe the BMP kind once: a bad kind would otherwise surface only
 	// deep inside the first DAG rebuild.
 	if _, err := bmp.New(cfg.BMPKind); err != nil {
@@ -164,10 +161,27 @@ func (a *AIU) SetGuard(g *pcu.Guard) { a.guard = g }
 // Gates returns the gate order.
 func (a *AIU) Gates() []pcu.Type { return append([]pcu.Type(nil), a.gates...) }
 
-// Slot returns the flow-record slot index of a gate.
+// Slot returns the flow-record slot index of a gate: its position in
+// the gate order. A router has a handful of gates, so a scan beats a
+// map.
+//
+//eisr:fastpath
 func (a *AIU) Slot(g pcu.Type) (int, bool) {
-	s, ok := a.slots[g]
-	return s, ok
+	for i, t := range a.gates {
+		if t == g {
+			return i, true
+		}
+	}
+	return 0, false
+}
+
+// table returns a gate's filter table, nil when the AIU does not serve
+// the gate.
+func (a *AIU) table(g pcu.Type) *FilterTable {
+	if i, ok := a.Slot(g); ok {
+		return a.tables[i]
+	}
+	return nil
 }
 
 // FlowTable exposes the flow cache (benchmarks, purge timers).
@@ -183,12 +197,11 @@ func (a *AIU) Bind(gate pcu.Type, f Filter, inst pcu.Instance, private any) (*Fi
 		// this bind would trigger cannot succeed.
 		return nil, a.kindErr
 	}
-	a.mu.Lock()
-	ft, ok := a.tables[gate]
-	if !ok {
-		a.mu.Unlock()
+	ft := a.table(gate)
+	if ft == nil {
 		return nil, fmt.Errorf("aiu: no gate %s", gate)
 	}
+	a.mu.Lock()
 	a.nextID++
 	a.seq++
 	rec := &FilterRecord{
@@ -197,7 +210,7 @@ func (a *AIU) Bind(gate pcu.Type, f Filter, inst pcu.Instance, private any) (*Fi
 	}
 	ft.records = append(ft.records, rec)
 	ft.dirty = true
-	a.filterGauge(gate).Set(int64(len(ft.records)))
+	ft.telFilters.Set(int64(len(ft.records)))
 	a.mu.Unlock()
 	// Flows cached before this filter existed may now be misclassified;
 	// flush the ones the new filter matches so they reclassify. This runs
@@ -212,12 +225,12 @@ func (a *AIU) Bind(gate pcu.Type, f Filter, inst pcu.Instance, private any) (*Fi
 // Unbind removes a filter record from its gate's table (the
 // deregister-instance path).
 func (a *AIU) Unbind(rec *FilterRecord) error {
-	a.mu.Lock()
-	ft, ok := a.tables[rec.Gate]
+	slot, ok := a.Slot(rec.Gate)
 	if !ok {
-		a.mu.Unlock()
 		return fmt.Errorf("aiu: no gate %s", rec.Gate)
 	}
+	ft := a.tables[slot]
+	a.mu.Lock()
 	found := false
 	for i, r := range ft.records {
 		if r == rec {
@@ -227,8 +240,7 @@ func (a *AIU) Unbind(rec *FilterRecord) error {
 			break
 		}
 	}
-	a.filterGauge(rec.Gate).Set(int64(len(ft.records)))
-	slot := a.slots[rec.Gate]
+	ft.telFilters.Set(int64(len(ft.records)))
 	a.mu.Unlock()
 	if !found {
 		return fmt.Errorf("aiu: record %d not installed", rec.ID)
@@ -250,7 +262,7 @@ func (a *AIU) Unbind(rec *FilterRecord) error {
 func (a *AIU) UnbindInstance(inst pcu.Instance) int {
 	a.mu.Lock()
 	var removed []*FilterRecord
-	for g, ft := range a.tables {
+	for _, ft := range a.tables {
 		kept := ft.records[:0]
 		for _, r := range ft.records {
 			if r.Instance == inst {
@@ -261,7 +273,7 @@ func (a *AIU) UnbindInstance(inst pcu.Instance) int {
 			kept = append(kept, r)
 		}
 		ft.records = kept
-		a.filterGauge(g).Set(int64(len(ft.records)))
+		ft.telFilters.Set(int64(len(ft.records)))
 	}
 	a.mu.Unlock()
 	// Listener callbacks and the cache flush run plugin code; deliver
@@ -292,12 +304,12 @@ type FilterRemoveListener interface {
 // bound instance — the deregister-instance path, where the caller names
 // the binding by its filter rather than holding the record.
 func (a *AIU) FindRecord(gate pcu.Type, f Filter, inst pcu.Instance) *FilterRecord {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	ft, ok := a.tables[gate]
-	if !ok {
+	ft := a.table(gate)
+	if ft == nil {
 		return nil
 	}
+	a.mu.RLock()
+	defer a.mu.RUnlock()
 	for _, r := range ft.records {
 		if r.Filter == f && r.Instance == inst {
 			return r
@@ -308,22 +320,16 @@ func (a *AIU) FindRecord(gate pcu.Type, f Filter, inst pcu.Instance) *FilterReco
 
 // Table returns a gate's filter table.
 func (a *AIU) Table(gate pcu.Type) (*FilterTable, bool) {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	ft, ok := a.tables[gate]
-	return ft, ok
+	ft := a.table(gate)
+	return ft, ft != nil
 }
 
-// dagFor returns the gate's DAG, rebuilding it if dirty. Caller must
+// dagFor returns the table's DAG, rebuilding it if dirty. Caller must
 // hold at least the read lock; rebuilds upgrade briefly. A failed
 // rebuild is remembered in the table (buildErr) so lookups do not
 // retry the broken build per packet; the next control-path mutation
 // re-dirties the table and retries.
-func (a *AIU) dagFor(gate pcu.Type) (*dag, error) {
-	ft := a.tables[gate]
-	if ft == nil {
-		return nil, nil
-	}
+func (a *AIU) dagFor(ft *FilterTable) (*dag, error) {
 	if ft.dirty || (ft.dag == nil && ft.buildErr == nil) {
 		// Upgrade to the write lock for the rebuild.
 		a.mu.RUnlock()
@@ -350,7 +356,7 @@ func (a *AIU) dagFor(gate pcu.Type) (*dag, error) {
 			}
 			ft.dirty = false
 			if ft.dag != nil {
-				a.telDAGNodes[gate].Set(int64(ft.dag.nodes))
+				ft.telDAGNodes.Set(int64(ft.dag.nodes))
 			}
 		}
 		a.mu.Unlock()
@@ -379,9 +385,13 @@ func (a *AIU) lookupGuarded(d *dag, gate pcu.Type, k pkt.Key, c *cycles.Counter,
 // path the paper's Table 2 instruments. It does not consult or fill the
 // flow cache.
 func (a *AIU) ClassifyKey(gate pcu.Type, k pkt.Key, c *cycles.Counter) *FilterRecord {
+	ft := a.table(gate)
+	if ft == nil {
+		return nil
+	}
 	var faults []*pcu.PluginFault
 	a.mu.RLock()
-	d, err := a.dagFor(gate)
+	d, err := a.dagFor(ft)
 	var rec *FilterRecord
 	if err == nil && d != nil {
 		rec = a.lookupGuarded(d, gate, k, c, &faults)
@@ -403,22 +413,29 @@ func (a *AIU) ClassifyKey(gate pcu.Type, k pkt.Key, c *cycles.Counter) *FilterRe
 //
 //eisr:slowpath
 func (a *AIU) classifyAndInsert(p *pkt.Packet, slot int, now time.Time, c *cycles.Counter) (pcu.Instance, *FlowRecord) {
-	// Accumulate this classification's accesses in a local counter so
-	// they can be attributed to the first-packet path (and to the packet
-	// trace via p.CacheMiss) before being merged into the caller's.
-	var lc cycles.Counter
+	// The classification charges the caller's counter and reads its own
+	// share (for the first-packet telemetry, and the packet trace via
+	// p.CacheMiss) as the difference: a counter of its own would escape
+	// to the heap through the BMP plugins' interface calls. Only when
+	// the caller counts nothing but telemetry wants the figures is one
+	// allocated.
+	lc, before := c, cycles.Counter{}
+	if c != nil {
+		before = *c
+	} else if a.telAccesses != nil {
+		lc = new(cycles.Counter)
+	}
 	var faults []*pcu.PluginFault
 	a.mu.RLock()
 	binds := make([]GateBind, len(a.gates))
 	var shared map[uint64]*FilterRecord
-	for i, g := range a.gates {
-		d, err := a.dagFor(g)
+	for i, ft := range a.tables {
+		d, err := a.dagFor(ft)
 		if err != nil || d == nil {
 			// A gate whose table failed to build classifies to no match:
 			// the flow degrades to the default path at that gate.
 			continue
 		}
-		ft := a.tables[g]
 		if a.cfg.ShareIdenticalTables {
 			if prev, ok := shared[ft.sig]; ok {
 				lc.Access(1) // the inter-DAG pointer dereference
@@ -432,7 +449,7 @@ func (a *AIU) classifyAndInsert(p *pkt.Packet, slot int, now time.Time, c *cycle
 				continue
 			}
 		}
-		fr := a.lookupGuarded(d, g, p.Key, &lc, &faults)
+		fr := a.lookupGuarded(d, ft.gate, p.Key, lc, &faults)
 		if fr != nil {
 			binds[i] = GateBind{Instance: fr.Instance, Rec: fr}
 		}
@@ -449,12 +466,14 @@ func (a *AIU) classifyAndInsert(p *pkt.Packet, slot int, now time.Time, c *cycle
 	for _, flt := range faults {
 		a.guard.Deliver(flt, nil)
 	}
-	rec, gen := a.flows.InsertGen(p.Key, now, binds)
+	rec, gen := a.flows.insert(p.Key, p.Hash, now, binds)
 	a.firstPacketLookups.Add(1)
-	a.telAccesses.Add(lc.Mem)
-	a.telFnPtr.Add(lc.FnPtr)
-	a.telDepth.Observe(lc.Total())
-	c.Merge(lc)
+	if lc != nil {
+		mem, fn := lc.Mem-before.Mem, lc.FnPtr-before.FnPtr
+		a.telAccesses.Add(mem)
+		a.telFnPtr.Add(fn)
+		a.telDepth.Observe(mem + fn)
+	}
 	p.FIX, p.FIXGen = rec, gen
 	p.CacheMiss = true
 	// The instance comes from the binds slice just installed, not from
@@ -487,9 +506,13 @@ func (a *AIU) Stats() (cached, firstPacket uint64) {
 // DAGNodes reports the node count of a gate's DAG (memory accounting for
 // the set-pruning structure).
 func (a *AIU) DAGNodes(gate pcu.Type) int {
+	ft := a.table(gate)
+	if ft == nil {
+		return 0
+	}
 	a.mu.RLock()
 	defer a.mu.RUnlock()
-	d, _ := a.dagFor(gate)
+	d, _ := a.dagFor(ft)
 	if d == nil {
 		return 0
 	}

@@ -11,8 +11,15 @@ import (
 
 func newTestAIU(t *testing.T) *AIU {
 	t.Helper()
-	return New(Config{InitialFlows: 16, MaxFlows: 64, FlowBuckets: 256},
+	return New(Config{InitialFlows: 16, MaxFlows: 64},
 		pcu.TypeSecurity, pcu.TypeSched)
+}
+
+// keyedPacket is a header-only packet carrying k, key and flow hash set.
+func keyedPacket(k pkt.Key) *pkt.Packet {
+	p := &pkt.Packet{InIf: k.InIf, OutIf: -1}
+	p.SetKey(k)
+	return p
 }
 
 func udpPacket(t *testing.T, src, dst string, sport, dport uint16, inIf int32) *pkt.Packet {

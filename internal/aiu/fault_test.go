@@ -58,7 +58,7 @@ func TestRebuildErrorCachedUntilNextMutation(t *testing.T) {
 	// must degrade, not panic.
 	a.mu.Lock()
 	a.cfg.BMPKind = bmp.Kind("bogus")
-	ft := a.tables[pcu.TypeSched]
+	ft := a.table(pcu.TypeSched)
 	ft.dirty = true
 	a.mu.Unlock()
 	if rec := a.ClassifyKey(pcu.TypeSched, k, nil); rec != nil {

@@ -17,7 +17,7 @@ import (
 func TestLookupGateStaleFIXReclassifies(t *testing.T) {
 	// A tiny single-shard table makes the forced recycle deterministic:
 	// capacity 4, so four new flows evict everything.
-	a := New(Config{InitialFlows: 4, MaxFlows: 4, FlowBuckets: 16, FlowShards: 1},
+	a := New(Config{InitialFlows: 4, MaxFlows: 4, FlowShards: 1},
 		pcu.TypeSecurity, pcu.TypeSched)
 	mine := &testInstance{name: "mine"}
 	other := &testInstance{name: "other"}
@@ -61,7 +61,8 @@ func TestLookupGateStaleFIXReclassifies(t *testing.T) {
 		t.Fatal("reclassification did not refresh the FIX generation")
 	}
 	// The refreshed FIX must be valid for further gates.
-	if b := rec2.BindIfCurrent(a.slots[pcu.TypeSched], p.FIXGen); b == nil {
+	slot, _ := a.Slot(pcu.TypeSched)
+	if b := rec2.BindIfCurrent(slot, p.FIXGen); b == nil {
 		t.Error("refreshed FIX fails its own generation check")
 	}
 }

@@ -22,7 +22,7 @@ func TestFlowTableShardCounts(t *testing.T) {
 		{300, maxFlowShards},
 	}
 	for _, tc := range cases {
-		ft := NewFlowTableSharded(256, 16, 1024, 1, tc.req)
+		ft := NewFlowTableSharded(16, 1024, 1, tc.req)
 		if got := ft.Shards(); got != tc.want {
 			t.Errorf("shards(%d) = %d want %d", tc.req, got, tc.want)
 		}
@@ -32,7 +32,7 @@ func TestFlowTableShardCounts(t *testing.T) {
 // Sharded tables must keep the aggregate accounting of the single-lock
 // table: every insert is visible, Len and Stats sum across shards.
 func TestFlowTableShardedAccounting(t *testing.T) {
-	ft := NewFlowTableSharded(1024, 64, 4096, 2, 8)
+	ft := NewFlowTableSharded(64, 4096, 2, 8)
 	now := time.Now()
 	const n = 500
 	for i := 0; i < n; i++ {
@@ -60,22 +60,21 @@ func TestFlowTableShardedAccounting(t *testing.T) {
 // the cache-hit path.
 func TestSteerWorkerMatchesShard(t *testing.T) {
 	const n = DefaultFlowShards
-	ft := NewFlowTableSharded(1024, 64, 4096, 1, n)
+	ft := NewFlowTableSharded(64, 4096, 1, n)
 	if ft.Shards() != n {
 		t.Fatalf("shards = %d want %d", ft.Shards(), n)
 	}
 	for i := 0; i < 2000; i++ {
-		k := key(i)
-		w := SteerWorker(k, n)
+		h := pkt.FlowHash(key(i))
+		w := SteerWorker(h, n)
 		if w < 0 || w >= n {
-			t.Fatalf("SteerWorker(%v) = %d out of range", k, w)
+			t.Fatalf("SteerWorker(%#x) = %d out of range", h, w)
 		}
-		shard := (HashKey(k) >> 24) & uint32(n-1)
-		if uint32(w) != shard {
-			t.Fatalf("key %d: worker %d != shard %d", i, w, shard)
+		if ft.shards[w] != ft.shardFor(h) {
+			t.Fatalf("key %d: worker %d does not own its shard", i, w)
 		}
 	}
-	if SteerWorker(key(1), 1) != 0 || SteerWorker(key(2), 0) != 0 {
+	if SteerWorker(pkt.FlowHash(key(1)), 1) != 0 || SteerWorker(pkt.FlowHash(key(2)), 0) != 0 {
 		t.Error("degenerate worker counts must steer to 0")
 	}
 }
@@ -86,7 +85,7 @@ func TestSteerWorkerBalance(t *testing.T) {
 	const workers = 4
 	counts := make([]int, workers)
 	for i := 0; i < 4096; i++ {
-		counts[SteerWorker(key(i), workers)]++
+		counts[SteerWorker(pkt.FlowHash(key(i)), workers)]++
 	}
 	for w, c := range counts {
 		if c == 0 {
@@ -102,7 +101,7 @@ func TestSteerWorkerBalance(t *testing.T) {
 // FIX captured before the recycle can never dispatch through the new
 // flow's bindings.
 func TestFlowRecordGenerationBumpOnRecycle(t *testing.T) {
-	ft := NewFlowTableSharded(64, 4, 8, 1, 1)
+	ft := NewFlowTableSharded(4, 8, 1, 1)
 	now := time.Now()
 	inst := &testInstance{name: "old"}
 	rec, gen := ft.InsertGen(key(0), now, []GateBind{{Instance: inst}})
@@ -131,7 +130,7 @@ func TestFlowRecordGenerationBumpOnRecycle(t *testing.T) {
 // Remove and FlushWhere are evictions too: they must invalidate
 // generations exactly like recycling.
 func TestFlowRecordGenerationBumpOnRemoveAndFlush(t *testing.T) {
-	ft := NewFlowTableSharded(64, 8, 32, 1, 2)
+	ft := NewFlowTableSharded(8, 32, 1, 2)
 	now := time.Now()
 	r1, g1 := ft.InsertGen(key(1), now, []GateBind{{Instance: &testInstance{name: "a"}}})
 	r2, g2 := ft.InsertGen(key(2), now, []GateBind{{Instance: &testInstance{name: "b"}}})
@@ -162,7 +161,7 @@ func TestFlowTableRecycleRaceKeepsGenerationGuard(t *testing.T) {
 		lanes    = 4
 		inserts  = 20000
 	)
-	ft := NewFlowTableSharded(64, capacity, capacity, 1, 1)
+	ft := NewFlowTableSharded(capacity, capacity, 1, 1)
 	insts := make([]*testInstance, flows)
 	for f := range insts {
 		insts[f] = &testInstance{name: fmt.Sprint("flow", f)}
@@ -242,7 +241,7 @@ func TestFlowTableRecycleRaceKeepsGenerationGuard(t *testing.T) {
 // free list pins no instance and no per-flow state.
 func TestFlowStatsRecycledAndRemoved(t *testing.T) {
 	const capacity = 4
-	ft := NewFlowTableSharded(16, capacity, capacity, 1, 1)
+	ft := NewFlowTableSharded(capacity, capacity, 1, 1)
 	now := time.Now()
 	inst := &testInstance{name: "i"}
 	ins := func(i int) *FlowRecord {
@@ -289,7 +288,7 @@ func TestFlowStatsRecycledAndRemoved(t *testing.T) {
 
 // PurgeIdle racing Lookup and Insert across shards: run with -race.
 func TestFlowTableConcurrentPurgeIdle(t *testing.T) {
-	ft := NewFlowTableSharded(1024, 64, 4096, 1, 8)
+	ft := NewFlowTableSharded(64, 4096, 1, 8)
 	t0 := time.Now()
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -328,7 +327,7 @@ func TestFlowTableConcurrentPurgeIdle(t *testing.T) {
 // Concurrent inserts and lookups of overlapping key ranges: run with
 // -race. Also exercises cross-shard traffic with FlushWhere mixed in.
 func TestFlowTableConcurrentInsertLookupFlush(t *testing.T) {
-	ft := NewFlowTableSharded(512, 32, 1024, 2, 8)
+	ft := NewFlowTableSharded(32, 1024, 2, 8)
 	now := time.Now()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -356,7 +355,7 @@ func TestFlowTableConcurrentInsertLookupFlush(t *testing.T) {
 func TestFlowTableShardedRecyclePerShard(t *testing.T) {
 	// With more live flows than capacity, every shard recycles its own
 	// oldest; the table never exceeds its aggregate allocation budget.
-	ft := NewFlowTableSharded(256, 8, 64, 1, 4)
+	ft := NewFlowTableSharded(8, 64, 1, 4)
 	now := time.Now()
 	for i := 0; i < 500; i++ {
 		if ft.Insert(key(i), now.Add(time.Duration(i)), nil) == nil {
@@ -379,13 +378,13 @@ func TestFlowTableShardedRecyclePerShard(t *testing.T) {
 // Insert keys crafted to collide into one shard: per-shard capacity
 // limits apply to that shard alone and other shards stay usable.
 func TestFlowTableShardIsolation(t *testing.T) {
-	ft := NewFlowTableSharded(256, 8, 64, 1, 8)
+	ft := NewFlowTableSharded(8, 64, 1, 8)
 	now := time.Now()
-	target := ft.shardFor(HashKey(key(0)))
+	target := ft.shardFor(pkt.FlowHash(key(0)))
 	same, other := 0, 0
 	for i := 0; i < 3000 && (same < 20 || other < 20); i++ {
 		k := key(i)
-		if ft.shardFor(HashKey(k)) == target {
+		if ft.shardFor(pkt.FlowHash(k)) == target {
 			same++
 		} else {
 			other++

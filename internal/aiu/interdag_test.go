@@ -42,8 +42,8 @@ func TestInterDAGSharingCorrectness(t *testing.T) {
 			SrcPort: uint16(rng.Intn(100)), DstPort: uint16(rng.Intn(100)),
 		}
 		for gi := range gatesOn {
-			p1 := &pkt.Packet{Key: k, KeyValid: true, OutIf: -1}
-			p2 := &pkt.Packet{Key: k, KeyValid: true, OutIf: -1}
+			p1 := keyedPacket(k)
+			p2 := keyedPacket(k)
 			i1, _ := on.LookupGate(p1, gatesOn[gi], now, nil)
 			i2, _ := off.LookupGate(p2, gatesOff[gi], now, nil)
 			n1, n2 := "", ""
@@ -67,9 +67,9 @@ func TestInterDAGSharingSavesAccesses(t *testing.T) {
 	k := pkt.Key{Src: pkt.MustParseAddr("10.1.2.3"), Dst: pkt.AddrV4(5), Proto: pkt.ProtoUDP, DstPort: 53}
 
 	var cOn, cOff cycles.Counter
-	pOn := &pkt.Packet{Key: k, KeyValid: true, OutIf: -1}
+	pOn := keyedPacket(k)
 	on.LookupGate(pOn, gOn[0], now, &cOn)
-	pOff := &pkt.Packet{Key: k, KeyValid: true, OutIf: -1}
+	pOff := keyedPacket(k)
 	off.LookupGate(pOff, gOff[0], now, &cOff)
 	if cOn.Total() >= cOff.Total() {
 		t.Errorf("sharing did not reduce first-packet accesses: %d vs %d", cOn.Total(), cOff.Total())
@@ -87,7 +87,7 @@ func TestInterDAGSharingDistinctTablesUnaffected(t *testing.T) {
 	a.Bind(pcu.TypeSched, MustParseFilter("*, *, UDP, *, *, *"), drr, nil)
 	now := time.Now()
 	k := pkt.Key{Src: pkt.MustParseAddr("10.9.9.9"), Dst: pkt.AddrV4(1), Proto: pkt.ProtoUDP}
-	p := &pkt.Packet{Key: k, KeyValid: true, OutIf: -1}
+	p := keyedPacket(k)
 	i1, rec := a.LookupGate(p, pcu.TypeSecurity, now, nil)
 	if i1 != sec {
 		t.Fatalf("security instance = %v", i1)

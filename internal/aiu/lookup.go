@@ -23,8 +23,7 @@ type Lane struct {
 	// nil when none is.
 	Inst pcu.Instance
 
-	hash    uint32
-	pending bool // no current FIX: the flow table must be walked
+	pending bool // no current FIX: the flow table must be probed
 	dup     bool // a later first packet of a flow another lane misses on
 	rec     *FlowRecord
 	gen     uint64
@@ -37,7 +36,7 @@ type Lane struct {
 //eisr:fastpath
 //eisr:allow(snapdiscipline) deliberate second binds load: a stale FIX falls through to Resolve, which reads a (possibly different) record's binds, each load generation-guarded
 func (a *AIU) LookupGate(p *pkt.Packet, gate pcu.Type, now time.Time, c *cycles.Counter) (pcu.Instance, *FlowRecord) {
-	slot, ok := a.slots[gate]
+	slot, ok := a.Slot(gate)
 	if !ok {
 		return nil, nil
 	}
@@ -80,21 +79,17 @@ func (l *Lane) FIX(slot int) bool {
 // Resolve completes the cascade for every live lane whose packet has no
 // FIX after the FIX step: the flow table, then first-packet
 // classification, which installs a flow record so later packets take
-// the faster paths. It runs in passes so a vector amortizes what a
-// single packet pays:
-//
-//   - the five-tuple hashes are computed in one tight ALU pass before
-//     any chain is walked, separating the independent hash work from the
-//     dependent pointer chases (the software analog of prefetching
-//     between shard entries);
-//   - the shard read lock is taken once per contiguous same-shard run
-//     instead of once per packet — with hash steering a worker's whole
-//     vector maps to one shard.
+// the faster paths. Every packet arrives with its flow hash (p.Hash,
+// computed once when its key was parsed), so no pass hashes. It runs in
+// passes so a vector amortizes what a single packet pays: the shard
+// read lock is taken once per contiguous same-shard run instead of once
+// per packet — with hash steering a worker's whole vector maps to one
+// shard.
 //
 //eisr:fastpath
 //eisr:allow(snapdiscipline) one generation-guarded binds load per packet (not per invocation), each guarded by BindIfCurrent
 func (a *AIU) Resolve(lanes []Lane, slot int, now time.Time) {
-	// Pass 1: keys and hashes.
+	// Pass 1: keys.
 	for i := range lanes {
 		l := &lanes[i]
 		p := l.P
@@ -109,12 +104,11 @@ func (a *AIU) Resolve(lanes []Lane, slot int, now time.Time) {
 				l.pending = false
 				continue
 			}
-			p.Key, p.KeyValid = k, true
+			p.SetKey(k)
 		}
 		l.C.FnPointer() // the index-hash function-pointer load of Table 2
-		l.hash = HashKey(p.Key)
 	}
-	// Pass 2: flow-table chain walks, one shard read-lock per contiguous
+	// Pass 2: flow-table probes, one shard read-lock per contiguous
 	// same-shard run (lanes resolved by their FIX do not break a run —
 	// they touch no shard). The generation is captured under the lock,
 	// so a record evicted before its binds are read is detected; a hit
@@ -128,13 +122,13 @@ func (a *AIU) Resolve(lanes []Lane, slot int, now time.Time) {
 			i++
 			continue
 		}
-		sh := t.shardFor(lanes[i].hash)
+		sh := t.shardFor(lanes[i].P.Hash)
 		last := i
 		for j := i + 1; j < len(lanes); j++ {
 			if !lanes[j].pending {
 				continue
 			}
-			if t.shardFor(lanes[j].hash) != sh {
+			if t.shardFor(lanes[j].P.Hash) != sh {
 				break
 			}
 			last = j
@@ -156,7 +150,7 @@ func (a *AIU) Resolve(lanes []Lane, slot int, now time.Time) {
 			if anyMiss {
 				for j := 0; j < k; j++ {
 					o := &lanes[j]
-					if o.pending && o.rec == nil && o.hash == l.hash && o.P.Key == l.P.Key {
+					if o.pending && o.rec == nil && o.P.Hash == l.P.Hash && o.P.Key == l.P.Key {
 						l.dup = true
 						break
 					}
@@ -165,24 +159,17 @@ func (a *AIU) Resolve(lanes []Lane, slot int, now time.Time) {
 					continue
 				}
 			}
-			var chain uint64
-			for r := sh.buckets[l.hash&sh.mask]; r != nil; r = r.next {
-				l.C.Access(1)
-				chain++
-				if r.Key == l.P.Key {
-					r.touch(now)
-					l.rec = r
-					l.gen = r.gen.Load()
-					break
-				}
-			}
-			t.telChain.Observe(chain)
-			if l.rec == nil {
+			ri, keys := sh.find(&l.P.Key, l.P.Hash, l.C)
+			t.telKeys.Observe(keys)
+			if ri == noRec {
 				runMisses++
 				anyMiss, left = true, true
 				continue
 			}
 			runHits++
+			l.rec = sh.rec(ri)
+			l.rec.touch(now)
+			l.gen = l.rec.gen.Load()
 			if b := l.rec.BindIfCurrent(slot, l.gen); b != nil {
 				l.P.FIX, l.P.FIXGen = l.rec, l.gen
 				l.Inst, l.pending = b.Instance, false
@@ -217,7 +204,7 @@ func (a *AIU) Resolve(lanes []Lane, slot int, now time.Time) {
 		}
 		p := l.P
 		if l.dup {
-			if rec, gen := t.LookupGen(p.Key, now, l.C); rec != nil {
+			if rec, gen := t.lookup(&p.Key, p.Hash, now, l.C); rec != nil {
 				if b := rec.BindIfCurrent(slot, gen); b != nil {
 					p.FIX, p.FIXGen = rec, gen
 					cached++

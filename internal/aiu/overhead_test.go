@@ -23,7 +23,7 @@ import (
 // (telemetry off — the configuration the guard measures).
 func newHitPathAIU(tb testing.TB, tel *telemetry.Telemetry) (*AIU, *pkt.Packet, time.Time) {
 	tb.Helper()
-	a := New(Config{InitialFlows: 16, MaxFlows: 64, FlowBuckets: 256}, pcu.TypeSched)
+	a := New(Config{InitialFlows: 16, MaxFlows: 64}, pcu.TypeSched)
 	if tel != nil {
 		a.SetTelemetry(tel)
 	}

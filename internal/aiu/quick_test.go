@@ -84,7 +84,7 @@ func TestQuickMoreSpecificAntisymmetric(t *testing.T) {
 // TestQuickFlowTableLookupAfterInsert: any inserted key is found until
 // removed, and never found after.
 func TestQuickFlowTableLookupAfterInsert(t *testing.T) {
-	ft := NewFlowTable(256, 16, 1<<16, 1)
+	ft := NewFlowTable(16, 1<<16, 1)
 	now := time.Now()
 	f := func(src, dst uint32, proto uint8, sp, dp uint16, inIf int32) bool {
 		k := pkt.Key{Src: pkt.AddrV4(src), Dst: pkt.AddrV4(dst), Proto: proto, SrcPort: sp, DstPort: dp, InIf: inIf}
@@ -105,15 +105,15 @@ func TestQuickFlowTableLookupAfterInsert(t *testing.T) {
 	}
 }
 
-// TestQuickHashStability: HashKey is a pure function and respects key
-// equality (same key, same hash; differing InIf does not change the
-// five-tuple hash).
+// TestQuickHashStability: the flow hash is a pure function and respects
+// key equality (same key, same hash; differing InIf does not change the
+// five-tuple hash), so a flow keeps its shard and worker on every link.
 func TestQuickHashStability(t *testing.T) {
 	f := func(src, dst uint32, proto uint8, sp, dp uint16, if1, if2 int32) bool {
 		k1 := pkt.Key{Src: pkt.AddrV4(src), Dst: pkt.AddrV4(dst), Proto: proto, SrcPort: sp, DstPort: dp, InIf: if1}
 		k2 := k1
 		k2.InIf = if2
-		return HashKey(k1) == HashKey(k2) && HashKey(k1) == HashKey(k1)
+		return pkt.FlowHash(k1) == pkt.FlowHash(k2) && pkt.FlowHash(k1) == pkt.FlowHash(k1)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Error(err)

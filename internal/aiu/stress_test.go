@@ -33,7 +33,7 @@ func (s *stressInstance) FilterRemoved(rec *FilterRecord)               { s.remo
 // RWMutex/atomic split in the flow table and the unlock-before-notify
 // discipline the lockscope analyzer enforces statically.
 func TestConcurrentLookupBindUnbind(t *testing.T) {
-	a := New(Config{InitialFlows: 16, MaxFlows: 64, FlowBuckets: 128},
+	a := New(Config{InitialFlows: 16, MaxFlows: 64},
 		pcu.TypeSecurity, pcu.TypeSched)
 	drr := &stressInstance{name: "drr0"}
 	if _, err := a.Bind(pcu.TypeSched, MatchAll(), drr, nil); err != nil {

@@ -1,9 +1,6 @@
 package aiu
 
-import (
-	"github.com/routerplugins/eisr/internal/pcu"
-	"github.com/routerplugins/eisr/internal/telemetry"
-)
+import "github.com/routerplugins/eisr/internal/telemetry"
 
 // SetTelemetry attaches metric cells to the AIU and its flow table. Must
 // be called during router assembly, before data-path traffic starts: the
@@ -25,24 +22,19 @@ func (a *AIU) SetTelemetry(t *telemetry.Telemetry) {
 		"function-pointer loads during classification (Table 2 accounts them separately)")
 	a.telDepth = t.Histogram("eisr_classifier_accesses_per_lookup",
 		"memory accesses per first-packet classification")
-	a.telFilters = make(map[pcu.Type]*telemetry.Gauge, len(a.gates))
-	a.telDAGNodes = make(map[pcu.Type]*telemetry.Gauge, len(a.gates))
-	for _, g := range a.gates {
-		l := telemetry.Label{Key: "gate", Value: g.String()}
-		a.telFilters[g] = t.Gauge("eisr_filters",
+	for _, ft := range a.tables {
+		l := telemetry.Label{Key: "gate", Value: ft.gate.String()}
+		ft.telFilters = t.Gauge("eisr_filters",
 			"installed filter records per gate", l)
-		a.telDAGNodes[g] = t.Gauge("eisr_dag_nodes",
+		ft.telDAGNodes = t.Gauge("eisr_dag_nodes",
 			"nodes in the gate's classification DAG", l)
 	}
 	a.flows.SetTelemetry(t)
 }
 
-// filterGauge returns the per-gate filter-count gauge (nil-safe).
-func (a *AIU) filterGauge(g pcu.Type) *telemetry.Gauge { return a.telFilters[g] }
-
 // SetTelemetry attaches flow-table metric cells. Same wiring contract as
 // AIU.SetTelemetry: assembly time only. The lookup, insert and eviction
-// counts are views over the table's own Stats cells.
+// counts and the live gauge are views over the table's own Stats cells.
 func (t *FlowTable) SetTelemetry(reg *telemetry.Telemetry) {
 	result := func(r string) telemetry.Label { return telemetry.Label{Key: "result", Value: r} }
 	reg.CounterFunc("eisr_flowcache_total", "flow-cache lookups by result",
@@ -53,8 +45,8 @@ func (t *FlowTable) SetTelemetry(reg *telemetry.Telemetry) {
 		func() uint64 { return t.Stats().Inserts })
 	reg.CounterFunc("eisr_flowcache_evictions_total", "flow records evicted (recycled, purged, or flushed)",
 		func() uint64 { s := t.Stats(); return s.Recycled + s.Removed })
-	t.telLive = reg.Gauge("eisr_flowcache_live",
-		"live flow records")
-	t.telChain = reg.Histogram("eisr_flowcache_chain_length",
-		"hash-chain elements examined per lookup")
+	reg.GaugeFunc("eisr_flowcache_live", "live flow records",
+		func() int64 { return int64(t.Len()) })
+	t.telKeys = reg.Histogram("eisr_flowcache_chain_length",
+		"keys compared per lookup (at most a bucket's slots)")
 }

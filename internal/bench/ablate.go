@@ -48,7 +48,7 @@ func RunAblateCache(seed int64, nFlows, nPackets int, burstiness float64) []Abla
 	var mem uint64
 	t0 := nowNs()
 	for _, fi := range trace {
-		p := &pkt.Packet{Key: keys[fi], KeyValid: true, OutIf: -1}
+		p := keyedPacket(keys[fi])
 		var c cycles.Counter
 		a.LookupGate(p, pcu.TypeSched, now, &c)
 		mem += c.Total()
@@ -175,7 +175,7 @@ func RunAblateInterDAG(seed int64, nGates, nFilters int) []AblateInterDAGRow {
 		t0 := nowNs()
 		for i, k := range keys {
 			k.SrcPort = uint16(i) // unique flows: always the slow path
-			p := &pkt.Packet{Key: k, KeyValid: true, OutIf: -1}
+			p := keyedPacket(k)
 			var c cycles.Counter
 			a.LookupGate(p, gates[0], now, &c)
 			mem += c.Total()

@@ -68,9 +68,8 @@ func RunBatchSweep(opt BatchSweepOptions) ([]BatchRow, error) {
 		return nil, err
 	}
 	a := aiu.New(aiu.Config{
-		BMPKind:     bmp.KindBSPL,
-		FlowBuckets: opt.Flows * 4,
-		MaxFlows:    opt.Flows * 2,
+		BMPKind:  bmp.KindBSPL,
+		MaxFlows: opt.Flows * 2,
 	}, pcu.TypeSched)
 	inst := benchInstance{}
 	a.Bind(pcu.TypeSched, aiu.MatchAll(), &inst, nil)
@@ -126,9 +125,10 @@ func RunBatchSweep(opt BatchSweepOptions) ([]BatchRow, error) {
 			if err != nil {
 				return nil, err
 			}
-			wi := aiu.SteerWorker(k, opt.Workers)
+			wi := aiu.SteerWorker(pkt.FlowHash(k), opt.Workers)
 			for j := 0; j < opt.PerFlow; j++ {
-				p := &pkt.Packet{Data: buf[f], Key: k, KeyValid: true, InIf: 0, OutIf: -1, Stamp: now}
+				p := &pkt.Packet{Data: buf[f], InIf: 0, OutIf: -1, Stamp: now}
+				p.SetKey(k)
 				parts[wi] = append(parts[wi], p)
 			}
 		}

@@ -57,7 +57,7 @@ func newBatchAllocRig(tb testing.TB, batch int) (*ipcore.Router, *ipcore.Batcher
 	if err != nil {
 		tb.Fatal(err)
 	}
-	a := aiu.New(aiu.Config{FlowBuckets: 256, MaxFlows: 128}, pcu.TypeSched)
+	a := aiu.New(aiu.Config{MaxFlows: 128}, pcu.TypeSched)
 	inst := benchInstance{}
 	a.Bind(pcu.TypeSched, aiu.MatchAll(), &inst, nil)
 	r, err := ipcore.New(ipcore.Config{
@@ -85,7 +85,8 @@ func newBatchAllocRig(tb testing.TB, batch int) (*ipcore.Router, *ipcore.Batcher
 		if err != nil {
 			tb.Fatal(err)
 		}
-		ps[i] = &pkt.Packet{Data: data, Key: k, KeyValid: true, InIf: 0, OutIf: -1, Stamp: now}
+		ps[i] = &pkt.Packet{Data: data, InIf: 0, OutIf: -1, Stamp: now}
+		ps[i].SetKey(k)
 	}
 	b := r.NewBatcher(batch)
 	// Prime the flows so the measured runs sit on the cache-hit path.
@@ -348,12 +349,12 @@ func TestProcessOneConcurrentDrain(t *testing.T) {
 // firstPacketAllocs is the heap-object budget of a new flow's first
 // packet when it recycles a flow record: the flow's gate binds (the
 // slice and the header the flow table publishes it through), the
-// classification's access counter (handed to the BMP plugins through
-// an interface call, so it escapes), the flow's DRR queue, and that
-// queue's first FIFO growth. Nothing else: no label formatting, no copy
-// of the binds, no evict-notice slice, no FIFO preallocated to the
-// queue limit.
-const firstPacketAllocs = 5
+// flow's DRR queue, and that queue's first FIFO growth. Nothing else:
+// no access counter of the classification's own (it charges the
+// caller's, which the BMP plugins' interface calls would otherwise make
+// escape), no label formatting, no copy of the binds, no evict-notice
+// slice, no FIFO preallocated to the queue limit.
+const firstPacketAllocs = 4
 
 // TestFirstPacketAllocBudget pins the first-packet cost: with DRR at
 // the scheduling gate and the flow table at its cap, every packet of a
@@ -365,7 +366,7 @@ func TestFirstPacketAllocBudget(t *testing.T) {
 		runs       = 500
 	)
 	r := newDRRRouter(t, nil, aiu.Config{
-		BMPKind: bmp.KindBSPL, FlowShards: 1, FlowBuckets: tableFlows,
+		BMPKind: bmp.KindBSPL, FlowShards: 1,
 		InitialFlows: tableFlows, MaxFlows: tableFlows,
 	})
 	ps := make([]*pkt.Packet, tableFlows+runs+1)

@@ -52,14 +52,14 @@ func RunGateScale(maxGates int) []GateScalePoint {
 				Src: pkt.AddrV4(0x0a000000 + uint32(trial+1)), Dst: pkt.AddrV4(0x14000001),
 				Proto: pkt.ProtoUDP, SrcPort: uint16(trial), DstPort: 9,
 			}
-			p := &pkt.Packet{Key: k, KeyValid: true, OutIf: -1}
+			p := keyedPacket(k)
 			var c1 cycles.Counter
 			t0 := nowNs()
 			a.LookupGate(p, gates[0], now, &c1)
 			firstNs += nowNs() - t0
 			firstMem += c1.Total()
 
-			q := &pkt.Packet{Key: k, KeyValid: true, OutIf: -1}
+			q := keyedPacket(k)
 			var c2 cycles.Counter
 			t0 = nowNs()
 			a.LookupGate(q, gates[0], now, &c2)

@@ -47,7 +47,7 @@ func TestTracedWorkersSchedHandoff(t *testing.T) {
 		t.Fatal(err)
 	}
 	routes.Add(pkt.MustParsePrefix("0.0.0.0/0"), routing.NextHop{IfIndex: 1})
-	a := aiu.New(aiu.Config{InitialFlows: 64, MaxFlows: 1024, FlowBuckets: 256}, ipcore.DefaultGates...)
+	a := aiu.New(aiu.Config{InitialFlows: 64, MaxFlows: 1024}, ipcore.DefaultGates...)
 	r, err := ipcore.New(ipcore.Config{
 		Mode: ipcore.ModePlugin, AIU: a, Routes: routes, Tel: tel,
 		Workers: 2, VerifyChecksums: true,

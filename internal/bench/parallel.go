@@ -59,10 +59,9 @@ func RunParallel(opt ParallelOptions) ([]ParallelRow, error) {
 		return nil, err
 	}
 	a := aiu.New(aiu.Config{
-		BMPKind:     bmp.KindBSPL,
-		FlowBuckets: opt.Flows * 4,
-		MaxFlows:    opt.Flows * 2,
-		FlowShards:  opt.FlowShards,
+		BMPKind:    bmp.KindBSPL,
+		MaxFlows:   opt.Flows * 2,
+		FlowShards: opt.FlowShards,
 	}, pcu.TypeSched)
 	inst := benchInstance{}
 	a.Bind(pcu.TypeSched, aiu.MatchAll(), &inst, nil)
@@ -128,9 +127,10 @@ func RunParallel(opt ParallelOptions) ([]ParallelRow, error) {
 			if err != nil {
 				return nil, err
 			}
-			wi := aiu.SteerWorker(k, w)
+			wi := aiu.SteerWorker(pkt.FlowHash(k), w)
 			for j := 0; j < opt.PerFlow; j++ {
-				p := &pkt.Packet{Data: buf[f], Key: k, KeyValid: true, InIf: 0, OutIf: -1, Stamp: now}
+				p := &pkt.Packet{Data: buf[f], InIf: 0, OutIf: -1, Stamp: now}
+				p.SetKey(k)
 				parts[wi] = append(parts[wi], p)
 			}
 		}

@@ -34,7 +34,7 @@ func newEqRig(t *testing.T, tel *telemetry.Telemetry, guard *pcu.Guard, workers 
 	}
 	routes.Add(pkt.MustParsePrefix("0.0.0.0/0"), routing.NextHop{IfIndex: 1})
 	routes.Add(pkt.MustParsePrefix("2000::/3"), routing.NextHop{IfIndex: 1})
-	a := aiu.New(aiu.Config{InitialFlows: 64, MaxFlows: 1024, FlowBuckets: 1024}, DefaultGates...)
+	a := aiu.New(aiu.Config{InitialFlows: 64, MaxFlows: 1024}, DefaultGates...)
 	r, err := New(Config{
 		Mode: ModePlugin, AIU: a, Routes: routes, VerifyChecksums: true,
 		OutQueueLen: 65536, Tel: tel, Guard: guard, Workers: workers,
@@ -707,7 +707,7 @@ func TestSubmitShedsOnlyOverloadedWorker(t *testing.T) {
 	// Find two flows steered to different workers.
 	fA, fB := -1, -1
 	for f := 0; f < 64 && (fA < 0 || fB < 0); f++ {
-		switch aiu.SteerWorker(seqPacket(t, f, 0).Key, 2) {
+		switch aiu.SteerWorker(seqPacket(t, f, 0).Hash, 2) {
 		case 0:
 			if fA < 0 {
 				fA = f
@@ -721,7 +721,7 @@ func TestSubmitShedsOnlyOverloadedWorker(t *testing.T) {
 	if fA < 0 || fB < 0 {
 		t.Fatal("steering put 64 flows on one worker")
 	}
-	wA := aiu.SteerWorker(seqPacket(t, fA, 0).Key, 2)
+	wA := aiu.SteerWorker(seqPacket(t, fA, 0).Hash, 2)
 	wB := 1 - wA
 
 	wedge := &wedgeInstance{name: "wedge", entered: make(chan struct{}), release: make(chan struct{})}

@@ -26,7 +26,7 @@ func TestConcurrentControlAndData(t *testing.T) {
 	}
 	routes.Add(pkt.MustParsePrefix("0.0.0.0/0"), routing.NextHop{IfIndex: 1})
 	gates := []pcu.Type{pcu.TypeSecurity, pcu.TypeSched}
-	a := aiu.New(aiu.Config{InitialFlows: 64, MaxFlows: 512, FlowBuckets: 256}, gates...)
+	a := aiu.New(aiu.Config{InitialFlows: 64, MaxFlows: 512}, gates...)
 	r, err := New(Config{Mode: ModePlugin, Gates: gates, AIU: a, Routes: routes})
 	if err != nil {
 		t.Fatal(err)

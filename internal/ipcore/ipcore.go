@@ -599,7 +599,7 @@ func (r *Router) validate(p *pkt.Packet) bool {
 			p.ReleaseBuf()
 			return false
 		}
-		p.Key, p.KeyValid = k, true
+		p.SetKey(k)
 	}
 	return true
 }

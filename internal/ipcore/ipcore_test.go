@@ -31,7 +31,7 @@ func newRig(t *testing.T, mode Mode, mono sched.Scheduler) *testRig {
 	routes.Add(pkt.MustParsePrefix("2000::/3"), routing.NextHop{IfIndex: 1})
 	var a *aiu.AIU
 	if mode == ModePlugin {
-		a = aiu.New(aiu.Config{InitialFlows: 64, MaxFlows: 1024, FlowBuckets: 1024}, DefaultGates...)
+		a = aiu.New(aiu.Config{InitialFlows: 64, MaxFlows: 1024}, DefaultGates...)
 	}
 	r, err := New(Config{
 		Mode: mode, AIU: a, Routes: routes, MonoSched: mono, VerifyChecksums: true,

@@ -25,7 +25,7 @@ func TestOverloadShedReleasesMbufs(t *testing.T) {
 		t.Fatal(err)
 	}
 	routes.Add(pkt.MustParsePrefix("0.0.0.0/0"), routing.NextHop{IfIndex: 1})
-	a := aiu.New(aiu.Config{InitialFlows: 256, MaxFlows: 4096, FlowBuckets: 1024}, DefaultGates...)
+	a := aiu.New(aiu.Config{InitialFlows: 256, MaxFlows: 4096}, DefaultGates...)
 	r, err := New(Config{Mode: ModePlugin, AIU: a, Routes: routes, Workers: workers})
 	if err != nil {
 		t.Fatal(err)

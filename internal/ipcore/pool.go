@@ -159,7 +159,7 @@ func (p *Pool) Stop() {
 //
 //eisr:fastpath
 func (p *Pool) Submit(pk *pkt.Packet) bool {
-	w := aiu.SteerWorker(pk.Key, p.n)
+	w := aiu.SteerWorker(pk.Hash, p.n)
 	select {
 	case p.queues[w] <- pk:
 		return true

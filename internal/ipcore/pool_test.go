@@ -24,7 +24,7 @@ func newParallelRig(t *testing.T, workers int, rc *pcu.Reclaimer) *testRig {
 		t.Fatal(err)
 	}
 	routes.Add(pkt.MustParsePrefix("0.0.0.0/0"), routing.NextHop{IfIndex: 1})
-	a := aiu.New(aiu.Config{InitialFlows: 256, MaxFlows: 4096, FlowBuckets: 1024}, DefaultGates...)
+	a := aiu.New(aiu.Config{InitialFlows: 256, MaxFlows: 4096}, DefaultGates...)
 	r, err := New(Config{
 		Mode: ModePlugin, AIU: a, Routes: routes,
 		Workers: workers, OutQueueLen: 65536, Reclaim: rc,
@@ -142,16 +142,16 @@ func TestPoolPerFlowOrdering(t *testing.T) {
 func TestPoolSteeringDeterministic(t *testing.T) {
 	const workers = 4
 	k := pkt.Key{Src: pkt.AddrV4(1), Dst: pkt.AddrV4(2), Proto: pkt.ProtoUDP, SrcPort: 3, DstPort: 4}
-	w := aiu.SteerWorker(k, workers)
+	w := aiu.SteerWorker(pkt.FlowHash(k), workers)
 	for i := 0; i < 100; i++ {
-		if aiu.SteerWorker(k, workers) != w {
+		if aiu.SteerWorker(pkt.FlowHash(k), workers) != w {
 			t.Fatal("steering is not a pure function of the key")
 		}
 	}
 	hit := make(map[int]bool)
 	for f := 0; f < 256; f++ {
 		k.SrcPort = uint16(f)
-		hit[aiu.SteerWorker(k, workers)] = true
+		hit[aiu.SteerWorker(pkt.FlowHash(k), workers)] = true
 	}
 	if len(hit) != workers {
 		t.Errorf("256 flows hit only %d of %d workers", len(hit), workers)

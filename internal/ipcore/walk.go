@@ -179,7 +179,7 @@ func (r *Router) walk(w *vec, st *ifaceState, run []*pkt.Packet) int {
 		// atomic load, the only cost the untraced path pays for eisrpath.
 		// A packet that arrived with a wire context stays traced.
 		if !p.Path.Active && p.KeyValid && r.ptrace.Enabled() {
-			if id, ok := r.ptrace.Origin(aiu.HashKey(p.Key)); ok {
+			if id, ok := r.ptrace.Origin(uint32(p.Hash)); ok {
 				p.Path.Active = true
 				p.Path.ID = id
 			}
@@ -545,7 +545,7 @@ func (r *Router) pathStamp(p *pkt.Packet, verdict uint8, start time.Time, elapse
 	}
 	var worker uint16
 	if r.pool != nil {
-		worker = uint16(aiu.SteerWorker(p.Key, r.pool.n))
+		worker = uint16(aiu.SteerWorker(p.Hash, r.pool.n))
 	}
 	p.Path.AppendHop(pkt.PathHop{
 		Router:  r.ptrace.Router(),

@@ -171,7 +171,7 @@ func (i *Instance) HandlePacket(p *pkt.Packet) error {
 		if err != nil {
 			return err
 		}
-		p.Key, p.KeyValid = k, true
+		p.SetKey(k)
 		return nil
 	}
 	inner, err := sa.Open(p.Data)
@@ -184,7 +184,7 @@ func (i *Instance) HandlePacket(p *pkt.Packet) error {
 	if err != nil {
 		return err
 	}
-	p.Key, p.KeyValid = k, true
+	p.SetKey(k)
 	p.FIX = nil // the inner flow classifies afresh at later gates
 	return nil
 }

@@ -8,6 +8,7 @@ import (
 	"github.com/routerplugins/eisr/internal/aiu"
 	"github.com/routerplugins/eisr/internal/pcu"
 	"github.com/routerplugins/eisr/internal/pkt"
+	"github.com/routerplugins/eisr/internal/sched"
 )
 
 func TestQuickSealOpenRoundTrip(t *testing.T) {
@@ -178,4 +179,82 @@ func TestInstanceHandlePacketTransforms(t *testing.T) {
 	if other.Key.Proto == pkt.ProtoESP {
 		t.Error("unbound flow was encrypted")
 	}
+}
+
+// TestPacketHashFollowsKey: every path that sets a packet's key stores
+// the key's flow hash with it — Reset (receive), SetKey, the tunnel's
+// re-key on encrypt and decap on decrypt, and ALTQ's own parse of an
+// unparsed packet — so the shard, worker and queue choices that read
+// p.Hash always describe the current key.
+func TestPacketHashFollowsKey(t *testing.T) {
+	check := func(stage string, p *pkt.Packet) {
+		t.Helper()
+		if !p.KeyValid || p.Hash != pkt.FlowHash(p.Key) {
+			t.Errorf("%s: key %v (valid %v) carries hash %#x, want %#x", stage, p.Key, p.KeyValid, p.Hash, pkt.FlowHash(p.Key))
+		}
+	}
+	pl, a := pluginRig(t)
+	enc, dec := newTunnelInstance(t, pl, "encrypt", "10.1.0.0/16, 10.2.0.0/16, *, *, *, *"),
+		newTunnelInstance(t, pl, "decrypt", "192.0.2.1, 198.51.100.1, 50, *, *, *")
+	data, err := pkt.BuildUDP(pkt.UDPSpec{
+		Src: pkt.MustParseAddr("10.1.0.5"), Dst: pkt.MustParseAddr("10.2.0.9"),
+		SrcPort: 1, DstPort: 2, Payload: []byte("pp"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := pkt.NewPacket(append([]byte(nil), data...), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("Reset", p)
+	inner := p.Hash
+
+	a.LookupGate(p, pcu.TypeSecurity, time.Now(), nil)
+	if err := enc.HandlePacket(p); err != nil {
+		t.Fatal(err)
+	}
+	check("encrypt", p)
+	if p.Hash == inner {
+		t.Error("encrypt kept the inner flow's hash")
+	}
+
+	q, err := pkt.NewPacket(p.Data, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.LookupGate(q, pcu.TypeSecurity, time.Now(), nil)
+	if err := dec.HandlePacket(q); err != nil {
+		t.Fatal(err)
+	}
+	check("decap", q)
+	if q.Hash != inner {
+		t.Errorf("decap hash %#x, want the inner flow's %#x", q.Hash, inner)
+	}
+
+	var r pkt.Packet
+	r.SetKey(q.Key)
+	check("SetKey", &r)
+
+	raw := &pkt.Packet{Data: append([]byte(nil), data...), OutIf: -1}
+	if err := sched.NewALTQDRR(8, 1500).Enqueue(raw); err != nil {
+		t.Fatal(err)
+	}
+	check("altq", raw)
+}
+
+// newTunnelInstance creates an ipsec instance in mode and registers it
+// for filter with the test SA.
+func newTunnelInstance(t *testing.T, pl *Plugin, mode, filter string) *Instance {
+	t.Helper()
+	cm := &pcu.Message{Kind: pcu.MsgCreateInstance, Args: map[string]string{"mode": mode}}
+	if err := pl.Callback(cm); err != nil {
+		t.Fatal(err)
+	}
+	inst := cm.Reply.(*Instance)
+	reg := &pcu.Message{Kind: pcu.MsgRegisterInstance, Instance: inst, Args: saArgs(filter)}
+	if err := pl.Callback(reg); err != nil {
+		t.Fatal(err)
+	}
+	return inst
 }

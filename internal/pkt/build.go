@@ -225,18 +225,19 @@ func NewPacket(data []byte, inIf int32) (*Packet, error) {
 
 // Reset reinitializes p in place as a freshly received packet carrying
 // data from interface inIf: every header field is cleared, the six-tuple
-// is extracted once and the TOS (IPv6 traffic class) is read from the IP
-// header. On a malformed datagram it returns the extraction error and
-// leaves p cleared with KeyValid false. NewPacket builds on it, and a
-// driver recycling whole packets (netdev's mbuf pool) calls it on every
-// reuse, so a recycled packet carries nothing of its previous life.
+// is extracted and hashed once (SetKey) and the TOS (IPv6 traffic class)
+// is read from the IP header. On a malformed datagram it returns the
+// extraction error and leaves p cleared with KeyValid false. NewPacket
+// builds on it, and a driver recycling whole packets (netdev's mbuf
+// pool) calls it on every reuse, so a recycled packet carries nothing of
+// its previous life.
 func (p *Packet) Reset(data []byte, inIf int32) error {
 	*p = Packet{Data: data, InIf: inIf, OutIf: -1}
 	k, err := ExtractKey(data, inIf)
 	if err != nil {
 		return err
 	}
-	p.Key, p.KeyValid = k, true
+	p.SetKey(k)
 	switch data[0] >> 4 {
 	case 4:
 		p.TOS = data[1]

@@ -25,7 +25,7 @@ const (
 // every field fully specified) and the input to filter matching.
 //
 // Key is comparable, so it can be used directly as a map key in tests and
-// reference implementations; the production flow table uses its own hash.
+// reference implementations; the production flow table uses FlowHash.
 type Key struct {
 	Src     Addr
 	Dst     Addr
@@ -41,9 +41,9 @@ func (k Key) String() string {
 		k.Src, k.Dst, k.Proto, k.SrcPort, k.DstPort, k.InIf)
 }
 
-// FiveTuple returns the key with the incoming interface cleared. The flow
-// table's hash covers only the five header fields (the paper computes the
-// hash from <src, dst, proto, sport, dport>).
+// FiveTuple returns the key with the incoming interface cleared: the
+// five header fields FlowHash covers (the paper computes the hash from
+// <src, dst, proto, sport, dport>).
 func (k Key) FiveTuple() Key {
 	k.InIf = -1
 	return k
@@ -74,6 +74,10 @@ type Packet struct {
 	// parses it exactly once per packet on receive.
 	Key      Key
 	KeyValid bool
+	// Hash is FlowHash(Key), computed with it (SetKey): the flow-table
+	// shard, bucket and tag, the forwarding worker, path-trace sampling
+	// and ALTQ's queue choice all read it instead of hashing again.
+	Hash uint64
 
 	// FIX is the flow index: a pointer to the flow-table row for this
 	// packet's flow, stored by the AIU when the first gate resolves the

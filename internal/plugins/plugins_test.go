@@ -34,7 +34,7 @@ func newRig(t *testing.T, gates ...pcu.Type) *rig {
 		t.Fatal(err)
 	}
 	routes.Add(pkt.MustParsePrefix("0.0.0.0/0"), routing.NextHop{IfIndex: 1})
-	a := aiu.New(aiu.Config{InitialFlows: 64, MaxFlows: 1024, FlowBuckets: 512}, gates...)
+	a := aiu.New(aiu.Config{InitialFlows: 64, MaxFlows: 1024}, gates...)
 	r, err := ipcore.New(ipcore.Config{
 		Mode: ipcore.ModePlugin, AIU: a, Routes: routes, Gates: gates,
 	})

@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"github.com/routerplugins/eisr/internal/aiu"
 	"github.com/routerplugins/eisr/internal/pkt"
 )
 
@@ -42,9 +41,9 @@ func (a *ALTQDRR) Enqueue(p *pkt.Packet) error {
 		if err != nil {
 			return err
 		}
-		p.Key, p.KeyValid = k, true
+		p.SetKey(k)
 	}
-	q := a.queues[aiu.HashKey(p.Key.FiveTuple())%uint32(len(a.queues))]
+	q := a.queues[p.Hash%uint64(len(a.queues))]
 	return a.drr.EnqueueFlow(q, p)
 }
 

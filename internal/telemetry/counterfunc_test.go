@@ -20,6 +20,25 @@ func TestCounterFuncReadsOwnerCell(t *testing.T) {
 	nilTel.CounterFunc("eisr_view_total", "", cell.Load) // must not panic
 }
 
+func TestGaugeFuncReadsOwnerLevel(t *testing.T) {
+	tel := New()
+	var level atomic.Int64
+	level.Store(4)
+	tel.GaugeFunc("eisr_level", "a level view", level.Load, Label{"k", "v"})
+	level.Add(-1)
+	mv, ok := tel.Find(`eisr_level{k="v"}`)
+	if !ok || mv.Kind != "gauge" || mv.Gauge != 3 {
+		t.Fatalf("view = %+v (found %v), want gauge 3", mv, ok)
+	}
+	// The view keeps its name: a later plain registration gets a nil
+	// (no-op) cell and the first reader stays.
+	if g := tel.Gauge("eisr_level", "", Label{"k", "v"}); g != nil {
+		t.Fatal("plain registration over a gauge view returned a live cell")
+	}
+	var nilTel *Telemetry
+	nilTel.GaugeFunc("eisr_level", "", level.Load) // must not panic
+}
+
 func TestCounterFuncFirstWins(t *testing.T) {
 	tel := New()
 	first := func() uint64 { return 1 }

@@ -40,7 +40,7 @@ func (t *Telemetry) Snapshot() []MetricValue {
 		case KindCounter:
 			mv.Counter = m.read()
 		case KindGauge:
-			mv.Gauge = m.g.Value()
+			mv.Gauge = m.gread()
 		case KindHistogram:
 			h := m.h.Value()
 			mv.Hist = &h
@@ -98,7 +98,7 @@ func (t *Telemetry) WritePrometheus(w io.Writer) error {
 				return err
 			}
 		case KindGauge:
-			if _, err := fmt.Fprintf(w, "%s %d\n", m.full, m.g.Value()); err != nil {
+			if _, err := fmt.Fprintf(w, "%s %d\n", m.full, m.gread()); err != nil {
 				return err
 			}
 		case KindHistogram:

@@ -47,10 +47,11 @@ type metric struct {
 	help   string
 	kind   Kind
 
-	c    *Counter
-	read func() uint64
-	g    *Gauge
-	h    *Histogram
+	c     *Counter
+	read  func() uint64
+	g     *Gauge
+	gread func() int64
+	h     *Histogram
 }
 
 // Telemetry is the metric registry plus the optional trace ring. All
@@ -102,9 +103,9 @@ func renderFull(family string, labels []Label) string {
 var noMetric metric
 
 // register resolves or creates the metric for full name. A new counter
-// reads read, or a fresh registry cell when read is nil; the first
-// registration of a full name wins.
-func (t *Telemetry) register(family, help string, kind Kind, labels []Label, read func() uint64) *metric {
+// reads read and a new gauge gread, or a fresh registry cell when that
+// reader is nil; the first registration of a full name wins.
+func (t *Telemetry) register(family, help string, kind Kind, labels []Label, read func() uint64, gread func() int64) *metric {
 	if t == nil {
 		return &noMetric
 	}
@@ -129,7 +130,11 @@ func (t *Telemetry) register(family, help string, kind Kind, labels []Label, rea
 		}
 		m.read = read
 	case KindGauge:
-		m.g = &Gauge{}
+		if gread == nil {
+			m.g = &Gauge{}
+			gread = m.g.Value
+		}
+		m.gread = gread
 	case KindHistogram:
 		m.h = &Histogram{}
 	}
@@ -141,7 +146,7 @@ func (t *Telemetry) register(family, help string, kind Kind, labels []Label, rea
 // Counter registers (or finds) a counter. Nil-safe: a nil receiver
 // returns a nil *Counter, whose methods are no-ops.
 func (t *Telemetry) Counter(family, help string, labels ...Label) *Counter {
-	return t.register(family, help, KindCounter, labels, nil).c
+	return t.register(family, help, KindCounter, labels, nil, nil).c
 }
 
 // CounterFunc registers a counter whose cell belongs to the caller:
@@ -151,17 +156,25 @@ func (t *Telemetry) Counter(family, help string, labels ...Label) *Counter {
 // everything counted before it was attached. Nil-safe; a full name
 // already registered keeps its first reader.
 func (t *Telemetry) CounterFunc(family, help string, read func() uint64, labels ...Label) {
-	t.register(family, help, KindCounter, labels, read)
+	t.register(family, help, KindCounter, labels, read, nil)
 }
 
 // Gauge registers (or finds) a gauge.
 func (t *Telemetry) Gauge(family, help string, labels ...Label) *Gauge {
-	return t.register(family, help, KindGauge, labels, nil).g
+	return t.register(family, help, KindGauge, labels, nil, nil).g
+}
+
+// GaugeFunc registers a gauge whose value belongs to the caller, read
+// at scrape time — CounterFunc's twin for a level a layer already keeps
+// (a table's live count) rather than moving a second cell beside it.
+// Nil-safe; a full name already registered keeps its first reader.
+func (t *Telemetry) GaugeFunc(family, help string, read func() int64, labels ...Label) {
+	t.register(family, help, KindGauge, labels, nil, read)
 }
 
 // Histogram registers (or finds) a histogram.
 func (t *Telemetry) Histogram(family, help string, labels ...Label) *Histogram {
-	return t.register(family, help, KindHistogram, labels, nil).h
+	return t.register(family, help, KindHistogram, labels, nil, nil).h
 }
 
 // EnableTrace installs a packet trace ring of the given size (rounded

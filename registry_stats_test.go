@@ -25,7 +25,8 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite testdata/registry_names.golden")
 
 // statPair ties one Stats field to the exported counters whose sum must
-// equal it. A metric name ending in "#count" is a histogram's count.
+// equal it. A metric name ending in "#count" is a histogram's count,
+// one ending in "#gauge" a gauge's value.
 type statPair struct {
 	field   string
 	stat    uint64
@@ -68,14 +69,18 @@ func TestRegistryEqualsStats(t *testing.T) {
 				var sum uint64
 				for _, full := range p.metrics {
 					name, hist := strings.CutSuffix(full, "#count")
+					name, gauge := strings.CutSuffix(name, "#gauge")
 					mv, ok := byFull[name]
 					if !ok {
 						t.Errorf("%s: metric %s not exported", p.field, name)
 						continue
 					}
-					if hist {
+					switch {
+					case hist:
 						sum += mv.Hist.Count
-					} else {
+					case gauge:
+						sum += uint64(mv.Gauge)
+					default:
 						sum += mv.Counter
 					}
 				}
@@ -425,6 +430,7 @@ func aiuRegistryCase(t *testing.T) (*telemetry.Telemetry, []statPair) {
 		{field: "FlowStats.Misses", stat: s.Misses, metrics: []string{`eisr_flowcache_total{result="miss"}`}},
 		{field: "FlowStats.Inserts", stat: s.Inserts, metrics: []string{"eisr_flowcache_inserts_total"}},
 		{field: "FlowStats.Recycled+Removed", stat: s.Recycled + s.Removed, metrics: []string{"eisr_flowcache_evictions_total"}},
+		{field: "FlowStats.Live", stat: uint64(s.Live), metrics: []string{"eisr_flowcache_live#gauge"}},
 		{field: "firstPacket", stat: first, metrics: []string{"eisr_classifier_first_packet_total"}},
 	}
 }

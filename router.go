@@ -57,9 +57,9 @@ type Options struct {
 	// FIB cpe and the classifier bspl: classifier tables are many and
 	// tiny, and a CPE directory each would waste memory.
 	BMP string
-	// FlowBuckets / MaxFlows size the AIU flow cache.
-	FlowBuckets int
-	MaxFlows    int
+	// MaxFlows caps the AIU flow cache; its index grows with the
+	// records, so nothing is sized for the cap at boot.
+	MaxFlows int
 	// FlowShards sets the flow-table shard count (power of two; 0 = the
 	// default). More shards reduce lock contention between forwarding
 	// workers; with Workers a power of two ≤ FlowShards, each shard is
@@ -163,7 +163,6 @@ func New(opts Options) (*Router, error) {
 	if mode == ipcore.ModePlugin {
 		a = aiu.New(aiu.Config{
 			BMPKind:              kind,
-			FlowBuckets:          opts.FlowBuckets,
 			MaxFlows:             opts.MaxFlows,
 			FlowShards:           opts.FlowShards,
 			ShareIdenticalTables: opts.ShareIdenticalTables,
