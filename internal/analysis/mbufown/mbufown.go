@@ -1,12 +1,12 @@
 // Package mbufown implements the linear-ownership analyzer for packet
 // buffers (eisrlint's "mbufown"). The EISR buffer contract — inherited
 // from the paper's mbuf recycling discipline and made load-bearing by
-// the preallocated RX slot rings and TX wire-buffer pools of PR 5 — is
-// that a buffer acquired from a pool is owned by exactly one holder,
-// who must pass it on (transmit, enqueue, free-list send, steering
-// handoff) on every path. A path that forgets is a pool leak: under
-// the fixed-size rings of netio, enough leaks brick the link with no
-// crash and no counter.
+// the interfaces' receive mbuf pools and netio's fixed TX wire-buffer
+// pools — is that a buffer acquired from a pool is owned by exactly
+// one holder, who must pass it on (transmit, enqueue, free-list send,
+// steering handoff) on every path. A path that forgets is a pool leak:
+// under the fixed-size TX pool of netio, enough leaks brick the link
+// with no crash and no counter.
 //
 // The pass is an intraprocedural may-analysis over the dataflow CFG:
 //

@@ -51,9 +51,16 @@ type WireResult struct {
 	Duplicates int
 	Elapsed    time.Duration
 	Daemon     bool
-	// Links snapshots each in-process hop's wire counters (empty in
-	// daemon mode; use `pmgr links` there).
-	Links []netdev.LinkInfo
+	// Links snapshots each in-process hop (empty in daemon mode; use
+	// `pmgr links` and `pmgr stats` there).
+	Links []WireHop
+}
+
+// WireHop is one in-process link: the wire-only events from its driver
+// and the packet accounting of the interface it backs.
+type WireHop struct {
+	Link  netdev.LinkInfo
+	Iface netdev.Stats
 }
 
 // Lost reports how many packets never reached the sink.
@@ -94,7 +101,7 @@ func RunWire(opts WireOptions) (WireResult, error) {
 	// The ingress: either a live daemon's link socket or an in-process
 	// two-router topology whose first hop we inject into directly.
 	var inject func(data []byte) error
-	var snapshotLinks func() []netdev.LinkInfo
+	var snapshotLinks func() []WireHop
 	if opts.Daemon != "" {
 		srcAddr, err := net.ResolveUDPAddr("udp", opts.SrcBind)
 		if err != nil {
@@ -135,8 +142,11 @@ func RunWire(opts WireOptions) (WireResult, error) {
 				time.Sleep(50 * time.Microsecond)
 			}
 		}
-		snapshotLinks = func() []netdev.LinkInfo {
-			return []netdev.LinkInfo{linkA.LinkInfo(), linkBOut.LinkInfo()}
+		snapshotLinks = func() []WireHop {
+			return []WireHop{
+				{linkA.LinkInfo(), a.Interface(1).Stats()},
+				{linkBOut.LinkInfo(), b.Interface(1).Stats()},
+			}
 		}
 	}
 
@@ -283,13 +293,13 @@ func WireTable(r WireResult) *Table {
 	t.Add(fmt.Sprint(r.Packets), fmt.Sprint(r.Received), fmt.Sprint(r.Lost()),
 		fmt.Sprint(r.Duplicates), r.Elapsed.Round(time.Millisecond).String(), pps)
 	if r.Daemon {
-		t.Note("driven against a live eisrd; link counters via `pmgr links`")
+		t.Note("driven against a live eisrd; interface counters via `pmgr stats`, wire-only ones via `pmgr links`")
 	}
-	for _, li := range r.Links {
-		t.Note("%s (%s %s -> %s): rx %d tx %d drops rx-ring=%d tx-ring=%d errs=%d avg-batch %.1f",
-			li.Name, li.Kind, li.Local, li.Peer,
-			li.Stats.RxPackets, li.Stats.TxPackets,
-			li.Stats.RxDropRing, li.Stats.TxDropRing, li.Stats.TxErrors, li.Stats.AvgBatch)
+	for _, h := range r.Links {
+		li, s := h.Link, h.Iface
+		t.Note("%s (%s %s -> %s): rx %d tx %d drops rx=%d tx=%d; wire tx %d bad-path=%d errs=%d avg-batch %.1f",
+			li.Name, li.Kind, li.Local, li.Peer, s.RxPackets, s.TxPackets, s.RxDrops, s.TxDrops,
+			li.Stats.TxPackets, li.Stats.RxDropBadPath, li.Stats.TxErrors, li.Stats.AvgBatch)
 	}
 	return t
 }

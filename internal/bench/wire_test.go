@@ -13,9 +13,9 @@ func TestRunWireInProcess(t *testing.T) {
 	if len(res.Links) != 2 {
 		t.Errorf("want 2 link snapshots, got %d", len(res.Links))
 	}
-	for _, li := range res.Links {
-		if li.Stats.TxErrors != 0 || li.Stats.RxDropRing != 0 {
-			t.Errorf("link %s saw wire trouble: %+v", li.Name, li.Stats)
+	for _, h := range res.Links {
+		if h.Link.Stats.TxErrors != 0 || h.Iface.RxDrops+h.Iface.TxDrops != 0 {
+			t.Errorf("link %s saw wire trouble: %+v %+v", h.Link.Name, h.Link.Stats, h.Iface)
 		}
 	}
 	if WireTable(res).String() == "" {

@@ -177,7 +177,7 @@ func TestRunParallelEndToEnd(t *testing.T) {
 	injected, got := 0, 0
 	for got < n && time.Now().Before(deadline) {
 		if injected < n && injected-got < 512 {
-			rig.in.InjectPacket(seqPacket(t, injected%16, uint32(injected/16)))
+			rig.in.Inject(seqPacket(t, injected%16, uint32(injected/16)).Data)
 			injected++
 			continue
 		}
@@ -295,7 +295,7 @@ func TestRunParallelControlChurn(t *testing.T) {
 				return
 			default:
 			}
-			rig.in.InjectPacket(seqPacket(t, i%64, uint32(i/64)))
+			rig.in.Inject(seqPacket(t, i%64, uint32(i/64)).Data)
 			i++
 			if i%256 == 0 {
 				time.Sleep(100 * time.Microsecond)

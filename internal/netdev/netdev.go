@@ -9,9 +9,10 @@
 // is fully simulated: Inject plays the role of the DMA engine and
 // Connect wires two interfaces memory-to-memory. With a Driver attached
 // (internal/netio provides the UDP overlay driver) the same rings are
-// fed by real OS sockets: the driver's RX goroutine pushes received
-// packets into the RX ring via InjectPacket, and Transmit hands egress
-// packets to the driver instead of the in-memory peer.
+// fed by real OS sockets: the driver's RX goroutine hands each received
+// datagram to Receive, and Transmit hands egress packets to the driver
+// instead of the in-memory peer. Every arrival — Inject, the in-memory
+// peer, the wire — takes the one Receive path into the one mbuf pool.
 package netdev
 
 import (
@@ -37,10 +38,10 @@ var (
 
 // Driver backs an interface with a real transport (a "wire"). The
 // contract mirrors a kernel NIC driver: TransmitWire must never block
-// the forwarding worker — when the driver's TX ring is full it counts
-// the drop and returns ErrRingFull immediately. RX is push-based: the
-// driver delivers received packets into the interface's ring with
-// InjectPacket from its own goroutine(s) between Start and Stop.
+// the forwarding worker — when the driver's TX ring is full it returns
+// ErrRingFull immediately, and Transmit counts the drop. RX is
+// push-based: the driver hands each received datagram to the
+// interface's Receive from its own goroutine(s) between Start and Stop.
 type Driver interface {
 	// Start launches the driver's RX/TX goroutines. Idempotent.
 	Start()
@@ -52,24 +53,20 @@ type Driver interface {
 	TransmitWire(p *pkt.Packet) error
 }
 
-// LinkStats snapshots a wire driver's counters.
+// LinkStats snapshots a wire driver's counters: only the events the
+// wire alone sees. What a datagram meets once it reaches the interface
+// (received, ring full, too big, malformed, TX ring full) is counted
+// once, in the interface's Stats.
 type LinkStats struct {
-	RxPackets       uint64  `json:"rx_packets"`
-	RxBytes         uint64  `json:"rx_bytes"`
-	RxDropRing      uint64  `json:"rx_drop_ring"`      // RX ring full at delivery
-	RxDropTooBig    uint64  `json:"rx_drop_too_big"`   // datagram exceeded the MTU
-	RxDropMalformed uint64  `json:"rx_drop_malformed"` // sum of the bad-path and bad-key arms
-	RxDropBadPath   uint64  `json:"rx_drop_bad_path"`  // path-trace encapsulation failed to decode
-	RxDropBadKey    uint64  `json:"rx_drop_bad_key"`   // flow-key extraction failed
-	RxErrTransient  uint64  `json:"rx_err_transient"`  // transient socket read errors (skipped, not fatal)
-	TxPackets       uint64  `json:"tx_packets"`
-	TxBytes         uint64  `json:"tx_bytes"`
-	TxDropRing      uint64  `json:"tx_drop_ring"` // TX ring full at enqueue
-	TxErrors        uint64  `json:"tx_errors"`    // socket write failures
-	Batches         uint64  `json:"rx_batches"`   // RX wakeups (one batched drain each)
-	AvgBatch        float64 `json:"rx_avg_batch"` // mean packets per RX batch
-	TxBatches       uint64  `json:"tx_batches"`   // TX wakeups (one batched drain each)
-	AvgTxBatch      float64 `json:"tx_avg_batch"` // mean packets per TX drain
+	RxDropBadPath  uint64  `json:"rx_drop_bad_path"` // path-trace encapsulation failed to decode
+	RxErrTransient uint64  `json:"rx_err_transient"` // transient socket read errors (skipped, not fatal)
+	TxPackets      uint64  `json:"tx_packets"`       // datagrams written to the socket
+	TxBytes        uint64  `json:"tx_bytes"`
+	TxErrors       uint64  `json:"tx_errors"`    // socket write failures
+	Batches        uint64  `json:"rx_batches"`   // RX wakeups (one batched drain each)
+	AvgBatch       float64 `json:"rx_avg_batch"` // mean datagrams per RX batch
+	TxBatches      uint64  `json:"tx_batches"`   // TX wakeups (one batched drain each)
+	AvgTxBatch     float64 `json:"tx_avg_batch"` // mean datagrams per TX drain
 }
 
 // LinkInfo describes a wire-backed interface for operator tooling (the
@@ -118,8 +115,8 @@ type Stats struct {
 }
 
 // ifStats is the live counter set: lock-free atomics so the per-packet
-// paths (Inject, InjectPacket, Transmit — including the driver RX
-// goroutine racing the forwarding workers) never serialize on a mutex.
+// paths (Receive, Transmit — including the driver RX goroutine racing
+// the forwarding workers) never serialize on a mutex.
 // It is the only record of these events: Stats snapshots it and the
 // metrics registry reads it (SetTelemetry).
 type ifStats struct {
@@ -158,7 +155,7 @@ type Interface struct {
 	stats ifStats
 
 	// The receive mbuf pool. An mbuf is a whole packet: the pkt.Packet
-	// header with its MTU-sized buffer attached. Inject takes one off
+	// header with its MTU-sized buffer attached. Receive takes one off
 	// the free list, copies the wire bytes into its buffer — exactly
 	// like a DMA engine filling a preallocated mbuf — resets the header
 	// in place and stamps its Owner, so whoever retires the packet
@@ -221,13 +218,6 @@ func (i *Interface) SetUp(up bool) {
 	i.mu.Unlock()
 }
 
-// Up reports administrative state.
-func (i *Interface) Up() bool {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	return i.up
-}
-
 // AttachDriver backs the interface with a wire driver. The driver is
 // not started; the router facade starts and stops attached drivers from
 // Start/Stop so sockets open and close with the forwarding loop.
@@ -284,13 +274,20 @@ func Connect(a, b *Interface) {
 }
 
 // Inject delivers raw datagram bytes into the interface's RX ring as if
-// they arrived from the wire — the traffic generator's entry point. Like
-// a real driver it takes a packet (the mbuf) from its pool and copies
-// the wire bytes into it, then parses the headers and timestamps the
-// packet; the caller's slice is not retained. In steady state, with
-// every packet released by whoever retires it, Inject allocates
-// nothing.
-func (i *Interface) Inject(data []byte) error {
+// they arrived from the wire — the traffic generator's entry point. It
+// is Receive without a path-trace context.
+func (i *Interface) Inject(data []byte) error { return i.Receive(data, nil) }
+
+// Receive is the interface's one receive path: Inject, the in-memory
+// peer hop in Transmit and wire drivers all deliver through it. Like a
+// real driver it takes a packet (the mbuf) from the pool and copies the
+// datagram into it, then parses the headers and timestamps the packet;
+// the caller's slice is not retained. An active path-trace context
+// rides along, without the sending router's local accumulation state.
+// Every outcome is counted here, once: received, or dropped as down,
+// too big, malformed or ring full. In steady state, with every packet
+// released by whoever retires it, Receive allocates nothing.
+func (i *Interface) Receive(data []byte, path *pkt.PathContext) error {
 	i.mu.Lock()
 	up := i.up
 	i.mu.Unlock()
@@ -308,6 +305,10 @@ func (i *Interface) Inject(data []byte) error {
 		i.ReleaseMbuf(p)
 		i.stats.rxDropMalformed.Add(1)
 		return err
+	}
+	if path != nil && path.Active {
+		p.Path = *path
+		p.Path.LocalGates, p.Path.StampedHere = 0, false
 	}
 	p.Owner = i
 	p.Stamp = i.clock()
@@ -342,8 +343,7 @@ func (i *Interface) ReserveMbufs(extra int) {
 
 // BufDepth reports the receive mbuf pool depth: the number of packets
 // that can be in flight (RX ring, worker queues, output queues) before
-// allocation falls back to the heap. Wire drivers size their own pools
-// from it.
+// allocation falls back to the heap.
 func (i *Interface) BufDepth() int {
 	i.mu.Lock()
 	defer i.mu.Unlock()
@@ -380,7 +380,7 @@ func (i *Interface) nextMbuf(n int) *pkt.Packet {
 
 // ReleaseMbuf implements pkt.BufOwner: the holder retiring a packet
 // returns it, header and buffer, for recycling; from here on the pool
-// owns p and the next Inject may reuse it. A packet whose Data was
+// owns p and the next Receive may reuse it. A packet whose Data was
 // resliced or replaced (decapsulation, plugins swapping in their own
 // buffer) no longer reaches back to a full pool buffer and is left to
 // the garbage collector; the free list is capped at the pool depth so
@@ -403,25 +403,6 @@ func (i *Interface) CountRxOverload() {
 	i.stats.rxDropOverload.Add(1)
 }
 
-// InjectPacket enqueues an already-built packet — the zero-copy,
-// allocation-free receive path used by the benchmark harness and by
-// wire drivers delivering from their own buffer pools. The caller must
-// have set Data and InIf.
-//
-//eisr:fastpath
-func (i *Interface) InjectPacket(p *pkt.Packet) error {
-	p.Stamp = i.clock()
-	select {
-	case i.rx <- p:
-		i.stats.rxPackets.Add(1)
-		i.stats.rxBytes.Add(uint64(len(p.Data)))
-		return nil
-	default:
-		i.stats.rxDropRing.Add(1)
-		return ErrRingFull
-	}
-}
-
 // Poll drains one packet from the RX ring without blocking; nil when the
 // ring is empty.
 //
@@ -435,19 +416,6 @@ func (i *Interface) Poll() *pkt.Packet {
 	}
 }
 
-// Recv blocks until a packet arrives or the done channel closes.
-func (i *Interface) Recv(done <-chan struct{}) *pkt.Packet {
-	select {
-	case p := <-i.rx:
-		return p
-	case <-done:
-		return nil
-	}
-}
-
-// RxLen reports the RX ring occupancy.
-func (i *Interface) RxLen() int { return len(i.rx) }
-
 // Transmit sends a packet out this interface: it is accounted and then
 // handed to the wire driver if one is attached, else delivered into the
 // connected peer's RX ring. Without a driver or peer the packet is
@@ -460,8 +428,8 @@ func (i *Interface) RxLen() int { return len(i.rx) }
 // peer, sink, and the drop paths alike — returning it to its pool
 // before returning. This is safe because no arm retains p.Data past
 // the call: drivers copy into their own wire buffers synchronously
-// (the TransmitWire contract) and the in-memory peer path copies into
-// a packet from the peer's mbuf pool below.
+// (the TransmitWire contract) and the in-memory peer's Receive copies
+// into a packet from the peer's own mbuf pool.
 func (i *Interface) Transmit(p *pkt.Packet) error {
 	defer p.ReleaseBuf()
 	i.mu.Lock()
@@ -487,31 +455,9 @@ func (i *Interface) Transmit(p *pkt.Packet) error {
 	i.stats.txPackets.Add(1)
 	i.stats.txBytes.Add(uint64(len(p.Data)))
 	if peer != nil {
-		if len(p.Data) > peer.MTU {
-			peer.stats.rxDropTooBig.Add(1)
-			return nil
-		}
-		// Copy into a packet from the peer's own mbuf pool, like a wire
-		// would: the sender's packet recycles the moment Transmit
-		// returns, so the peer must not alias it. A datagram whose key
-		// does not parse is still delivered, keyless, for the peer's
-		// core to count; the TOS is the sender's.
-		q := peer.nextMbuf(len(p.Data))
-		copy(q.Data, p.Data)
-		_ = q.Reset(q.Data, peer.Index)
-		q.TOS, q.Path, q.Owner = p.TOS, p.Path, peer
-		// The trace context crosses the in-memory link like it crosses
-		// the wire: router-local accumulation state does not.
-		q.Path.LocalGates, q.Path.StampedHere = 0, false
-		q.Stamp = peer.clock()
-		select {
-		case peer.rx <- q:
-			peer.stats.rxPackets.Add(1)
-			peer.stats.rxBytes.Add(uint64(len(q.Data)))
-		default:
-			q.ReleaseBuf()
-			peer.stats.rxDropRing.Add(1)
-		}
+		// The peer receives like it would from a wire, and counts
+		// whatever it refuses as its own RX drop.
+		_ = peer.Receive(p.Data, &p.Path)
 	}
 	return nil
 }

@@ -12,12 +12,12 @@
 //
 //   - RX: one goroutine per link does batched socket reads — a blocking
 //     read opens each batch, then short-deadline reads drain the socket
-//     up to the batch cap — into a preallocated ring of receive slots
-//     (buffer + embedded packet header), so the steady-state receive
-//     path allocates nothing per packet. The slot ring is sized from
-//     the interface's buffer depth (RX ring + worker-queue reserve)
-//     plus slack, giving wire packets the same recycling contract as
-//     the in-memory mbuf pool.
+//     up to the batch cap — into one link-owned buffer. It strips the
+//     path-trace encapsulation and hands the inner datagram to the
+//     interface's Receive, the same path Inject and the in-memory peer
+//     take, which copies it into a packet from the interface's mbuf
+//     pool. So the steady-state receive path allocates nothing per
+//     packet, and a wire packet follows the one recycling contract.
 //   - TX: Transmit hands egress packets to the driver, which copies
 //     them into a fixed pool of wire buffers and queues them for a
 //     drain goroutine. The handoff is non-blocking: when the TX ring is
@@ -27,6 +27,12 @@
 //     closes the socket to unblock the RX read and joins both
 //     goroutines before returning, so sockets close cleanly and the
 //     epoch reclaimer can still quiesce.
+//   - Counters: a link counts only what the wire alone sees (a bad
+//     path-trace header, transient read errors, socket writes and their
+//     errors, batch sizes) — `pmgr links`. A datagram that reached the
+//     interface is counted once, in the interface's netdev.Stats
+//     (received, down, too big, malformed, ring full, TX ring full) —
+//     `pmgr stats`.
 package netio
 
 import "time"
@@ -38,10 +44,6 @@ const (
 	DefaultTxRing = 512
 	// DefaultBatch caps how many datagrams one RX wakeup drains.
 	DefaultBatch = 64
-	// DefaultPoolSlack is the extra RX slots beyond the interface's
-	// buffer depth: covers the interface's out FIFO plus packets in
-	// hand between poll and dispatch.
-	DefaultPoolSlack = 1088
 	// batchDrainWindow is the read deadline applied after the blocking
 	// batch-head read: how long the RX loop lingers for the rest of a
 	// batch before declaring the socket dry.

@@ -1,12 +1,13 @@
 package netio
 
 // Overhead guard (run by `make bench-smoke`): the steady-state wire
-// paths must not allocate per packet. RX: deliver — parse the key,
-// reset the slot's embedded packet in place, inject into the ring,
-// count. TX: TransmitWire (buffer grab + copy + queue) and txOne
-// (socket write + recycle). The alloc assertions run in every
-// `go test`; the timing log is gated behind EISR_BENCH_SMOKE=1 like
-// the other overhead guards.
+// paths must not allocate per packet. RX: deliver — strip the
+// encapsulation, hand the datagram to the interface's Receive (mbuf
+// from the pool, copy, reset, enqueue, count); the poller releases the
+// packet back to the pool. TX: TransmitWire (buffer grab + copy +
+// queue) and txOne (socket write + recycle). The alloc assertions run
+// in every `go test`; the timing log is gated behind EISR_BENCH_SMOKE=1
+// like the other overhead guards.
 
 import (
 	"net"
@@ -17,9 +18,9 @@ import (
 	"github.com/routerplugins/eisr/internal/pkt"
 )
 
-// newRxRig builds a link with one RX slot preloaded with a wire
-// datagram, ready for repeated deliver calls.
-func newRxRig(tb testing.TB) (*netdev.Interface, *UDPLink, *rxSlot, int) {
+// newRxRig builds a link whose read buffer holds a wire datagram, ready
+// for repeated deliver calls.
+func newRxRig(tb testing.TB) (*netdev.Interface, *UDPLink, int) {
 	tb.Helper()
 	ifc := netdev.NewInterface(0, netdev.Config{})
 	l, err := NewUDPLink(ifc, Config{Local: "127.0.0.1:0"})
@@ -27,19 +28,19 @@ func newRxRig(tb testing.TB) (*netdev.Interface, *UDPLink, *rxSlot, int) {
 		tb.Fatal(err)
 	}
 	tb.Cleanup(l.Stop)
-	data := buildUDP(tb, []byte("steady-state"))
-	slot := &l.slots[0]
-	n := copy(slot.buf, data)
-	return ifc, l, slot, n
+	n := copy(l.rxBuf, buildUDP(tb, []byte("steady-state")))
+	return ifc, l, n
 }
 
 func TestNetioRxDeliverZeroAlloc(t *testing.T) {
-	ifc, l, slot, n := newRxRig(t)
+	ifc, l, n := newRxRig(t)
 	allocs := testing.AllocsPerRun(1000, func() {
-		l.deliver(slot, n)
-		if ifc.Poll() == nil {
+		l.deliver(n)
+		p := ifc.Poll()
+		if p == nil {
 			t.Fatal("deliver did not reach the ring")
 		}
+		p.ReleaseBuf()
 	})
 	if allocs != 0 {
 		t.Fatalf("RX deliver allocated %v per packet", allocs)
@@ -86,12 +87,14 @@ func TestNetioTxZeroAlloc(t *testing.T) {
 }
 
 func BenchmarkNetioRxDeliver(b *testing.B) {
-	ifc, l, slot, n := newRxRig(b)
+	ifc, l, n := newRxRig(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		l.deliver(slot, n)
-		ifc.Poll()
+		l.deliver(n)
+		if p := ifc.Poll(); p != nil {
+			p.ReleaseBuf()
+		}
 	}
 }
 

@@ -133,7 +133,7 @@ func TestRxMalformedEncapCountsDrop(t *testing.T) {
 	}
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
-		if l.Stats().RxDropMalformed == 1 {
+		if l.Stats().RxDropBadPath == 1 {
 			return
 		}
 		time.Sleep(time.Millisecond)
@@ -210,13 +210,13 @@ func TestRingBurstJournalsOnce(t *testing.T) {
 	}
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
-		s := l.Stats()
+		s := ifc.Stats()
 		if s.RxPackets+s.RxDropRing == sent && s.RxDropRing > 0 {
 			break
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if l.Stats().RxDropRing == 0 {
+	if ifc.Stats().RxDropRing == 0 {
 		t.Skip("ring of 1 absorbed the whole burst; nothing to journal")
 	}
 	var bursts int

@@ -30,20 +30,9 @@ type Config struct {
 	TxRing int
 	// Batch caps datagrams drained per RX wakeup (default DefaultBatch).
 	Batch int
-	// PoolSlack is extra RX slots beyond the interface's buffer depth
-	// (default DefaultPoolSlack).
-	PoolSlack int
 	// Tel optionally registers the link's counters for Prometheus
 	// exposition (eisr_netio_* families, labeled by interface).
 	Tel *telemetry.Telemetry
-}
-
-// rxSlot is one receive descriptor: a wire buffer plus the packet
-// header delivered into the router, reset in place per datagram so the
-// steady-state RX path allocates nothing.
-type rxSlot struct {
-	buf []byte
-	p   pkt.Packet
 }
 
 // wireBuf is one TX descriptor: egress bytes are copied in by the
@@ -58,21 +47,16 @@ type wireBuf struct {
 	n   int
 }
 
-// linkStats is the live counter set (atomics; the RX goroutine, TX
-// drain, and forwarding workers all record concurrently). It is the
-// only record of these events: Stats snapshots it and the metrics
-// registry reads it.
+// linkStats is the live counter set of the events only the wire sees
+// (atomics; the RX goroutine and the TX drain record concurrently). It
+// is the only record of these events: Stats snapshots it and the
+// metrics registry reads it. Everything a datagram meets at the
+// interface is counted there.
 type linkStats struct {
-	rxPackets      atomic.Uint64
-	rxBytes        atomic.Uint64
-	rxDropRing     atomic.Uint64
-	rxDropTooBig   atomic.Uint64
 	rxDropBadPath  atomic.Uint64 // path-trace encapsulation failed to decode
-	rxDropBadKey   atomic.Uint64 // flow-key extraction failed
 	rxErrTransient atomic.Uint64 // non-fatal socket read errors (skipped)
 	txPackets      atomic.Uint64
 	txBytes        atomic.Uint64
-	txDropRing     atomic.Uint64
 	txErrors       atomic.Uint64
 	batches        atomic.Uint64
 	batchedPkts    atomic.Uint64
@@ -95,13 +79,11 @@ type UDPLink struct {
 	ifc   *netdev.Interface
 	conn  *net.UDPConn
 	peer  atomic.Pointer[netip.AddrPort]
-	mtu   int
 	batch int
 
-	// slots is the RX descriptor ring; only the RX goroutine touches
-	// slotSeq.
-	slots   []rxSlot
-	slotSeq uint64
+	// rxBuf is the one socket read buffer; only the RX goroutine
+	// touches it. Receive copies each datagram into an mbuf.
+	rxBuf []byte
 
 	// readFrom is the socket read the RX loop issues — a seam so tests
 	// can inject read errors. Set once at construction, never changed
@@ -156,9 +138,6 @@ func (g *burstGate) onset(now int64) bool {
 // NewUDPLink binds the local socket and builds the link for an
 // interface. The socket is bound immediately (so a port-0 bind can be
 // queried with LocalAddr before Start); I/O goroutines launch on Start.
-// The RX slot ring is sized from the interface's current BufDepth —
-// attach the interface to its core (which reserves worker-queue mbufs)
-// before creating the link.
 func NewUDPLink(ifc *netdev.Interface, cfg Config) (*UDPLink, error) {
 	if ifc == nil {
 		return nil, fmt.Errorf("netio: nil interface")
@@ -179,29 +158,22 @@ func NewUDPLink(ifc *netdev.Interface, cfg Config) (*UDPLink, error) {
 	if batch <= 0 {
 		batch = DefaultBatch
 	}
-	slack := cfg.PoolSlack
-	if slack <= 0 {
-		slack = DefaultPoolSlack
-	}
 	l := &UDPLink{
-		ifc: ifc, conn: conn, mtu: ifc.MTU, batch: batch,
-		slots: make([]rxSlot, ifc.BufDepth()+slack),
+		ifc: ifc, conn: conn, batch: batch,
+		// MTU plus the worst-case path-trace encapsulation, plus one
+		// byte so an oversized inner datagram is detectable (a read that
+		// fills the buffer was too big) instead of being silently
+		// truncated at the buffer boundary.
+		rxBuf: make([]byte, ifc.MTU+pkt.MaxPathEncap+1),
 		free:  make(chan *wireBuf, txRing),
 		txq:   make(chan *wireBuf, txRing),
 		done:  make(chan struct{}),
 	}
 	l.readFrom = conn.ReadFromUDPAddrPort
-	for i := range l.slots {
-		// MTU plus the worst-case path-trace encapsulation, plus one
-		// byte so an oversized inner datagram is detectable (a read that
-		// fills the buffer was too big) instead of being silently
-		// truncated at the buffer boundary.
-		l.slots[i].buf = make([]byte, l.mtu+pkt.MaxPathEncap+1)
-	}
 	for i := 0; i < txRing; i++ {
 		// Egress frames carry up to MaxPathEncap bytes of trace context
 		// in front of an MTU-sized datagram.
-		l.free <- &wireBuf{buf: make([]byte, l.mtu+pkt.MaxPathEncap)}
+		l.free <- &wireBuf{buf: make([]byte, ifc.MTU+pkt.MaxPathEncap)}
 	}
 	if cfg.Tel != nil {
 		l.setTelemetry(cfg.Tel)
@@ -224,17 +196,9 @@ func (l *UDPLink) setTelemetry(t *telemetry.Telemetry) {
 	dir := func(d string) telemetry.Label { return telemetry.Label{Key: "dir", Value: d} }
 	reason := func(why string) telemetry.Label { return telemetry.Label{Key: "reason", Value: why} }
 	s := &l.stats
-	t.CounterFunc("eisr_netio_packets_total", "wire packets per link and direction", s.rxPackets.Load, lbl, dir("rx"))
 	t.CounterFunc("eisr_netio_packets_total", "wire packets per link and direction", s.txPackets.Load, lbl, dir("tx"))
-	t.CounterFunc("eisr_netio_bytes_total", "wire bytes per link and direction", s.rxBytes.Load, lbl, dir("rx"))
 	t.CounterFunc("eisr_netio_bytes_total", "wire bytes per link and direction", s.txBytes.Load, lbl, dir("tx"))
-
-	const drops = "wire drops by direction and reason"
-	t.CounterFunc("eisr_netio_drops_total", drops, s.rxDropRing.Load, lbl, dir("rx"), reason("ring-full"))
-	t.CounterFunc("eisr_netio_drops_total", drops, s.rxDropTooBig.Load, lbl, dir("rx"), reason("too-big"))
-	t.CounterFunc("eisr_netio_drops_total", drops, s.rxDropBadPath.Load, lbl, dir("rx"), reason("bad-path"))
-	t.CounterFunc("eisr_netio_drops_total", drops, s.rxDropBadKey.Load, lbl, dir("rx"), reason("bad-key"))
-	t.CounterFunc("eisr_netio_drops_total", drops, s.txDropRing.Load, lbl, dir("tx"), reason("ring-full"))
+	t.CounterFunc("eisr_netio_drops_total", "wire drops by direction and reason", s.rxDropBadPath.Load, lbl, dir("rx"), reason("bad-path"))
 
 	t.CounterFunc("eisr_netio_rx_errors_total", "transient socket read errors per link (counted and skipped, never fatal)", s.rxErrTransient.Load, lbl)
 	t.CounterFunc("eisr_netio_tx_errors_total", "socket write failures per link", s.txErrors.Load, lbl)
@@ -331,8 +295,7 @@ func (l *UDPLink) rxBatch() (n int, closed bool) {
 		return 0, true
 	}
 	for n < l.batch {
-		slot := &l.slots[l.slotSeq%uint64(len(l.slots))]
-		cnt, _, err := l.readFrom(slot.buf)
+		cnt, _, err := l.readFrom(l.rxBuf)
 		if err != nil {
 			if errors.Is(err, os.ErrDeadlineExceeded) {
 				// Batch drain window expired: the batch is done, the
@@ -348,8 +311,7 @@ func (l *UDPLink) rxBatch() (n int, closed bool) {
 			}
 			continue
 		}
-		l.slotSeq++
-		l.deliver(slot, cnt)
+		l.deliver(cnt)
 		n++
 		if n == 1 {
 			// Batch head arrived; linger briefly for the rest.
@@ -361,50 +323,29 @@ func (l *UDPLink) rxBatch() (n int, closed bool) {
 	return n, false
 }
 
-// deliver parses one received datagram and injects it into the
-// interface's RX ring, resetting the slot's embedded packet in place —
-// the per-packet receive work, allocation-free in steady state.
+// deliver strips the path-trace encapsulation off the n-byte datagram
+// in the read buffer and hands the inner datagram to the interface's
+// Receive, which counts what becomes of it. Allocation-free.
 //
 //eisr:fastpath
-func (l *UDPLink) deliver(slot *rxSlot, n int) {
-	data := slot.buf[:n]
-	p := &slot.p
-	// Strip a path-trace encapsulation, if any, before MTU and key
-	// checks: both apply to the inner datagram. The context is decoded
-	// aside because Reset clears the packet.
+func (l *UDPLink) deliver(n int) {
 	var path pkt.PathContext
-	consumed, ok := pkt.DecodePath(data, &path)
+	consumed, ok := pkt.DecodePath(l.rxBuf[:n], &path)
 	if !ok {
 		l.stats.rxDropBadPath.Add(1)
 		return
 	}
-	data = data[consumed:]
-	if len(data) > l.mtu {
-		l.stats.rxDropTooBig.Add(1)
-		return
+	if l.ifc.Receive(l.rxBuf[consumed:n], &path) == netdev.ErrRingFull &&
+		l.jr != nil && l.rxBurst.onset(time.Now().UnixNano()) {
+		l.jr.Record(telemetry.EvRxRingBurst, l.ifc.Name)
 	}
-	if p.Reset(data, l.ifc.Index) != nil {
-		l.stats.rxDropBadKey.Add(1)
-		return
-	}
-	if path.Active {
-		p.Path = path
-	}
-	if l.ifc.InjectPacket(p) != nil {
-		l.stats.rxDropRing.Add(1)
-		if l.jr != nil && l.rxBurst.onset(time.Now().UnixNano()) {
-			l.jr.Record(telemetry.EvRxRingBurst, l.ifc.Name)
-		}
-		return
-	}
-	l.stats.rxPackets.Add(1)
-	l.stats.rxBytes.Add(uint64(n))
 }
 
 // TransmitWire queues one egress datagram: grab a wire buffer, copy the
 // packet, hand it to the drain goroutine. Non-blocking end to end — an
-// exhausted buffer pool is wire backpressure and the packet is dropped
-// and counted rather than stalling the forwarding worker.
+// exhausted buffer pool is wire backpressure: ErrRingFull, which
+// netdev.Transmit counts as a TX drop, rather than a stalled forwarding
+// worker.
 //
 //eisr:fastpath
 func (l *UDPLink) TransmitWire(p *pkt.Packet) error {
@@ -412,7 +353,6 @@ func (l *UDPLink) TransmitWire(p *pkt.Packet) error {
 	select {
 	case wb = <-l.free:
 	default:
-		l.stats.txDropRing.Add(1)
 		if l.jr != nil && l.txBurst.onset(time.Now().UnixNano()) {
 			l.jr.Record(telemetry.EvTxRingBurst, l.ifc.Name)
 		}
@@ -446,7 +386,6 @@ func (l *UDPLink) TransmitWire(p *pkt.Packet) error {
 	// pool buffer per occurrence until the link runs dry.
 	//eisr:allow(fastpath) pool-conservation makes this send non-blocking
 	l.free <- wb
-	l.stats.txDropRing.Add(1)
 	if l.jr != nil && l.txBurst.onset(time.Now().UnixNano()) {
 		l.jr.Record(telemetry.EvTxRingBurst, l.ifc.Name)
 	}
@@ -509,27 +448,16 @@ func (l *UDPLink) transmitOne(wb *wireBuf) {
 	l.free <- wb
 }
 
-// Stats snapshots the link counters. RxDropMalformed is kept as the sum
-// of the attributable arms (bad path header + bad flow key) for
-// consumers that predate the split.
+// Stats snapshots the link counters.
 func (l *UDPLink) Stats() netdev.LinkStats {
-	badPath := l.stats.rxDropBadPath.Load()
-	badKey := l.stats.rxDropBadKey.Load()
 	s := netdev.LinkStats{
-		RxPackets:       l.stats.rxPackets.Load(),
-		RxBytes:         l.stats.rxBytes.Load(),
-		RxDropRing:      l.stats.rxDropRing.Load(),
-		RxDropTooBig:    l.stats.rxDropTooBig.Load(),
-		RxDropMalformed: badPath + badKey,
-		RxDropBadPath:   badPath,
-		RxDropBadKey:    badKey,
-		RxErrTransient:  l.stats.rxErrTransient.Load(),
-		TxPackets:       l.stats.txPackets.Load(),
-		TxBytes:         l.stats.txBytes.Load(),
-		TxDropRing:      l.stats.txDropRing.Load(),
-		TxErrors:        l.stats.txErrors.Load(),
-		Batches:         l.stats.batches.Load(),
-		TxBatches:       l.stats.txBatches.Load(),
+		RxDropBadPath:  l.stats.rxDropBadPath.Load(),
+		RxErrTransient: l.stats.rxErrTransient.Load(),
+		TxPackets:      l.stats.txPackets.Load(),
+		TxBytes:        l.stats.txBytes.Load(),
+		TxErrors:       l.stats.txErrors.Load(),
+		Batches:        l.stats.batches.Load(),
+		TxBatches:      l.stats.txBatches.Load(),
 	}
 	if s.Batches > 0 {
 		s.AvgBatch = float64(l.stats.batchedPkts.Load()) / float64(s.Batches)

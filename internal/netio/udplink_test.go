@@ -97,16 +97,16 @@ func TestRxDeliversWirePackets(t *testing.T) {
 	for l.Stats().Batches == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if s := l.Stats(); s.RxPackets != 1 || s.RxBytes != uint64(len(data)) || s.Batches == 0 || s.AvgBatch != 1 {
+	if s := l.Stats(); s.Batches == 0 || s.AvgBatch != 1 {
 		t.Errorf("link stats: %+v", s)
 	}
-	if s := ifc.Stats(); s.RxPackets != 1 {
+	if s := ifc.Stats(); s.RxPackets != 1 || s.RxBytes != uint64(len(data)) || s.RxDrops != 0 {
 		t.Errorf("iface stats: %+v", s)
 	}
 }
 
 func TestRxDropsMalformedAndOversize(t *testing.T) {
-	_, l := newLink(t, netdev.Config{MTU: 256}, Config{})
+	ifc, l := newLink(t, netdev.Config{MTU: 256}, Config{})
 	l.Start()
 	src := dialTo(t, l)
 
@@ -118,13 +118,13 @@ func TestRxDropsMalformedAndOversize(t *testing.T) {
 	}
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
-		s := l.Stats()
+		s := ifc.Stats()
 		if s.RxDropMalformed == 1 && s.RxDropTooBig == 1 {
 			return
 		}
 		time.Sleep(time.Millisecond)
 	}
-	t.Fatalf("drop counters never settled: %+v", l.Stats())
+	t.Fatalf("drop counters never settled: %+v", ifc.Stats())
 }
 
 func TestRxRingFullCountsDrop(t *testing.T) {
@@ -141,19 +141,23 @@ func TestRxRingFullCountsDrop(t *testing.T) {
 	}
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
-		s := l.Stats()
+		s := ifc.Stats()
 		if s.RxPackets+s.RxDropRing == sent {
 			if s.RxDropRing == 0 {
 				t.Fatalf("ring of 1 absorbed %d packets without a drop", sent)
 			}
-			if ifc.RxLen() != 1 {
-				t.Errorf("ring occupancy = %d, want 1", ifc.RxLen())
+			polled := 0
+			for ifc.Poll() != nil {
+				polled++
+			}
+			if polled != 1 {
+				t.Errorf("ring held %d packets, want 1", polled)
 			}
 			return
 		}
 		time.Sleep(time.Millisecond)
 	}
-	t.Fatalf("RX never drained the burst: %+v", l.Stats())
+	t.Fatalf("RX never drained the burst: %+v", ifc.Stats())
 }
 
 func TestTransmitWireReachesPeer(t *testing.T) {
@@ -198,7 +202,9 @@ func TestTransmitWireReachesPeer(t *testing.T) {
 func TestTransmitWireBackpressure(t *testing.T) {
 	// Tiny TX ring, link not started: the drain goroutine never runs, so
 	// the pool exhausts and further transmits must fail fast, not block.
-	_, l := newLink(t, netdev.Config{}, Config{TxRing: 2})
+	// The interface counts the drop; the link does not count it again.
+	ifc, l := newLink(t, netdev.Config{}, Config{TxRing: 2})
+	ifc.AttachDriver(l)
 	data := buildUDP(t, []byte("x"))
 	p := &pkt.Packet{Data: data}
 	for i := 0; i < 2; i++ {
@@ -207,7 +213,7 @@ func TestTransmitWireBackpressure(t *testing.T) {
 		}
 	}
 	done := make(chan error, 1)
-	go func() { done <- l.TransmitWire(p) }()
+	go func() { done <- ifc.Transmit(p) }()
 	select {
 	case err := <-done:
 		if err != netdev.ErrRingFull {
@@ -216,7 +222,7 @@ func TestTransmitWireBackpressure(t *testing.T) {
 	case <-time.After(time.Second):
 		t.Fatal("TransmitWire blocked on a full TX ring")
 	}
-	if s := l.Stats(); s.TxDropRing != 1 {
+	if s := ifc.Stats(); s.TxDropRing != 1 || s.TxDrops != 1 {
 		t.Errorf("TX drop not counted: %+v", s)
 	}
 }
@@ -359,13 +365,13 @@ func TestRxSurvivesTransientReadErrors(t *testing.T) {
 	}
 }
 
-// TestRxDropSplitBadPathVsBadKey pins the split of the old malformed
-// counter: a corrupt path-trace encapsulation and an unparseable bare
-// datagram are different failures with different counters, and the
-// compat RxDropMalformed field is their sum.
+// TestRxDropSplitBadPathVsBadKey pins the split between a corrupt
+// path-trace encapsulation, which only the wire sees and the link
+// counts, and an unparseable bare datagram, which reached the interface
+// and is its malformed drop — each counted in one place.
 func TestRxDropSplitBadPathVsBadKey(t *testing.T) {
 	tel := telemetry.New()
-	_, l := newLink(t, netdev.Config{Name: "wan1"}, Config{Tel: tel})
+	ifc, l := newLink(t, netdev.Config{Name: "wan1"}, Config{Tel: tel})
 	l.Start()
 	src := dialTo(t, l)
 
@@ -373,50 +379,54 @@ func TestRxDropSplitBadPathVsBadKey(t *testing.T) {
 	if _, err := src.Write([]byte{pkt.PathMagic, pkt.PathVersion, 0x00, 0x01}); err != nil {
 		t.Fatal(err)
 	}
-	// No encapsulation, bogus IP version: key extraction fails → bad-key.
+	// No encapsulation, bogus IP version: key extraction fails → the
+	// interface's malformed drop.
 	if _, err := src.Write([]byte{0xff, 0x01, 0x02}); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
-		s := l.Stats()
-		if s.RxDropBadPath == 1 && s.RxDropBadKey == 1 {
+		if l.Stats().RxDropBadPath == 1 && ifc.Stats().RxDropMalformed == 1 {
 			break
 		}
 		time.Sleep(time.Millisecond)
 	}
-	s := l.Stats()
-	if s.RxDropBadPath != 1 || s.RxDropBadKey != 1 {
-		t.Fatalf("drop split never settled: %+v", s)
+	s, is := l.Stats(), ifc.Stats()
+	if s.RxDropBadPath != 1 || is.RxDropMalformed != 1 {
+		t.Fatalf("drop split never settled: link %+v iface %+v", s, is)
 	}
-	if s.RxDropMalformed != 2 {
-		t.Errorf("RxDropMalformed = %d, want the sum 2", s.RxDropMalformed)
+	if is.RxDrops != 1 {
+		t.Errorf("interface counted the bad path too: %+v", is)
 	}
 	if got := tel.CounterValue(`eisr_netio_drops_total{iface="wan1",dir="rx",reason="bad-path"}`); got != 1 {
 		t.Errorf("bad-path counter = %d, want 1", got)
-	}
-	if got := tel.CounterValue(`eisr_netio_drops_total{iface="wan1",dir="rx",reason="bad-key"}`); got != 1 {
-		t.Errorf("bad-key counter = %d, want 1", got)
 	}
 }
 
 func TestTelemetryRegistersNetioFamilies(t *testing.T) {
 	tel := telemetry.New()
 	_, l := newLink(t, netdev.Config{Name: "wan0"}, Config{Tel: tel})
+	sink, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sink.Close()
+	if err := l.SetPeer(sink.LocalAddr().String()); err != nil {
+		t.Fatal(err)
+	}
 	l.Start()
-	src := dialTo(t, l)
-	if _, err := src.Write(buildUDP(t, []byte("metered"))); err != nil {
+	if err := l.TransmitWire(&pkt.Packet{Data: buildUDP(t, []byte("metered"))}); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
-		if tel.CounterValue(`eisr_netio_packets_total{iface="wan0",dir="rx"}`) == 1 {
+		if tel.CounterValue(`eisr_netio_packets_total{iface="wan0",dir="tx"}`) == 1 {
 			break
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if n := tel.CounterValue(`eisr_netio_packets_total{iface="wan0",dir="rx"}`); n != 1 {
-		t.Errorf("netio rx counter = %d, want 1", n)
+	if n := tel.CounterValue(`eisr_netio_packets_total{iface="wan0",dir="tx"}`); n != 1 {
+		t.Errorf("netio tx counter = %d, want 1", n)
 	}
 	var sb strings.Builder
 	if err := tel.WritePrometheus(&sb); err != nil {

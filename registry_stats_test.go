@@ -263,7 +263,7 @@ func netdevRegistryCase(t *testing.T) (*telemetry.Telemetry, []statPair) {
 		}
 		ifc.Inject(big)                   // too big
 		ifc.Inject([]byte{0x45, 0, 0, 4}) // malformed
-		ifc.InjectPacket(newTestPacket(t, good, 3))
+		ifc.Inject(good)
 		ifc.Poll()
 		ifc.CountRxOverload()
 		ifc.Transmit(newTestPacket(t, good, 3))
@@ -327,8 +327,9 @@ func netioRegistryCase(t *testing.T) (*telemetry.Telemetry, []statPair) {
 	defer sink.Close()
 	good := udpDatagram(t, "20.0.0.1", 3, 8)
 	// Before Start nothing drains the TX ring: two egress packets fill
-	// it and the third is a ring-full drop. The two queued ones fail
-	// (no peer yet) once the link starts.
+	// it and the third is refused with ErrRingFull (a drop the
+	// interface counts, not the link). The two queued ones fail (no
+	// peer yet) once the link starts.
 	for i := 0; i < 3; i++ {
 		l.TransmitWire(newTestPacket(t, good, 4))
 	}
@@ -358,13 +359,16 @@ func netioRegistryCase(t *testing.T) (*telemetry.Telemetry, []statPair) {
 		{0x45, 0, 0, 4, 0, 0, 0, 0},  // bad key
 		good, good, good, good, good, // the RX ring holds 4: ring full
 	}
+	// Only the bad path is the link's to count; the interface counts
+	// the rest, and the settle check below sums both.
 	for _, d := range rx {
 		if _, err := src.Write(d); err != nil {
 			t.Fatal(err)
 		}
 	}
 	waitFor(func(s netdev.LinkStats) bool {
-		return s.TxPackets == 2 && s.RxPackets+s.RxDropRing+s.RxDropTooBig+s.RxDropMalformed == uint64(len(rx))
+		is := ifc.Stats()
+		return s.TxPackets == 2 && is.RxPackets+is.RxDrops+s.RxDropBadPath == uint64(len(rx))
 	})
 	l.Stop()
 	s := l.Stats()
@@ -373,17 +377,10 @@ func netioRegistryCase(t *testing.T) (*telemetry.Telemetry, []statPair) {
 		return `eisr_netio_drops_total{iface="wire0",dir="` + d + `",reason="` + why + `"}`
 	}
 	return tel, []statPair{
-		{field: "RxPackets", stat: s.RxPackets, metrics: []string{"eisr_netio_packets_total" + dir("rx")}},
-		{field: "RxBytes", stat: s.RxBytes, metrics: []string{"eisr_netio_bytes_total" + dir("rx")}},
-		{field: "RxDropRing", stat: s.RxDropRing, metrics: []string{drop("rx", "ring-full")}},
-		{field: "RxDropTooBig", stat: s.RxDropTooBig, metrics: []string{drop("rx", "too-big")}},
-		{field: "RxDropMalformed", stat: s.RxDropMalformed, metrics: []string{drop("rx", "bad-path"), drop("rx", "bad-key")}},
 		{field: "RxDropBadPath", stat: s.RxDropBadPath, metrics: []string{drop("rx", "bad-path")}},
-		{field: "RxDropBadKey", stat: s.RxDropBadKey, metrics: []string{drop("rx", "bad-key")}},
 		{field: "RxErrTransient", stat: s.RxErrTransient, metrics: []string{`eisr_netio_rx_errors_total{iface="wire0"}`}, mayBeZero: true},
 		{field: "TxPackets", stat: s.TxPackets, metrics: []string{"eisr_netio_packets_total" + dir("tx")}},
 		{field: "TxBytes", stat: s.TxBytes, metrics: []string{"eisr_netio_bytes_total" + dir("tx")}},
-		{field: "TxDropRing", stat: s.TxDropRing, metrics: []string{drop("tx", "ring-full")}},
 		{field: "TxErrors", stat: s.TxErrors, metrics: []string{`eisr_netio_tx_errors_total{iface="wire0"}`}},
 		{field: "Batches", stat: s.Batches, metrics: []string{`eisr_netio_rx_batch{iface="wire0"}#count`}},
 		{field: "TxBatches", stat: s.TxBatches, metrics: []string{`eisr_netio_tx_batch{iface="wire0"}#count`}},

@@ -4,9 +4,10 @@
 # egress on interface 1 aimed at the harness sink), push 10k
 # UDP-encapsulated IP datagrams through the full gate/classifier path
 # with `eisrbench -exp wire`, and fail on any unexplained loss.
-# eisrbench exits nonzero when packets are lost; `pmgr links` must show
-# the wire in the operator report, and the event journal must have
-# recorded the boot. Readiness comes from the /healthz probe (200 only
+# eisrbench exits nonzero when packets are lost; `pmgr stats` must show
+# no interface that ran its mbuf pool dry (MbufFallback 0), `pmgr links`
+# must show the wire in the operator report, and the event journal must
+# have recorded the boot. Readiness comes from the /healthz probe (200 only
 # while the router serves), not from sleeping.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -64,6 +65,21 @@ done
 
 echo "wire-smoke: pushing $PACKETS packets through eisrd ($INGRESS -> $SINK)"
 $BIN/eisrbench -exp wire -wire-daemon $INGRESS -wire-sink $SINK -wire-packets "$PACKETS"
+
+# Every received datagram landed in a pooled mbuf: a heap fallback
+# means more packets in flight than the pool depth, or a missing
+# release upstream.
+echo "wire-smoke: pmgr stats"
+STATS=$($BIN/pmgr -s $CTL stats)
+echo "$STATS"
+if ! echo "$STATS" | grep -q '"MbufFallback"'; then
+    echo "wire-smoke: pmgr stats does not report the interface counters" >&2
+    exit 1
+fi
+if echo "$STATS" | grep -Eq '"MbufFallback": [1-9]'; then
+    echo "wire-smoke: an interface fell back to heap receive buffers" >&2
+    exit 1
+fi
 
 echo "wire-smoke: pmgr links"
 LINKS=$($BIN/pmgr -s $CTL links)
