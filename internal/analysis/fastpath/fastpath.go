@@ -46,11 +46,9 @@ var telemetryFast = map[string]bool{
 	"Counter.Inc": true, "Counter.Add": true, "Counter.Value": true,
 	"Gauge.Set": true, "Gauge.Add": true, "Gauge.Inc": true,
 	"Gauge.Dec": true, "Gauge.Value": true,
-	"Histogram.Observe": true,
-	"PerWorker.Inc":     true, "PerWorker.Add": true, "PerWorker.Value": true,
+	"Histogram.Observe": true, "PerWorker.Add": true, "PerWorker.Value": true,
 	"SchedMetrics.RecordEnqueue": true, "SchedMetrics.RecordDequeue": true,
-	"SchedMetrics.RecordDrop": true, "SchedMetrics.SetQueues": true,
-	"SchedMetrics.RecordHorizonClamp": true,
+	"SchedMetrics.SetQueues": true, "SchedMetrics.RecordHorizonClamp": true,
 	"TraceEntry.RecordKey": true, "TraceEntry.RecordHop": true,
 	"TraceEntry.RecordClassify": true, "TraceEntry.Commit": true,
 	"TraceRing.Acquire": true, "TraceRing.Skipped": true,

@@ -215,7 +215,7 @@ func eqCounters(t *testing.T, tel *telemetry.Telemetry) string {
 	}
 	keep := []string{
 		"eisr_gate_dispatch_total", "eisr_verdicts_total", "eisr_drops_total",
-		"eisr_degraded_packets_total", "eisr_pool_drop_full",
+		"eisr_degraded_packets_total",
 	}
 	var out []string
 	for _, ln := range strings.Split(sb.String(), "\n") {
@@ -746,11 +746,12 @@ func TestSubmitShedsOnlyOverloadedWorker(t *testing.T) {
 	if !shed {
 		t.Fatal("Submit never shed with a wedged worker")
 	}
-	if pool.Drops(wA) == 0 || pool.DropTotal() == 0 {
-		t.Fatalf("shed not counted: drops(wA)=%d total=%d", pool.Drops(wA), pool.DropTotal())
+	sheds := rig.r.stats.drops[pkt.DropOverload].Value()
+	if sheds == 0 {
+		t.Fatal("shed not counted as an overload drop")
 	}
-	if rig.r.Stats().Dropped < pool.DropTotal() {
-		t.Errorf("router stats missed the sheds: dropped=%d, pool=%d", rig.r.Stats().Dropped, pool.DropTotal())
+	if rig.r.Stats().Dropped < sheds {
+		t.Errorf("router stats missed the sheds: dropped=%d, overload=%d", rig.r.Stats().Dropped, sheds)
 	}
 
 	// The other worker's flow is unaffected.
@@ -767,14 +768,14 @@ func TestSubmitShedsOnlyOverloadedWorker(t *testing.T) {
 	if got := pool.Forwarded(wB); got < n {
 		t.Fatalf("idle worker forwarded %d of %d while its sibling was wedged", got, n)
 	}
-	if pool.Drops(wB) != 0 {
-		t.Errorf("idle worker shed %d packets", pool.Drops(wB))
+	if n := rig.r.stats.drops[pkt.DropOverload].Value(); n != sheds {
+		t.Errorf("idle worker shed %d packets", n-sheds)
 	}
 }
 
-// TestPoolDropCounterExposed pins the eisr_pool_drop_full telemetry
-// family: with the workers never started, the owning queue fills and
-// every further Submit is counted against the named counter.
+// TestPoolDropCounterExposed pins the export of Submit's sheds: with
+// the workers never started, the owning queue fills and every further
+// Submit is counted once, as the core's overload drop.
 func TestPoolDropCounterExposed(t *testing.T) {
 	tel := telemetry.New()
 	routes, err := routing.New(bmp.KindBSPL)
@@ -796,10 +797,11 @@ func TestPoolDropCounterExposed(t *testing.T) {
 	if want == 0 {
 		t.Fatal("queue never filled")
 	}
-	if got := tel.CounterValue("eisr_pool_drop_full"); got != want {
-		t.Errorf("eisr_pool_drop_full = %d, want %d", got, want)
+	const overload = `eisr_drops_total{layer="ipcore",reason="overload"}`
+	if got := tel.CounterValue(overload); got != want {
+		t.Errorf("%s = %d, want %d", overload, got, want)
 	}
-	if got := pool.DropTotal(); got != want {
-		t.Errorf("DropTotal = %d, want %d", got, want)
+	if got := r.Stats().Dropped; got != want {
+		t.Errorf("Stats().Dropped = %d, want %d", got, want)
 	}
 }

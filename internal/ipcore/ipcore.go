@@ -87,28 +87,15 @@ type coreStats struct {
 	schedEnq   telemetry.Counter
 	icmpSent   telemetry.Counter
 	fragmented telemetry.Counter
-	drops      [numDropReasons]telemetry.Counter
+	// drops holds one cell per drop reason; only coreReasons are counted.
+	drops [pkt.NumDropReasons]telemetry.Counter
 }
 
-// dropReason indexes the core's drop cells, one per reason.
-type dropReason uint8
-
-const (
-	dropBadChecksum dropReason = iota
-	dropMalformed
-	dropTTL
-	dropNoRoute
-	dropPlugin
-	dropFault
-	dropQueue
-	dropMTU
-	numDropReasons
-)
-
-// dropReasonLabels are the eisr_drops_total reason label values.
-var dropReasonLabels = [numDropReasons]string{
-	"bad-checksum", "malformed", "ttl-expired", "no-route",
-	"plugin", "plugin-fault", "queue-full", "mtu",
+// coreReasons are the reasons the core loses a packet.
+var coreReasons = []pkt.DropReason{
+	pkt.DropOverload, pkt.DropBadChecksum, pkt.DropMalformed, pkt.DropTTL,
+	pkt.DropNoRoute, pkt.DropNoOutput, pkt.DropPlugin, pkt.DropPluginFault,
+	pkt.DropQueueFull, pkt.DropMTU,
 }
 
 // ifaceState is one immutable generation of the router's interface
@@ -325,12 +312,7 @@ func (r *Router) initTelemetry(t *telemetry.Telemetry) {
 	t.CounterFunc("eisr_verdicts_total", "packet fates", r.stats.forwarded.Value, verdict("forwarded"))
 	t.CounterFunc("eisr_verdicts_total", "packet fates", r.stats.delivered.Value, verdict("delivered"))
 	t.CounterFunc("eisr_verdicts_total", "packet fates", r.dropped, verdict("dropped"))
-	for why := range r.stats.drops {
-		t.CounterFunc("eisr_drops_total", "packets dropped by reason", r.stats.drops[why].Value,
-			telemetry.Label{Key: "reason", Value: dropReasonLabels[why]})
-	}
-	t.CounterFunc("eisr_pool_drop_full",
-		"packets dropped at Submit because the owning worker's ingress queue was full", r.pool.DropTotal)
+	t.Drops("ipcore", func(why pkt.DropReason) uint64 { return r.stats.drops[why].Value() }, nil, coreReasons...)
 	t.CounterFunc("eisr_degraded_packets_total",
 		"packets forwarded past a faulted gate under the forward policy", r.stats.degraded.Value)
 	r.telPktNanos = t.Histogram("eisr_packet_ns",
@@ -420,10 +402,10 @@ func (r *Router) Stats() Stats {
 		Forwarded:    s.forwarded.Value(),
 		Delivered:    s.delivered.Value(),
 		Dropped:      r.dropped(),
-		TTLExpired:   s.drops[dropTTL].Value(),
-		BadChecksum:  s.drops[dropBadChecksum].Value(),
-		NoRoute:      s.drops[dropNoRoute].Value(),
-		PluginDrops:  s.drops[dropPlugin].Value(),
+		TTLExpired:   s.drops[pkt.DropTTL].Value(),
+		BadChecksum:  s.drops[pkt.DropBadChecksum].Value(),
+		NoRoute:      s.drops[pkt.DropNoRoute].Value(),
+		PluginDrops:  s.drops[pkt.DropPlugin].Value(),
 		PluginFaults: s.faults.Value(),
 		Degraded:     s.degraded.Value(),
 		SchedEnq:     s.schedEnq.Value(),
@@ -432,10 +414,10 @@ func (r *Router) Stats() Stats {
 	}
 }
 
-// dropped totals every drop reason plus the worker pool's ingress
-// sheds.
+// dropped totals the core's drop cells, the worker pool's ingress sheds
+// included.
 func (r *Router) dropped() uint64 {
-	n := r.pool.DropTotal()
+	var n uint64
 	for i := range r.stats.drops {
 		n += r.stats.drops[i].Value()
 	}
@@ -494,7 +476,7 @@ func (r *Router) forwardMono(p *pkt.Packet, st *ifaceState) (bool, int32) {
 	out := p.OutIf
 	if r.cfg.MonoSched != nil {
 		if err := r.cfg.MonoSched.Enqueue(p); err != nil {
-			r.stats.drops[dropQueue].Add(1)
+			r.stats.drops[pkt.DropQueueFull].Add(1)
 			p.ReleaseBuf()
 			return false, out
 		}
@@ -568,7 +550,7 @@ func (r *Router) faultVerdict(p *pkt.Packet, flt *pcu.PluginFault) bool {
 	if !p.Drop {
 		p.MarkDrop(flt.Error())
 	}
-	r.stats.drops[dropFault].Add(1)
+	r.stats.drops[pkt.DropPluginFault].Add(1)
 	p.ReleaseBuf()
 	return false
 }
@@ -581,21 +563,21 @@ func (r *Router) validate(p *pkt.Packet) bool {
 	switch p.Version() {
 	case 4:
 		if r.cfg.VerifyChecksums && !pkt.VerifyIPv4Checksum(p.Data) {
-			r.stats.drops[dropBadChecksum].Add(1)
+			r.stats.drops[pkt.DropBadChecksum].Add(1)
 			p.ReleaseBuf()
 			return false
 		}
 	case 6:
 		// No header checksum in IPv6.
 	default:
-		r.stats.drops[dropMalformed].Add(1)
+		r.stats.drops[pkt.DropMalformed].Add(1)
 		p.ReleaseBuf()
 		return false
 	}
 	if !p.KeyValid {
 		k, err := pkt.ExtractKey(p.Data, p.InIf)
 		if err != nil {
-			r.stats.drops[dropMalformed].Add(1)
+			r.stats.drops[pkt.DropMalformed].Add(1)
 			p.ReleaseBuf()
 			return false
 		}
@@ -641,7 +623,7 @@ func (r *Router) decTTL(p *pkt.Packet) bool {
 		_, err = pkt.DecHopLimit(p.Data)
 	}
 	if err != nil {
-		r.stats.drops[dropTTL].Add(1)
+		r.stats.drops[pkt.DropTTL].Add(1)
 		r.sendICMPError(p, pkt.ICMPv4TimeExceeded, pkt.ICMPv6TimeExceeded, 0, 0)
 		p.ReleaseBuf()
 		return false
@@ -652,7 +634,7 @@ func (r *Router) decTTL(p *pkt.Packet) bool {
 // dropNoRoute counts a routing failure and answers with an ICMP
 // destination-unreachable when enabled.
 func (r *Router) dropNoRoute(p *pkt.Packet) bool {
-	r.stats.drops[dropNoRoute].Add(1)
+	r.stats.drops[pkt.DropNoRoute].Add(1)
 	r.sendICMPError(p, pkt.ICMPv4DestUnreach, pkt.ICMPv6DestUnreach, 0, 0)
 	p.ReleaseBuf()
 	return false
@@ -734,15 +716,17 @@ func (r *Router) takeICMPToken() bool {
 	return true
 }
 
+// enqueueFIFO queues p on its output interface's FIFO: no-output when
+// the interface is not attached, queue-full when the FIFO has no room.
 func (r *Router) enqueueFIFO(p *pkt.Packet, st *ifaceState) bool {
 	q := st.outQ[p.OutIf]
 	if q == nil {
-		r.stats.drops[dropQueue].Add(1)
+		r.stats.drops[pkt.DropNoOutput].Add(1)
 		p.ReleaseBuf()
 		return false
 	}
 	if err := q.Enqueue(p); err != nil {
-		r.stats.drops[dropQueue].Add(1)
+		r.stats.drops[pkt.DropQueueFull].Add(1)
 		p.ReleaseBuf()
 		return false
 	}
@@ -797,9 +781,12 @@ func (r *Router) TxDrain(ifIdx int32, budget int) int {
 
 // transmit puts one packet on the wire via the caller's snapshot: a
 // whole TxDrain batch transmits against one interface-table generation.
+// A packet routed to an interface that is not attached (one the shared
+// mono scheduler hands over, or one detached since) is a no-output drop.
 func (r *Router) transmit(p *pkt.Packet, st *ifaceState) {
 	ifc := st.ifaces[p.OutIf]
 	if ifc == nil {
+		r.stats.drops[pkt.DropNoOutput].Add(1)
 		p.ReleaseBuf()
 		return
 	}
@@ -826,7 +813,7 @@ func (r *Router) transmit(p *pkt.Packet, st *ifaceState) {
 				return
 			}
 		}
-		r.stats.drops[dropMTU].Add(1)
+		r.stats.drops[pkt.DropMTU].Add(1)
 		r.sendICMPError(p, pkt.ICMPv4DestUnreach, pkt.ICMPv6PacketTooBig, 4, 0)
 		p.ReleaseBuf()
 		return
@@ -889,12 +876,10 @@ func (r *Router) stepSubmit() int {
 				break
 			}
 			if !r.pool.Submit(p) {
-				// The steered worker's queue is full and the packet was
-				// shed: charge the receiving interface and return the
-				// mbuf to its pool — Submit already counted the drop
-				// router-wide, but without the release sustained
-				// overload would bleed the interface's buffer pool dry.
-				ifc.CountRxOverload()
+				// The steered worker's queue is full and Submit shed
+				// (and counted) the packet: return the mbuf to its pool,
+				// or sustained overload would bleed the interface's
+				// buffer pool dry.
 				p.ReleaseBuf()
 			}
 			n++

@@ -287,6 +287,30 @@ func TestMonolithicWithALTQDRR(t *testing.T) {
 	}
 }
 
+// TestNoOutputCounted is the regression for a loss nothing counted: in
+// best-effort mode with the shared mono scheduler, a packet routed to
+// an interface that is not attached was counted forwarded and then
+// freed by TxDrain with no drop recorded. It is a no-output drop, and
+// so is the FIFO path's missing output queue (once mislabelled
+// queue-full): every packet is transmitted or counted lost.
+func TestNoOutputCounted(t *testing.T) {
+	for _, mono := range []sched.Scheduler{sched.NewALTQDRR(16, 1500), nil} {
+		rig := newRig(t, ModeBestEffort, mono)
+		rig.r.Routes().Add(pkt.MustParsePrefix("30.0.0.0/8"), routing.NextHop{IfIndex: 7}) // not attached
+		for i, dst := range []string{"20.0.0.1", "30.0.0.1"} {
+			rig.r.Forward(sendUDP(t, rig, "10.0.0.1", dst, uint16(1000+i), 2000))
+		}
+		rig.r.TxDrain(1, 100)
+		s := rig.r.Stats()
+		if n := rig.r.stats.drops[pkt.DropNoOutput].Value(); n != 1 || s.Dropped != 1 {
+			t.Errorf("mono=%v: no-output drops %d, total drops %d; want 1 and 1 (%+v)", mono != nil, n, s.Dropped, s)
+		}
+		if tx := rig.out.Stats().TxPackets; tx+s.Dropped != 2 {
+			t.Errorf("mono=%v: 2 packets in, %d transmitted + %d dropped", mono != nil, tx, s.Dropped)
+		}
+	}
+}
+
 // drainQueue is a trivial Drainer for TxDrain tests.
 type drainQueue struct{ q []*pkt.Packet }
 

@@ -14,10 +14,12 @@ import (
 // leak: stepSubmit used to ignore Submit's verdict, so a packet shed by
 // a full worker queue never returned its receive buffer and sustained
 // overload drained the interface's whole mbuf pool into the heap
-// fallback. With the fix, the shed arm releases the buffer and counts
-// the drop against the interface: after injecting many times the pool
-// depth against a never-started pool, the fallback counter must stay
-// zero and the overload counter must show the sheds.
+// fallback. With the fix, the shed arm releases the buffer and the shed
+// is counted once, as the core's overload drop: after injecting many
+// times the pool depth against a never-started pool, the fallback
+// counter must stay zero, the overload cell must show the sheds, and
+// every injected packet is either queued at a worker or counted lost
+// exactly once.
 func TestOverloadShedReleasesMbufs(t *testing.T) {
 	const workers = 2
 	routes, err := routing.New(bmp.KindBSPL)
@@ -61,13 +63,19 @@ func TestOverloadShedReleasesMbufs(t *testing.T) {
 	}
 
 	st := in.Stats()
-	if st.RxDropOverload == 0 {
+	if r.stats.drops[pkt.DropOverload].Value() == 0 {
 		t.Error("no overload sheds counted despite a never-started pool")
 	}
 	if st.MbufFallback != 0 {
 		t.Errorf("mbuf pool exhausted under overload: %d fallback allocations (shed packets leaked their buffers)", st.MbufFallback)
 	}
-	if got := r.Stats().Dropped; got == 0 {
-		t.Error("router drop total missed the overload sheds")
+	queued := 0
+	for _, q := range r.pool.queues {
+		queued += len(q)
+	}
+	dropped := r.Stats().Dropped
+	if got := uint64(queued) + st.RxDrops + dropped; got != uint64(injected) {
+		t.Errorf("injected %d, but queued %d + interface drops %d + core drops %d = %d (residual %d)",
+			injected, queued, st.RxDrops, dropped, got, int64(injected)-int64(got))
 	}
 }

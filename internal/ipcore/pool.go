@@ -46,10 +46,8 @@ type Pool struct {
 	rec    *pcu.Reclaimer
 	wg     sync.WaitGroup
 	// fwd counts packets forwarded per worker — the steering-balance
-	// telemetry of the parallel engine. drops counts packets Submit
-	// discarded because the owning worker's queue was full.
-	fwd   *telemetry.PerWorker
-	drops *telemetry.PerWorker
+	// telemetry of the parallel engine.
+	fwd *telemetry.PerWorker
 
 	mu      sync.Mutex
 	started bool
@@ -79,7 +77,6 @@ func NewPool(r *Router, n int, rec *pcu.Reclaimer, batch int) *Pool {
 		eps:    make([]*pcu.WorkerEpoch, n),
 		rec:    rec,
 		fwd:    telemetry.NewPerWorker(n),
-		drops:  telemetry.NewPerWorker(n),
 	}
 	for i := range p.queues {
 		p.queues[i] = make(chan *pkt.Packet, poolQueueLen)
@@ -96,19 +93,6 @@ func (p *Pool) Reclaimer() *pcu.Reclaimer { return p.rec }
 
 // Forwarded returns worker i's forwarded-packet count.
 func (p *Pool) Forwarded(i int) uint64 { return p.fwd.Value(i) }
-
-// Drops returns how many packets Submit discarded for worker i because
-// its queue was full.
-func (p *Pool) Drops(i int) uint64 { return p.drops.Value(i) }
-
-// DropTotal returns the pool-wide Submit overload drop count (0 for a
-// nil pool: a router without workers sheds nothing at Submit).
-func (p *Pool) DropTotal() uint64 {
-	if p == nil {
-		return 0
-	}
-	return p.drops.Total()
-}
 
 // Start launches the workers. Idempotent.
 func (p *Pool) Start() {
@@ -150,12 +134,12 @@ func (p *Pool) Stop() {
 // Submit hands a packet to the worker owning its flow. All packets of a
 // five-tuple flow map to the same worker, so per-flow order is the
 // submission order. Never blocks: when the owning worker's queue is
-// full the packet is dropped and counted (eisr_pool_drop_full, plus the
-// per-worker Drops cell) and Submit returns false. A blocking Submit
-// would head-of-line-stall the shared RX drain — one saturated worker
-// would stop *every* flow on *every* interface — so overload sheds on
-// the overloaded flow's queue only, the same never-block policy as the
-// netio TX ring.
+// full the packet is shed, counted once as the core's overload drop,
+// and Submit returns false; the caller still owns the packet and
+// releases it. A blocking Submit would head-of-line-stall the shared RX
+// drain — one saturated worker would stop *every* flow on *every*
+// interface — so overload sheds on the overloaded flow's queue only,
+// the same never-block policy as the netio TX ring.
 //
 //eisr:fastpath
 func (p *Pool) Submit(pk *pkt.Packet) bool {
@@ -164,7 +148,7 @@ func (p *Pool) Submit(pk *pkt.Packet) bool {
 	case p.queues[w] <- pk:
 		return true
 	default:
-		p.drops.Inc(w)
+		p.r.stats.drops[pkt.DropOverload].Add(1)
 		return false
 	}
 }

@@ -371,7 +371,7 @@ func (r *Router) laneDrop(w *vec, i int, err error) {
 	if t := w.state[i].tr; t != nil {
 		t.reason = p.DropMsg
 	}
-	r.stats.drops[dropPlugin].Add(1)
+	r.stats.drops[pkt.DropPlugin].Add(1)
 	p.ReleaseBuf()
 	r.laneDone(w, i, false)
 }

@@ -8,19 +8,20 @@ import (
 	"github.com/routerplugins/eisr/internal/telemetry"
 )
 
-// fakeDriver records transmits and can simulate wire backpressure.
+// fakeDriver records transmits and can refuse them with err (wire
+// backpressure, a datagram the wire cannot carry).
 type fakeDriver struct {
 	started int
 	stopped int
 	sent    [][]byte
-	full    bool
+	err     error
 }
 
 func (d *fakeDriver) Start() { d.started++ }
 func (d *fakeDriver) Stop()  { d.stopped++ }
 func (d *fakeDriver) TransmitWire(p *pkt.Packet) error {
-	if d.full {
-		return ErrRingFull
+	if d.err != nil {
+		return d.err
 	}
 	d.sent = append(d.sent, append([]byte(nil), p.Data...))
 	return nil
@@ -50,16 +51,25 @@ func TestTransmitRoutesToDriver(t *testing.T) {
 	}
 }
 
+// TestDriverBackpressureCountsDrop checks that a refused transmit is
+// one TX drop under the driver's reason: ring full on backpressure, too
+// big when the wire cannot carry the datagram.
 func TestDriverBackpressureCountsDrop(t *testing.T) {
-	i := NewInterface(0, Config{})
-	d := &fakeDriver{full: true}
-	i.AttachDriver(d)
-	if err := i.Transmit(&pkt.Packet{Data: buildUDP(t, 30)}); err != ErrRingFull {
-		t.Fatalf("full wire error = %v, want ErrRingFull", err)
-	}
-	s := i.Stats()
-	if s.TxDrops != 1 || s.TxDropRing != 1 || s.TxPackets != 0 {
-		t.Errorf("stats after wire backpressure: %+v", s)
+	for _, c := range []struct {
+		err  error
+		want Stats
+	}{
+		{ErrRingFull, Stats{TxDrops: 1, TxDropRing: 1}},
+		{ErrTooBig, Stats{TxDrops: 1, TxDropTooBig: 1}},
+	} {
+		i := NewInterface(0, Config{})
+		i.AttachDriver(&fakeDriver{err: c.err})
+		if err := i.Transmit(&pkt.Packet{Data: buildUDP(t, 30)}); err != c.err {
+			t.Fatalf("refused transmit error = %v, want %v", err, c.err)
+		}
+		if s := i.Stats(); s != c.want {
+			t.Errorf("stats after %v: %+v, want %+v", c.err, s, c.want)
+		}
 	}
 }
 
@@ -106,10 +116,10 @@ func TestTelemetryExportsIfaceDrops(t *testing.T) {
 	if n := get(`eisr_netdev_packets_total{iface="wan0",dir="tx"}`); n != 1 {
 		t.Errorf("tx packets metric = %d, want 1", n)
 	}
-	if n := get(`eisr_netdev_drops_total{iface="wan0",dir="rx",reason="ring-full"}`); n != 1 {
+	if n := get(`eisr_drops_total{layer="netdev",iface="wan0",dir="rx",reason="ring-full"}`); n != 1 {
 		t.Errorf("ring-full drop metric = %d, want 1", n)
 	}
-	if n := get(`eisr_netdev_drops_total{iface="wan0",dir="rx",reason="too-big"}`); n != 1 {
+	if n := get(`eisr_drops_total{layer="netdev",iface="wan0",dir="rx",reason="too-big"}`); n != 1 {
 		t.Errorf("too-big drop metric = %d, want 1", n)
 	}
 	// The families render on the Prometheus endpoint.
@@ -117,8 +127,8 @@ func TestTelemetryExportsIfaceDrops(t *testing.T) {
 	if err := tel.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(sb.String(), "eisr_netdev_drops_total") {
-		t.Error("Prometheus exposition is missing eisr_netdev_drops_total")
+	if !strings.Contains(sb.String(), `eisr_drops_total{layer="netdev"`) {
+		t.Error("Prometheus exposition is missing the interface's eisr_drops_total series")
 	}
 }
 

@@ -48,8 +48,8 @@ type Driver interface {
 	// Stop closes the wire and joins the driver goroutines. Idempotent.
 	Stop()
 	// TransmitWire queues one egress datagram on the wire. It must not
-	// block: ErrRingFull signals backpressure and the caller counts the
-	// packet as a TX drop.
+	// block: ErrRingFull signals backpressure, ErrTooBig a datagram the
+	// wire cannot carry, and the caller counts either as a TX drop.
 	TransmitWire(p *pkt.Packet) error
 }
 
@@ -86,7 +86,8 @@ type LinkReporter interface {
 	LinkInfo() LinkInfo
 }
 
-// Stats counts per-interface packet events. The drop totals are broken
+// Stats counts per-interface packet events. The drop fields are views
+// over the interface's drop cells: the totals, and the totals broken
 // down by reason so overruns are distinguishable from policy drops.
 type Stats struct {
 	RxPackets uint64
@@ -101,7 +102,6 @@ type Stats struct {
 	RxDropTooBig    uint64
 	RxDropDown      uint64
 	RxDropMalformed uint64
-	RxDropOverload  uint64 // shed by the forwarding engine (worker queue full)
 	// TX drop reasons (sum to TxDrops).
 	TxDropRing   uint64
 	TxDropTooBig uint64
@@ -118,24 +118,26 @@ type Stats struct {
 // paths (Receive, Transmit — including the driver RX goroutine racing
 // the forwarding workers) never serialize on a mutex.
 // It is the only record of these events: Stats snapshots it and the
-// metrics registry reads it (SetTelemetry).
+// metrics registry reads it (SetTelemetry). rxDrops and txDrops hold one
+// cell per drop reason; only the reasons in rxReasons and txReasons are
+// ever counted.
 type ifStats struct {
 	rxPackets atomic.Uint64
 	rxBytes   atomic.Uint64
 	txPackets atomic.Uint64
 	txBytes   atomic.Uint64
 
-	rxDropRing      atomic.Uint64
-	rxDropTooBig    atomic.Uint64
-	rxDropDown      atomic.Uint64
-	rxDropMalformed atomic.Uint64
-	rxDropOverload  atomic.Uint64
-	txDropRing      atomic.Uint64
-	txDropTooBig    atomic.Uint64
-	txDropDown      atomic.Uint64
+	rxDrops [pkt.NumDropReasons]atomic.Uint64
+	txDrops [pkt.NumDropReasons]atomic.Uint64
 
 	mbufFallback atomic.Uint64
 }
+
+// The reasons an interface loses a packet, per direction.
+var (
+	rxReasons = []pkt.DropReason{pkt.DropDown, pkt.DropTooBig, pkt.DropMalformed, pkt.DropRingFull}
+	txReasons = []pkt.DropReason{pkt.DropDown, pkt.DropTooBig, pkt.DropRingFull}
+)
 
 // Interface is one network interface. Packets received from the
 // attached link (or wire driver) are queued on the RX ring for the
@@ -243,22 +245,14 @@ func (i *Interface) SetTelemetry(t *telemetry.Telemetry) {
 	}
 	l := telemetry.Label{Key: "iface", Value: i.Name}
 	dir := func(d string) telemetry.Label { return telemetry.Label{Key: "dir", Value: d} }
-	reason := func(why string) telemetry.Label { return telemetry.Label{Key: "reason", Value: why} }
 	s := &i.stats
 	t.CounterFunc("eisr_netdev_packets_total", "packets per interface and direction", s.rxPackets.Load, l, dir("rx"))
 	t.CounterFunc("eisr_netdev_packets_total", "packets per interface and direction", s.txPackets.Load, l, dir("tx"))
 	t.CounterFunc("eisr_netdev_bytes_total", "bytes per interface and direction", s.rxBytes.Load, l, dir("rx"))
 	t.CounterFunc("eisr_netdev_bytes_total", "bytes per interface and direction", s.txBytes.Load, l, dir("tx"))
 
-	const drops = "interface drops by direction and reason"
-	t.CounterFunc("eisr_netdev_drops_total", drops, s.rxDropRing.Load, l, dir("rx"), reason("ring-full"))
-	t.CounterFunc("eisr_netdev_drops_total", drops, s.rxDropTooBig.Load, l, dir("rx"), reason("too-big"))
-	t.CounterFunc("eisr_netdev_drops_total", drops, s.rxDropDown.Load, l, dir("rx"), reason("down"))
-	t.CounterFunc("eisr_netdev_drops_total", drops, s.rxDropMalformed.Load, l, dir("rx"), reason("malformed"))
-	t.CounterFunc("eisr_netdev_drops_total", drops, s.rxDropOverload.Load, l, dir("rx"), reason("overload"))
-	t.CounterFunc("eisr_netdev_drops_total", drops, s.txDropRing.Load, l, dir("tx"), reason("ring-full"))
-	t.CounterFunc("eisr_netdev_drops_total", drops, s.txDropTooBig.Load, l, dir("tx"), reason("too-big"))
-	t.CounterFunc("eisr_netdev_drops_total", drops, s.txDropDown.Load, l, dir("tx"), reason("down"))
+	t.Drops("netdev", func(why pkt.DropReason) uint64 { return s.rxDrops[why].Load() }, []telemetry.Label{l, dir("rx")}, rxReasons...)
+	t.Drops("netdev", func(why pkt.DropReason) uint64 { return s.txDrops[why].Load() }, []telemetry.Label{l, dir("tx")}, txReasons...)
 
 	t.CounterFunc("eisr_netdev_mbuf_fallback_total", "receive buffers heap-allocated after pool exhaustion", s.mbufFallback.Load, l)
 }
@@ -292,18 +286,18 @@ func (i *Interface) Receive(data []byte, path *pkt.PathContext) error {
 	up := i.up
 	i.mu.Unlock()
 	if !up {
-		i.stats.rxDropDown.Add(1)
+		i.stats.rxDrops[pkt.DropDown].Add(1)
 		return ErrDown
 	}
 	if len(data) > i.MTU {
-		i.stats.rxDropTooBig.Add(1)
+		i.stats.rxDrops[pkt.DropTooBig].Add(1)
 		return ErrTooBig
 	}
 	p := i.nextMbuf(len(data))
 	copy(p.Data, data)
 	if err := p.Reset(p.Data, i.Index); err != nil {
 		i.ReleaseMbuf(p)
-		i.stats.rxDropMalformed.Add(1)
+		i.stats.rxDrops[pkt.DropMalformed].Add(1)
 		return err
 	}
 	if path != nil && path.Active {
@@ -319,7 +313,7 @@ func (i *Interface) Receive(data []byte, path *pkt.PathContext) error {
 		return nil
 	default:
 		p.ReleaseBuf()
-		i.stats.rxDropRing.Add(1)
+		i.stats.rxDrops[pkt.DropRingFull].Add(1)
 		return ErrRingFull
 	}
 }
@@ -396,13 +390,6 @@ func (i *Interface) ReleaseMbuf(p *pkt.Packet) {
 	i.mu.Unlock()
 }
 
-// CountRxOverload records a received packet shed by the forwarding
-// engine because its steered worker's ingress queue was full — charged
-// against the receiving interface, like any other RX drop.
-func (i *Interface) CountRxOverload() {
-	i.stats.rxDropOverload.Add(1)
-}
-
 // Poll drains one packet from the RX ring without blocking; nil when the
 // ring is empty.
 //
@@ -420,8 +407,9 @@ func (i *Interface) Poll() *pkt.Packet {
 // handed to the wire driver if one is attached, else delivered into the
 // connected peer's RX ring. Without a driver or peer the packet is
 // counted and discarded (a sink, as in the benchmark harness where the
-// ATM card loops to the measurement host). A driver that reports
-// backpressure (ErrRingFull) turns into a counted TX drop — the
+// ATM card loops to the measurement host). A driver that refuses the
+// packet turns it into a counted TX drop — too big on ErrTooBig, ring
+// full on backpressure (ErrRingFull) or any other error — so the
 // forwarding worker is never blocked on the wire.
 //
 // Transmit consumes the packet's receive buffer on every arm — wire,
@@ -436,16 +424,20 @@ func (i *Interface) Transmit(p *pkt.Packet) error {
 	up, peer, driver := i.up, i.peer, i.driver
 	i.mu.Unlock()
 	if !up {
-		i.stats.txDropDown.Add(1)
+		i.stats.txDrops[pkt.DropDown].Add(1)
 		return ErrDown
 	}
 	if len(p.Data) > i.MTU {
-		i.stats.txDropTooBig.Add(1)
+		i.stats.txDrops[pkt.DropTooBig].Add(1)
 		return ErrTooBig
 	}
 	if driver != nil {
 		if err := driver.TransmitWire(p); err != nil {
-			i.stats.txDropRing.Add(1)
+			why := pkt.DropRingFull
+			if err == ErrTooBig {
+				why = pkt.DropTooBig
+			}
+			i.stats.txDrops[why].Add(1)
 			return err
 		}
 		i.stats.txPackets.Add(1)
@@ -464,24 +456,24 @@ func (i *Interface) Transmit(p *pkt.Packet) error {
 
 // Stats snapshots the interface counters.
 func (i *Interface) Stats() Stats {
+	rx, tx := &i.stats.rxDrops, &i.stats.txDrops
 	s := Stats{
 		RxPackets: i.stats.rxPackets.Load(),
 		RxBytes:   i.stats.rxBytes.Load(),
 		TxPackets: i.stats.txPackets.Load(),
 		TxBytes:   i.stats.txBytes.Load(),
 
-		RxDropRing:      i.stats.rxDropRing.Load(),
-		RxDropTooBig:    i.stats.rxDropTooBig.Load(),
-		RxDropDown:      i.stats.rxDropDown.Load(),
-		RxDropMalformed: i.stats.rxDropMalformed.Load(),
-		RxDropOverload:  i.stats.rxDropOverload.Load(),
-		TxDropRing:      i.stats.txDropRing.Load(),
-		TxDropTooBig:    i.stats.txDropTooBig.Load(),
-		TxDropDown:      i.stats.txDropDown.Load(),
+		RxDropRing:      rx[pkt.DropRingFull].Load(),
+		RxDropTooBig:    rx[pkt.DropTooBig].Load(),
+		RxDropDown:      rx[pkt.DropDown].Load(),
+		RxDropMalformed: rx[pkt.DropMalformed].Load(),
+		TxDropRing:      tx[pkt.DropRingFull].Load(),
+		TxDropTooBig:    tx[pkt.DropTooBig].Load(),
+		TxDropDown:      tx[pkt.DropDown].Load(),
 
 		MbufFallback: i.stats.mbufFallback.Load(),
 	}
-	s.RxDrops = s.RxDropRing + s.RxDropTooBig + s.RxDropDown + s.RxDropMalformed + s.RxDropOverload
+	s.RxDrops = s.RxDropRing + s.RxDropTooBig + s.RxDropDown + s.RxDropMalformed
 	s.TxDrops = s.TxDropRing + s.TxDropTooBig + s.TxDropDown
 	return s
 }

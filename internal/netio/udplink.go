@@ -53,8 +53,8 @@ type wireBuf struct {
 // metrics registry reads it. Everything a datagram meets at the
 // interface is counted there.
 type linkStats struct {
-	rxDropBadPath  atomic.Uint64 // path-trace encapsulation failed to decode
-	rxErrTransient atomic.Uint64 // non-fatal socket read errors (skipped)
+	drops          [pkt.NumDropReasons]atomic.Uint64 // only DropBadPath: the encapsulation failed to decode
+	rxErrTransient atomic.Uint64                     // non-fatal socket read errors (skipped)
 	txPackets      atomic.Uint64
 	txBytes        atomic.Uint64
 	txErrors       atomic.Uint64
@@ -189,16 +189,15 @@ func NewUDPLink(ifc *netdev.Interface, cfg Config) (*UDPLink, error) {
 }
 
 // setTelemetry exports the link's counters under the eisr_netio_*
-// families, labeled by interface name, and registers its batch-size
-// histograms.
+// families and its drops under eisr_drops_total, labeled by interface
+// name, and registers its batch-size histograms.
 func (l *UDPLink) setTelemetry(t *telemetry.Telemetry) {
 	lbl := telemetry.Label{Key: "iface", Value: l.ifc.Name}
-	dir := func(d string) telemetry.Label { return telemetry.Label{Key: "dir", Value: d} }
-	reason := func(why string) telemetry.Label { return telemetry.Label{Key: "reason", Value: why} }
+	dir := telemetry.Label{Key: "dir", Value: "tx"}
 	s := &l.stats
-	t.CounterFunc("eisr_netio_packets_total", "wire packets per link and direction", s.txPackets.Load, lbl, dir("tx"))
-	t.CounterFunc("eisr_netio_bytes_total", "wire bytes per link and direction", s.txBytes.Load, lbl, dir("tx"))
-	t.CounterFunc("eisr_netio_drops_total", "wire drops by direction and reason", s.rxDropBadPath.Load, lbl, dir("rx"), reason("bad-path"))
+	t.CounterFunc("eisr_netio_packets_total", "wire packets per link and direction", s.txPackets.Load, lbl, dir)
+	t.CounterFunc("eisr_netio_bytes_total", "wire bytes per link and direction", s.txBytes.Load, lbl, dir)
+	t.Drops("netio", func(why pkt.DropReason) uint64 { return s.drops[why].Load() }, []telemetry.Label{lbl}, pkt.DropBadPath)
 
 	t.CounterFunc("eisr_netio_rx_errors_total", "transient socket read errors per link (counted and skipped, never fatal)", s.rxErrTransient.Load, lbl)
 	t.CounterFunc("eisr_netio_tx_errors_total", "socket write failures per link", s.txErrors.Load, lbl)
@@ -332,7 +331,7 @@ func (l *UDPLink) deliver(n int) {
 	var path pkt.PathContext
 	consumed, ok := pkt.DecodePath(l.rxBuf[:n], &path)
 	if !ok {
-		l.stats.rxDropBadPath.Add(1)
+		l.stats.drops[pkt.DropBadPath].Add(1)
 		return
 	}
 	if l.ifc.Receive(l.rxBuf[consumed:n], &path) == netdev.ErrRingFull &&
@@ -451,7 +450,7 @@ func (l *UDPLink) transmitOne(wb *wireBuf) {
 // Stats snapshots the link counters.
 func (l *UDPLink) Stats() netdev.LinkStats {
 	s := netdev.LinkStats{
-		RxDropBadPath:  l.stats.rxDropBadPath.Load(),
+		RxDropBadPath:  l.stats.drops[pkt.DropBadPath].Load(),
 		RxErrTransient: l.stats.rxErrTransient.Load(),
 		TxPackets:      l.stats.txPackets.Load(),
 		TxBytes:        l.stats.txBytes.Load(),

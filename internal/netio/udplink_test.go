@@ -398,7 +398,7 @@ func TestRxDropSplitBadPathVsBadKey(t *testing.T) {
 	if is.RxDrops != 1 {
 		t.Errorf("interface counted the bad path too: %+v", is)
 	}
-	if got := tel.CounterValue(`eisr_netio_drops_total{iface="wan1",dir="rx",reason="bad-path"}`); got != 1 {
+	if got := tel.CounterValue(`eisr_drops_total{layer="netio",iface="wan1",reason="bad-path"}`); got != 1 {
 		t.Errorf("bad-path counter = %d, want 1", got)
 	}
 }
@@ -432,7 +432,7 @@ func TestTelemetryRegistersNetioFamilies(t *testing.T) {
 	if err := tel.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
-	for _, family := range []string{"eisr_netio_packets_total", "eisr_netio_drops_total", "eisr_netio_rx_batch"} {
+	for _, family := range []string{"eisr_netio_packets_total", `eisr_drops_total{layer="netio"`, "eisr_netio_rx_batch"} {
 		if !strings.Contains(sb.String(), family) {
 			t.Errorf("Prometheus exposition is missing %s", family)
 		}

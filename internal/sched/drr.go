@@ -88,7 +88,6 @@ func (d *DRR) EnqueueFlow(q *DRRQueue, p *pkt.Packet) error {
 	}
 	if err := q.fifo.Enqueue(p); err != nil {
 		q.Drops++
-		d.tel.RecordDrop()
 		return err
 	}
 	d.total++

@@ -133,7 +133,6 @@ func (e *Eiffel) EnqueueFlow(q *EiffelQueue, p *pkt.Packet) error {
 	}
 	if q.n >= e.limit {
 		q.Drops++
-		e.tel.RecordDrop()
 		return ErrQueueFull
 	}
 	p.QNext = nil

@@ -145,8 +145,8 @@ func TestEiffelRemoveQueueReleasesAndCounts(t *testing.T) {
 	if own.n != 3 {
 		t.Errorf("released %d buffers, want 3", own.n)
 	}
-	if mv, ok := tel.Find(`eisr_sched_purged_total{plugin="eiffel",instance="t"}`); !ok || mv.Counter != 3 {
-		t.Errorf("purged counter = %+v ok=%v, want 3", mv, ok)
+	if mv, ok := tel.Find(`eisr_drops_total{layer="sched",plugin="eiffel",instance="t",reason="evicted"}`); !ok || mv.Counter != 3 {
+		t.Errorf("evicted drops = %+v ok=%v, want 3", mv, ok)
 	}
 	if mv, ok := tel.Find(`eisr_sched_backlog{plugin="eiffel",instance="t"}`); !ok || mv.Gauge != 1 {
 		t.Errorf("backlog gauge = %+v ok=%v, want 1", mv, ok)
@@ -285,7 +285,7 @@ func TestDRRFractionalWeightNoLivelock(t *testing.T) {
 }
 
 // TestDRRRemoveQueueTelemetry pins the backlog bookkeeping of a purge:
-// the purged counter grows, the backlog gauge shrinks, and the queued
+// the evicted drop count grows, the backlog gauge shrinks, and the queued
 // packets return their buffers.
 func TestDRRRemoveQueueTelemetry(t *testing.T) {
 	tel := telemetry.New()
@@ -302,8 +302,8 @@ func TestDRRRemoveQueueTelemetry(t *testing.T) {
 	if own.n != 4 {
 		t.Errorf("released %d buffers, want 4", own.n)
 	}
-	if mv, ok := tel.Find(`eisr_sched_purged_total{plugin="drr",instance="t"}`); !ok || mv.Counter != 4 {
-		t.Errorf("purged counter = %+v ok=%v, want 4", mv, ok)
+	if mv, ok := tel.Find(`eisr_drops_total{layer="sched",plugin="drr",instance="t",reason="evicted"}`); !ok || mv.Counter != 4 {
+		t.Errorf("evicted drops = %+v ok=%v, want 4", mv, ok)
 	}
 	if mv, ok := tel.Find(`eisr_sched_backlog{plugin="drr",instance="t"}`); !ok || mv.Gauge != 0 {
 		t.Errorf("backlog gauge = %+v ok=%v, want 0", mv, ok)

@@ -46,8 +46,8 @@ type flowSet[Q PerFlowQueue] struct {
 	queues  []Q
 
 	// tel, when non-nil, records per-instance scheduler metrics
-	// (enqueue/dequeue/drop counts, backlog, live queues); a nil bundle
-	// no-ops every record call.
+	// (enqueue/dequeue counts, evicted packets, backlog, live queues); a
+	// nil bundle no-ops every record call.
 	tel *telemetry.SchedMetrics
 }
 
@@ -84,9 +84,10 @@ func (s *flowSet[Q]) SetTelemetry(m *telemetry.SchedMetrics) { s.tel = m }
 
 // RemoveQueue drops a flow queue and any packets it still holds
 // (called when the AIU evicts the flow or the instance is freed).
-// Discarded packets return their receive buffers to the pool and leave
-// the backlog telemetry as purged, since no dequeue will count them. A
-// queue this scheduler does not hold is ignored.
+// Discarded packets return their receive buffers to the pool and are
+// counted as sched/evicted drops, which also takes them off the backlog
+// gauge, since no dequeue will count them. A queue this scheduler does
+// not hold is ignored.
 func (s *flowSet[Q]) RemoveQueue(q Q) {
 	var none Q
 	if q == none {

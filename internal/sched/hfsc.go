@@ -149,7 +149,6 @@ func (h *HFSC) EnqueueClass(cl *Class, p *pkt.Packet, now float64) error {
 	wasEmpty := cl.queue.Len() == 0
 	if err := cl.queue.Enqueue(p); err != nil {
 		cl.Drops++
-		h.Tel.RecordDrop()
 		return err
 	}
 	h.count++

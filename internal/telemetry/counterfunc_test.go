@@ -5,6 +5,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"github.com/routerplugins/eisr/internal/pkt"
 )
 
 func TestCounterFuncReadsOwnerCell(t *testing.T) {
@@ -18,6 +20,33 @@ func TestCounterFuncReadsOwnerCell(t *testing.T) {
 	}
 	var nilTel *Telemetry
 	nilTel.CounterFunc("eisr_view_total", "", cell.Load) // must not panic
+}
+
+// TestDropsRegistersOneSeriesPerReason pins the drop family's shape: a
+// layer's reasons each become an eisr_drops_total series labeled layer,
+// then the layer's own labels, then reason, reading the layer's cell.
+func TestDropsRegistersOneSeriesPerReason(t *testing.T) {
+	tel := New()
+	var cells [pkt.NumDropReasons]atomic.Uint64
+	cells[pkt.DropDown].Add(3)
+	read := func(why pkt.DropReason) uint64 { return cells[why].Load() }
+	tel.Drops("netdev", read, []Label{{"iface", "eth0"}}, pkt.DropDown, pkt.DropRingFull)
+	cells[pkt.DropRingFull].Add(1)
+	want := map[string]uint64{
+		`eisr_drops_total{layer="netdev",iface="eth0",reason="down"}`:      3,
+		`eisr_drops_total{layer="netdev",iface="eth0",reason="ring-full"}`: 1,
+	}
+	snap := tel.Snapshot()
+	if len(snap) != len(want) {
+		t.Fatalf("registered %d series, want %d: %+v", len(snap), len(want), snap)
+	}
+	for _, mv := range snap {
+		if n, ok := want[mv.Full]; !ok || mv.Counter != n {
+			t.Errorf("%s = %d, want %d (expected %v)", mv.Full, mv.Counter, n, ok)
+		}
+	}
+	var nilTel *Telemetry
+	nilTel.Drops("netdev", read, nil, pkt.DropDown) // must not panic
 }
 
 func TestGaugeFuncReadsOwnerLevel(t *testing.T) {

@@ -4,9 +4,9 @@ package telemetry
 // worker id — the telemetry primitive for the parallel forwarding
 // engine. Where Counter spreads anonymous writers across shards by
 // stack address, PerWorker gives each forwarding worker its own cell:
-// the per-worker breakdown (packets forwarded, drops, steering
-// imbalance) is itself the quantity of interest, and an owned cell is
-// both exact and contention-free. Record methods follow the package
+// the per-worker breakdown (packets forwarded, steering imbalance) is
+// itself the quantity of interest, and an owned cell is both exact and
+// contention-free. Record methods follow the package
 // contract: no allocation, no locks, nil-receiver no-ops.
 type PerWorker struct {
 	cells []counterShard
@@ -19,11 +19,6 @@ func NewPerWorker(n int) *PerWorker {
 	}
 	return &PerWorker{cells: make([]counterShard, n)}
 }
-
-// Inc adds one to worker i's cell.
-//
-//eisr:fastpath
-func (w *PerWorker) Inc(i int) { w.Add(i, 1) }
 
 // Add adds n to worker i's cell.
 //

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+
+	"github.com/routerplugins/eisr/internal/pkt"
 )
 
 // Label is one metric dimension ("gate"="sched", "plugin"="drr").
@@ -159,6 +161,22 @@ func (t *Telemetry) CounterFunc(family, help string, read func() uint64, labels 
 	t.register(family, help, KindCounter, labels, read, nil)
 }
 
+// Drops registers a layer's drop cells in the one drop family,
+// eisr_drops_total{layer,<labels>,reason}: one series per reason the
+// layer produces, read from the layer's own cell at scrape time, so a
+// lost packet is counted once, by the layer that lost it. labels (iface,
+// dir, instance) sit between layer and reason. Nil-safe.
+func (t *Telemetry) Drops(layer string, read func(pkt.DropReason) uint64, labels []Label, reasons ...pkt.DropReason) {
+	if t == nil {
+		return
+	}
+	for _, why := range reasons {
+		ls := append(append([]Label{{"layer", layer}}, labels...), Label{"reason", why.String()})
+		t.CounterFunc("eisr_drops_total", "packets lost, by the layer that lost them and why",
+			func() uint64 { return read(why) }, ls...)
+	}
+}
+
 // Gauge registers (or finds) a gauge.
 func (t *Telemetry) Gauge(family, help string, labels ...Label) *Gauge {
 	return t.register(family, help, KindGauge, labels, nil, nil).g
@@ -212,12 +230,13 @@ func (t *Telemetry) Tracer() *TraceRing {
 type SchedMetrics struct {
 	enqueued *Counter
 	dequeued *Counter
-	drops    *Counter
-	purged   *Counter
-	clamps   *Counter
-	backlog  *Gauge
-	queues   *Gauge
-	deficit  *Histogram
+	// drops is the instance's drop cells: only DropEvicted is produced.
+	// An enqueue rejection is the core's to count (its plugin cell).
+	drops   [pkt.NumDropReasons]atomic.Uint64
+	clamps  *Counter
+	backlog *Gauge
+	queues  *Gauge
+	deficit *Histogram
 }
 
 // SchedMetrics registers the scheduler metric set for one instance.
@@ -226,16 +245,16 @@ func (t *Telemetry) SchedMetrics(plugin, instance string) *SchedMetrics {
 		return nil
 	}
 	l := []Label{{"plugin", plugin}, {"instance", instance}}
-	return &SchedMetrics{
+	m := &SchedMetrics{
 		enqueued: t.Counter("eisr_sched_enqueued_total", "packets admitted by the scheduling discipline", l...),
 		dequeued: t.Counter("eisr_sched_dequeued_total", "packets handed to the link by the scheduling discipline", l...),
-		drops:    t.Counter("eisr_sched_drops_total", "packets rejected at enqueue (queue limit)", l...),
-		purged:   t.Counter("eisr_sched_purged_total", "queued packets discarded when a flow queue was removed", l...),
 		clamps:   t.Counter("eisr_sched_horizon_clamps_total", "flow ranks clamped to the scheduling wheel horizon (Eiffel)", l...),
 		backlog:  t.Gauge("eisr_sched_backlog", "packets queued across all flows of the instance", l...),
 		queues:   t.Gauge("eisr_sched_queues", "live per-flow queues of the instance", l...),
 		deficit:  t.Histogram("eisr_sched_deficit_bytes", "DRR per-flow deficit observed at dequeue", l...),
 	}
+	t.Drops("sched", func(why pkt.DropReason) uint64 { return m.drops[why].Load() }, l, pkt.DropEvicted)
+	return m
 }
 
 // RecordEnqueue counts an admitted packet.
@@ -264,24 +283,15 @@ func (m *SchedMetrics) RecordDequeue(deficit int) {
 	}
 }
 
-// RecordDrop counts an enqueue rejection.
-//
-//eisr:fastpath
-func (m *SchedMetrics) RecordDrop() {
-	if m == nil {
-		return
-	}
-	m.drops.Inc()
-}
-
 // RecordPurged counts n backlogged packets discarded by a flow-queue
-// removal. They left the scheduler without a dequeue, so the backlog
-// gauge shrinks here (control path: flow eviction, instance teardown).
+// removal as sched/evicted drops. They left the scheduler without a
+// dequeue, so the backlog gauge shrinks here (control path: flow
+// eviction, instance teardown).
 func (m *SchedMetrics) RecordPurged(n int) {
 	if m == nil || n <= 0 {
 		return
 	}
-	m.purged.Add(uint64(n))
+	m.drops[pkt.DropEvicted].Add(uint64(n))
 	m.backlog.Add(-int64(n))
 }
 

@@ -113,7 +113,7 @@ func TestNilRegistry(t *testing.T) {
 	var nilSM *SchedMetrics
 	nilSM.RecordEnqueue()
 	nilSM.RecordDequeue(3)
-	nilSM.RecordDrop()
+	nilSM.RecordPurged(2)
 	nilSM.SetQueues(2)
 }
 

@@ -19,6 +19,7 @@ import (
 	"github.com/routerplugins/eisr/internal/pcu"
 	"github.com/routerplugins/eisr/internal/pkt"
 	"github.com/routerplugins/eisr/internal/routing"
+	"github.com/routerplugins/eisr/internal/sched"
 	"github.com/routerplugins/eisr/internal/telemetry"
 )
 
@@ -45,15 +46,18 @@ type registryCase struct {
 }
 
 // TestRegistryEqualsStats checks that every Stats field of ipcore,
-// netdev, netio and the aiu flow cache equals its exported metric,
-// including events recorded before the registry was attached, and pins
-// the set of exported full names in a golden file.
+// netdev, netio, the aiu flow cache and a scheduler equals its exported
+// metric, including events recorded before the registry was attached,
+// and pins the set of exported full names in a golden file. Every layer
+// exports its losses in one family, eisr_drops_total, whose every
+// series names its layer and reason.
 func TestRegistryEqualsStats(t *testing.T) {
 	cases := []registryCase{
 		{"ipcore", ipcoreRegistryCase},
 		{"netdev", netdevRegistryCase},
 		{"netio", netioRegistryCase},
 		{"aiu", aiuRegistryCase},
+		{"sched", schedRegistryCase},
 	}
 	var names []string
 	for _, c := range cases {
@@ -94,6 +98,21 @@ func TestRegistryEqualsStats(t *testing.T) {
 		})
 	}
 	sort.Strings(names)
+	dropFamilies := map[string]bool{}
+	for _, n := range names {
+		full := n[strings.LastIndexByte(n, '\t')+1:]
+		family, labels, _ := strings.Cut(full, "{")
+		if !strings.Contains(family, "drop") {
+			continue
+		}
+		dropFamilies[family] = true
+		if !strings.HasPrefix(labels, `layer="`) || !strings.Contains(labels, `,reason="`) {
+			t.Errorf("drop series %s does not name its layer and reason", full)
+		}
+	}
+	if len(dropFamilies) != 1 || !dropFamilies["eisr_drops_total"] {
+		t.Errorf("drop families exported: %v, want only eisr_drops_total", dropFamilies)
+	}
 	got := strings.Join(names, "\n") + "\n"
 	golden := filepath.Join("testdata", "registry_names.golden")
 	if *updateGolden {
@@ -188,7 +207,7 @@ func ipcoreRegistryCase(t *testing.T) (*telemetry.Telemetry, []statPair) {
 		forward(udpDatagram(t, "20.0.0.1", 3, 8))   // forwarded
 		forward(udpDatagram(t, "10.0.0.254", 3, 8)) // delivered
 		forward(udpDatagram(t, "40.0.0.1", 3, 8))   // no route
-		forward(udpDatagram(t, "30.0.0.1", 3, 8))   // no output queue
+		forward(udpDatagram(t, "30.0.0.1", 3, 8))   // no output
 		forward(udpDatagram(t, "20.0.0.1", 1, 8))   // plugin drop
 		forward(udpDatagram(t, "20.0.0.1", 2, 8))   // degraded, forwarded
 		bad := udpDatagram(t, "20.0.0.1", 3, 8)
@@ -216,22 +235,21 @@ func ipcoreRegistryCase(t *testing.T) (*telemetry.Telemetry, []statPair) {
 	traffic()
 	s := r.Stats()
 	verdict := func(v string) string { return `eisr_verdicts_total{verdict="` + v + `"}` }
-	reason := func(why string) string { return `eisr_drops_total{reason="` + why + `"}` }
+	reason := func(why string) string { return `eisr_drops_total{layer="ipcore",reason="` + why + `"}` }
 	var allDrops []string
-	for _, why := range []string{"bad-checksum", "malformed", "ttl-expired", "no-route", "plugin", "plugin-fault", "queue-full", "mtu"} {
+	for _, why := range []string{"overload", "bad-checksum", "malformed", "ttl-expired", "no-route", "no-output", "plugin", "plugin-fault", "queue-full", "mtu"} {
 		allDrops = append(allDrops, reason(why))
 	}
 	return tel, []statPair{
 		{field: "Forwarded", stat: s.Forwarded, metrics: []string{verdict("forwarded")}},
 		{field: "Delivered", stat: s.Delivered, metrics: []string{verdict("delivered")}},
 		{field: "Dropped", stat: s.Dropped, metrics: []string{verdict("dropped")}},
-		{field: "Dropped (reasons + pool)", stat: s.Dropped, metrics: append(allDrops, "eisr_pool_drop_full")},
+		{field: "Dropped (every reason, sheds included)", stat: s.Dropped, metrics: allDrops},
 		{field: "TTLExpired", stat: s.TTLExpired, metrics: []string{reason("ttl-expired")}},
 		{field: "BadChecksum", stat: s.BadChecksum, metrics: []string{reason("bad-checksum")}},
 		{field: "NoRoute", stat: s.NoRoute, metrics: []string{reason("no-route")}},
 		{field: "PluginDrops", stat: s.PluginDrops, metrics: []string{reason("plugin")}},
 		{field: "Degraded", stat: s.Degraded, metrics: []string{"eisr_degraded_packets_total"}},
-		{field: "Pool.DropTotal", stat: r.Pool().DropTotal(), metrics: []string{"eisr_pool_drop_full"}},
 		{field: "in0 RxPackets", stat: in.Stats().RxPackets, metrics: []string{`eisr_netdev_packets_total{iface="in0",dir="rx"}`}},
 	}
 }
@@ -265,7 +283,6 @@ func netdevRegistryCase(t *testing.T) (*telemetry.Telemetry, []statPair) {
 		ifc.Inject([]byte{0x45, 0, 0, 4}) // malformed
 		ifc.Inject(good)
 		ifc.Poll()
-		ifc.CountRxOverload()
 		ifc.Transmit(newTestPacket(t, good, 3))
 		ifc.Transmit(&pkt.Packet{Data: big})
 		ifc.SetUp(false)
@@ -283,7 +300,7 @@ func netdevRegistryCase(t *testing.T) (*telemetry.Telemetry, []statPair) {
 	s := ifc.Stats()
 	m := func(dir string) string { return `{iface="nd0",dir="` + dir + `"}` }
 	drop := func(dir, why string) string {
-		return `eisr_netdev_drops_total{iface="nd0",dir="` + dir + `",reason="` + why + `"}`
+		return `eisr_drops_total{layer="netdev",iface="nd0",dir="` + dir + `",reason="` + why + `"}`
 	}
 	return tel, []statPair{
 		{field: "RxPackets", stat: s.RxPackets, metrics: []string{"eisr_netdev_packets_total" + m("rx")}},
@@ -291,14 +308,12 @@ func netdevRegistryCase(t *testing.T) (*telemetry.Telemetry, []statPair) {
 		{field: "TxPackets", stat: s.TxPackets, metrics: []string{"eisr_netdev_packets_total" + m("tx")}},
 		{field: "TxBytes", stat: s.TxBytes, metrics: []string{"eisr_netdev_bytes_total" + m("tx")}},
 		{field: "RxDrops", stat: s.RxDrops, metrics: []string{
-			drop("rx", "ring-full"), drop("rx", "too-big"), drop("rx", "down"),
-			drop("rx", "malformed"), drop("rx", "overload"),
+			drop("rx", "ring-full"), drop("rx", "too-big"), drop("rx", "down"), drop("rx", "malformed"),
 		}},
 		{field: "RxDropRing", stat: s.RxDropRing, metrics: []string{drop("rx", "ring-full")}},
 		{field: "RxDropTooBig", stat: s.RxDropTooBig, metrics: []string{drop("rx", "too-big")}},
 		{field: "RxDropDown", stat: s.RxDropDown, metrics: []string{drop("rx", "down")}},
 		{field: "RxDropMalformed", stat: s.RxDropMalformed, metrics: []string{drop("rx", "malformed")}},
-		{field: "RxDropOverload", stat: s.RxDropOverload, metrics: []string{drop("rx", "overload")}},
 		{field: "TxDrops", stat: s.TxDrops, metrics: []string{
 			drop("tx", "ring-full"), drop("tx", "too-big"), drop("tx", "down"),
 		}},
@@ -373,11 +388,8 @@ func netioRegistryCase(t *testing.T) (*telemetry.Telemetry, []statPair) {
 	l.Stop()
 	s := l.Stats()
 	dir := func(d string) string { return `{iface="wire0",dir="` + d + `"}` }
-	drop := func(d, why string) string {
-		return `eisr_netio_drops_total{iface="wire0",dir="` + d + `",reason="` + why + `"}`
-	}
 	return tel, []statPair{
-		{field: "RxDropBadPath", stat: s.RxDropBadPath, metrics: []string{drop("rx", "bad-path")}},
+		{field: "RxDropBadPath", stat: s.RxDropBadPath, metrics: []string{`eisr_drops_total{layer="netio",iface="wire0",reason="bad-path"}`}},
 		{field: "RxErrTransient", stat: s.RxErrTransient, metrics: []string{`eisr_netio_rx_errors_total{iface="wire0"}`}, mayBeZero: true},
 		{field: "TxPackets", stat: s.TxPackets, metrics: []string{"eisr_netio_packets_total" + dir("tx")}},
 		{field: "TxBytes", stat: s.TxBytes, metrics: []string{"eisr_netio_bytes_total" + dir("tx")}},
@@ -429,5 +441,33 @@ func aiuRegistryCase(t *testing.T) (*telemetry.Telemetry, []statPair) {
 		{field: "FlowStats.Recycled+Removed", stat: s.Recycled + s.Removed, metrics: []string{"eisr_flowcache_evictions_total"}},
 		{field: "FlowStats.Live", stat: uint64(s.Live), metrics: []string{"eisr_flowcache_live#gauge"}},
 		{field: "firstPacket", stat: first, metrics: []string{"eisr_classifier_first_packet_total"}},
+	}
+}
+
+// schedRegistryCase drives one DRR instance's metric set: admitted and
+// served packets, a queue-limit rejection (the core's to count, so no
+// scheduler drop moves), and a flow queue removed with packets still
+// queued, which the scheduler counts as evicted. The instance registers
+// its cells at creation, so it has no before-attach phase.
+func schedRegistryCase(t *testing.T) (*telemetry.Telemetry, []statPair) {
+	tel := telemetry.New()
+	d := sched.NewDRR(1500, 4)
+	d.SetTelemetry(tel.SchedMetrics("drr", "t"))
+	good := udpDatagram(t, "20.0.0.1", 3, 8)
+	qa, qb := d.NewQueue(1), d.NewQueue(1)
+	for i := 0; i < 5; i++ { // the fifth is over the queue limit
+		d.EnqueueFlow(qa, newTestPacket(t, good, 0))
+	}
+	d.EnqueueFlow(qb, newTestPacket(t, good, 0))
+	d.Dequeue()
+	evicted := qa.Len()
+	d.RemoveQueue(qa)
+	l := `{plugin="drr",instance="t"}`
+	return tel, []statPair{
+		{field: "evicted (backlog of the removed queue)", stat: uint64(evicted),
+			metrics: []string{`eisr_drops_total{layer="sched",plugin="drr",instance="t",reason="evicted"}`}},
+		{field: "Len", stat: uint64(d.Len()), metrics: []string{"eisr_sched_backlog" + l + "#gauge"}},
+		{field: "Queues", stat: uint64(len(d.Queues())), metrics: []string{"eisr_sched_queues" + l + "#gauge"}},
+		{field: "enqueued", stat: uint64(d.Len() + evicted + 1), metrics: []string{"eisr_sched_enqueued_total" + l}},
 	}
 }

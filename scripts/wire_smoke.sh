@@ -6,8 +6,10 @@
 # with `eisrbench -exp wire`, and fail on any unexplained loss.
 # eisrbench exits nonzero when packets are lost; `pmgr stats` must show
 # no interface that ran its mbuf pool dry (MbufFallback 0), `pmgr links`
-# must show the wire in the operator report, and the event journal must
-# have recorded the boot. Readiness comes from the /healthz probe (200 only
+# must show the wire in the operator report, /metrics must export every
+# loss in the one drop family (eisr_drops_total) and no other family
+# with "drop" in its name, and the event journal must have recorded the
+# boot. Readiness comes from the /healthz probe (200 only
 # while the router serves), not from sleeping.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -78,6 +80,20 @@ if ! echo "$STATS" | grep -q '"MbufFallback"'; then
 fi
 if echo "$STATS" | grep -Eq '"MbufFallback": [1-9]'; then
     echo "wire-smoke: an interface fell back to heap receive buffers" >&2
+    exit 1
+fi
+
+# Every lost packet is one series of one family: print the drops and
+# fail if any other family with "drop" in its name is exported.
+echo "wire-smoke: /metrics drops"
+METRICS_OUT=$(curl -fsS "http://$METRICS/metrics")
+echo "$METRICS_OUT" | grep '^eisr_drops_total' || {
+    echo "wire-smoke: /metrics exports no eisr_drops_total series" >&2
+    exit 1
+}
+OTHER=$(echo "$METRICS_OUT" | grep -v '^#' | sed 's/[{ ].*//' | grep drop | grep -vx eisr_drops_total | sort -u || true)
+if [ -n "$OTHER" ]; then
+    echo "wire-smoke: drop families besides eisr_drops_total: $OTHER" >&2
     exit 1
 fi
 
