@@ -262,7 +262,7 @@ func BenchmarkSchedulerDRR(b *testing.B) {
 	d := sched.NewDRR(1500, 1<<20)
 	qs := [3]*sched.DRRQueue{}
 	for i := range qs {
-		qs[i] = d.NewQueue(1)
+		qs[i], _ = d.Queue(uint32(i), 0)
 	}
 	p := &pkt.Packet{Data: make([]byte, 1000)}
 	b.ResetTimer()

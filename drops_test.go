@@ -157,7 +157,10 @@ func TestDropsCountedOnce(t *testing.T) {
 			inject(1, datagram("40.0.0.1", 1, 64))
 		}},
 		{"drr queue-full", 2, func() { inject(6, datagram("50.0.0.1", 7, 64)) }},
-		{"flow-queue purge", 4, func() {
+		// Evicting the DRR flow leaves its four packets queued until the
+		// slot's next flow — here the same flow, back in the freed record
+		// — claims the queue and drops them as evicted.
+		{"flow-queue reset", 4, func() {
 			p, err := pkt.NewPacket(datagram("50.0.0.1", 7, 64), 0)
 			if err != nil {
 				t.Fatal(err)
@@ -165,6 +168,7 @@ func TestDropsCountedOnce(t *testing.T) {
 			if !r.AIU.FlowTable().Remove(p.Key) {
 				t.Fatal("the DRR flow was not cached")
 			}
+			inject(1, datagram("50.0.0.1", 7, 64))
 		}},
 		{"shed", 1100 - 1024, func() {
 			for i := 0; i < 1100; i++ {

@@ -213,10 +213,9 @@ func (a *AIU) Bind(gate pcu.Type, f Filter, inst pcu.Instance, private any) (*Fi
 	ft.telFilters.Set(int64(len(ft.records)))
 	a.mu.Unlock()
 	// Flows cached before this filter existed may now be misclassified;
-	// flush the ones the new filter matches so they reclassify. This runs
-	// after the AIU lock is dropped — the flush delivers evict callbacks
-	// into plugin code, which must never execute under an AIU mutex. A
-	// lookup racing the flush may briefly see the pre-filter binding;
+	// flush the ones the new filter matches so they reclassify. The
+	// flush takes each shard lock in turn, after the AIU lock is dropped.
+	// A lookup racing the flush may briefly see the pre-filter binding;
 	// that is the flow cache's soft-state semantics (§3.2).
 	a.flows.FlushWhere(func(r *FlowRecord) bool { return f.Matches(r.Key) })
 	return rec, nil
@@ -250,7 +249,7 @@ func (a *AIU) Unbind(rec *FilterRecord) error {
 		l.FilterRemoved(rec)
 	}
 	a.flows.FlushWhere(func(fr *FlowRecord) bool {
-		return fr.Bind(slot).Rec == rec
+		return fr.Filter(slot) == rec
 	})
 	return nil
 }
@@ -285,7 +284,7 @@ func (a *AIU) UnbindInstance(inst pcu.Instance) int {
 	}
 	a.flows.FlushWhere(func(fr *FlowRecord) bool {
 		for i := 0; i < fr.Slots(); i++ {
-			if fr.Bind(i).Instance == inst {
+			if fr.Filter(i).instance() == inst {
 				return true
 			}
 		}
@@ -426,8 +425,15 @@ func (a *AIU) classifyAndInsert(p *pkt.Packet, slot int, now time.Time, c *cycle
 		lc = new(cycles.Counter)
 	}
 	var faults []*pcu.PluginFault
+	// One filter per gate, on the stack for any gate set up to the
+	// buffer's size: the flow table copies them into the record.
+	var buf [firstPacketGates]*FilterRecord
+	filters := buf[:0]
+	if len(a.gates) > len(buf) {
+		filters = make([]*FilterRecord, 0, len(a.gates))
+	}
+	filters = filters[:len(a.gates)]
 	a.mu.RLock()
-	binds := make([]GateBind, len(a.gates))
 	var shared map[uint64]*FilterRecord
 	for i, ft := range a.tables {
 		d, err := a.dagFor(ft)
@@ -443,16 +449,12 @@ func (a *AIU) classifyAndInsert(p *pkt.Packet, slot int, now time.Time, c *cycle
 				if prev != nil && prev.specIdx < len(ft.bySpecIdx) {
 					fr = ft.bySpecIdx[prev.specIdx]
 				}
-				if fr != nil {
-					binds[i] = GateBind{Instance: fr.Instance, Rec: fr}
-				}
+				filters[i] = fr
 				continue
 			}
 		}
 		fr := a.lookupGuarded(d, ft.gate, p.Key, lc, &faults)
-		if fr != nil {
-			binds[i] = GateBind{Instance: fr.Instance, Rec: fr}
-		}
+		filters[i] = fr
 		if a.cfg.ShareIdenticalTables {
 			if shared == nil {
 				shared = make(map[uint64]*FilterRecord, len(a.gates))
@@ -466,7 +468,7 @@ func (a *AIU) classifyAndInsert(p *pkt.Packet, slot int, now time.Time, c *cycle
 	for _, flt := range faults {
 		a.guard.Deliver(flt, nil)
 	}
-	rec, gen := a.flows.insert(p.Key, p.Hash, now, binds)
+	rec, gen := a.flows.insert(p.Key, p.Hash, now, filters)
 	a.firstPacketLookups.Add(1)
 	if lc != nil {
 		mem, fn := lc.Mem-before.Mem, lc.FnPtr-before.FnPtr
@@ -476,10 +478,18 @@ func (a *AIU) classifyAndInsert(p *pkt.Packet, slot int, now time.Time, c *cycle
 	}
 	p.FIX, p.FIXGen = rec, gen
 	p.CacheMiss = true
-	// The instance comes from the binds slice just installed, not from
-	// the record, which a concurrent eviction may already have cleared.
-	return binds[slot].Instance, rec
+	// The instance comes from the record — a key another packet inserted
+	// first keeps that packet's binds — unless a concurrent eviction has
+	// already moved the record on; then from this classification.
+	if fr, ok := rec.FilterIfCurrent(slot, gen); ok {
+		return fr.instance(), rec
+	}
+	return filters[slot].instance(), rec
 }
+
+// firstPacketGates is the gate count whose first-packet filters fit on
+// classifyAndInsert's stack: the paper's gate set and then some.
+const firstPacketGates = 8
 
 // specSignature fingerprints the multiset of filter specs in a table
 // (order independent): an order-insensitive FNV combination over the

@@ -7,6 +7,7 @@ import (
 	"github.com/routerplugins/eisr/internal/cycles"
 	"github.com/routerplugins/eisr/internal/pcu"
 	"github.com/routerplugins/eisr/internal/pkt"
+	"github.com/routerplugins/eisr/internal/sched"
 )
 
 func newTestAIU(t *testing.T) *AIU {
@@ -191,18 +192,30 @@ func TestLookupGateUnknownGate(t *testing.T) {
 	}
 }
 
+// TestGateSoftState: per-flow plugin state kept in a slab indexed by the
+// flow record's slot, keyed by its generation, is the flow's own — a
+// later packet of the flow finds it, and a flushed flow's next packet
+// starts afresh.
 func TestGateSoftState(t *testing.T) {
 	a := newTestAIU(t)
 	inst := &testInstance{name: "drr"}
 	a.Bind(pcu.TypeSched, MatchAll(), inst, nil)
-	p := udpPacket(t, "10.1.1.1", "20.2.2.2", 7, 8, 0)
-	_, rec := a.LookupGate(p, pcu.TypeSched, time.Now(), nil)
-	slot, _ := a.Slot(pcu.TypeSched)
-	rec.Bind(slot).Private = "queue#1"
-	// A later packet of the same flow sees the soft state.
-	p2 := udpPacket(t, "10.1.1.1", "20.2.2.2", 7, 8, 0)
-	_, rec2 := a.LookupGate(p2, pcu.TypeSched, time.Now(), nil)
-	if rec2 != rec || rec2.Bind(slot).Private != "queue#1" {
+	var state sched.Slab[string]
+	get := func() (*string, bool) {
+		p := udpPacket(t, "10.1.1.1", "20.2.2.2", 7, 8, 0)
+		_, rec := a.LookupGate(p, pcu.TypeSched, time.Now(), nil)
+		return state.Get(rec.Slot(), p.FIXGen)
+	}
+	st, fresh := get()
+	if !fresh {
+		t.Fatal("a new flow's state was not fresh")
+	}
+	*st = "queue#1"
+	if st2, fresh := get(); fresh || st2 != st || *st2 != "queue#1" {
 		t.Error("per-flow soft state lost")
+	}
+	a.FlowTable().FlushWhere(func(*FlowRecord) bool { return true })
+	if _, fresh := get(); !fresh {
+		t.Error("a flushed flow's next packet reused the old state")
 	}
 }

@@ -33,6 +33,17 @@ type FilterRecord struct {
 	specIdx int
 }
 
+// instance returns the record's plugin instance; a nil record (no
+// filter matched) has none.
+//
+//eisr:fastpath
+func (fr *FilterRecord) instance() pcu.Instance {
+	if fr == nil {
+		return nil
+	}
+	return fr.Instance
+}
+
 func (fr *FilterRecord) String() string {
 	inst := "<nil>"
 	if fr.Instance != nil {

@@ -62,7 +62,7 @@ func TestLookupGateStaleFIXReclassifies(t *testing.T) {
 	}
 	// The refreshed FIX must be valid for further gates.
 	slot, _ := a.Slot(pcu.TypeSched)
-	if b := rec2.BindIfCurrent(slot, p.FIXGen); b == nil {
+	if _, ok := rec2.FilterIfCurrent(slot, p.FIXGen); !ok {
 		t.Error("refreshed FIX fails its own generation check")
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"github.com/routerplugins/eisr/internal/cycles"
-	"github.com/routerplugins/eisr/internal/pcu"
 	"github.com/routerplugins/eisr/internal/pkt"
 	"github.com/routerplugins/eisr/internal/telemetry"
 )
@@ -34,36 +33,29 @@ const (
 	maxFlowShards       = 256 // shard index comes from the hash's top byte
 )
 
-// GateBind is one gate's slot in a flow record: the plugin instance the
-// flow is bound to at that gate and the per-flow soft state the instance
-// keeps there (§5.2 item 1 — e.g. the DRR plugin stores the pointer to
-// its per-flow packet queue here).
-type GateBind struct {
-	Instance pcu.Instance
-	// Private is per-flow, per-gate plugin soft state.
-	Private any
-	// Rec is the filter record this binding was derived from (§5.2
-	// item 2).
-	Rec *FilterRecord
-}
-
 // FlowRecord is one row of the flow table: the cache entry for an active
-// flow, holding the resolved plugin instance for every gate so that
-// packets after the first skip classification entirely. A pointer to the
-// row travels in the packet as the flow index (FIX). Records live in
-// their shard's slab and never move, so a FIX stays a valid pointer for
-// the table's lifetime; the generation tells whether it still names the
-// same flow.
+// flow, holding the filter record it was classified to at every gate so
+// that packets after the first skip classification entirely. A pointer
+// to the row travels in the packet as the flow index (FIX). Records live
+// in their shard's slab and never move, so a FIX stays a valid pointer
+// for the table's lifetime; the generation tells whether it still names
+// the same flow.
 type FlowRecord struct {
 	Key pkt.Key
-	// binds is published atomically: the data path reads gate slots
-	// lock-free through the FIX while the control path (eviction,
-	// recycling) swaps in a fresh slice under the shard lock. A swap
-	// orphans the old slice, so in-flight readers see a consistent —
-	// if momentarily stale — view, the same guarantee the paper's
-	// kernel gets from its single flow of control. A record that has
-	// never held a flow has none.
-	binds atomic.Pointer[[]GateBind]
+	// slot is the record's table-wide index (Slot); it fills the key's
+	// tail padding.
+	slot uint32
+	// binds is the record's gate slots, one per gate in the AIU's gate
+	// order: the filter record the flow was classified to there (its
+	// Instance is the flow's plugin instance, its Private the plugin's
+	// per-filter state), unbound where no filter matched. The slots sit in
+	// the shard's slab beside the record, allocated for a group of
+	// bindGroup records when the group's first record takes a flow, and
+	// are written only under the shard lock, into a record whose
+	// generation has just moved (a new flow taking a free or recycled
+	// record), so the data path reads a slot lock-free and one
+	// generation never shows two flows' binds.
+	binds []atomic.Pointer[FilterRecord]
 
 	// gen is the record's generation: bumped every time the record is
 	// evicted (recycled, purged, or flushed). A packet captures the
@@ -86,28 +78,42 @@ type FlowRecord struct {
 	older, newer uint32
 }
 
-// Bind returns the slot for a gate (indexed by the AIU's gate order).
+// Filter returns the filter record the flow was classified to at a gate
+// slot (indexed by the AIU's gate order), nil when no filter matched.
+// The load is not generation-guarded: a plugin reading its own gate's
+// slot through a packet's FIX sees the record's current flow.
 //
 //eisr:fastpath
-func (r *FlowRecord) Bind(slot int) *GateBind { return &(*r.binds.Load())[slot] }
+func (r *FlowRecord) Filter(slot int) *FilterRecord { return bound(r.binds[slot].Load()) }
 
-// BindIfCurrent returns the slot for a gate only if the record still
-// belongs to the generation the caller captured at lookup time; nil
-// means the record was evicted (and possibly rebound to a new flow) in
-// the meantime and the caller must reclassify. The binds pointer is
-// loaded before the generation: eviction bumps the generation before
-// publishing the record's next bind set (the cleared set when the
-// record is freed, the new flow's when it is recycled), so a matching
-// generation proves the loaded slice predates the eviction (Go's
-// sync/atomic operations are sequentially consistent).
+// FilterIfCurrent is Filter guarded by the generation the caller
+// captured at lookup time: ok is false when the record was evicted (and
+// possibly rebound to a new flow) in the meantime and the caller must
+// reclassify. The slot is loaded before the generation: binds are
+// written only after the generation moved, so a matching generation
+// proves the loaded filter predates the eviction (Go's sync/atomic
+// operations are sequentially consistent).
 //
 //eisr:fastpath
-func (r *FlowRecord) BindIfCurrent(slot int, gen uint64) *GateBind {
-	b := r.binds.Load()
-	if r.gen.Load() != gen {
+func (r *FlowRecord) FilterIfCurrent(slot int, gen uint64) (*FilterRecord, bool) {
+	fr := r.binds[slot].Load()
+	return bound(fr), r.gen.Load() == gen
+}
+
+// unbound fills the gate slot of a flow that no filter matched at that
+// gate, so a live record's slots are never nil and the gate macro reads
+// the (nil) instance without a nil check. Filter and FilterIfCurrent
+// report it as nil.
+var unbound FilterRecord
+
+// bound maps unbound to nil.
+//
+//eisr:fastpath
+func bound(fr *FilterRecord) *FilterRecord {
+	if fr == &unbound {
 		return nil
 	}
-	return &(*b)[slot]
+	return fr
 }
 
 // Generation returns the record's current generation.
@@ -115,10 +121,17 @@ func (r *FlowRecord) BindIfCurrent(slot int, gen uint64) *GateBind {
 //eisr:fastpath
 func (r *FlowRecord) Generation() uint64 { return r.gen.Load() }
 
-// Slots returns the number of gate slots in the record.
+// Slot returns the record's flow slot: a dense table-wide index,
+// idx<<shardBits | shard, fixed for the table's lifetime. It is the
+// paper's flow index used as an array index — plugins keep per-flow
+// state in slabs indexed by it, keyed by the generation (see
+// sched.Slab) — and a lightly loaded table's slots stay small.
 //
 //eisr:fastpath
-func (r *FlowRecord) Slots() int { return len(*r.binds.Load()) }
+func (r *FlowRecord) Slot() uint32 { return r.slot }
+
+// Slots returns the number of gate slots in the record.
+func (r *FlowRecord) Slots() int { return len(r.binds) }
 
 // LastUse returns the arrival time of the last packet that hit this
 // record.
@@ -128,23 +141,6 @@ func (r *FlowRecord) LastUse() time.Time { return time.Unix(0, r.lastUse.Load())
 //
 //eisr:fastpath
 func (r *FlowRecord) touch(now time.Time) { r.lastUse.Store(now.UnixNano()) }
-
-// FlowEvictListener is implemented by plugin instances that keep per-flow
-// soft state and need to reclaim it when the AIU removes or recycles a
-// flow record. The paper's create-instance message lets a plugin supply
-// "functions which are called by the AIU on removal of an entry in the
-// flow or filter table"; in Go the natural encoding is an optional
-// interface.
-//
-// FlowEvicted runs *after* the shard lock is released (the lockscope
-// invariant: no plugin callback ever executes under an AIU mutex), so by
-// the time it runs the record may already have been recycled for a new
-// flow. The evicted flow's key and gate-slot contents are therefore
-// passed by value, captured at eviction time; no record pointer is
-// exposed.
-type FlowEvictListener interface {
-	FlowEvicted(key pkt.Key, slot int, b GateBind)
-}
 
 // FlowStats counts flow-table events, merged across shards.
 type FlowStats struct {
@@ -228,6 +224,10 @@ type flowShard struct {
 	index []flowBucket
 	mask  uint64 // len(index)-1
 
+	id        uint32 // the shard's index in the table
+	shardBits uint   // log2 of the table's shard count
+	gates     int    // gate slots per record
+
 	pages    []*recPage
 	free     uint32 // free-list head (noRec: empty)
 	nAlloc   int
@@ -254,38 +254,12 @@ type flowShard struct {
 type FlowTable struct {
 	shards    []*flowShard
 	shardMask uint64
-	gates     int
 
 	// Registry-owned telemetry cell (SetTelemetry, assembly time): keys
 	// compared per lookup, which has no FlowStats counter. Shared by
 	// every shard — the cell is itself internally sharded. Nil when
 	// telemetry is off; Observe on a nil cell is a no-op.
 	telKeys *telemetry.Histogram
-}
-
-// evictNotice is a deferred FlowEvicted callback: eviction captures the
-// listener and the slot contents under the write lock, and the table
-// delivers the notice after the lock is released so plugin callbacks
-// never run under an AIU mutex.
-type evictNotice struct {
-	listener FlowEvictListener
-	key      pkt.Key
-	slot     int
-	bind     GateBind
-}
-
-// evictNoticeBuf sizes the stack buffer an evicting caller collects
-// notices in: one per listening gate of one record covers the default
-// gate set, so recycling a record on the insert path allocates none.
-// More notices spill to the heap.
-const evictNoticeBuf = 4
-
-// notify delivers deferred evict callbacks. Must be called with no shard
-// lock held.
-func notify(notices []evictNotice) {
-	for _, n := range notices {
-		n.listener.FlowEvicted(n.key, n.slot, n.bind)
-	}
 }
 
 // NewFlowTable builds a flow table with the given initial and maximum
@@ -323,15 +297,17 @@ func NewFlowTableSharded(initial, max, gates, shards int) *FlowTable {
 	t := &FlowTable{
 		shards:    make([]*flowShard, ns),
 		shardMask: uint64(ns - 1),
-		gates:     gates,
 	}
 	for i := range t.shards {
 		sh := &flowShard{
-			free:     noRec,
-			oldest:   noRec,
-			newest:   noRec,
-			nextGrow: perInitial,
-			maxAlloc: perMax,
+			id:        uint32(i),
+			shardBits: uint(bits.TrailingZeros(uint(ns))),
+			gates:     gates,
+			free:      noRec,
+			oldest:    noRec,
+			newest:    noRec,
+			nextGrow:  perInitial,
+			maxAlloc:  perMax,
 		}
 		sh.grow(perInitial)
 		t.shards[i] = sh
@@ -395,6 +371,9 @@ func (sh *flowShard) grow(count int) {
 	if need := (end+pageSize-1)>>pageShift - len(sh.pages); need > 0 {
 		chunk := make([]recPage, need)
 		for i := range chunk {
+			for j := range chunk[i] {
+				chunk[i][j].slot = uint32(len(sh.pages)<<pageShift|j)<<sh.shardBits | sh.id
+			}
 			sh.pages = append(sh.pages, &chunk[i])
 		}
 	}
@@ -494,7 +473,7 @@ func (t *FlowTable) Lookup(k pkt.Key, now time.Time, c *cycles.Counter) *FlowRec
 
 // LookupGen is Lookup returning the record's generation as well,
 // captured under the shard lock so the caller can later detect that the
-// record was recycled for a different flow (BindIfCurrent).
+// record was recycled for a different flow (FilterIfCurrent).
 //
 //eisr:fastpath
 func (t *FlowTable) LookupGen(k pkt.Key, now time.Time, c *cycles.Counter) (*FlowRecord, uint64) {
@@ -540,175 +519,164 @@ func (t *FlowTable) Probe(k pkt.Key) (lines, keys int) {
 // Insert creates (or refreshes) the record for a six-tuple, taking a
 // record from the shard's free list, growing the slab exponentially if
 // exhausted, or recycling the shard's oldest live record once the
-// allocation cap is reached. binds, when non-nil, becomes the record's
-// gate slots, published under the shard lock, so a record can never be
-// observed half-filled or recycled between creation and fill. The table
-// adopts a slice with one slot per gate — the caller must not reuse it —
-// and copies any other length into a fresh one. A nil binds refreshes
-// an existing record's slots unchanged and gives a new record cleared
-// ones.
-func (t *FlowTable) Insert(k pkt.Key, now time.Time, binds []GateBind) *FlowRecord {
-	r, _ := t.InsertGen(k, now, binds)
+// allocation cap is reached. filters, one per gate in gate order (a
+// shorter slice leaves the remaining gates unbound), become a new
+// record's gate slots under the shard lock, so a record can never be
+// observed half-filled or recycled between creation and fill. A key
+// that is already live keeps its binds and only has its last use
+// stamped: the first classification of a flow wins, and a filter change
+// flushes the flows it affects anyway.
+func (t *FlowTable) Insert(k pkt.Key, now time.Time, filters []*FilterRecord) *FlowRecord {
+	r, _ := t.InsertGen(k, now, filters)
 	return r
 }
 
 // InsertGen is Insert returning the record's generation, captured under
 // the shard lock (see LookupGen).
-func (t *FlowTable) InsertGen(k pkt.Key, now time.Time, binds []GateBind) (*FlowRecord, uint64) {
-	return t.insert(k, pkt.FlowHash(k), now, binds)
+func (t *FlowTable) InsertGen(k pkt.Key, now time.Time, filters []*FilterRecord) (*FlowRecord, uint64) {
+	return t.insert(k, pkt.FlowHash(k), now, filters)
 }
 
 // insert is InsertGen for a key whose flow hash is already known.
-func (t *FlowTable) insert(k pkt.Key, h uint64, now time.Time, binds []GateBind) (*FlowRecord, uint64) {
-	set := binds
-	if len(set) != t.gates {
-		set = make([]GateBind, t.gates)
-		copy(set, binds)
-	}
+func (t *FlowTable) insert(k pkt.Key, h uint64, now time.Time, filters []*FilterRecord) (*FlowRecord, uint64) {
 	sh := t.shardFor(h)
-	var buf [evictNoticeBuf]evictNotice
 	sh.mu.Lock()
-	// Refresh an existing record for the same key, if any.
+	defer sh.mu.Unlock()
 	if i, _ := sh.find(&k, h, nil); i != noRec {
 		r := sh.rec(i)
 		r.touch(now)
-		if binds != nil {
-			r.binds.Store(&set)
-		}
-		gen := r.gen.Load()
-		sh.mu.Unlock()
-		return r, gen
+		return r, r.gen.Load()
 	}
-	// A recycled record had its generation bumped in takeRecord, under
-	// this lock hold, so publishing the new flow's binds straight over
+	// A recycled record had its generation bumped in takeRecord, and a
+	// free one when it was removed, so writing the new flow's binds over
 	// the old flow's is safe: a FIX holder of the old flow fails its
 	// generation check before it could read them.
-	i, notices := sh.takeRecord(t, buf[:0])
+	i := sh.takeRecord()
 	r := sh.rec(i)
 	r.Key, r.hash = k, h
 	r.touch(now)
-	r.binds.Store(&set)
+	for g := range r.binds {
+		fr := &unbound
+		if g < len(filters) && filters[g] != nil {
+			fr = filters[g]
+		}
+		r.binds[g].Store(fr)
+	}
 	sh.place(h, i)
 	sh.pushNewest(i)
 	sh.live++
 	sh.stats.Inserts++
-	gen := r.gen.Load()
-	sh.mu.Unlock()
-	notify(notices)
-	return r, gen
+	return r, r.gen.Load()
 }
 
-// takeRecord pops the shard's free list, growing or recycling as needed,
-// and appends deferred evict notices for a record it recycles to
-// notices. A recycled record keeps the evicted flow's binds: the caller
-// publishes the new flow's next. Called with the shard's write lock
+// takeRecord pops the shard's free list, growing or, at the cap,
+// recycling the oldest live record. Called with the shard's write lock
 // held; the shard always has at least one record, free or live.
-func (sh *flowShard) takeRecord(t *FlowTable, notices []evictNotice) (uint32, []evictNotice) {
+func (sh *flowShard) takeRecord() uint32 {
 	if sh.free == noRec && sh.nAlloc < sh.maxAlloc {
 		grow := sh.nextGrow
 		sh.nextGrow *= 2
 		sh.grow(grow)
 	}
 	if i := sh.free; i != noRec {
-		sh.free = sh.rec(i).newer
-		return i, notices
+		r := sh.rec(i)
+		sh.free = r.newer
+		if r.binds == nil {
+			sh.bindRecords(i &^ (bindGroup - 1))
+		}
+		return i
 	}
-	// Recycle the shard's oldest live record.
 	i := sh.oldest
-	notices = sh.evictLocked(t, i, notices)
+	sh.evictLocked(i)
 	sh.stats.Recycled++
-	return i, notices
+	return i
+}
+
+// bindGroup is how many records share one allocation of gate slots.
+const bindGroup = 16
+
+// bindRecords allocates the gate slots of the bindGroup records from
+// slab index first, the first time one of them takes a flow: a table
+// sized for many flows but holding few allocates few slots. Write lock
+// held.
+func (sh *flowShard) bindRecords(first uint32) {
+	binds := make([]atomic.Pointer[FilterRecord], bindGroup*sh.gates)
+	for j := range uint32(bindGroup) {
+		g := int(j) * sh.gates
+		sh.rec(first + j).binds = binds[g : g+sh.gates : g+sh.gates]
+	}
 }
 
 // Remove deletes the record for a key, reporting whether it was present.
 func (t *FlowTable) Remove(k pkt.Key) bool {
 	h := pkt.FlowHash(k)
 	sh := t.shardFor(h)
-	var buf [evictNoticeBuf]evictNotice
 	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	i, _ := sh.find(&k, h, nil)
 	if i == noRec {
-		sh.mu.Unlock()
 		return false
 	}
-	notices := sh.removeLocked(t, i, buf[:0])
-	sh.mu.Unlock()
-	notify(notices)
+	sh.removeLocked(i)
 	return true
 }
 
 // PurgeIdle removes records idle since before the deadline (§3.2: "if a
 // cached flow remains idle for an extended period, its cached entry may
 // be removed"). Shards are purged one at a time — the janitor never
-// holds more than one shard lock — and evict callbacks for each shard
-// are delivered after its lock is dropped. It returns the number purged.
+// holds more than one shard lock. It returns the number purged.
 func (t *FlowTable) PurgeIdle(before time.Time) int {
 	return t.FlushWhere(func(r *FlowRecord) bool { return r.LastUse().Before(before) })
 }
 
 // FlushWhere removes every record for which pred returns true, oldest
 // first — used when instances are freed or filters removed, so no stale
-// instance pointers survive in the cache. Same one-shard-at-a-time
-// locking as PurgeIdle. It returns the number removed.
+// instance pointers survive in the cache. pred runs under the shard's
+// lock, one shard at a time. It returns the number removed.
 func (t *FlowTable) FlushWhere(pred func(*FlowRecord) bool) int {
 	n := 0
 	for _, sh := range t.shards {
-		var buf [evictNoticeBuf]evictNotice
-		notices := buf[:0]
 		sh.mu.Lock()
 		for i := sh.oldest; i != noRec; {
 			r := sh.rec(i)
 			next := r.newer
 			if pred(r) {
-				notices = sh.removeLocked(t, i, notices)
+				sh.removeLocked(i)
 				n++
 			}
 			i = next
 		}
 		sh.mu.Unlock()
-		notify(notices)
 	}
 	return n
 }
 
 // evictLocked takes live record i out of the index and the shard's age
-// queue and bumps its generation, so every FIX to it goes stale. It
-// leaves the binds alone: the caller publishes the record's next set —
-// the cleared set when the record is freed (removeLocked), the new
-// flow's when it is recycled (insert) — always after the generation
-// moved, so a FIX holder that still reads the old generation is
-// guaranteed to see the pre-eviction binds (BindIfCurrent). Listener
-// callbacks are NOT invoked here: they are appended to notices for the
-// caller to deliver once the shard lock is dropped, so plugin code
-// never runs under an AIU mutex.
-func (sh *flowShard) evictLocked(t *FlowTable, i uint32, notices []evictNotice) []evictNotice {
+// queue and bumps its generation, so every FIX to it goes stale and
+// every plugin's per-flow state for it is reset when the slot's next
+// flow claims it (sched.Slab). That is all an eviction does: no plugin
+// is told. Write lock held.
+func (sh *flowShard) evictLocked(i uint32) {
 	r := sh.rec(i)
 	sh.unplace(r.hash, i)
 	sh.popAge(r)
 	sh.live--
 	r.gen.Add(1)
-	old := *r.binds.Load()
-	for slot := range old {
-		if l, ok := old[slot].Instance.(FlowEvictListener); ok {
-			notices = append(notices, evictNotice{listener: l, key: r.Key, slot: slot, bind: old[slot]})
-		}
-	}
-	return notices
 }
 
 // removeLocked evicts live record i for good: it counts the removal,
-// publishes a cleared bind set — so a record on the free list pins no
-// plugin instance and no per-flow state — and returns the record to the
-// shard's free list.
-func (sh *flowShard) removeLocked(t *FlowTable, i uint32, notices []evictNotice) []evictNotice {
-	notices = sh.evictLocked(t, i, notices)
+// clears the gate slots — so a record on the free list pins no filter
+// and no plugin instance — and returns the record to the shard's free
+// list.
+func (sh *flowShard) removeLocked(i uint32) {
+	sh.evictLocked(i)
 	sh.stats.Removed++
 	r := sh.rec(i)
-	cleared := make([]GateBind, t.gates)
-	r.binds.Store(&cleared)
+	for g := range r.binds {
+		r.binds[g].Store(nil)
+	}
 	r.newer = sh.free
 	sh.free = i
-	return notices
 }
 
 // pushNewest appends record i to the shard's age queue.
@@ -766,4 +734,16 @@ func (t *FlowTable) Stats() FlowStats {
 		s.Misses += sh.misses.Load()
 	}
 	return s
+}
+
+// FlowAt returns the key of the flow that holds a flow slot (the Slot of
+// one of this table's records) at generation gen, and false once that
+// flow has left the table (evicted, recycled, flushed). Plugins use it
+// to list the flows their per-flow state belongs to.
+func (t *FlowTable) FlowAt(slot uint32, gen uint64) (pkt.Key, bool) {
+	sh := t.shards[uint64(slot)&t.shardMask]
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	r := sh.rec(slot >> sh.shardBits)
+	return r.Key, r.gen.Load() == gen
 }

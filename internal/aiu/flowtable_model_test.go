@@ -10,6 +10,7 @@ import (
 	"unsafe"
 
 	"github.com/routerplugins/eisr/internal/pkt"
+	"github.com/routerplugins/eisr/internal/sched"
 )
 
 // modelFlow is the reference model's view of one live flow: the record
@@ -43,21 +44,14 @@ func (m *flowModel) drop(k pkt.Key) {
 	delete(m.live, k)
 }
 
-// countingListener records evicted keys.
-type countingListener struct {
-	testInstance
-	evicted map[pkt.Key]int
-}
-
-func (c *countingListener) FlowEvicted(key pkt.Key, slot int, b GateBind) { c.evicted[key]++ }
-
 // TestFlowTableMatchesModel drives the table and the reference model
 // with the same random Insert/Lookup/Remove/PurgeIdle/FlushWhere
 // sequence and checks, after every step, hit or miss, the record
 // identity, Live ≤ MaxFlows, the oldest-first victim of every recycle,
-// a generation bump and an evict notice on every eviction, and — as the
-// slab doubles — that the index grew with it and still finds every live
-// flow.
+// a generation bump on every eviction, each eviction counted once in
+// FlowStats, per-flow state keyed by (slot, generation) reset before a
+// slot serves its next flow, and — as the slab doubles — that the index
+// grew with it and still finds every live flow.
 func TestFlowTableMatchesModel(t *testing.T) {
 	cases := []struct {
 		shards, initial, max, keys, ops int
@@ -77,19 +71,20 @@ func TestFlowTableMatchesModel(t *testing.T) {
 				fifo:   make([][]pkt.Key, ft.Shards()),
 				perMax: (tc.max + ft.Shards() - 1) / ft.Shards(),
 			}
-			spy := &countingListener{evicted: make(map[pkt.Key]int)}
+			inst := &testInstance{name: "i"}
+			// state is a plugin's per-flow state: each live flow's key,
+			// in the slot of its record under its generation.
+			var state sched.Slab[pkt.Key]
 			now := time.Unix(1000, 0)
-			// evicted checks that k's old record went stale and that its
-			// listener heard of it exactly once.
+			// evicted checks that k's old record went stale, and counts
+			// the eviction for the FlowStats check after every step.
+			evictions := uint64(0)
 			evicted := func(op string, k pkt.Key, f *modelFlow) {
 				t.Helper()
-				if f.rec.Generation() == f.gen || f.rec.BindIfCurrent(0, f.gen) != nil {
+				if f.rec.Generation() == f.gen || current(f.rec, 0, f.gen) {
 					t.Fatalf("%s of %v left its record's generation at %d", op, k, f.gen)
 				}
-				if spy.evicted[k] != 1 {
-					t.Fatalf("%s of %v: listener notified %d times", op, k, spy.evicted[k])
-				}
-				delete(spy.evicted, k)
+				evictions++
 			}
 			grew := 0
 			lastAlloc := ft.Stats().Alloc
@@ -106,7 +101,7 @@ func TestFlowTableMatchesModel(t *testing.T) {
 						victim = m.fifo[sh][0]
 						vf = m.live[victim]
 					}
-					rec, gen := ft.InsertGen(k, now, []GateBind{{Instance: spy}})
+					rec, gen := ft.InsertGen(k, now, []*FilterRecord{{Instance: inst}})
 					switch {
 					case old != nil:
 						if rec != old.rec || gen != old.gen {
@@ -123,6 +118,11 @@ func TestFlowTableMatchesModel(t *testing.T) {
 						}
 						m.live[k] = &modelFlow{rec: rec, gen: gen, lastUse: now}
 						m.fifo[sh] = append(m.fifo[sh], k)
+						st, fresh := state.Get(rec.Slot(), gen)
+						if !fresh {
+							t.Fatalf("step %d: %v took slot %d with another flow's state %v", step, k, rec.Slot(), *st)
+						}
+						*st = k
 					}
 				case op < 80: // Lookup
 					rec, gen := ft.LookupGen(k, now, nil)
@@ -133,6 +133,9 @@ func TestFlowTableMatchesModel(t *testing.T) {
 					if f != nil {
 						if rec != f.rec || gen != f.gen || rec.Key != k {
 							t.Fatalf("step %d: lookup of %v returned another record", step, k)
+						}
+						if st, fresh := state.Get(rec.Slot(), gen); fresh || *st != k {
+							t.Fatalf("step %d: %v found state %v (fresh %v) in its slot", step, k, *st, fresh)
 						}
 						f.lastUse = now
 					}
@@ -181,8 +184,8 @@ func TestFlowTableMatchesModel(t *testing.T) {
 				if st.Live != len(m.live) || st.Live > ft.Shards()*m.perMax || st.Live > tc.max {
 					t.Fatalf("step %d: Live %d, model %d, MaxFlows %d", step, st.Live, len(m.live), tc.max)
 				}
-				if len(spy.evicted) != 0 {
-					t.Fatalf("step %d: unexpected evict notices %v", step, spy.evicted)
+				if got := st.Recycled + st.Removed; got != evictions {
+					t.Fatalf("step %d: FlowStats counts %d evictions, model %d", step, got, evictions)
 				}
 				if st.Alloc > lastAlloc {
 					lastAlloc = st.Alloc
@@ -337,7 +340,7 @@ func TestFlowTableRehashRace(t *testing.T) {
 					continue
 				}
 				hits.Add(1)
-				if b := rec.BindIfCurrent(0, gen); b != nil {
+				if b, ok := rec.FilterIfCurrent(0, gen); ok {
 					st, _ := b.Private.(*flowState)
 					if b.Instance != insts[f] || st == nil || st.flow != f {
 						errc <- fmt.Errorf("lookup of flow %d bound to %v / %+v", f, b.Instance, st)
@@ -354,7 +357,7 @@ func TestFlowTableRehashRace(t *testing.T) {
 		for i := 0; i < 2*flows; i++ {
 			f := (i*7 + r) % flows
 			before := ft.Stats().Alloc
-			ft.Insert(key(f), now, []GateBind{{Instance: insts[f], Private: &flowState{flow: f}}})
+			ft.Insert(key(f), now, []*FilterRecord{{Instance: insts[f], Private: &flowState{flow: f}}})
 			if ft.Stats().Alloc > before {
 				rehashes++
 			}

@@ -104,26 +104,26 @@ func TestFlowRecordGenerationBumpOnRecycle(t *testing.T) {
 	ft := NewFlowTableSharded(4, 8, 1, 1)
 	now := time.Now()
 	inst := &testInstance{name: "old"}
-	rec, gen := ft.InsertGen(key(0), now, []GateBind{{Instance: inst}})
+	rec, gen := ft.InsertGen(key(0), now, []*FilterRecord{{Instance: inst}})
 	if rec == nil {
 		t.Fatal("insert failed")
 	}
-	if b := rec.BindIfCurrent(0, gen); b == nil || b.Instance != inst {
+	if b, ok := rec.FilterIfCurrent(0, gen); !ok || b.Instance != inst {
 		t.Fatal("fresh generation must pass the bind check")
 	}
 	// Fill the table so the next insert recycles the oldest (key 0).
 	for i := 1; i < 8; i++ {
 		ft.Insert(key(i), now.Add(time.Duration(i)), nil)
 	}
-	ft.Insert(key(100), now.Add(time.Hour), []GateBind{{Instance: &testInstance{name: "new"}}})
+	ft.Insert(key(100), now.Add(time.Hour), []*FilterRecord{{Instance: &testInstance{name: "new"}}})
 	if ft.Lookup(key(0), now, nil) != nil {
 		t.Fatal("oldest flow should have been recycled")
 	}
 	if rec.Generation() == gen {
 		t.Error("recycle did not bump the record generation")
 	}
-	if b := rec.BindIfCurrent(0, gen); b != nil {
-		t.Errorf("stale generation returned bind %+v; must return nil", b)
+	if b, ok := rec.FilterIfCurrent(0, gen); ok {
+		t.Errorf("stale generation returned bind %+v; must fail", b)
 	}
 }
 
@@ -132,14 +132,14 @@ func TestFlowRecordGenerationBumpOnRecycle(t *testing.T) {
 func TestFlowRecordGenerationBumpOnRemoveAndFlush(t *testing.T) {
 	ft := NewFlowTableSharded(8, 32, 1, 2)
 	now := time.Now()
-	r1, g1 := ft.InsertGen(key(1), now, []GateBind{{Instance: &testInstance{name: "a"}}})
-	r2, g2 := ft.InsertGen(key(2), now, []GateBind{{Instance: &testInstance{name: "b"}}})
+	r1, g1 := ft.InsertGen(key(1), now, []*FilterRecord{{Instance: &testInstance{name: "a"}}})
+	r2, g2 := ft.InsertGen(key(2), now, []*FilterRecord{{Instance: &testInstance{name: "b"}}})
 	ft.Remove(key(1))
-	if r1.BindIfCurrent(0, g1) != nil {
+	if current(r1, 0, g1) {
 		t.Error("Remove must invalidate the generation")
 	}
 	ft.FlushWhere(func(r *FlowRecord) bool { return r.Key == key(2) })
-	if r2.BindIfCurrent(0, g2) != nil {
+	if current(r2, 0, g2) {
 		t.Error("FlushWhere must invalidate the generation")
 	}
 }
@@ -152,7 +152,7 @@ type flowState struct{ flow int }
 // flow's binds straight over the old flow's, with no cleared set in
 // between, so the generation bump before that publish is all that keeps
 // a lane from dispatching into the new flow: neither the gate macro
-// (Lane.FIX) nor BindIfCurrent may ever hand a lane that captured the
+// (Lane.FIX) nor FilterIfCurrent may ever hand a lane that captured the
 // old generation the new flow's instance or Private state.
 func TestFlowTableRecycleRaceKeepsGenerationGuard(t *testing.T) {
 	const (
@@ -197,10 +197,10 @@ func TestFlowTableRecycleRaceKeepsGenerationGuard(t *testing.T) {
 					} else {
 						stale.Add(1)
 					}
-					if b := rec.BindIfCurrent(0, gen); b != nil {
+					if b, ok := rec.FilterIfCurrent(0, gen); ok {
 						st, _ := b.Private.(*flowState)
 						if b.Instance != insts[f] || st == nil || st.flow != f {
-							errc <- fmt.Errorf("BindIfCurrent for flow %d returned %v / %+v", f, b.Instance, st)
+							errc <- fmt.Errorf("FilterIfCurrent for flow %d returned %v / %+v", f, b.Instance, st)
 							return
 						}
 					}
@@ -216,7 +216,7 @@ func TestFlowTableRecycleRaceKeepsGenerationGuard(t *testing.T) {
 	for i := 0; n < inserts || (stale.Load() == 0 || served.Load() == 0) && time.Now().Before(deadline); i++ {
 		f := i % flows
 		if ft.Lookup(key(f), now, nil) == nil {
-			ft.InsertGen(key(f), now, []GateBind{{Instance: insts[f], Private: &flowState{flow: f}}})
+			ft.InsertGen(key(f), now, []*FilterRecord{{Instance: insts[f], Private: &flowState{flow: f}}})
 			n++
 		}
 	}
@@ -237,15 +237,15 @@ func TestFlowTableRecycleRaceKeepsGenerationGuard(t *testing.T) {
 
 // Recycling and removal are counted apart: a recycle is not a removal,
 // and every freed record (Remove, PurgeIdle, FlushWhere) is counted
-// once as removed and publishes a cleared bind set, so a record on the
-// free list pins no instance and no per-flow state.
+// once as removed and has its gate slots cleared, so a record on the
+// free list pins no filter and no instance.
 func TestFlowStatsRecycledAndRemoved(t *testing.T) {
 	const capacity = 4
 	ft := NewFlowTableSharded(capacity, capacity, 1, 1)
 	now := time.Now()
 	inst := &testInstance{name: "i"}
 	ins := func(i int) *FlowRecord {
-		return ft.Insert(key(i), now.Add(time.Duration(i)), []GateBind{{Instance: inst, Private: &flowState{flow: i}}})
+		return ft.Insert(key(i), now.Add(time.Duration(i)), []*FilterRecord{{Instance: inst, Private: &flowState{flow: i}}})
 	}
 	recs := make([]*FlowRecord, 10)
 	for i := range recs {
@@ -263,8 +263,8 @@ func TestFlowStatsRecycledAndRemoved(t *testing.T) {
 	check("after recycling")
 	cleared := func(r *FlowRecord) {
 		t.Helper()
-		if b := *r.Bind(0); b != (GateBind{}) {
-			t.Errorf("freed record still binds %+v", b)
+		if fr := r.Filter(0); fr != nil {
+			t.Errorf("freed record still binds %v", fr)
 		}
 	}
 	ft.Remove(key(9))
@@ -306,7 +306,7 @@ func TestFlowTableConcurrentPurgeIdle(t *testing.T) {
 				k := key(g*10000 + i%512)
 				now := t0.Add(time.Duration(i) * time.Millisecond)
 				if ft.Lookup(k, now, nil) == nil {
-					ft.Insert(k, now, []GateBind{{Instance: &testInstance{name: "x"}}})
+					ft.Insert(k, now, []*FilterRecord{{Instance: &testInstance{name: "x"}}})
 				}
 				i++
 			}
@@ -339,10 +339,10 @@ func TestFlowTableConcurrentInsertLookupFlush(t *testing.T) {
 				if rec, gen := ft.LookupGen(k, now, nil); rec != nil {
 					// A bind read guarded by the captured generation must
 					// never observe a torn slice.
-					rec.BindIfCurrent(0, gen)
+					rec.FilterIfCurrent(0, gen)
 					continue
 				}
-				ft.InsertGen(k, now, []GateBind{{Instance: &testInstance{name: "i"}}, {}})
+				ft.InsertGen(k, now, []*FilterRecord{{Instance: &testInstance{name: "i"}}, nil})
 				if i%500 == g {
 					ft.FlushWhere(func(r *FlowRecord) bool { return r.Key.SrcPort%97 == uint16(g) })
 				}
@@ -397,4 +397,11 @@ func TestFlowTableShardIsolation(t *testing.T) {
 	if ft.Len() == 0 {
 		t.Fatal("no flows live")
 	}
+}
+
+// current reports whether a record still holds the generation gen: its
+// gate slot read passes the generation check.
+func current(r *FlowRecord, slot int, gen uint64) bool {
+	_, ok := r.FilterIfCurrent(slot, gen)
+	return ok
 }

@@ -83,29 +83,21 @@ func TestFlowTableGrowth(t *testing.T) {
 	}
 }
 
-type evictSpy struct {
-	testInstance
-	evicted []pkt.Key
-}
-
-func (e *evictSpy) FlowEvicted(key pkt.Key, slot int, b GateBind) {
-	e.evicted = append(e.evicted, key)
-}
-
 func TestFlowTableRecycleOldest(t *testing.T) {
 	// A single shard keeps the paper's exact global-oldest recycling;
 	// with multiple shards each shard recycles its own oldest record.
 	ft := NewFlowTableSharded(4, 8, 1, 1)
 	now := time.Now()
-	spy := &evictSpy{}
-	for i := 0; i < 8; i++ {
-		ft.Insert(key(i), now.Add(time.Duration(i)), []GateBind{{Instance: spy}})
+	inst := &testInstance{name: "i"}
+	oldest, gen := ft.InsertGen(key(0), now, []*FilterRecord{{Instance: inst}})
+	for i := 1; i < 8; i++ {
+		ft.Insert(key(i), now.Add(time.Duration(i)), []*FilterRecord{{Instance: inst}})
 	}
 	if ft.Stats().Alloc != 8 {
 		t.Fatalf("alloc = %d want 8 (cap)", ft.Stats().Alloc)
 	}
 	// Ninth flow must recycle the oldest (key 0).
-	ft.Insert(key(100), now.Add(time.Hour), []GateBind{{Instance: spy}})
+	rec, newGen := ft.InsertGen(key(100), now.Add(time.Hour), []*FilterRecord{{Instance: inst}})
 	if ft.Lookup(key(0), now, nil) != nil {
 		t.Error("oldest record not recycled")
 	}
@@ -116,8 +108,17 @@ func TestFlowTableRecycleOldest(t *testing.T) {
 	if s.Recycled != 1 {
 		t.Errorf("recycled = %d want 1", s.Recycled)
 	}
-	if len(spy.evicted) != 1 || spy.evicted[0] != key(0) {
-		t.Errorf("evict listener saw %v", spy.evicted)
+	// The evicted flow's record — its slot — now serves the new flow
+	// under a newer generation, so state keyed by (slot, generation)
+	// resets before the new flow uses it.
+	if rec != oldest || rec.Slot() != oldest.Slot() || newGen <= gen || current(rec, 0, gen) {
+		t.Errorf("the new flow got record %p generation %d; want the oldest's (%p) past generation %d", rec, newGen, oldest, gen)
+	}
+	if k, ok := ft.FlowAt(rec.Slot(), gen); ok {
+		t.Errorf("slot still names the evicted flow %v", k)
+	}
+	if k, ok := ft.FlowAt(rec.Slot(), newGen); !ok || k != key(100) {
+		t.Errorf("slot names %v (%v), want the new flow", k, ok)
 	}
 	if ft.Len() != 8 {
 		t.Errorf("live = %d want 8", ft.Len())
@@ -146,7 +147,10 @@ func TestFlowTableRemove(t *testing.T) {
 }
 
 func TestFlowTablePurgeIdle(t *testing.T) {
-	ft := NewFlowTable(8, 32, 1)
+	// One shard: with several, the per-shard cap splits unevenly under
+	// the per-process hash seed, and a shard that reaches its cap
+	// recycles a record the purge would have counted.
+	ft := NewFlowTableSharded(8, 32, 1, 1)
 	t0 := time.Now()
 	for i := 0; i < 10; i++ {
 		ft.Insert(key(i), t0.Add(time.Duration(i)*time.Second), nil)
@@ -186,12 +190,12 @@ func TestFlowTableFlushWhere(t *testing.T) {
 	ft := NewFlowTable(8, 32, 2)
 	now := time.Now()
 	instA, instB := &testInstance{name: "a"}, &testInstance{name: "b"}
-	ft.Insert(key(1), now, []GateBind{{Instance: instA}, {}})
-	ft.Insert(key(2), now, []GateBind{{Instance: instB}, {}})
-	ft.Insert(key(3), now, []GateBind{{}, {Instance: instA}})
+	ft.Insert(key(1), now, []*FilterRecord{{Instance: instA}, nil})
+	ft.Insert(key(2), now, []*FilterRecord{{Instance: instB}, nil})
+	ft.Insert(key(3), now, []*FilterRecord{nil, {Instance: instA}})
 	n := ft.FlushWhere(func(r *FlowRecord) bool {
 		for i := 0; i < r.Slots(); i++ {
-			if r.Bind(i).Instance == instA {
+			if r.Filter(i).instance() == instA {
 				return true
 			}
 		}

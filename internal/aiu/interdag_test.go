@@ -93,7 +93,7 @@ func TestInterDAGSharingDistinctTablesUnaffected(t *testing.T) {
 		t.Fatalf("security instance = %v", i1)
 	}
 	slot, _ := a.Slot(pcu.TypeSched)
-	if got := rec.Bind(slot).Instance; got != drr {
+	if got := rec.Filter(slot).instance(); got != drr {
 		t.Fatalf("sched instance = %v", got)
 	}
 }

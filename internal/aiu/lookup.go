@@ -25,8 +25,6 @@ type Lane struct {
 
 	pending bool // no current FIX: the flow table must be probed
 	dup     bool // a later first packet of a flow another lane misses on
-	rec     *FlowRecord
-	gen     uint64
 }
 
 // LookupGate is the gate macro's entry point (§3.2) for one packet:
@@ -34,7 +32,7 @@ type Lane struct {
 // the flow record. It is the cascade over a vector of one.
 //
 //eisr:fastpath
-//eisr:allow(snapdiscipline) deliberate second binds load: a stale FIX falls through to Resolve, which reads a (possibly different) record's binds, each load generation-guarded
+//eisr:allow(snapdiscipline) deliberate second gate-slot load: a stale FIX falls through to Resolve, which reads a (possibly different) record's slot, each load generation-guarded
 func (a *AIU) LookupGate(p *pkt.Packet, gate pcu.Type, now time.Time, c *cycles.Counter) (pcu.Instance, *FlowRecord) {
 	slot, ok := a.Slot(gate)
 	if !ok {
@@ -52,7 +50,7 @@ func (a *AIU) LookupGate(p *pkt.Packet, gate pcu.Type, now time.Time, c *cycles.
 // resolves the lane at the gate whose flow-record slot is slot (Slot)
 // with one load through the FIX cached in the packet, and reports
 // whether that served. The generation captured with the FIX guards the
-// load (as in BindIfCurrent) against the record having been recycled
+// load (as in FilterIfCurrent) against the record having been recycled
 // for a different flow since — oldest-first recycling, PurgeIdle,
 // flushes; a lane it cannot serve is left without a FIX, which is what
 // Resolve looks for.
@@ -65,14 +63,15 @@ func (l *Lane) FIX(slot int) bool {
 		return false
 	}
 	l.C.Access(1) // one indirect load through the FIX
-	// BindIfCurrent's guarded load, open-coded so the macro inlines into
-	// the gate walk.
-	binds := rec.binds.Load()
+	// FilterIfCurrent's guarded load, open-coded so the macro inlines
+	// into the gate walk. A live record's slot is never nil (unbound
+	// stands for no filter), so the instance needs no nil check.
+	fr := rec.binds[slot].Load()
 	if rec.gen.Load() != p.FIXGen {
 		p.FIX = nil
 		return false
 	}
-	l.Inst = (*binds)[slot].Instance
+	l.Inst = fr.Instance
 	return true
 }
 
@@ -87,13 +86,13 @@ func (l *Lane) FIX(slot int) bool {
 // shard.
 //
 //eisr:fastpath
-//eisr:allow(snapdiscipline) one generation-guarded binds load per packet (not per invocation), each guarded by BindIfCurrent
+//eisr:allow(snapdiscipline) one gate-slot load per packet (not per invocation), each read under the shard lock or guarded by FilterIfCurrent
 func (a *AIU) Resolve(lanes []Lane, slot int, now time.Time) {
 	// Pass 1: keys.
 	for i := range lanes {
 		l := &lanes[i]
 		p := l.P
-		l.pending, l.dup, l.rec = p != nil && p.FIX == nil, false, nil
+		l.pending, l.dup = p != nil && p.FIX == nil, false
 		if !l.pending {
 			continue
 		}
@@ -110,11 +109,11 @@ func (a *AIU) Resolve(lanes []Lane, slot int, now time.Time) {
 	}
 	// Pass 2: flow-table probes, one shard read-lock per contiguous
 	// same-shard run (lanes resolved by their FIX do not break a run —
-	// they touch no shard). The generation is captured under the lock,
-	// so a record evicted before its binds are read is detected; a hit
-	// binds (generation-guarded, FIX cached in the packet) right away.
+	// they touch no shard). A hit binds right away and caches its FIX:
+	// under the read lock no eviction can move the generation, so the
+	// gate slot read there belongs to the generation read with it.
 	t := a.flows
-	anyMiss, left := false, false
+	anyMiss := false
 	var cached uint64
 	i := 0
 	for i < len(lanes) {
@@ -150,7 +149,7 @@ func (a *AIU) Resolve(lanes []Lane, slot int, now time.Time) {
 			if anyMiss {
 				for j := 0; j < k; j++ {
 					o := &lanes[j]
-					if o.pending && o.rec == nil && o.P.Hash == l.P.Hash && o.P.Key == l.P.Key {
+					if o.pending && o.P.Hash == l.P.Hash && o.P.Key == l.P.Key {
 						l.dup = true
 						break
 					}
@@ -163,20 +162,15 @@ func (a *AIU) Resolve(lanes []Lane, slot int, now time.Time) {
 			t.telKeys.Observe(keys)
 			if ri == noRec {
 				runMisses++
-				anyMiss, left = true, true
+				anyMiss = true
 				continue
 			}
 			runHits++
-			l.rec = sh.rec(ri)
-			l.rec.touch(now)
-			l.gen = l.rec.gen.Load()
-			if b := l.rec.BindIfCurrent(slot, l.gen); b != nil {
-				l.P.FIX, l.P.FIXGen = l.rec, l.gen
-				l.Inst, l.pending = b.Instance, false
-				cached++
-			} else {
-				left = true // evicted since it was found: classify below
-			}
+			rec := sh.rec(ri)
+			rec.touch(now)
+			l.P.FIX, l.P.FIXGen = rec, rec.gen.Load()
+			l.Inst, l.pending = rec.binds[slot].Load().Instance, false
+			cached++
 		}
 		sh.mu.RUnlock()
 		if runHits > 0 {
@@ -190,7 +184,7 @@ func (a *AIU) Resolve(lanes []Lane, slot int, now time.Time) {
 	if cached > 0 {
 		a.cachedLookups.Add(cached)
 	}
-	if !left {
+	if !anyMiss {
 		return
 	}
 	// Pass 3: classify the misses, in lane order, so a marked duplicate
@@ -205,15 +199,16 @@ func (a *AIU) Resolve(lanes []Lane, slot int, now time.Time) {
 		p := l.P
 		if l.dup {
 			if rec, gen := t.lookup(&p.Key, p.Hash, now, l.C); rec != nil {
-				if b := rec.BindIfCurrent(slot, gen); b != nil {
+				if fr, ok := rec.FilterIfCurrent(slot, gen); ok {
 					p.FIX, p.FIXGen = rec, gen
 					cached++
-					l.Inst = b.Instance
+					l.Inst = fr.instance()
 					continue
 				}
 			}
 		}
-		// A miss, or a record evicted since it was found: classify.
+		// A miss, or a duplicate whose record went before it was read:
+		// classify.
 		l.Inst, _ = a.classifyAndInsert(p, slot, now, l.C)
 	}
 	if cached > 0 {

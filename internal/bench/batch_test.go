@@ -160,6 +160,13 @@ func newProcessOneRig(tb testing.TB, tel *telemetry.Telemetry) (*ipcore.Router, 
 // interface 1 — over an AIU built from cfg.
 func newDRRRouter(tb testing.TB, tel *telemetry.Telemetry, cfg aiu.Config) *ipcore.Router {
 	tb.Helper()
+	return newFlowSchedRouter(tb, tel, cfg, func(env *plugins.Env) pcu.Plugin { return plugins.NewDRRPlugin(env) })
+}
+
+// newFlowSchedRouter is newDRRRouter with another per-flow scheduling
+// plugin at the scheduling gate.
+func newFlowSchedRouter(tb testing.TB, tel *telemetry.Telemetry, cfg aiu.Config, plugin func(*plugins.Env) pcu.Plugin) *ipcore.Router {
+	tb.Helper()
 	routes, err := routing.New(bmp.KindBSPL)
 	if err != nil {
 		tb.Fatal(err)
@@ -180,12 +187,12 @@ func newDRRRouter(tb testing.TB, tel *telemetry.Telemetry, cfg aiu.Config) *ipco
 			tb.Fatal(err)
 		}
 	}
-	drr := plugins.NewDRRPlugin(&plugins.Env{Router: r, AIU: a})
+	sp := plugin(&plugins.Env{Router: r, AIU: a})
 	msg := &pcu.Message{Kind: pcu.MsgCreateInstance, Args: map[string]string{"iface": "1", "quantum": "9180"}}
-	if err := drr.Callback(msg); err != nil {
+	if err := sp.Callback(msg); err != nil {
 		tb.Fatal(err)
 	}
-	if _, err := a.Bind(pcu.TypeSched, aiu.MatchAll(), msg.Reply.(*plugins.DRRInstance), nil); err != nil {
+	if _, err := a.Bind(pcu.TypeSched, aiu.MatchAll(), msg.Reply.(pcu.Instance), nil); err != nil {
 		tb.Fatal(err)
 	}
 	return r
@@ -347,28 +354,38 @@ func TestProcessOneConcurrentDrain(t *testing.T) {
 }
 
 // firstPacketAllocs is the heap-object budget of a new flow's first
-// packet when it recycles a flow record: the flow's gate binds (the
-// slice and the header the flow table publishes it through), the
-// flow's DRR queue, and that queue's first FIFO growth. Nothing else:
-// no access counter of the classification's own (it charges the
-// caller's, which the BMP plugins' interface calls would otherwise make
-// escape), no label formatting, no copy of the binds, no evict-notice
-// slice, no FIFO preallocated to the queue limit.
-const firstPacketAllocs = 4
+// packet when it recycles a flow record: none. The gate binds are
+// written into the recycled record's slots, the flow's queue is the
+// slot's slab entry, reset in place with its FIFO array, and the
+// classification charges the caller's access counter (one of its own
+// would escape through the BMP plugins' interface calls).
+const firstPacketAllocs = 0
 
 // TestFirstPacketAllocBudget pins the first-packet cost: with DRR at
 // the scheduling gate and the flow table at its cap, every packet of a
-// fresh flow classifies, recycles the oldest record (whose DRR queue is
-// reclaimed) and creates a queue, within firstPacketAllocs heap objects.
+// fresh flow classifies, recycles the oldest record and claims that
+// record's slot in the DRR's queue slab, within firstPacketAllocs heap
+// objects.
 func TestFirstPacketAllocBudget(t *testing.T) {
+	testFirstPacketAllocBudget(t, func(env *plugins.Env) pcu.Plugin { return plugins.NewDRRPlugin(env) })
+}
+
+// TestFirstPacketAllocBudgetEiffel is TestFirstPacketAllocBudget with
+// Eiffel at the scheduling gate: both disciplines share the one per-flow
+// plugin and its slab.
+func TestFirstPacketAllocBudgetEiffel(t *testing.T) {
+	testFirstPacketAllocBudget(t, func(env *plugins.Env) pcu.Plugin { return plugins.NewEiffelPlugin(env) })
+}
+
+func testFirstPacketAllocBudget(t *testing.T, plugin func(*plugins.Env) pcu.Plugin) {
 	const (
 		tableFlows = 64
 		runs       = 500
 	)
-	r := newDRRRouter(t, nil, aiu.Config{
+	r := newFlowSchedRouter(t, nil, aiu.Config{
 		BMPKind: bmp.KindBSPL, FlowShards: 1,
 		InitialFlows: tableFlows, MaxFlows: tableFlows,
-	})
+	}, plugin)
 	ps := make([]*pkt.Packet, tableFlows+runs+1)
 	for i := range ps {
 		ps[i] = newFlowPacket(t, uint16(1000+i))

@@ -27,7 +27,8 @@ func RunDRRShare(weights []float64, pktSize, pktsPerFlow int, linkBps float64, s
 	d := sched.NewDRR(1500, pktsPerFlow+1)
 	queues := make([]*sched.DRRQueue, len(weights))
 	for i, w := range weights {
-		queues[i] = d.NewQueue(w)
+		queues[i], _ = d.Queue(uint32(i), 0)
+		d.SetWeight(queues[i], w)
 		for j := 0; j < pktsPerFlow; j++ {
 			d.EnqueueFlow(queues[i], &pkt.Packet{Data: make([]byte, pktSize)})
 		}
@@ -164,7 +165,7 @@ func RunSchedOverhead(pkts int) []SchedOverheadRow {
 	drr := sched.NewDRR(1500, 128)
 	dq := [3]*sched.DRRQueue{}
 	for i := range dq {
-		dq[i] = drr.NewQueue(1)
+		dq[i], _ = drr.Queue(uint32(i), 0)
 	}
 	i := 0
 	rows = append(rows, SchedOverheadRow{"DRR plugin (per-flow queues)", timeSched(pkts, mk(), func(p *pkt.Packet) error {

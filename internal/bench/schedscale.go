@@ -20,8 +20,8 @@ type SchedScaleRow struct {
 	// AllocsPerOp is heap allocations per enqueue+dequeue pair in steady
 	// state (the fast path must not allocate).
 	AllocsPerOp float64
-	// EvictNsPerQ is the per-queue teardown cost (PurgeIdle for Eiffel,
-	// RemoveQueue for DRR); <0 means not measured.
+	// EvictNsPerQ is the per-queue teardown cost of PurgeIdle; <0 means
+	// not measured.
 	EvictNsPerQ float64
 	Note        string
 }
@@ -167,7 +167,7 @@ func runEiffelScale(n, ops int) SchedScaleRow {
 	before := heapInUse()
 	qs := make([]*sched.EiffelQueue, n)
 	for i := range qs {
-		qs[i] = e.NewQueue(1)
+		qs[i], _ = e.Queue(uint32(i), 0)
 	}
 	perQueue := (float64(heapInUse()) - float64(before)) / float64(n)
 	enq, deq, allocs := scaleSteady(n, ops, func(f int, p *pkt.Packet) error {
@@ -190,7 +190,7 @@ func runDRRScale(n, ops int) SchedScaleRow {
 	before := heapInUse()
 	qs := make([]*sched.DRRQueue, n)
 	for i := range qs {
-		qs[i] = d.NewQueue(1)
+		qs[i], _ = d.Queue(uint32(i), 0)
 	}
 	perQueue := (float64(heapInUse()) - float64(before)) / float64(n)
 	enq, deq, allocs := scaleSteady(n, ops, func(f int, p *pkt.Packet) error {
@@ -199,13 +199,12 @@ func runDRRScale(n, ops int) SchedScaleRow {
 	for d.Dequeue() != nil {
 	}
 	t0 := nowNs()
-	for _, q := range qs {
-		d.RemoveQueue(q)
-	}
-	evict := float64(nowNs()-t0) / float64(n)
+	purged := d.PurgeIdle()
+	evict := float64(nowNs()-t0) / float64(purged)
 	return SchedScaleRow{
 		Scheduler: "DRR", Flows: n, QueueBytes: perQueue,
 		EnqNs: enq, DeqNs: deq, AllocsPerOp: allocs, EvictNsPerQ: evict,
+		Note: fmt.Sprintf("purged %d idle queues", purged),
 	}
 }
 

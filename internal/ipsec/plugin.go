@@ -152,11 +152,11 @@ func (i *Instance) HandlePacket(p *pkt.Packet) error {
 	if rec == nil {
 		return fmt.Errorf("ipsec: packet carries no flow record")
 	}
-	b := rec.Bind(i.slot)
-	if b.Rec == nil {
+	fr := rec.Filter(i.slot)
+	if fr == nil {
 		return nil // flow reached the gate without an SA binding
 	}
-	sa, ok := b.Rec.Private.(*SA)
+	sa, ok := fr.Private.(*SA)
 	if !ok || sa == nil {
 		return fmt.Errorf("ipsec: binding has no SA")
 	}

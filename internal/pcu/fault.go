@@ -433,8 +433,8 @@ func (h *Health) Report() []InstanceHealth {
 }
 
 // safely runs a fault-handling hook inside its own barrier: the hooks
-// execute plugin code (filter-removed listeners, flow-evict callbacks,
-// the instance's own identity methods), and a second panic while
+// execute plugin code (filter-removed listeners, the instance's own
+// identity methods), and a second panic while
 // handling the first must not escape and kill the router after all.
 func safely(fn func()) {
 	defer func() { _ = recover() }()

@@ -74,15 +74,7 @@ func (f *FirewallPlugin) Callback(msg *pcu.Message) error {
 	case pcu.MsgDeregisterInstance:
 		return deregister(f.env, pcu.TypeFirewall, msg)
 	case pcu.MsgCustom:
-		if msg.Verb == "stats" {
-			inst, ok := msg.Instance.(*FirewallInstance)
-			if !ok {
-				return fmt.Errorf("plugins: stats needs an instance")
-			}
-			msg.Reply = inst.Snapshot()
-			return nil
-		}
-		return fmt.Errorf("plugins: firewall has no message %q", msg.Verb)
+		return reply("firewall", "stats", msg, func(i *FirewallInstance) any { return i.Snapshot() })
 	default:
 		return fmt.Errorf("plugins: unhandled message kind %v", msg.Kind)
 	}
@@ -111,8 +103,8 @@ func (i *FirewallInstance) InstanceName() string { return i.name }
 func (i *FirewallInstance) HandlePacket(p *pkt.Packet) error {
 	allow := i.defaultAllow
 	if rec, _ := p.FIX.(*aiu.FlowRecord); rec != nil {
-		if b := rec.Bind(i.slot); b.Rec != nil {
-			if v, ok := b.Rec.Private.(Verdict); ok {
+		if fr := rec.Filter(i.slot); fr != nil {
+			if v, ok := fr.Private.(Verdict); ok {
 				allow = bool(v)
 			}
 		}
@@ -140,8 +132,8 @@ func (i *FirewallInstance) HandleBatch(ps []*pkt.Packet) {
 	for _, p := range ps {
 		allow := i.defaultAllow
 		if rec, _ := p.FIX.(*aiu.FlowRecord); rec != nil {
-			if b := rec.Bind(i.slot); b.Rec != nil {
-				if v, ok := b.Rec.Private.(Verdict); ok {
+			if fr := rec.Filter(i.slot); fr != nil {
+				if v, ok := fr.Private.(Verdict); ok {
 					allow = bool(v)
 				}
 			}

@@ -202,22 +202,25 @@ func (i *HFSCInstance) HandlePacket(p *pkt.Packet) error {
 	if rec == nil {
 		return fmt.Errorf("hfsc: packet carries no flow record")
 	}
-	b := rec.Bind(i.slot)
+	res := reservation(rec.Filter(i.slot))
 	i.mu.Lock()
 	defer i.mu.Unlock()
-	cl, _ := b.Private.(*sched.Class)
-	if cl == nil {
-		cl = i.def
-		if b.Rec != nil {
-			if res, ok := b.Rec.Private.(*Reservation); ok && res.Class != "" {
-				if c := i.classes[res.Class]; c != nil {
-					cl = c
-				}
-			}
-		}
-		b.Private = cl
+	return i.hfsc.EnqueueClass(i.classOf(res), p, i.nowSec())
+}
+
+// classOf resolves a flow's class from its filter's reservation: the
+// class it names, cached on the reservation once add-class has created
+// it, and the default class until then or when the flow has none. The
+// class depends on the filter alone, so no per-flow state is kept.
+// Called with i.mu held.
+func (i *HFSCInstance) classOf(res *Reservation) *sched.Class {
+	if res != nil && res.class == nil {
+		res.class = i.classes[res.Class]
 	}
-	return i.hfsc.EnqueueClass(cl, p, i.nowSec())
+	if res == nil || res.class == nil {
+		return i.def
+	}
+	return res.class
 }
 
 // Drain implements ipcore.Drainer.

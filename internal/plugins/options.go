@@ -46,15 +46,7 @@ func (o *OptionsPlugin) Callback(msg *pcu.Message) error {
 	case pcu.MsgDeregisterInstance:
 		return deregister(o.env, pcu.TypeOptions, msg)
 	case pcu.MsgCustom:
-		if msg.Verb == "stats" {
-			inst, ok := msg.Instance.(*OptionsInstance)
-			if !ok {
-				return fmt.Errorf("plugins: stats needs an instance")
-			}
-			msg.Reply = inst.Snapshot()
-			return nil
-		}
-		return fmt.Errorf("plugins: options has no message %q", msg.Verb)
+		return reply("options", "stats", msg, func(i *OptionsInstance) any { return i.Snapshot() })
 	default:
 		return fmt.Errorf("plugins: unhandled message kind %v", msg.Kind)
 	}

@@ -16,22 +16,23 @@ import (
 // with Q its flow queue type. *sched.DRR and *sched.Eiffel satisfy it
 // as they are.
 type flowScheduler[Q sched.PerFlowQueue] interface {
-	NewQueue(weight float64) Q
+	Queue(slot uint32, gen uint64) (Q, bool)
+	SetWeight(q Q, w float64)
 	EnqueueFlow(q Q, p *pkt.Packet) error
 	Dequeue() *pkt.Packet
 	Len() int
-	RemoveQueue(q Q)
 	PurgeIdle() int
-	Queues() []Q
+	Clear() int
+	Each(fn func(slot uint32, gen uint64, q Q))
 	SetTelemetry(m *telemetry.SchedMetrics)
 }
 
 // FlowSchedPlugin is a per-flow scheduling plugin (§6.1). Because the
-// AIU already classifies packets into flows and gives the plugin a
-// per-flow soft-state slot in the flow record, the plugin itself is
-// small: each flow lazily receives its own queue (perfect per-flow fair
-// queuing, not a fixed hash bucket like ALTQ), weighted by the
-// reservation installed with the flow's filter. One type serves every
+// AIU already classifies packets into flows and numbers them — the flow
+// record's slot, the paper's per-flow soft-state index — the plugin
+// itself is small: each flow lazily receives its own queue (perfect
+// per-flow fair queuing, not a fixed hash bucket like ALTQ), weighted
+// by the reservation installed with the flow's filter. One type serves every
 // per-flow discipline: "drr", weighted Deficit Round Robin, and
 // "eiffel", the FFS-indexed bucket wheel that scales to a million live
 // flows.
@@ -93,13 +94,17 @@ func (d *FlowSchedPlugin[Q, S]) Callback(msg *pcu.Message) error {
 			}
 			inst := &FlowSchedInstance[Q, S]{
 				outIf: outIf{ifIdx}, name: d.namer.next(), slot: slot,
-				s: d.newSched(quantum, qlen),
+				flows: d.env.AIU.FlowTable(), s: d.newSched(quantum, qlen),
 			}
 			inst.s.SetTelemetry(d.env.Tel.SchedMetrics(d.name, inst.name))
 			return inst, nil
 		})
 	case pcu.MsgFreeInstance:
-		return freeSched[*FlowSchedInstance[Q, S]](d.env, msg)
+		if err := freeSched[*FlowSchedInstance[Q, S]](d.env, msg); err != nil {
+			return err
+		}
+		msg.Instance.(*FlowSchedInstance[Q, S]).clear()
+		return nil
 	case pcu.MsgRegisterInstance:
 		w, err := argFloat(msg, "weight", 1)
 		if err != nil {
@@ -109,19 +114,10 @@ func (d *FlowSchedPlugin[Q, S]) Callback(msg *pcu.Message) error {
 	case pcu.MsgDeregisterInstance:
 		return deregister(d.env, pcu.TypeSched, msg)
 	case pcu.MsgCustom:
-		if msg.Verb != "stats" && msg.Verb != "purge-idle" {
-			return fmt.Errorf("plugins: %s has no message %q", d.name, msg.Verb)
+		if msg.Verb == "purge-idle" {
+			return reply(d.name, "purge-idle", msg, func(i *FlowSchedInstance[Q, S]) any { return i.PurgeIdle() })
 		}
-		inst, ok := msg.Instance.(*FlowSchedInstance[Q, S])
-		if !ok {
-			return fmt.Errorf("plugins: %s needs an instance", msg.Verb)
-		}
-		if msg.Verb == "stats" {
-			msg.Reply = inst.Shares()
-		} else {
-			msg.Reply = inst.PurgeIdle()
-		}
-		return nil
+		return reply(d.name, "stats", msg, func(i *FlowSchedInstance[Q, S]) any { return i.Shares() })
 	default:
 		return fmt.Errorf("plugins: unhandled message kind %v", msg.Kind)
 	}
@@ -130,8 +126,9 @@ func (d *FlowSchedPlugin[Q, S]) Callback(msg *pcu.Message) error {
 // FlowSchedInstance is one interface's per-flow scheduler.
 type FlowSchedInstance[Q sched.PerFlowQueue, S flowScheduler[Q]] struct {
 	outIf
-	name string
-	slot int
+	name  string
+	slot  int
+	flows *aiu.FlowTable
 
 	mu sync.Mutex
 	s  S
@@ -140,15 +137,18 @@ type FlowSchedInstance[Q sched.PerFlowQueue, S flowScheduler[Q]] struct {
 // InstanceName implements pcu.Instance.
 func (i *FlowSchedInstance[Q, S]) InstanceName() string { return i.name }
 
-// errNoFlowRecord is preallocated: HandlePacket runs per packet and must
-// not allocate an error on the drop path.
-var errNoFlowRecord = errors.New("drr: packet carries no flow record")
+// errNoFlowRecord and errFlowGone are preallocated: HandlePacket runs
+// per packet and must not allocate an error on the drop path.
+var (
+	errNoFlowRecord = errors.New("drr: packet carries no flow record")
+	errFlowGone     = errors.New("drr: packet's flow was evicted and its slot reused")
+)
 
-// HandlePacket implements pcu.Instance: find (or create) the flow's
-// queue via the flow record's soft-state slot and enqueue. The per-flow
-// queue pointer lives exactly where the paper puts it — in the flow
-// table row ("used by the DRR plugin to store a pointer to a queue of
-// packets for each active flow").
+// HandlePacket implements pcu.Instance: find (or claim) the flow's
+// queue by its flow slot and enqueue. The paper keeps "a pointer to a
+// queue of packets for each active flow" in the flow table row; here
+// the row's slot indexes the instance's own queue slab, which is the
+// same per-flow soft state without a pointer in the row.
 //
 //eisr:fastpath
 func (i *FlowSchedInstance[Q, S]) HandlePacket(p *pkt.Packet) error {
@@ -190,41 +190,26 @@ func (i *FlowSchedInstance[Q, S]) HandleBatch(ps []*pkt.Packet) {
 	i.mu.Unlock()
 }
 
-// enqueue queues p on its flow's queue, which lives in the flow
-// record's soft-state slot. The flow's first packet creates the queue,
-// and so does its first packet after purge-idle reclaimed it (the
-// scheduler then disowns the queue the slot still points at). Called
-// with i.mu held.
+// enqueue queues p on its flow's queue, the slab entry of its flow
+// slot. The flow's first packet claims the entry for the flow's
+// generation — resetting what an evicted flow left there — and weights
+// it by the reservation of the flow's filter, and so does its first
+// packet after purge-idle released it. A packet whose flow has already
+// lost its slot to a newer flow is refused. Called with i.mu held.
 //
 //eisr:fastpath
 func (i *FlowSchedInstance[Q, S]) enqueue(rec *aiu.FlowRecord, p *pkt.Packet) error {
-	b := rec.Bind(i.slot)
-	q, ok := b.Private.(Q)
-	if !ok {
-		q = i.newFlowQueue(rec, b)
+	q, fresh := i.s.Queue(rec.Slot(), p.FIXGen)
+	var none Q
+	if q == none {
+		return errFlowGone
 	}
-	err := i.s.EnqueueFlow(q, p)
-	if err == sched.ErrForeignQueue {
-		err = i.s.EnqueueFlow(i.newFlowQueue(rec, b), p)
-	}
-	return err
-}
-
-// newFlowQueue creates the flow's queue — the once-per-flow slow path —
-// weighted by the filter's reservation.
-//
-//eisr:slowpath
-func (i *FlowSchedInstance[Q, S]) newFlowQueue(rec *aiu.FlowRecord, b *aiu.GateBind) Q {
-	weight := 1.0
-	if b.Rec != nil {
-		if res, ok := b.Rec.Private.(*Reservation); ok && res.Weight > 0 {
-			weight = res.Weight
+	if fresh {
+		if res := reservation(rec.Filter(i.slot)); res != nil {
+			i.s.SetWeight(q, res.Weight)
 		}
 	}
-	q := i.s.NewQueue(weight)
-	q.Flow().Key = rec.Key
-	b.Private = q
-	return q
+	return i.s.EnqueueFlow(q, p)
 }
 
 // Drain implements ipcore.Drainer.
@@ -241,19 +226,12 @@ func (i *FlowSchedInstance[Q, S]) Backlog() int {
 	return i.s.Len()
 }
 
-// FlowEvicted implements aiu.FlowEvictListener: reclaim the per-flow
-// queue when the AIU recycles the flow record. The evicted key and slot
-// contents arrive by value because the callback is delivered after the
-// table lock is dropped, by which point the record may already serve a
-// new flow.
-func (i *FlowSchedInstance[Q, S]) FlowEvicted(key pkt.Key, slot int, b aiu.GateBind) {
-	q, ok := b.Private.(Q)
-	if !ok {
-		return
-	}
+// clear drops every queued packet as evicted when the instance is
+// freed: nothing will drain it again.
+func (i *FlowSchedInstance[Q, S]) clear() {
 	i.mu.Lock()
 	defer i.mu.Unlock()
-	i.s.RemoveQueue(q)
+	i.s.Clear()
 }
 
 // PurgeIdle reclaims every empty flow queue and reports how many.
@@ -265,8 +243,8 @@ func (i *FlowSchedInstance[Q, S]) PurgeIdle() int {
 
 // FlowShare is one flow's service snapshot.
 type FlowShare struct {
-	// Label is the flow's key, rendered by Shares: flow creation keeps
-	// the key and formats nothing.
+	// Label is the flow's key, read from the flow table and rendered by
+	// Shares: a flow's first packet formats nothing.
 	Label  string
 	Weight float64
 	Served uint64
@@ -274,14 +252,17 @@ type FlowShare struct {
 }
 
 // Shares snapshots per-flow service for the link-sharing demos, in
-// the order of the scheduler's Queues.
+// flow-slot order: one share per queue whose flow is still in the flow
+// table.
 func (i *FlowSchedInstance[Q, S]) Shares() []FlowShare {
 	i.mu.Lock()
 	defer i.mu.Unlock()
 	var out []FlowShare
-	for _, q := range i.s.Queues() {
-		h := q.Flow()
-		out = append(out, FlowShare{Label: h.Key.String(), Weight: h.Weight, Served: h.Served, Drops: h.Drops})
-	}
+	i.s.Each(func(slot uint32, gen uint64, q Q) {
+		if k, ok := i.flows.FlowAt(slot, gen); ok {
+			h := q.Flow()
+			out = append(out, FlowShare{Label: k.String(), Weight: h.Weight, Served: h.Served, Drops: h.Drops})
+		}
+	})
 	return out
 }

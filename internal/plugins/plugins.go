@@ -20,6 +20,7 @@ import (
 	"github.com/routerplugins/eisr/internal/aiu"
 	"github.com/routerplugins/eisr/internal/ipcore"
 	"github.com/routerplugins/eisr/internal/pcu"
+	"github.com/routerplugins/eisr/internal/sched"
 	"github.com/routerplugins/eisr/internal/telemetry"
 )
 
@@ -50,6 +51,22 @@ func (e *Env) now() time.Time {
 type Reservation struct {
 	Weight float64
 	Class  string
+
+	// class caches the H-FSC class named by Class once it exists (see
+	// HFSCInstance.classOf); guarded by the owning instance's mutex.
+	class *sched.Class
+}
+
+// reservation returns the reservation installed with a flow's filter,
+// nil when the flow matched no filter or the filter carries none.
+//
+//eisr:fastpath
+func reservation(fr *aiu.FilterRecord) *Reservation {
+	if fr == nil {
+		return nil
+	}
+	res, _ := fr.Private.(*Reservation)
+	return res
 }
 
 // parseFilterArg extracts and parses the "filter" argument of a
@@ -89,6 +106,20 @@ func deregister(env *Env, gate pcu.Type, msg *pcu.Message) error {
 		return fmt.Errorf("plugins: no binding for %s at gate %s", f, gate)
 	}
 	return env.AIU.Unbind(rec)
+}
+
+// reply answers a plugin's one custom message, verb, with fn's view of
+// the instance of type I the message addresses.
+func reply[I pcu.Instance](plugin, verb string, msg *pcu.Message, fn func(I) any) error {
+	if msg.Verb != verb {
+		return fmt.Errorf("plugins: %s has no message %q", plugin, msg.Verb)
+	}
+	inst, ok := msg.Instance.(I)
+	if !ok {
+		return fmt.Errorf("plugins: %s needs an instance", msg.Verb)
+	}
+	msg.Reply = fn(inst)
+	return nil
 }
 
 // schedInstance is an instance at the scheduling gate: it owns the
@@ -140,7 +171,7 @@ func freeSched[I schedInstance](env *Env, msg *pcu.Message) error {
 	return nil
 }
 
-// schedSlot is the scheduling gate's soft-state slot in a flow record.
+// schedSlot is the scheduling gate's slot in a flow record.
 func schedSlot(env *Env) (int, error) {
 	slot, ok := env.AIU.Slot(pcu.TypeSched)
 	if !ok {

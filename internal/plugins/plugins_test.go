@@ -163,10 +163,15 @@ func TestDRRPluginEndToEnd(t *testing.T) {
 	}
 }
 
+// TestDRRPluginFlowEviction: an evicted flow's queue leaves the listing
+// at once, and the packets it still holds are dropped as evicted — and
+// its slot's queue reset in place — when the slot's next flow claims it.
+// Here that is the same flow returning: its new record is the freed one.
 func TestDRRPluginFlowEviction(t *testing.T) {
 	for _, plugin := range schedPlugins {
 		t.Run(plugin, func(t *testing.T) {
 			rg := newRig(t)
+			rg.env.Tel = telemetry.New()
 			rg.loadSched(t)
 			inst := rg.create(t, plugin, map[string]string{"iface": "1"})
 			rg.bind(t, plugin, inst, map[string]string{"filter": "*, *, *, *, *, *"})
@@ -175,14 +180,20 @@ func TestDRRPluginFlowEviction(t *testing.T) {
 			if got := len(rg.shares(t, plugin, inst)); got != 1 {
 				t.Fatalf("queues = %d", got)
 			}
-			// Evict the flow: its queue, and the two packets it still
-			// holds, must be reclaimed.
 			rg.a.FlowTable().FlushWhere(func(*aiu.FlowRecord) bool { return true })
 			if got := len(rg.shares(t, plugin, inst)); got != 0 {
 				t.Errorf("queues after eviction = %d", got)
 			}
-			if got := inst.(ipcore.Drainer).Backlog(); got != 0 {
-				t.Errorf("backlog after eviction = %d", got)
+			rg.r.Forward(udp(t, "10.0.0.1", 1, 100))
+			if got := inst.(ipcore.Drainer).Backlog(); got != 1 {
+				t.Errorf("backlog after the slot's next flow arrived = %d, want 1", got)
+			}
+			if got := len(rg.shares(t, plugin, inst)); got != 1 {
+				t.Errorf("queues after the flow returned = %d", got)
+			}
+			drops := `eisr_drops_total{layer="sched",plugin="` + plugin + `",instance="` + inst.InstanceName() + `",reason="evicted"}`
+			if mv, ok := rg.env.Tel.Find(drops); !ok || mv.Counter != 2 {
+				t.Errorf("evicted drops = %+v (%v), want 2", mv, ok)
 			}
 		})
 	}

@@ -81,15 +81,7 @@ func (r *REDPlugin) Callback(msg *pcu.Message) error {
 	case pcu.MsgDeregisterInstance:
 		return deregister(r.env, pcu.TypeSched, msg)
 	case pcu.MsgCustom:
-		if msg.Verb == "stats" {
-			inst, ok := msg.Instance.(*REDInstance)
-			if !ok {
-				return fmt.Errorf("plugins: stats needs an instance")
-			}
-			msg.Reply = inst.Snapshot()
-			return nil
-		}
-		return fmt.Errorf("plugins: red has no message %q", msg.Verb)
+		return reply("red", "stats", msg, func(i *REDInstance) any { return i.Snapshot() })
 	default:
 		return fmt.Errorf("plugins: unhandled message kind %v", msg.Kind)
 	}

@@ -68,15 +68,7 @@ func (r *RoutePlugin) Callback(msg *pcu.Message) error {
 	case pcu.MsgDeregisterInstance:
 		return deregister(r.env, pcu.TypeRouting, msg)
 	case pcu.MsgCustom:
-		if msg.Verb == "stats" {
-			inst, ok := msg.Instance.(*RouteInstance)
-			if !ok {
-				return fmt.Errorf("plugins: stats needs an instance")
-			}
-			msg.Reply = inst.Snapshot()
-			return nil
-		}
-		return fmt.Errorf("plugins: l4route has no message %q", msg.Verb)
+		return reply("l4route", "stats", msg, func(i *RouteInstance) any { return i.Snapshot() })
 	default:
 		return fmt.Errorf("plugins: unhandled message kind %v", msg.Kind)
 	}
@@ -106,11 +98,11 @@ func (i *RouteInstance) HandlePacket(p *pkt.Packet) error {
 	if rec == nil {
 		return nil
 	}
-	b := rec.Bind(i.slot)
-	if b.Rec == nil {
+	fr := rec.Filter(i.slot)
+	if fr == nil {
 		return nil
 	}
-	nh, ok := b.Rec.Private.(routing.NextHop)
+	nh, ok := fr.Private.(routing.NextHop)
 	if !ok {
 		return nil
 	}

@@ -7,13 +7,15 @@ import (
 	"github.com/routerplugins/eisr/internal/aiu"
 	"github.com/routerplugins/eisr/internal/pcu"
 	"github.com/routerplugins/eisr/internal/pkt"
+	"github.com/routerplugins/eisr/internal/sched"
 )
 
 // TCPMonPlugin is "a plugin monitoring TCP congestion backoff behaviour"
-// (§4). It keeps per-flow soft state in the flow record — highest
-// sequence seen, retransmission count, duplicate-ACK runs — and flags
-// flows that do not appear to back off (sequence keeps advancing at full
-// tilt through loss episodes).
+// (§4). It keeps per-flow soft state — highest sequence seen,
+// retransmission count, duplicate-ACK runs — in a slab indexed by the
+// flow record's slot, so it is bounded by the flow table and reset when
+// a record is recycled, and flags flows that do not appear to back off
+// (sequence keeps advancing at full tilt through loss episodes).
 type TCPMonPlugin struct {
 	env   *Env
 	namer instanceNamer
@@ -34,8 +36,7 @@ func (t *TCPMonPlugin) PluginCode() pcu.Code { return pcu.MakeCode(pcu.TypeMonit
 func (t *TCPMonPlugin) Callback(msg *pcu.Message) error {
 	switch msg.Kind {
 	case pcu.MsgCreateInstance:
-		inst := &TCPMonInstance{name: t.namer.next(), flows: make(map[pkt.Key]*TCPFlowState)}
-		inst.slot, _ = t.env.AIU.Slot(pcu.TypeMonitor)
+		inst := &TCPMonInstance{name: t.namer.next(), flows: t.env.AIU.FlowTable()}
 		msg.Reply = inst
 		return nil
 	case pcu.MsgFreeInstance:
@@ -46,15 +47,7 @@ func (t *TCPMonPlugin) Callback(msg *pcu.Message) error {
 	case pcu.MsgDeregisterInstance:
 		return deregister(t.env, pcu.TypeMonitor, msg)
 	case pcu.MsgCustom:
-		inst, ok := msg.Instance.(*TCPMonInstance)
-		if !ok {
-			return fmt.Errorf("plugins: %q needs an instance", msg.Verb)
-		}
-		if msg.Verb == "report" {
-			msg.Reply = inst.Report()
-			return nil
-		}
-		return fmt.Errorf("plugins: tcpmon has no message %q", msg.Verb)
+		return reply("tcpmon", "report", msg, func(i *TCPMonInstance) any { return i.Report() })
 	default:
 		return fmt.Errorf("plugins: unhandled message kind %v", msg.Kind)
 	}
@@ -73,19 +66,22 @@ type TCPFlowState struct {
 
 // TCPMonInstance watches TCP flows.
 type TCPMonInstance struct {
-	name string
-	slot int
+	name  string
+	flows *aiu.FlowTable
 
-	mu    sync.Mutex
-	flows map[pkt.Key]*TCPFlowState
+	mu     sync.Mutex
+	states sched.Slab[TCPFlowState]
 }
 
 // InstanceName implements pcu.Instance.
 func (i *TCPMonInstance) InstanceName() string { return i.name }
 
-// HandlePacket implements pcu.Instance.
+// HandlePacket implements pcu.Instance. A packet without a flow record,
+// or whose flow has already lost its slot to a newer flow, is not
+// counted.
 func (i *TCPMonInstance) HandlePacket(p *pkt.Packet) error {
-	if p.Key.Proto != pkt.ProtoTCP {
+	rec, _ := p.FIX.(*aiu.FlowRecord)
+	if rec == nil || p.Key.Proto != pkt.ProtoTCP {
 		return nil
 	}
 	var l4 []byte
@@ -107,15 +103,12 @@ func (i *TCPMonInstance) HandlePacket(p *pkt.Packet) error {
 	}
 	i.mu.Lock()
 	defer i.mu.Unlock()
-	st := i.flows[p.Key]
+	st, fresh := i.states.Get(rec.Slot(), p.FIXGen)
 	if st == nil {
-		st = &TCPFlowState{}
-		i.flows[p.Key] = st
-		// Mirror the state into the flow record's soft-state slot so a
-		// cache hit gives O(1) access on the data path.
-		if rec, _ := p.FIX.(*aiu.FlowRecord); rec != nil {
-			rec.Bind(i.slot).Private = st
-		}
+		return nil
+	}
+	if fresh {
+		*st = TCPFlowState{}
 	}
 	st.Packets++
 	if th.Flags&pkt.TCPSyn != 0 {
@@ -149,13 +142,17 @@ type TCPFlowReport struct {
 	TCPFlowState
 }
 
-// Report snapshots all tracked flows.
+// Report snapshots the tracked flows still in the flow table, in
+// flow-slot order.
 func (i *TCPMonInstance) Report() []TCPFlowReport {
 	i.mu.Lock()
 	defer i.mu.Unlock()
-	out := make([]TCPFlowReport, 0, len(i.flows))
-	for k, st := range i.flows {
-		out = append(out, TCPFlowReport{Key: k, TCPFlowState: *st})
-	}
+	var out []TCPFlowReport
+	i.states.Each(func(slot uint32, gen uint64, st *TCPFlowState) bool {
+		if k, ok := i.flows.FlowAt(slot, gen); ok {
+			out = append(out, TCPFlowReport{Key: k, TCPFlowState: *st})
+		}
+		return false
+	})
 	return out
 }

@@ -29,7 +29,7 @@ func NewALTQDRR(nQueues, quantum int) *ALTQDRR {
 	a := &ALTQDRR{drr: NewDRR(quantum, 0)}
 	a.queues = make([]*DRRQueue, nQueues)
 	for i := range a.queues {
-		a.queues[i] = a.drr.NewQueue(1)
+		a.queues[i], _ = a.drr.Queue(uint32(i), 0)
 	}
 	return a
 }
@@ -57,40 +57,41 @@ func (a *ALTQDRR) Len() int { return a.drr.Len() }
 // Hierarchical Scheduling Framework of §8: "DRR could be used to do fair
 // queuing for all flows ending in the same H-FSC leaf node". Flows are
 // identified three ways, in priority order: an explicit *DRRQueue in the
-// packet's FIX soft state (set by a plugin layer), the packet's parsed
-// six-tuple when PerFlow is on (one queue per flow, created on demand
-// and reclaimed when it drains), or a shared default queue.
+// packet's FIX soft state (set by a plugin layer), the packet's flow
+// record when PerFlow is on (the queue in the DRR's slab at the record's
+// slot, keyed by the packet's FIX generation, as a per-flow plugin keeps
+// it), or a shared default queue.
 type DRRLeaf struct {
 	DRR *DRR
-	// PerFlow gives every six-tuple its own queue.
+	// PerFlow gives every flow record its own queue.
 	PerFlow bool
 
-	defq    *DRRQueue
-	flows   map[pkt.Key]*DRRQueue
 	pending *pkt.Packet // head cache, because DRR has no non-destructive peek
 }
 
-// NewDRRLeaf builds a DRR-backed leaf queue.
-func NewDRRLeaf(quantum int) *DRRLeaf {
-	d := NewDRR(quantum, 0)
-	return &DRRLeaf{DRR: d, defq: d.NewQueue(1), flows: make(map[pkt.Key]*DRRQueue)}
-}
+// flowSlotter is a packet FIX that names a flow slot: the AIU's flow
+// record (aiu.FlowRecord.Slot).
+type flowSlotter interface{ Slot() uint32 }
 
-// Enqueue implements LeafQueue.
+// NewDRRLeaf builds a DRR-backed leaf queue.
+func NewDRRLeaf(quantum int) *DRRLeaf { return &DRRLeaf{DRR: NewDRR(quantum, 0)} }
+
+// Enqueue implements LeafQueue. Slab slot 0 is the default queue's, so
+// flow slot s is the DRR's slot s+1. A packet whose flow has lost its
+// slot to a newer flow has no queue.
 func (l *DRRLeaf) Enqueue(p *pkt.Packet) error {
 	if q, ok := p.FIX.(*DRRQueue); ok && q != nil {
 		return l.DRR.EnqueueFlow(q, p)
 	}
-	if l.PerFlow && p.KeyValid {
-		q := l.flows[p.Key]
-		if q == nil {
-			q = l.DRR.NewQueue(1)
-			q.Key = p.Key
-			l.flows[p.Key] = q
-		}
-		return l.DRR.EnqueueFlow(q, p)
+	slot, gen := uint32(0), uint64(0)
+	if f, ok := p.FIX.(flowSlotter); ok && l.PerFlow {
+		slot, gen = f.Slot()+1, p.FIXGen
 	}
-	return l.DRR.EnqueueFlow(l.defq, p)
+	q, _ := l.DRR.Queue(slot, gen)
+	if q == nil {
+		return ErrNoQueue
+	}
+	return l.DRR.EnqueueFlow(q, p)
 }
 
 // Dequeue implements LeafQueue.
@@ -99,18 +100,7 @@ func (l *DRRLeaf) Dequeue() *pkt.Packet {
 		l.pending = nil
 		return p
 	}
-	p := l.DRR.Dequeue()
-	// Bound the per-flow queue map: reclaim drained queues once the map
-	// grows large (idle queues hold no packets, only bookkeeping).
-	if l.PerFlow && len(l.flows) > 1024 {
-		for k, q := range l.flows {
-			if !q.onList {
-				l.DRR.RemoveQueue(q)
-				delete(l.flows, k)
-			}
-		}
-	}
-	return p
+	return l.DRR.Dequeue()
 }
 
 // Head implements LeafQueue: DRR decides the next packet only when

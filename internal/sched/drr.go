@@ -18,21 +18,22 @@ var (
 // accumulating a deficit of weight×quantum bytes per round. Because the
 // EISR architecture already classifies packets into flows, the scheduler
 // itself stays tiny (the paper's plugin is under 600 lines of C): callers
-// obtain a *DRRQueue per flow — the pointer the DRR plugin stores in the
-// flow table's per-flow soft-state slot — and enqueue against it.
+// address a flow's *DRRQueue by its flow slot — the paper's per-flow
+// soft-state slot, kept here in a slab the scheduler owns — and enqueue
+// against it.
 //
 // Weights: best-effort flows share a fixed default weight; reserved
 // flows get weights proportional to their reservation (recomputed by the
 // plugin when reservations change, as in the paper).
 type DRR struct {
-	flowSet[*DRRQueue]
+	flowSet[DRRQueue, *DRRQueue]
 
 	// Active list: circular doubly linked list of backlogged queues.
 	active *DRRQueue
 }
 
-// DRRQueue is one flow's queue. It is the per-flow soft state the DRR
-// plugin hangs off the flow record. Its packets sit in a FIFO array,
+// DRRQueue is one flow's queue: the per-flow soft state of the DRR
+// plugin, one slab entry per flow slot. Its packets sit in a FIFO array,
 // not in an intrusive chain like Eiffel's: with the chain, an
 // enqueue+dequeue pair at 10k flows measured 52–56 ns instead of
 // 30–33 ns (eisrbench -exp sched-scale, 2-core VM).
@@ -55,14 +56,11 @@ type DRRQueue struct {
 // and grows on demand up to that limit (see FIFO), so a flow that never
 // backs up costs a few dozen bytes of queue, not the whole limit.
 func NewDRR(quantum, perQueueLimit int) *DRR {
-	return &DRR{flowSet: newFlowSet[*DRRQueue](quantum, perQueueLimit)}
-}
-
-// NewQueue creates a flow queue with the given weight (<=0 means 1).
-//
-//eisr:slowpath
-func (d *DRR) NewQueue(weight float64) *DRRQueue {
-	return d.add(&DRRQueue{parent: d, fifo: FIFO{limit: d.limit}}, weight)
+	d := &DRR{}
+	d.flowSet = newFlowSet(quantum, perQueueLimit, func(q *DRRQueue) {
+		q.parent, q.fifo.limit, q.deficit = d, d.limit, 0
+	})
+	return d
 }
 
 // Len reports the packets queued.
@@ -76,7 +74,6 @@ func (q *DRRQueue) detach() {
 	if q.onList {
 		q.parent.unlink(q)
 	}
-	q.parent = nil
 }
 
 // EnqueueFlow admits a packet to a specific flow queue.
@@ -100,9 +97,9 @@ func (d *DRR) EnqueueFlow(q *DRRQueue, p *pkt.Packet) error {
 	return nil
 }
 
-// Enqueue implements Scheduler by taking the flow queue from the
-// packet's FIX soft state; it exists so a bare DRR can sit behind the
-// generic link simulator. Packets without an associated queue are
+// Enqueue implements Scheduler by taking the flow queue (from Queue) in
+// the packet's FIX; it exists so a bare DRR can sit behind the generic
+// link simulator. Packets without an associated queue are
 // rejected. The plugin layer normally calls EnqueueFlow directly.
 //
 //eisr:fastpath

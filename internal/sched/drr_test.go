@@ -87,47 +87,50 @@ func TestFIFOGrowsOnDemandToLimit(t *testing.T) {
 	}
 }
 
-// Queues lists queues in creation order; removal moves the last queue
-// into the freed slot.
+// Each lists owned queues in flow-slot order, whatever order the slots
+// were claimed in; PurgeIdle releases the idle ones and leaves the rest
+// in place.
 func TestDRRQueuesOrder(t *testing.T) {
 	d := NewDRR(1500, 0)
-	var qs []*DRRQueue
 	names := map[*DRRQueue]string{}
-	for _, l := range []string{"a", "b", "c", "d"} {
-		q := d.NewQueue(1)
-		qs = append(qs, q)
+	for i, l := range []string{"d", "a", "c", "b"} {
+		q, fresh := d.Queue(uint32([]int{3, 0, 2, 1}[i]), 0)
+		if !fresh {
+			t.Fatalf("slot of %s claimed twice", l)
+		}
 		names[q] = l
 	}
 	label := func() string {
 		var out []string
-		for _, q := range d.Queues() {
-			out = append(out, names[q])
-		}
+		d.Each(func(_ uint32, _ uint64, q *DRRQueue) { out = append(out, names[q]) })
 		return strings.Join(out, "")
 	}
 	if got := label(); got != "abcd" {
 		t.Errorf("queues %q, want abcd", got)
 	}
-	d.RemoveQueue(qs[1])
-	if got := label(); got != "adc" {
-		t.Errorf("after removing b: %q, want adc", got)
+	for q, l := range names {
+		if l == "b" || l == "d" {
+			d.EnqueueFlow(q, mkPkt(10))
+		}
 	}
-	d.RemoveQueue(qs[2])
-	d.RemoveQueue(qs[2]) // a second removal is a no-op
-	if got := label(); got != "ad" {
-		t.Errorf("after removing c: %q, want ad", got)
+	if n := d.PurgeIdle(); n != 2 {
+		t.Errorf("purged %d, want 2", n)
 	}
-	d.RemoveQueue(qs[3])
-	d.RemoveQueue(qs[0])
+	if got := label(); got != "bd" {
+		t.Errorf("after the purge: %q, want bd", got)
+	}
+	if n := d.Clear(); n != 2 || d.Len() != 0 {
+		t.Errorf("clear released %d queues and left %d packets", n, d.Len())
+	}
 	if got := label(); got != "" {
-		t.Errorf("after removing all: %q", got)
+		t.Errorf("after clearing: %q", got)
 	}
 }
 
 func TestDRRRoundRobinEqualWeights(t *testing.T) {
 	d := NewDRR(1500, 0)
-	qa := d.NewQueue(1)
-	qb := d.NewQueue(1)
+	qa := drrQueue(d, 1)
+	qb := drrQueue(d, 1)
 	for i := 0; i < 10; i++ {
 		d.EnqueueFlow(qa, mkPkt(1000))
 		d.EnqueueFlow(qb, mkPkt(1000))
@@ -152,7 +155,7 @@ func TestDRRWeightedShares(t *testing.T) {
 	weights := []float64{1, 2, 4}
 	qs := make([]*DRRQueue, len(weights))
 	for i, w := range weights {
-		qs[i] = d.NewQueue(w)
+		qs[i] = drrQueue(d, w)
 		for j := 0; j < 4000; j++ {
 			if err := d.EnqueueFlow(qs[i], mkPkt(500)); err != nil {
 				t.Fatal(err)
@@ -185,8 +188,8 @@ func TestDRRFairnessBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	const quantum, maxPkt = 1500, 1500
 	d := NewDRR(quantum, 1<<20)
-	qa := d.NewQueue(1)
-	qb := d.NewQueue(1)
+	qa := drrQueue(d, 1)
+	qb := drrQueue(d, 1)
 	for i := 0; i < 5000; i++ {
 		d.EnqueueFlow(qa, mkPkt(64+rng.Intn(maxPkt-64)))
 		d.EnqueueFlow(qb, mkPkt(64+rng.Intn(maxPkt-64)))
@@ -213,8 +216,8 @@ func TestDRRIdleFlowNoCredit(t *testing.T) {
 	// A flow that goes idle must not bank deficit: after rejoining, it
 	// does not burst beyond quantum + maxPkt relative to fair share.
 	d := NewDRR(1000, 0)
-	qa := d.NewQueue(1)
-	qb := d.NewQueue(1)
+	qa := drrQueue(d, 1)
+	qb := drrQueue(d, 1)
 	for i := 0; i < 20; i++ {
 		d.EnqueueFlow(qb, mkPkt(1000))
 	}
@@ -237,7 +240,7 @@ func TestDRRIdleFlowNoCredit(t *testing.T) {
 
 func TestDRRQueueLimitDrops(t *testing.T) {
 	d := NewDRR(1500, 2)
-	q := d.NewQueue(1)
+	q := drrQueue(d, 1)
 	d.EnqueueFlow(q, mkPkt(10))
 	d.EnqueueFlow(q, mkPkt(10))
 	if err := d.EnqueueFlow(q, mkPkt(10)); err != ErrQueueFull {
@@ -248,32 +251,40 @@ func TestDRRQueueLimitDrops(t *testing.T) {
 	}
 }
 
-func TestDRRRemoveQueue(t *testing.T) {
+// TestDRRResetDropsOlderFlow: a newer generation claiming a slot resets
+// its queue in place — the older flow's packets leave the schedule —
+// and a packet of the older generation then gets no queue.
+func TestDRRResetDropsOlderFlow(t *testing.T) {
 	d := NewDRR(1500, 0)
-	qa := d.NewQueue(1)
-	qb := d.NewQueue(1)
+	qa, _ := d.Queue(0, 0)
+	qb, _ := d.Queue(1, 0)
 	d.EnqueueFlow(qa, mkPkt(10))
 	d.EnqueueFlow(qb, mkPkt(20))
-	d.RemoveQueue(qa)
-	if d.Len() != 1 {
-		t.Errorf("Len after remove = %d", d.Len())
+	q, fresh := d.Queue(0, 1)
+	if q != qa || !fresh {
+		t.Fatalf("newer generation got %p fresh=%v, want the slot's queue reset", q, fresh)
+	}
+	if d.Len() != 1 || qa.Len() != 0 {
+		t.Errorf("Len after reset = %d, queue holds %d", d.Len(), qa.Len())
 	}
 	p := d.Dequeue()
 	if p == nil || len(p.Data) != 20 {
-		t.Errorf("dequeue after remove = %v", p)
+		t.Errorf("dequeue after reset = %v", p)
 	}
 	if d.Dequeue() != nil {
-		t.Error("removed queue's packets still scheduled")
+		t.Error("the older flow's packets still scheduled")
 	}
-	// Enqueue to removed queue fails.
-	if err := d.EnqueueFlow(qa, mkPkt(1)); err == nil {
-		t.Error("enqueue to removed queue should fail")
+	if q, _ := d.Queue(0, 0); q != nil {
+		t.Error("an older generation got the newer flow's queue")
+	}
+	if q, fresh := d.Queue(0, 1); q != qa || fresh {
+		t.Error("the owner's next packet reset its queue again")
 	}
 }
 
 func TestDRREnqueueViaFIX(t *testing.T) {
 	d := NewDRR(1500, 0)
-	q := d.NewQueue(1)
+	q := drrQueue(d, 1)
 	p := mkPkt(100)
 	p.FIX = q
 	if err := d.Enqueue(p); err != nil {

@@ -38,7 +38,7 @@ import (
 // horizon for a guaranteed O(1) wheel and freedom from the fractional
 // weight livelock DRR's integer grant suffered.
 type Eiffel struct {
-	flowSet[*EiffelQueue] // quantum is the bucket width per unit weight
+	flowSet[EiffelQueue, *EiffelQueue] // quantum is the bucket width per unit weight
 
 	buckets [eiffelBuckets]eiffelBucket
 	l0      [eiffelWords]uint64
@@ -64,12 +64,12 @@ type eiffelBucket struct {
 	head, tail *EiffelQueue
 }
 
-// EiffelQueue is one flow's queue: the per-flow soft state the Eiffel
-// plugin hangs off the flow record, exactly as DRRQueue is for DRR.
+// EiffelQueue is one flow's queue: the per-flow soft state of the
+// Eiffel plugin, one slab entry per flow slot, exactly as DRRQueue is
+// for DRR.
 // Packets chain through pkt.Packet.QNext, so the queue itself is a
 // fixed-size header regardless of backlog.
 type EiffelQueue struct {
-	invW float64 // 1/(Weight×quantum): bucket advance per byte served
 	vfin float64 // virtual finish rank, in quantum units
 
 	head, tail *pkt.Packet // intrusive packet list (QNext)
@@ -88,20 +88,11 @@ type EiffelQueue struct {
 // one wheel bucket per unit weight (0 = 1500, one MTU-ish packet);
 // perQueueLimit bounds each flow queue (0 = 128 packets).
 func NewEiffel(quantum, perQueueLimit int) *Eiffel {
-	return &Eiffel{flowSet: newFlowSet[*EiffelQueue](quantum, perQueueLimit)}
-}
-
-// Horizon reports the wheel depth in quanta (ranks further ahead clamp
-// to the last bucket).
-func (e *Eiffel) Horizon() int { return eiffelBuckets }
-
-// NewQueue creates a flow queue with the given weight (<=0 means 1).
-//
-//eisr:slowpath
-func (e *Eiffel) NewQueue(weight float64) *EiffelQueue {
-	q := e.add(&EiffelQueue{parent: e}, weight)
-	q.invW = 1 / (q.Weight * float64(e.quantum))
-	return q
+	e := &Eiffel{}
+	e.flowSet = newFlowSet(quantum, perQueueLimit, func(q *EiffelQueue) {
+		q.parent, q.vfin = e, 0
+	})
+	return e
 }
 
 // Len reports the packets queued.
@@ -119,7 +110,6 @@ func (q *EiffelQueue) detach() {
 	if q.inBucket {
 		q.parent.unlink(q)
 	}
-	q.parent = nil
 }
 
 // EnqueueFlow admits a packet to a specific flow queue. An idle flow
@@ -154,8 +144,8 @@ func (e *Eiffel) EnqueueFlow(q *EiffelQueue, p *pkt.Packet) error {
 	return nil
 }
 
-// Enqueue implements Scheduler by taking the flow queue from the
-// packet's FIX soft state, so a bare Eiffel can sit behind the generic
+// Enqueue implements Scheduler by taking the flow queue (from Queue) in
+// the packet's FIX, so a bare Eiffel can sit behind the generic
 // link simulator. The plugin layer normally calls EnqueueFlow.
 //
 //eisr:fastpath
@@ -202,7 +192,7 @@ func (e *Eiffel) Dequeue() *pkt.Packet {
 	q.n--
 	e.total--
 	q.Served += uint64(len(p.Data))
-	q.vfin += float64(len(p.Data)) * q.invW
+	q.vfin += float64(len(p.Data)) / (q.Weight * float64(e.quantum))
 	if q.n > 0 {
 		e.insert(q)
 	}

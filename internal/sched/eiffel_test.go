@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -15,8 +16,8 @@ func (c *countOwner) ReleaseMbuf(p *pkt.Packet) { c.n++ }
 
 func TestEiffelRoundRobinEqualWeights(t *testing.T) {
 	e := NewEiffel(1500, 0)
-	qa := e.NewQueue(1)
-	qb := e.NewQueue(1)
+	qa := eiffelQueue(e, 1)
+	qb := eiffelQueue(e, 1)
 	for i := 0; i < 10; i++ {
 		e.EnqueueFlow(qa, mkPkt(1000))
 		e.EnqueueFlow(qb, mkPkt(1000))
@@ -39,7 +40,7 @@ func TestEiffelWeightedShares(t *testing.T) {
 	weights := []float64{1, 2, 4}
 	qs := make([]*EiffelQueue, len(weights))
 	for i, w := range weights {
-		qs[i] = e.NewQueue(w)
+		qs[i] = eiffelQueue(e, w)
 		for j := 0; j < 4000; j++ {
 			if err := e.EnqueueFlow(qs[i], mkPkt(500)); err != nil {
 				t.Fatal(err)
@@ -68,7 +69,7 @@ func TestEiffelWeightedShares(t *testing.T) {
 // the FFS scan keeps finding work across the wrap.
 func TestEiffelWheelWrap(t *testing.T) {
 	e := NewEiffel(1, 1<<20)
-	q := e.NewQueue(1)
+	q := eiffelQueue(e, 1)
 	const n = 200
 	for i := 0; i < n; i++ {
 		if err := e.EnqueueFlow(q, mkPkt(150)); err != nil {
@@ -93,8 +94,8 @@ func TestEiffelHorizonClampNoStarvation(t *testing.T) {
 	tel := telemetry.New()
 	e := NewEiffel(1500, 0)
 	e.SetTelemetry(tel.SchedMetrics("eiffel", "t"))
-	heavy := e.NewQueue(1)
-	light := e.NewQueue(1e-7)
+	heavy := eiffelQueue(e, 1)
+	light := eiffelQueue(e, 1e-7)
 	for i := 0; i < 20; i++ {
 		e.EnqueueFlow(heavy, mkPkt(1000))
 		e.EnqueueFlow(light, mkPkt(1000))
@@ -114,7 +115,7 @@ func TestEiffelHorizonClampNoStarvation(t *testing.T) {
 
 func TestEiffelQueueLimitDrops(t *testing.T) {
 	e := NewEiffel(1500, 2)
-	q := e.NewQueue(1)
+	q := eiffelQueue(e, 1)
 	e.EnqueueFlow(q, mkPkt(10))
 	e.EnqueueFlow(q, mkPkt(10))
 	if err := e.EnqueueFlow(q, mkPkt(10)); err != ErrQueueFull {
@@ -125,22 +126,27 @@ func TestEiffelQueueLimitDrops(t *testing.T) {
 	}
 }
 
-func TestEiffelRemoveQueueReleasesAndCounts(t *testing.T) {
+// TestEiffelResetReleasesAndCounts: the packets an evicted flow left in
+// its queue go back to their pool and count as evicted drops when the
+// slot's next flow claims the queue, and the backlog gauge follows.
+func TestEiffelResetReleasesAndCounts(t *testing.T) {
 	tel := telemetry.New()
 	e := NewEiffel(1500, 0)
 	e.SetTelemetry(tel.SchedMetrics("eiffel", "t"))
 	own := &countOwner{}
-	qa := e.NewQueue(1)
-	qb := e.NewQueue(1)
+	qa, _ := e.Queue(0, 7)
+	qb, _ := e.Queue(1, 7)
 	for i := 0; i < 3; i++ {
 		p := mkPkt(10)
 		p.Owner = own
 		e.EnqueueFlow(qa, p)
 	}
 	e.EnqueueFlow(qb, mkPkt(20))
-	e.RemoveQueue(qa)
+	if _, fresh := e.Queue(0, 8); !fresh {
+		t.Fatal("a newer generation did not claim the slot")
+	}
 	if e.Len() != 1 {
-		t.Errorf("Len after remove = %d", e.Len())
+		t.Errorf("Len after reset = %d", e.Len())
 	}
 	if own.n != 3 {
 		t.Errorf("released %d buffers, want 3", own.n)
@@ -153,27 +159,27 @@ func TestEiffelRemoveQueueReleasesAndCounts(t *testing.T) {
 	}
 	p := e.Dequeue()
 	if p == nil || len(p.Data) != 20 {
-		t.Errorf("dequeue after remove = %v", p)
+		t.Errorf("dequeue after reset = %v", p)
 	}
 	if e.Dequeue() != nil {
-		t.Error("removed queue's packets still scheduled")
+		t.Error("the older flow's packets still scheduled")
 	}
-	if err := e.EnqueueFlow(qa, mkPkt(1)); err == nil {
-		t.Error("enqueue to removed queue should fail")
+	if q, _ := e.Queue(0, 7); q != nil {
+		t.Error("an older generation got the newer flow's queue")
 	}
 }
 
 func TestEiffelPurgeIdle(t *testing.T) {
 	e := NewEiffel(1500, 0)
-	busy := e.NewQueue(1)
+	busy := eiffelQueue(e, 1)
 	for i := 0; i < 16; i++ {
-		e.NewQueue(1)
+		eiffelQueue(e, 1)
 	}
 	e.EnqueueFlow(busy, mkPkt(10))
 	if n := e.PurgeIdle(); n != 16 {
 		t.Errorf("purged %d idle queues, want 16", n)
 	}
-	if got := len(e.Queues()); got != 1 {
+	if got := e.slab.Owned(); got != 1 {
 		t.Errorf("%d queues left, want 1", got)
 	}
 	if e.Dequeue() == nil {
@@ -181,42 +187,43 @@ func TestEiffelPurgeIdle(t *testing.T) {
 	}
 }
 
-// PurgeIdle and RemoveQueue swap queues around the live set; interleaved
-// idle and busy queues must come out exactly right, and every survivor
-// must stay removable.
+// PurgeIdle releases slab entries in place; interleaved idle and busy
+// queues must come out exactly right, and Clear must take the
+// survivors and their packets.
 func TestEiffelPurgeIdleInterleaved(t *testing.T) {
 	e := NewEiffel(1500, 0)
-	var busy []*EiffelQueue
+	var busy []uint32
 	for i := 0; i < 12; i++ {
-		q := e.NewQueue(1)
+		q := eiffelQueue(e, 1)
 		if i%3 == 0 {
 			e.EnqueueFlow(q, mkPkt(10))
-			busy = append(busy, q)
+			busy = append(busy, uint32(i))
 		}
 	}
 	if n := e.PurgeIdle(); n != 8 {
 		t.Errorf("purged %d idle queues, want 8", n)
 	}
-	live := e.Queues()
-	if len(live) != len(busy) {
-		t.Fatalf("%d queues left, want %d", len(live), len(busy))
-	}
-	for i, q := range live {
-		if q.n != 1 || q.idx != i {
-			t.Errorf("queue %d: backlog %d, index %d", i, q.n, q.idx)
+	var live []uint32
+	e.Each(func(slot uint32, _ uint64, q *EiffelQueue) {
+		if q.n != 1 {
+			t.Errorf("slot %d: backlog %d", slot, q.n)
 		}
+		live = append(live, slot)
+	})
+	if fmt.Sprint(live) != fmt.Sprint(busy) {
+		t.Fatalf("slots left %v, want %v", live, busy)
 	}
-	for _, q := range busy {
-		e.RemoveQueue(q)
+	if n := e.Clear(); n != len(busy) || e.slab.Owned() != 0 || e.Len() != 0 {
+		t.Errorf("clear released %d: %d queues, %d packets left", n, e.slab.Owned(), e.Len())
 	}
-	if len(e.Queues()) != 0 || e.Len() != 0 {
-		t.Errorf("after removing the survivors: %d queues, %d packets", len(e.Queues()), e.Len())
+	if e.Dequeue() != nil {
+		t.Error("a cleared queue's packet still scheduled")
 	}
 }
 
 func TestEiffelEnqueueViaFIX(t *testing.T) {
 	e := NewEiffel(1500, 0)
-	q := e.NewQueue(1)
+	q := eiffelQueue(e, 1)
 	p := mkPkt(100)
 	p.FIX = q
 	if err := e.Enqueue(p); err != nil {
@@ -234,8 +241,8 @@ func TestEiffelIdleFlowNoCredit(t *testing.T) {
 	// A flow that sleeps must re-activate at the current virtual time,
 	// not burst on banked rank it never used.
 	e := NewEiffel(1000, 0)
-	qa := e.NewQueue(1)
-	qb := e.NewQueue(1)
+	qa := eiffelQueue(e, 1)
+	qb := eiffelQueue(e, 1)
 	for i := 0; i < 20; i++ {
 		e.EnqueueFlow(qb, mkPkt(1000))
 	}
@@ -260,7 +267,7 @@ func TestEiffelIdleFlowNoCredit(t *testing.T) {
 // into a test failure instead of a hung suite.
 func TestDRRFractionalWeightNoLivelock(t *testing.T) {
 	d := NewDRR(1500, 0)
-	q := d.NewQueue(0.0001)
+	q := drrQueue(d, 0.0001)
 	for i := 0; i < 5; i++ {
 		if err := d.EnqueueFlow(q, mkPkt(1000)); err != nil {
 			t.Fatal(err)
@@ -284,21 +291,21 @@ func TestDRRFractionalWeightNoLivelock(t *testing.T) {
 	}
 }
 
-// TestDRRRemoveQueueTelemetry pins the backlog bookkeeping of a purge:
-// the evicted drop count grows, the backlog gauge shrinks, and the queued
+// TestDRRResetTelemetry pins the backlog bookkeeping of a reset: the
+// evicted drop count grows, the backlog gauge shrinks, and the queued
 // packets return their buffers.
-func TestDRRRemoveQueueTelemetry(t *testing.T) {
+func TestDRRResetTelemetry(t *testing.T) {
 	tel := telemetry.New()
 	d := NewDRR(1500, 0)
 	d.SetTelemetry(tel.SchedMetrics("drr", "t"))
 	own := &countOwner{}
-	q := d.NewQueue(1)
+	q, _ := d.Queue(0, 0)
 	for i := 0; i < 4; i++ {
 		p := mkPkt(10)
 		p.Owner = own
 		d.EnqueueFlow(q, p)
 	}
-	d.RemoveQueue(q)
+	d.Queue(0, 1)
 	if own.n != 4 {
 		t.Errorf("released %d buffers, want 4", own.n)
 	}

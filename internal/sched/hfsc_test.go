@@ -3,6 +3,8 @@ package sched
 import (
 	"math"
 	"testing"
+
+	"github.com/routerplugins/eisr/internal/aiu"
 )
 
 // fill enqueues n packets of size bytes into a class at time t.
@@ -270,8 +272,8 @@ func TestHSFDRRLeaf(t *testing.T) {
 	leafQ := NewDRRLeaf(1500)
 	ls := LinearCurve(1e6)
 	cls, _ := h.AddClass("shared", nil, nil, &ls, nil, leafQ)
-	f1 := leafQ.DRR.NewQueue(1)
-	f2 := leafQ.DRR.NewQueue(1)
+	f1 := drrQueue(leafQ.DRR, 1)
+	f2 := drrQueue(leafQ.DRR, 1)
 	for i := 0; i < 100; i++ {
 		p := mkPkt(1000)
 		p.FIX = f1
@@ -294,6 +296,57 @@ func TestHSFDRRLeaf(t *testing.T) {
 	d := int64(f1.Served) - int64(f2.Served)
 	if d < -3000 || d > 3000 {
 		t.Errorf("intra-class fairness: f1=%d f2=%d", f1.Served, f2.Served)
+	}
+}
+
+// slotFIX stands in for the AIU's flow record in a packet's FIX: a flow
+// slot and nothing else.
+type slotFIX uint32
+
+func (f slotFIX) Slot() uint32 { return uint32(f) }
+
+// The AIU's flow record is the FIX a per-flow leaf keys its queues by.
+var _ flowSlotter = (*aiu.FlowRecord)(nil)
+
+// TestDRRLeafPerFlowSlots: a per-flow leaf queues each flow record's
+// packets at the record's slot, keyed by the FIX generation: a newer
+// flow in the slot resets the queue, dropping the older flow's packets,
+// a late packet of the older flow is refused, and a packet with no flow
+// record goes to the default queue.
+func TestDRRLeafPerFlowSlots(t *testing.T) {
+	l := NewDRRLeaf(1500)
+	l.PerFlow = true
+	enq := func(slot uint32, gen uint64) error {
+		p := mkPkt(100)
+		p.FIX, p.FIXGen = slotFIX(slot), gen
+		return l.Enqueue(p)
+	}
+	for _, f := range []struct {
+		slot uint32
+		gen  uint64
+	}{{0, 0}, {0, 0}, {7, 3}} {
+		if err := enq(f.slot, f.gen); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Enqueue(mkPkt(100)); err != nil {
+		t.Fatal(err)
+	}
+	if got := l.DRR.slab.Owned(); got != 3 {
+		t.Fatalf("owned queues = %d, want 3 (default, slot 0, slot 7)", got)
+	}
+	if q, _ := l.DRR.Queue(1, 0); q.Len() != 2 {
+		t.Fatalf("flow slot 0 holds %d packets, want 2", q.Len())
+	}
+	// Slot 0's record now belongs to a newer flow.
+	if err := enq(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if q, _ := l.DRR.Queue(1, 1); q.Len() != 1 || l.DRR.Len() != 3 {
+		t.Fatalf("after reset: slot queue %d packets, backlog %d; want 1, 3", q.Len(), l.DRR.Len())
+	}
+	if err := enq(0, 0); err != ErrNoQueue {
+		t.Fatalf("late packet of the older flow: err = %v, want ErrNoQueue", err)
 	}
 }
 

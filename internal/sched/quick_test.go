@@ -78,7 +78,7 @@ func TestQuickDRRConservation(t *testing.T) {
 		d := NewDRR(1500, nPkts+1)
 		qs := make([]*DRRQueue, nFlows)
 		for i := range qs {
-			qs[i] = d.NewQueue(float64(1 + rng.Intn(4)))
+			qs[i] = drrQueue(d, float64(1+rng.Intn(4)))
 		}
 		in := 0
 		for i := 0; i < nPkts; i++ {
@@ -111,7 +111,7 @@ func TestQuickEiffelConservation(t *testing.T) {
 		for i := range qs {
 			// Weights spanning nine orders of magnitude: tiny weights
 			// exercise the horizon clamp, not a livelock.
-			qs[i] = e.NewQueue(math.Pow(10, -float64(rng.Intn(9))) * float64(1+rng.Intn(4)))
+			qs[i] = eiffelQueue(e, math.Pow(10, -float64(rng.Intn(9)))*float64(1+rng.Intn(4)))
 		}
 		in := 0
 		for i := 0; i < nPkts; i++ {
@@ -148,8 +148,8 @@ func TestQuickEiffelDRRFairness(t *testing.T) {
 		eqs := make([]*EiffelQueue, nFlows)
 		for i := 0; i < nFlows; i++ {
 			w := float64(1 + rng.Intn(4))
-			dqs[i] = d.NewQueue(w)
-			eqs[i] = e.NewQueue(w)
+			dqs[i] = drrQueue(d, w)
+			eqs[i] = eiffelQueue(e, w)
 		}
 		// Identical arrivals, heavy enough to stay backlogged throughout.
 		const perFlow = 600
@@ -219,12 +219,12 @@ func TestQuickSchedDrainAnyWeight(t *testing.T) {
 			}
 		}
 		d := NewDRR(1500, 0)
-		dq := d.NewQueue(weight)
+		dq := drrQueue(d, weight)
 		if !drain(d, func(p *pkt.Packet) error { return d.EnqueueFlow(dq, p) }) {
 			return false
 		}
 		e := NewEiffel(1500, 0)
-		eq := e.NewQueue(weight)
+		eq := eiffelQueue(e, weight)
 		return drain(e, func(p *pkt.Packet) error { return e.EnqueueFlow(eq, p) })
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {

@@ -250,7 +250,7 @@ func (t *Telemetry) SchedMetrics(plugin, instance string) *SchedMetrics {
 		dequeued: t.Counter("eisr_sched_dequeued_total", "packets handed to the link by the scheduling discipline", l...),
 		clamps:   t.Counter("eisr_sched_horizon_clamps_total", "flow ranks clamped to the scheduling wheel horizon (Eiffel)", l...),
 		backlog:  t.Gauge("eisr_sched_backlog", "packets queued across all flows of the instance", l...),
-		queues:   t.Gauge("eisr_sched_queues", "live per-flow queues of the instance", l...),
+		queues:   t.Gauge("eisr_sched_queues", "per-flow queues the instance holds: flow slots claimed and not released", l...),
 		deficit:  t.Histogram("eisr_sched_deficit_bytes", "DRR per-flow deficit observed at dequeue", l...),
 	}
 	t.Drops("sched", func(why pkt.DropReason) uint64 { return m.drops[why].Load() }, l, pkt.DropEvicted)
@@ -307,8 +307,8 @@ func (m *SchedMetrics) RecordHorizonClamp() {
 	m.clamps.Inc()
 }
 
-// SetQueues publishes the live per-flow queue count (control path:
-// queue create/remove).
+// SetQueues publishes the count of per-flow queues the instance holds:
+// flow slots claimed and not released (a flow's first packet, purge).
 func (m *SchedMetrics) SetQueues(n int) {
 	if m == nil {
 		return

@@ -446,28 +446,36 @@ func aiuRegistryCase(t *testing.T) (*telemetry.Telemetry, []statPair) {
 
 // schedRegistryCase drives one DRR instance's metric set: admitted and
 // served packets, a queue-limit rejection (the core's to count, so no
-// scheduler drop moves), and a flow queue removed with packets still
-// queued, which the scheduler counts as evicted. The instance registers
+// scheduler drop moves), and a flow queue reset for a newer flow with
+// packets still queued, which the scheduler counts as evicted. The instance registers
 // its cells at creation, so it has no before-attach phase.
 func schedRegistryCase(t *testing.T) (*telemetry.Telemetry, []statPair) {
 	tel := telemetry.New()
 	d := sched.NewDRR(1500, 4)
 	d.SetTelemetry(tel.SchedMetrics("drr", "t"))
 	good := udpDatagram(t, "20.0.0.1", 3, 8)
-	qa, qb := d.NewQueue(1), d.NewQueue(1)
+	qa, _ := d.Queue(0, 0)
+	qb, _ := d.Queue(1, 0)
 	for i := 0; i < 5; i++ { // the fifth is over the queue limit
 		d.EnqueueFlow(qa, newTestPacket(t, good, 0))
 	}
 	d.EnqueueFlow(qb, newTestPacket(t, good, 0))
 	d.Dequeue()
 	evicted := qa.Len()
-	d.RemoveQueue(qa)
+	d.Queue(0, 1)
 	l := `{plugin="drr",instance="t"}`
 	return tel, []statPair{
-		{field: "evicted (backlog of the removed queue)", stat: uint64(evicted),
+		{field: "evicted (backlog of the reset queue)", stat: uint64(evicted),
 			metrics: []string{`eisr_drops_total{layer="sched",plugin="drr",instance="t",reason="evicted"}`}},
 		{field: "Len", stat: uint64(d.Len()), metrics: []string{"eisr_sched_backlog" + l + "#gauge"}},
-		{field: "Queues", stat: uint64(len(d.Queues())), metrics: []string{"eisr_sched_queues" + l + "#gauge"}},
+		{field: "Owned", stat: uint64(owned(d)), metrics: []string{"eisr_sched_queues" + l + "#gauge"}},
 		{field: "enqueued", stat: uint64(d.Len() + evicted + 1), metrics: []string{"eisr_sched_enqueued_total" + l}},
 	}
+}
+
+// owned counts a per-flow scheduler's owned queues.
+func owned(d *sched.DRR) int {
+	n := 0
+	d.Each(func(uint32, uint64, *sched.DRRQueue) { n++ })
+	return n
 }
