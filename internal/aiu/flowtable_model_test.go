@@ -3,6 +3,7 @@ package aiu
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -311,6 +312,8 @@ func TestFlowTableOverflowChains(t *testing.T) {
 // index under the shard's write lock — and then recycles past the cap
 // (run with -race). A reader must never be handed another flow's
 // record, nor, through a generation it captured, another flow's binds.
+// Writer and readers yield every few operations, so that on one CPU too
+// the lookups run against a table partway through growing and recycling.
 func TestFlowTableRehashRace(t *testing.T) {
 	const (
 		flows   = 512
@@ -334,6 +337,9 @@ func TestFlowTableRehashRace(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := g; !stop.Load(); i++ {
+				if i%64 == 0 {
+					runtime.Gosched()
+				}
 				f := i % flows
 				rec, gen := table.Load().LookupGen(key(f), now, nil)
 				if rec == nil {
@@ -356,6 +362,9 @@ func TestFlowTableRehashRace(t *testing.T) {
 		table.Store(ft)
 		for i := 0; i < 2*flows; i++ {
 			f := (i*7 + r) % flows
+			if i%16 == 0 {
+				runtime.Gosched()
+			}
 			before := ft.Stats().Alloc
 			ft.Insert(key(f), now, []*FilterRecord{{Instance: insts[f], Private: &flowState{flow: f}}})
 			if ft.Stats().Alloc > before {

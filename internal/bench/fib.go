@@ -297,6 +297,9 @@ func RunFIBChurn(opts FIBChurnOptions) (FIBChurnResult, error) {
 		return res, fmt.Errorf("fib-churn: sink: %w", err)
 	}
 	defer sink.Close()
+	if _, err := netio.SizeReadBuffer(sink, netio.RcvbufFor(wireMTU)); err != nil {
+		return res, fmt.Errorf("fib-churn: sink: %w", err)
+	}
 
 	a, b, err := buildFIBWirePair(opts.Kind, opts.Routes, sink.LocalAddr().String())
 	if err != nil {
@@ -354,8 +357,8 @@ func RunFIBChurn(opts FIBChurnOptions) (FIBChurnResult, error) {
 
 	sendRange := func(from, to int) error {
 		for i := from; i < to; i++ {
-			if err := awaitWindow(int64(i), received.Load, int64(opts.Window), windowStall); err != nil {
-				return err
+			if err := netio.AwaitWindow(int64(i), received.Load, int64(opts.Window), netio.WindowStall); err != nil {
+				return fmt.Errorf("fib-churn: %w", err)
 			}
 			data, err := wireDatagram(uint32(i))
 			if err != nil {
@@ -367,17 +370,16 @@ func RunFIBChurn(opts FIBChurnOptions) (FIBChurnResult, error) {
 		}
 		return nil
 	}
+	// drain waits for deliveries up to target while they keep coming;
+	// a stall is a loss, which Lost reports.
 	drain := func(target int64) error {
-		deadline := time.Now().Add(30 * time.Second)
-		for received.Load() < target && time.Now().Before(deadline) {
-			select {
-			case err := <-sinkErr:
-				return err
-			default:
-			}
-			time.Sleep(time.Millisecond)
+		_ = netio.AwaitWindow(target, received.Load, 1, netio.WindowStall)
+		select {
+		case err := <-sinkErr:
+			return err
+		default:
+			return nil
 		}
-		return nil
 	}
 
 	half := opts.Packets / 2
@@ -451,27 +453,6 @@ func RunFIBChurn(opts FIBChurnOptions) (FIBChurnResult, error) {
 	return res, nil
 }
 
-// windowStall bounds how long a full send window may go without one
-// delivery. Past it a datagram was lost in a kernel socket buffer, and
-// the window would never reopen.
-const windowStall = 2 * time.Second
-
-// awaitWindow blocks while sent-received fills the window. It fails,
-// naming sent and received, once received has not moved for stall.
-func awaitWindow(sent int64, received func() int64, window int64, stall time.Duration) error {
-	last, moved := received(), time.Now()
-	for sent-last >= window {
-		if time.Since(moved) > stall {
-			return fmt.Errorf("fib-churn: no delivery for %v with the window full: sent %d, received %d", stall, sent, last)
-		}
-		time.Sleep(50 * time.Microsecond)
-		if r := received(); r != last {
-			last, moved = r, time.Now()
-		}
-	}
-	return nil
-}
-
 // buildFIBWirePair assembles the churn topology: router A carries the
 // full-scale FIB (plus the default route the test traffic rides) and
 // feeds router B over a UDP wire; B's egress link points at the sink.
@@ -482,7 +463,7 @@ func buildFIBWirePair(kind string, routes int, sinkAddr string) (a, b *eisr.Rout
 			return nil, err
 		}
 		for idx, name := range []string{"lan", "wan"} {
-			ifc := netdev.NewInterface(int32(idx), netdev.Config{Name: name, MTU: 1500})
+			ifc := netdev.NewInterface(int32(idx), netdev.Config{Name: name, MTU: wireMTU})
 			r.Core.AddInterface(ifc)
 		}
 		if err := r.AddRoute("0.0.0.0/0 dev 1"); err != nil {

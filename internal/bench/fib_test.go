@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"github.com/routerplugins/eisr/internal/bmp"
+	"github.com/routerplugins/eisr/internal/netio"
 	"github.com/routerplugins/eisr/internal/routing"
 )
 
@@ -83,22 +84,22 @@ func TestFIBChurnSmall(t *testing.T) {
 	t.Logf("\n%s", FIBChurnTable(res))
 }
 
-// TestAwaitWindow: the churn sender's window wait returns once a
-// delivery reopens the window, and fails, naming sent and received,
-// when deliveries stop with the window full.
+// TestAwaitWindow: the wire senders' window wait (netio.AwaitWindow)
+// returns once a delivery reopens the window, and fails, naming sent
+// and received, when deliveries stop with the window full.
 func TestAwaitWindow(t *testing.T) {
 	var n atomic.Int64
 	go func() {
 		time.Sleep(5 * time.Millisecond)
 		n.Store(7)
 	}()
-	if err := awaitWindow(10, n.Load, 4, time.Second); err != nil {
+	if err := netio.AwaitWindow(10, n.Load, 4, time.Second); err != nil {
 		t.Fatalf("window reopened by a delivery: %v", err)
 	}
 
 	stalled := func() int64 { return 5 }
 	start := time.Now()
-	err := awaitWindow(10, stalled, 4, 20*time.Millisecond)
+	err := netio.AwaitWindow(10, stalled, 4, 20*time.Millisecond)
 	if err == nil || !strings.Contains(err.Error(), "sent 10, received 5") {
 		t.Fatalf("stalled deliveries: err %v, want one naming sent 10, received 5", err)
 	}

@@ -17,12 +17,18 @@ import (
 // harness sockets are detected rather than miscounted.
 const wireMagic = 0xE15EBE7C
 
+// wireMTU is the MTU of the harness routers' interfaces, and the one
+// their sinks' receive buffers are sized for.
+const wireMTU = 1500
+
 // WireOptions parameterizes the wire experiment.
 type WireOptions struct {
 	// Packets is the number of UDP-encapsulated datagrams to push
 	// (default 10_000; `-exp all` uses a smaller smoke size).
 	Packets int
-	// Window bounds the in-flight packet count (default 256).
+	// Window caps the in-flight packet count (default 256); the
+	// smallest socket receive buffer on the path may bound it lower
+	// (netio.Window).
 	Window int
 	// Daemon, when set, drives a live eisrd instead of an in-process
 	// topology: the harness sends wire datagrams to this address (the
@@ -49,8 +55,14 @@ type WireResult struct {
 	Packets    int
 	Received   int
 	Duplicates int
-	Elapsed    time.Duration
-	Daemon     bool
+	// Elapsed runs from the first send to the last delivery.
+	Elapsed time.Duration
+	Daemon  bool
+	// Window is the in-flight bound the source kept.
+	Window int
+	// SinkRcvbufDrops counts datagrams the kernel dropped at the
+	// sink's own receive buffer.
+	SinkRcvbufDrops uint64
 	// Links snapshots each in-process hop (empty in daemon mode; use
 	// `pmgr links` and `pmgr stats` there).
 	Links []WireHop
@@ -95,8 +107,15 @@ func RunWire(opts WireOptions) (WireResult, error) {
 		return WireResult{}, fmt.Errorf("wire: sink bind: %w", err)
 	}
 	defer sink.Close()
+	sinkRcvbuf, err := netio.SizeReadBuffer(sink, netio.RcvbufFor(wireMTU))
+	if err != nil {
+		return WireResult{}, fmt.Errorf("wire: sink: %w", err)
+	}
 
 	res := WireResult{Packets: opts.Packets, Daemon: opts.Daemon != ""}
+	// The receive buffers granted on the path (a daemon's links are
+	// its own to size).
+	granted := []int{sinkRcvbuf}
 
 	// The ingress: either a live daemon's link socket or an in-process
 	// two-router topology whose first hop we inject into directly.
@@ -121,12 +140,12 @@ func RunWire(opts WireOptions) (WireResult, error) {
 			return err
 		}
 	} else {
-		a, b, linkA, linkBOut, err := buildWirePair(opts.Workers, opts.Batch)
+		a, b, err := buildWirePair(opts.Workers, opts.Batch, sink.LocalAddr().String())
 		if err != nil {
 			return res, err
 		}
-		if err := linkBOut.SetPeer(sink.LocalAddr().String()); err != nil {
-			return res, err
+		for _, li := range append(a.LinksReport(), b.LinksReport()...) {
+			granted = append(granted, li.RcvbufGranted)
 		}
 		a.Start()
 		defer a.Stop()
@@ -143,16 +162,21 @@ func RunWire(opts WireOptions) (WireResult, error) {
 			}
 		}
 		snapshotLinks = func() []WireHop {
-			return []WireHop{
-				{linkA.LinkInfo(), a.Interface(1).Stats()},
-				{linkBOut.LinkInfo(), b.Interface(1).Stats()},
+			var hops []WireHop
+			for _, r := range []*eisr.Router{a, b} {
+				for _, li := range r.LinksReport() {
+					hops = append(hops, WireHop{li, r.Interface(li.Iface).Stats()})
+				}
 			}
+			return hops
 		}
 	}
 
-	// The sink: verify and count every delivery.
+	// The sink: verify and count every delivery, and note when the
+	// last one arrived.
 	var received atomic.Int64
 	var duplicates atomic.Int64
+	var lastDelivery atomic.Int64
 	seen := make([]atomic.Bool, opts.Packets)
 	sinkErr := make(chan error, 1)
 	go func() {
@@ -182,14 +206,33 @@ func RunWire(opts WireOptions) (WireResult, error) {
 				duplicates.Add(1)
 				continue
 			}
+			lastDelivery.Store(time.Now().UnixNano())
 			received.Add(1)
 		}
 	}()
+	sinkFailed := func() error {
+		select {
+		case err := <-sinkErr:
+			return err
+		default:
+			return nil
+		}
+	}
 
+	// The source keeps at most a window in flight, and a window that
+	// stops moving means a packet was lost: fail at once.
+	probe, err := wireDatagram(0)
+	if err != nil {
+		return res, err
+	}
+	res.Window = netio.Window(len(probe), opts.Window, granted...)
 	start := time.Now()
 	for i := 0; i < opts.Packets; i++ {
-		for int64(i)-received.Load() >= int64(opts.Window) {
-			time.Sleep(50 * time.Microsecond)
+		if err := netio.AwaitWindow(int64(i), received.Load, int64(res.Window), netio.WindowStall); err != nil {
+			if serr := sinkFailed(); serr != nil {
+				return res, serr
+			}
+			return res, fmt.Errorf("wire: %w", err)
 		}
 		data, err := wireDatagram(uint32(i))
 		if err != nil {
@@ -199,18 +242,17 @@ func RunWire(opts WireOptions) (WireResult, error) {
 			return res, fmt.Errorf("wire: inject %d: %w", i, err)
 		}
 	}
-	deadline := time.Now().Add(30 * time.Second)
-	for received.Load() < int64(opts.Packets) && time.Now().Before(deadline) {
-		select {
-		case err := <-sinkErr:
-			return res, err
-		default:
-		}
-		time.Sleep(time.Millisecond)
+	// The rest arrive or stall; a stall is a loss, which Lost reports.
+	_ = netio.AwaitWindow(int64(opts.Packets), received.Load, 1, netio.WindowStall)
+	if err := sinkFailed(); err != nil {
+		return res, err
 	}
-	res.Elapsed = time.Since(start)
+	if last := lastDelivery.Load(); last > 0 {
+		res.Elapsed = time.Unix(0, last).Sub(start)
+	}
 	res.Received = int(received.Load())
 	res.Duplicates = int(duplicates.Load())
+	res.SinkRcvbufDrops, _ = netio.SocketDrops(sink) // 0 where the platform keeps no count
 	if snapshotLinks != nil {
 		res.Links = snapshotLinks()
 	}
@@ -219,16 +261,15 @@ func RunWire(opts WireOptions) (WireResult, error) {
 
 // buildWirePair assembles the in-process topology: router A (ingress
 // ring, drr at the sched gate, egress on a UDP link) wired to router B
-// (UDP ingress link, UDP egress link whose peer the caller points at
-// the sink).
-func buildWirePair(workers, batch int) (a, b *eisr.Router, linkA, linkBOut *netio.UDPLink, err error) {
+// (UDP ingress link, UDP egress link to the sink).
+func buildWirePair(workers, batch int, sinkAddr string) (a, b *eisr.Router, err error) {
 	mk := func() (*eisr.Router, error) {
 		r, err := eisr.New(eisr.Options{VerifyChecksums: true, Workers: workers, BatchSize: batch})
 		if err != nil {
 			return nil, err
 		}
 		for idx, name := range []string{"lan", "wan"} {
-			ifc := netdev.NewInterface(int32(idx), netdev.Config{Name: name, MTU: 1500})
+			ifc := netdev.NewInterface(int32(idx), netdev.Config{Name: name, MTU: wireMTU})
 			r.Core.AddInterface(ifc)
 		}
 		if err := r.AddRoute("0.0.0.0/0 dev 1"); err != nil {
@@ -237,35 +278,36 @@ func buildWirePair(workers, batch int) (a, b *eisr.Router, linkA, linkBOut *neti
 		return r, nil
 	}
 	if a, err = mk(); err != nil {
-		return nil, nil, nil, nil, err
+		return nil, nil, err
 	}
 	if b, err = mk(); err != nil {
-		return nil, nil, nil, nil, err
+		return nil, nil, err
 	}
 	if err = a.LoadPlugin("drr"); err != nil {
-		return nil, nil, nil, nil, err
+		return nil, nil, err
 	}
 	inst, err := a.CreateInstance("drr", map[string]string{"iface": "1"})
 	if err != nil {
-		return nil, nil, nil, nil, err
+		return nil, nil, err
 	}
 	if err = a.Register("drr", inst, map[string]string{"filter": "*, *, *, *, *, *", "weight": "2"}); err != nil {
-		return nil, nil, nil, nil, err
+		return nil, nil, err
 	}
-	if linkA, err = a.AttachUDPLink(1, "127.0.0.1:0", ""); err != nil {
-		return nil, nil, nil, nil, err
+	linkA, err := a.AttachUDPLink(1, "127.0.0.1:0", "")
+	if err != nil {
+		return nil, nil, err
 	}
 	linkBIn, err := b.AttachUDPLink(0, "127.0.0.1:0", "")
 	if err != nil {
-		return nil, nil, nil, nil, err
+		return nil, nil, err
 	}
-	if linkBOut, err = b.AttachUDPLink(1, "127.0.0.1:0", ""); err != nil {
-		return nil, nil, nil, nil, err
+	if _, err = b.AttachUDPLink(1, "127.0.0.1:0", sinkAddr); err != nil {
+		return nil, nil, err
 	}
 	if err = linkA.SetPeer(linkBIn.LocalAddr()); err != nil {
-		return nil, nil, nil, nil, err
+		return nil, nil, err
 	}
-	return a, b, linkA, linkBOut, nil
+	return a, b, nil
 }
 
 // wireDatagram builds the IP datagram for one sequence number. A few
@@ -284,22 +326,24 @@ func wireDatagram(seq uint32) ([]byte, error) {
 func WireTable(r WireResult) *Table {
 	t := &Table{
 		Title:  "Wire: UDP overlay links, end-to-end over real sockets",
-		Header: []string{"packets", "received", "lost", "dup", "elapsed", "pkts/s"},
+		Header: []string{"packets", "received", "lost", "dup", "window", "elapsed", "pkts/s"},
 	}
 	pps := "-"
 	if r.Elapsed > 0 {
 		pps = fmtRate(float64(r.Received) / r.Elapsed.Seconds())
 	}
 	t.Add(fmt.Sprint(r.Packets), fmt.Sprint(r.Received), fmt.Sprint(r.Lost()),
-		fmt.Sprint(r.Duplicates), r.Elapsed.Round(time.Millisecond).String(), pps)
+		fmt.Sprint(r.Duplicates), fmt.Sprint(r.Window), r.Elapsed.Round(time.Millisecond).String(), pps)
 	if r.Daemon {
 		t.Note("driven against a live eisrd; interface counters via `pmgr stats`, wire-only ones via `pmgr links`")
 	}
+	t.Note("sink: kernel rcvbuf drops %d", r.SinkRcvbufDrops)
 	for _, h := range r.Links {
 		li, s := h.Link, h.Iface
-		t.Note("%s (%s %s -> %s): rx %d tx %d drops rx=%d tx=%d; wire tx %d bad-path=%d errs=%d avg-batch %.1f",
+		t.Note("%s (%s %s -> %s): rx %d tx %d drops rx=%d tx=%d; wire tx %d bad-path=%d rcvbuf=%d (buffer %d B, asked %d) errs=%d avg-batch %.1f",
 			li.Name, li.Kind, li.Local, li.Peer, s.RxPackets, s.TxPackets, s.RxDrops, s.TxDrops,
-			li.Stats.TxPackets, li.Stats.RxDropBadPath, li.Stats.TxErrors, li.Stats.AvgBatch)
+			li.Stats.TxPackets, li.Stats.RxDropBadPath, li.Stats.RxDropRcvbuf, li.RcvbufGranted, li.RcvbufRequested,
+			li.Stats.TxErrors, li.Stats.AvgBatch)
 	}
 	return t
 }

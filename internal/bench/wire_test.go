@@ -10,11 +10,11 @@ func TestRunWireInProcess(t *testing.T) {
 	if res.Lost() != 0 {
 		t.Fatalf("lost %d of %d packets: %+v", res.Lost(), res.Packets, res)
 	}
-	if len(res.Links) != 2 {
-		t.Errorf("want 2 link snapshots, got %d", len(res.Links))
+	if len(res.Links) != 3 {
+		t.Errorf("want 3 link snapshots, got %d", len(res.Links))
 	}
 	for _, h := range res.Links {
-		if h.Link.Stats.TxErrors != 0 || h.Iface.RxDrops+h.Iface.TxDrops != 0 {
+		if h.Link.Stats.TxErrors+h.Link.Stats.RxDropRcvbuf != 0 || h.Iface.RxDrops+h.Iface.TxDrops != 0 {
 			t.Errorf("link %s saw wire trouble: %+v %+v", h.Link.Name, h.Link.Stats, h.Iface)
 		}
 	}

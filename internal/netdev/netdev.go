@@ -59,6 +59,7 @@ type Driver interface {
 // once, in the interface's Stats.
 type LinkStats struct {
 	RxDropBadPath  uint64  `json:"rx_drop_bad_path"` // path-trace encapsulation failed to decode
+	RxDropRcvbuf   uint64  `json:"rx_drop_rcvbuf"`   // the kernel dropped: the socket receive buffer was full
 	RxErrTransient uint64  `json:"rx_err_transient"` // transient socket read errors (skipped, not fatal)
 	TxPackets      uint64  `json:"tx_packets"`       // datagrams written to the socket
 	TxBytes        uint64  `json:"tx_bytes"`
@@ -72,13 +73,18 @@ type LinkStats struct {
 // LinkInfo describes a wire-backed interface for operator tooling (the
 // "pmgr links" payload).
 type LinkInfo struct {
-	Iface   int32     `json:"iface"`
-	Name    string    `json:"name"`
-	Kind    string    `json:"kind"`
-	Local   string    `json:"local"`
-	Peer    string    `json:"peer"`
-	Running bool      `json:"running"`
-	Stats   LinkStats `json:"stats"`
+	Iface   int32  `json:"iface"`
+	Name    string `json:"name"`
+	Kind    string `json:"kind"`
+	Local   string `json:"local"`
+	Peer    string `json:"peer"`
+	Running bool   `json:"running"`
+	// RcvbufRequested is the socket receive buffer the link asked the
+	// kernel for; RcvbufGranted is what the kernel reports it holds
+	// (0 where the platform cannot say).
+	RcvbufRequested int       `json:"rcvbuf_requested"`
+	RcvbufGranted   int       `json:"rcvbuf_granted"`
+	Stats           LinkStats `json:"stats"`
 }
 
 // LinkReporter is implemented by drivers that can describe their link.

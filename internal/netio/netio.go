@@ -23,13 +23,19 @@
 //     drain goroutine. The handoff is non-blocking: when the TX ring is
 //     full the packet is dropped and counted (netdev.ErrRingFull) —
 //     wire backpressure never blocks a forwarding worker.
+//   - Receive buffer: each socket asks for enough to hold one full peer
+//     TX ring of MTU-sized datagrams (RcvbufFor), so a burst that lands
+//     while the RX goroutine is off the CPU waits in the kernel instead
+//     of being dropped there; what the kernel still drops is read from
+//     its per-socket count and exported as layer "kernel".
 //   - Lifecycle: links start and stop with Router.Start/Stop. Stop
 //     closes the socket to unblock the RX read and joins both
 //     goroutines before returning, so sockets close cleanly and the
 //     epoch reclaimer can still quiesce.
 //   - Counters: a link counts only what the wire alone sees (a bad
-//     path-trace header, transient read errors, socket writes and their
-//     errors, batch sizes) — `pmgr links`. A datagram that reached the
+//     path-trace header, the kernel's drops at its full receive buffer,
+//     transient read errors, socket writes and their errors, batch
+//     sizes) — `pmgr links`. A datagram that reached the
 //     interface is counted once, in the interface's netdev.Stats
 //     (received, down, too big, malformed, ring full, TX ring full) —
 //     `pmgr stats`.

@@ -33,6 +33,10 @@ type Config struct {
 	// Tel optionally registers the link's counters for Prometheus
 	// exposition (eisr_netio_* families, labeled by interface).
 	Tel *telemetry.Telemetry
+
+	// rcvbuf overrides the receive buffer request, RcvbufFor(MTU), so
+	// in-package tests can under-buffer a link.
+	rcvbuf int
 }
 
 // wireBuf is one TX descriptor: egress bytes are copied in by the
@@ -54,6 +58,7 @@ type wireBuf struct {
 // interface is counted there.
 type linkStats struct {
 	drops          [pkt.NumDropReasons]atomic.Uint64 // only DropBadPath: the encapsulation failed to decode
+	kernelDrops    atomic.Uint64                     // the kernel's count of receive-buffer drops at the socket, as last read
 	rxErrTransient atomic.Uint64                     // non-fatal socket read errors (skipped)
 	txPackets      atomic.Uint64
 	txBytes        atomic.Uint64
@@ -80,6 +85,10 @@ type UDPLink struct {
 	conn  *net.UDPConn
 	peer  atomic.Pointer[netip.AddrPort]
 	batch int
+
+	// rcvbufWant is the socket receive buffer requested, rcvbufGranted
+	// what the kernel reported granting (0 if it cannot say).
+	rcvbufWant, rcvbufGranted int
 
 	// rxBuf is the one socket read buffer; only the RX goroutine
 	// touches it. Receive copies each datagram into an mbuf.
@@ -138,6 +147,9 @@ func (g *burstGate) onset(now int64) bool {
 // NewUDPLink binds the local socket and builds the link for an
 // interface. The socket is bound immediately (so a port-0 bind can be
 // queried with LocalAddr before Start); I/O goroutines launch on Start.
+// Its receive buffer is sized to absorb one full peer TX ring of
+// MTU-sized datagrams (RcvbufFor); a kernel that grants less is
+// journaled.
 func NewUDPLink(ifc *netdev.Interface, cfg Config) (*UDPLink, error) {
 	if ifc == nil {
 		return nil, fmt.Errorf("netio: nil interface")
@@ -150,6 +162,15 @@ func NewUDPLink(ifc *netdev.Interface, cfg Config) (*UDPLink, error) {
 	if err != nil {
 		return nil, fmt.Errorf("netio: bind %s: %w", cfg.Local, err)
 	}
+	want := cfg.rcvbuf
+	if want <= 0 {
+		want = RcvbufFor(ifc.MTU)
+	}
+	granted, err := SizeReadBuffer(conn, want)
+	if err != nil {
+		conn.Close()
+		return nil, err
+	}
 	txRing := cfg.TxRing
 	if txRing <= 0 {
 		txRing = DefaultTxRing
@@ -160,6 +181,7 @@ func NewUDPLink(ifc *netdev.Interface, cfg Config) (*UDPLink, error) {
 	}
 	l := &UDPLink{
 		ifc: ifc, conn: conn, batch: batch,
+		rcvbufWant: want, rcvbufGranted: granted,
 		// MTU plus the worst-case path-trace encapsulation, plus one
 		// byte so an oversized inner datagram is detectable (a read that
 		// fills the buffer was too big) instead of being silently
@@ -178,6 +200,10 @@ func NewUDPLink(ifc *netdev.Interface, cfg Config) (*UDPLink, error) {
 	if cfg.Tel != nil {
 		l.setTelemetry(cfg.Tel)
 		l.jr = cfg.Tel.Journal()
+	}
+	if granted > 0 && granted < want {
+		l.jr.Record(telemetry.EvRcvbufClamped,
+			fmt.Sprintf("%s receive buffer requested %d B, granted %d B", ifc.Name, want, granted))
 	}
 	if cfg.Peer != "" {
 		if err := l.SetPeer(cfg.Peer); err != nil {
@@ -198,6 +224,7 @@ func (l *UDPLink) setTelemetry(t *telemetry.Telemetry) {
 	t.CounterFunc("eisr_netio_packets_total", "wire packets per link and direction", s.txPackets.Load, lbl, dir)
 	t.CounterFunc("eisr_netio_bytes_total", "wire bytes per link and direction", s.txBytes.Load, lbl, dir)
 	t.Drops("netio", func(why pkt.DropReason) uint64 { return s.drops[why].Load() }, []telemetry.Label{lbl}, pkt.DropBadPath)
+	t.Drops("kernel", func(pkt.DropReason) uint64 { return l.readKernelDrops() }, []telemetry.Label{lbl}, pkt.DropRcvbuf)
 
 	t.CounterFunc("eisr_netio_rx_errors_total", "transient socket read errors per link (counted and skipped, never fatal)", s.rxErrTransient.Load, lbl)
 	t.CounterFunc("eisr_netio_tx_errors_total", "socket write failures per link", s.txErrors.Load, lbl)
@@ -256,6 +283,7 @@ func (l *UDPLink) Stop() {
 	started := l.started
 	l.mu.Unlock()
 	close(l.done)
+	l.readKernelDrops() // the last value, kept once the socket is gone
 	l.conn.Close()
 	if started {
 		l.wg.Wait()
@@ -447,10 +475,23 @@ func (l *UDPLink) transmitOne(wb *wireBuf) {
 	l.free <- wb
 }
 
-// Stats snapshots the link counters.
+// readKernelDrops reads the kernel's receive-buffer drop count at the
+// link's socket into stats.kernelDrops, which never goes back, and
+// returns it. Once the socket is closed it returns the last value read.
+func (l *UDPLink) readKernelDrops() uint64 {
+	cell := &l.stats.kernelDrops
+	if n, err := SocketDrops(l.conn); err == nil {
+		for last := cell.Load(); n > last && !cell.CompareAndSwap(last, n); last = cell.Load() {
+		}
+	}
+	return cell.Load()
+}
+
+// Stats snapshots the link counters, reading the kernel's drop count.
 func (l *UDPLink) Stats() netdev.LinkStats {
 	s := netdev.LinkStats{
 		RxDropBadPath:  l.stats.drops[pkt.DropBadPath].Load(),
+		RxDropRcvbuf:   l.readKernelDrops(),
 		RxErrTransient: l.stats.rxErrTransient.Load(),
 		TxPackets:      l.stats.txPackets.Load(),
 		TxBytes:        l.stats.txBytes.Load(),
@@ -475,7 +516,10 @@ func (l *UDPLink) LinkInfo() netdev.LinkInfo {
 		Kind:    "udp",
 		Local:   l.LocalAddr(),
 		Running: l.running.Load(),
-		Stats:   l.Stats(),
+
+		RcvbufRequested: l.rcvbufWant,
+		RcvbufGranted:   l.rcvbufGranted,
+		Stats:           l.Stats(),
 	}
 	if p := l.peer.Load(); p != nil {
 		info.Peer = p.String()

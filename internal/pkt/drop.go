@@ -23,13 +23,14 @@ const (
 	DropQueueFull                     // the output queue had no room
 	DropMTU                           // too big for the output link, not fragmentable
 	DropEvicted                       // queued on a flow queue that was removed
+	DropRcvbuf                        // a kernel socket receive buffer was full
 	NumDropReasons
 )
 
 var dropReasonLabels = [NumDropReasons]string{
 	"down", "too-big", "malformed", "bad-path", "ring-full", "overload",
 	"bad-checksum", "ttl-expired", "no-route", "no-output", "plugin",
-	"plugin-fault", "queue-full", "mtu", "evicted",
+	"plugin-fault", "queue-full", "mtu", "evicted", "rcvbuf",
 }
 
 // String returns the reason's eisr_drops_total label.

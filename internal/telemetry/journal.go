@@ -20,6 +20,7 @@ const (
 	EvRxRingBurst       = "rx-ring-burst"
 	EvTxRingBurst       = "tx-ring-burst"
 	EvRxErrBurst        = "rx-err-burst"
+	EvRcvbufClamped     = "rcvbuf-clamped"
 	EvConfig            = "config"
 	EvPathSample        = "path-sample"
 	EvRouterStart       = "router-start"

@@ -348,6 +348,21 @@ func netioRegistryCase(t *testing.T) (*telemetry.Telemetry, []statPair) {
 	for i := 0; i < 3; i++ {
 		l.TransmitWire(newTestPacket(t, good, 4))
 	}
+	src, err := net.Dial("udp", l.LocalAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	// Nothing reads the socket before Start either: a flood overflows
+	// its receive buffer, and the kernel's drops there are the link's
+	// to report (kernel/rcvbuf). The interface counts what got through.
+	flood := 0
+	for l.Stats().RxDropRcvbuf == 0 && flood < 1<<16 {
+		if _, err := src.Write(good); err != nil {
+			t.Fatal(err)
+		}
+		flood++
+	}
 	l.Start()
 	deadline := time.Now().Add(5 * time.Second)
 	waitFor := func(done func(netdev.LinkStats) bool) {
@@ -355,27 +370,28 @@ func netioRegistryCase(t *testing.T) (*telemetry.Telemetry, []statPair) {
 			time.Sleep(time.Millisecond)
 		}
 	}
-	waitFor(func(s netdev.LinkStats) bool { return s.TxErrors == 2 })
+	// The flood is all accounted for, so the socket is drained before
+	// the datagrams below arrive.
+	waitFor(func(s netdev.LinkStats) bool {
+		is := ifc.Stats()
+		return s.TxErrors == 2 && is.RxPackets+is.RxDrops+s.RxDropRcvbuf == uint64(flood)
+	})
 	if err := l.SetPeer(sink.LocalAddr().String()); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
 		l.TransmitWire(newTestPacket(t, good, 4))
 	}
-	src, err := net.Dial("udp", l.LocalAddr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer src.Close()
 	rx := [][]byte{
 		good, good,
 		{pkt.PathMagic, 1, 2, 3},     // bad path encapsulation
 		make([]byte, 300),            // too big
 		{0x45, 0, 0, 4, 0, 0, 0, 0},  // bad key
-		good, good, good, good, good, // the RX ring holds 4: ring full
+		good, good, good, good, good, // the flood filled the 4-slot RX ring: ring full
 	}
-	// Only the bad path is the link's to count; the interface counts
-	// the rest, and the settle check below sums both.
+	// Only the bad path and the kernel's drops are the link's to count;
+	// the interface counts the rest, and the settle check below sums
+	// both.
 	for _, d := range rx {
 		if _, err := src.Write(d); err != nil {
 			t.Fatal(err)
@@ -383,13 +399,14 @@ func netioRegistryCase(t *testing.T) (*telemetry.Telemetry, []statPair) {
 	}
 	waitFor(func(s netdev.LinkStats) bool {
 		is := ifc.Stats()
-		return s.TxPackets == 2 && is.RxPackets+is.RxDrops+s.RxDropBadPath == uint64(len(rx))
+		return s.TxPackets == 2 && is.RxPackets+is.RxDrops+s.RxDropBadPath+s.RxDropRcvbuf == uint64(flood+len(rx))
 	})
 	l.Stop()
 	s := l.Stats()
 	dir := func(d string) string { return `{iface="wire0",dir="` + d + `"}` }
 	return tel, []statPair{
 		{field: "RxDropBadPath", stat: s.RxDropBadPath, metrics: []string{`eisr_drops_total{layer="netio",iface="wire0",reason="bad-path"}`}},
+		{field: "RxDropRcvbuf", stat: s.RxDropRcvbuf, metrics: []string{`eisr_drops_total{layer="kernel",iface="wire0",reason="rcvbuf"}`}},
 		{field: "RxErrTransient", stat: s.RxErrTransient, metrics: []string{`eisr_netio_rx_errors_total{iface="wire0"}`}, mayBeZero: true},
 		{field: "TxPackets", stat: s.TxPackets, metrics: []string{"eisr_netio_packets_total" + dir("tx")}},
 		{field: "TxBytes", stat: s.TxBytes, metrics: []string{"eisr_netio_bytes_total" + dir("tx")}},

@@ -4,11 +4,13 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/routerplugins/eisr/internal/netdev"
+	"github.com/routerplugins/eisr/internal/netio"
 	"github.com/routerplugins/eisr/internal/pkt"
 )
 
@@ -91,6 +93,11 @@ func runWireTopology(t *testing.T, workers, packets int) {
 		t.Fatal(err)
 	}
 	defer sink.Close()
+	// The sink is a hop too: it gets the links' receive buffer.
+	sinkRcvbuf, err := netio.SizeReadBuffer(sink, netio.RcvbufFor(1500))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := linkA.SetPeer(linkBIn.LocalAddr()); err != nil {
 		t.Fatal(err)
 	}
@@ -137,13 +144,47 @@ func runWireTopology(t *testing.T, workers, packets int) {
 		}
 	}()
 
-	// The source: windowed injection into A's ingress ring, so bursts
-	// never outrun the 512-slot rings anywhere downstream.
-	const window = 256
+	// The ledger a stall or a loss prints: every link (its kernel
+	// rcvbuf drops included), interface and core, and the sink's own
+	// kernel drops.
 	ingress := a.Interface(0)
+	ledger := func() string {
+		var w strings.Builder
+		for _, l := range []struct {
+			name string
+			link *netio.UDPLink
+		}{{"linkA", linkA}, {"linkB.in", linkBIn}, {"linkB.out", linkBOut}} {
+			fmt.Fprintf(&w, "%s: %+v\n", l.name, l.link.Stats())
+		}
+		for _, i := range []struct {
+			name string
+			ifc  *netdev.Interface
+		}{{"A.lan", ingress}, {"A.wan", a.Interface(1)}, {"B.lan", b.Interface(0)}, {"B.wan", b.Interface(1)}} {
+			fmt.Fprintf(&w, "%s: %+v\n", i.name, i.ifc.Stats())
+		}
+		sinkDrops, err := netio.SocketDrops(sink)
+		fmt.Fprintf(&w, "A core: %+v\nB core: %+v\nsink kernel rcvbuf drops: %d (%v)",
+			a.Core.Stats(), b.Core.Stats(), sinkDrops, err)
+		return w.String()
+	}
+
+	// The source: windowed injection into A's ingress ring, so bursts
+	// never outrun the 512-slot rings or the smallest socket receive
+	// buffer anywhere downstream. A window that stops moving means a
+	// packet was lost: fail at once with the ledger.
+	granted := []int{sinkRcvbuf}
+	for _, li := range append(a.LinksReport(), b.LinksReport()...) {
+		granted = append(granted, li.RcvbufGranted)
+	}
+	window := int64(netio.Window(len(wirePayload(t, 0)), 256, granted...))
 	for i := 0; i < packets; i++ {
-		for int64(i)-received.Load() >= window {
-			time.Sleep(100 * time.Microsecond)
+		if err := netio.AwaitWindow(int64(i), received.Load, window, netio.WindowStall); err != nil {
+			select {
+			case err := <-sinkErr:
+				t.Fatal(err)
+			default:
+			}
+			t.Fatalf("window of %d: %v\n%s", window, err, ledger())
 		}
 		data := wirePayload(t, uint32(i))
 		for {
@@ -158,19 +199,18 @@ func runWireTopology(t *testing.T, workers, packets int) {
 		}
 	}
 
-	deadline := time.Now().Add(60 * time.Second)
-	for received.Load() < int64(packets) && time.Now().Before(deadline) {
-		select {
-		case err := <-sinkErr:
-			t.Fatal(err)
-		default:
-		}
-		time.Sleep(time.Millisecond)
+	// Wait for the rest on progress, not on a deadline: a stall ends
+	// the wait and the count below reports the loss.
+	if err := netio.AwaitWindow(int64(packets), received.Load, 1, netio.WindowStall); err != nil {
+		t.Log(err)
+	}
+	select {
+	case err := <-sinkErr:
+		t.Fatal(err)
+	default:
 	}
 	if got := received.Load(); got != int64(packets) {
-		t.Fatalf("sink got %d/%d packets\nlinkA: %+v\nlinkB.in: %+v\nlinkB.out: %+v\nA core: %+v\nB core: %+v",
-			got, packets, linkA.Stats(), linkBIn.Stats(), linkBOut.Stats(),
-			a.Core.Stats(), b.Core.Stats())
+		t.Fatalf("sink got %d/%d packets\n%s", got, packets, ledger())
 	}
 
 	// Zero unexplained drops anywhere on the path: every interface's RX
@@ -194,6 +234,9 @@ func runWireTopology(t *testing.T, workers, packets int) {
 	} {
 		if s.RxDropBadPath+s.TxErrors != 0 {
 			t.Errorf("%s dropped wire packets: %+v", name, s)
+		}
+		if s.RxDropRcvbuf != 0 {
+			t.Errorf("%s lost datagrams in its kernel receive buffer: %+v", name, s)
 		}
 	}
 
