@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-	"time"
 
 	"github.com/routerplugins/eisr/internal/aiu"
 	"github.com/routerplugins/eisr/internal/bmp"
@@ -175,7 +174,7 @@ func BenchmarkFlowTableHit(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	ft := aiu.NewFlowTable(1024, 65536, 4)
 	keys := trafficgen.RandomKeys(rng, 1024, true)
-	now := time.Now()
+	now := pkt.Nanotime()
 	for _, k := range keys {
 		ft.Insert(k, now, nil)
 	}
@@ -199,7 +198,7 @@ func BenchmarkFlowTableMissAndClassify(b *testing.B) {
 	}
 	keys := trafficgen.RandomKeys(rng, 1<<16, true)
 	a.ClassifyKey(pcu.TypeSched, keys[0], nil)
-	now := time.Now()
+	now := pkt.Nanotime()
 	var p pkt.Packet
 	miss := func(i int) {
 		// Key index and port repeat only every 64k flows, long after the

@@ -56,7 +56,7 @@ func newChaosRouter(t *testing.T, opts Options, chaosArgs map[string]string) (*R
 		if err != nil {
 			t.Fatal(err)
 		}
-		p.Stamp = time.Now()
+		p.Stamp = pkt.Nanotime()
 		return r.Core.ProcessOne(p)
 	}
 	return r, name, send
@@ -237,7 +237,7 @@ func TestQuarantineConcurrentWorkers(t *testing.T) {
 				if err != nil {
 					return
 				}
-				p.Stamp = time.Now()
+				p.Stamp = pkt.Nanotime()
 				if r.Core.Forward(p) {
 					forwarded.Add(1)
 				}
@@ -300,7 +300,7 @@ func TestChaosSoak(t *testing.T) {
 				if err != nil {
 					return
 				}
-				p.Stamp = time.Now()
+				p.Stamp = pkt.Nanotime()
 				sent.Add(1)
 				if r.Core.Forward(p) {
 					forwarded.Add(1)

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/routerplugins/eisr/internal/bmp"
 	"github.com/routerplugins/eisr/internal/cycles"
@@ -411,7 +410,7 @@ func (a *AIU) ClassifyKey(gate pcu.Type, k pkt.Key, c *cycles.Counter) *FilterRe
 // DAG walk.
 //
 //eisr:slowpath
-func (a *AIU) classifyAndInsert(p *pkt.Packet, slot int, now time.Time, c *cycles.Counter) (pcu.Instance, *FlowRecord) {
+func (a *AIU) classifyAndInsert(p *pkt.Packet, slot int, now int64, c *cycles.Counter) (pcu.Instance, *FlowRecord) {
 	// The classification charges the caller's counter and reads its own
 	// share (for the first-packet telemetry, and the packet trace via
 	// p.CacheMiss) as the difference: a counter of its own would escape

@@ -2,7 +2,6 @@ package aiu
 
 import (
 	"testing"
-	"time"
 
 	"github.com/routerplugins/eisr/internal/cycles"
 	"github.com/routerplugins/eisr/internal/pcu"
@@ -49,7 +48,7 @@ func TestLookupGateThreePaths(t *testing.T) {
 	if _, err := a.Bind(pcu.TypeSched, MatchAll(), drr, nil); err != nil {
 		t.Fatal(err)
 	}
-	now := time.Now()
+	now := pkt.Nanotime()
 
 	// First packet: slow path. The counter sees the full classification.
 	p1 := udpPacket(t, "10.1.1.1", "20.2.2.2", 1000, 2000, 0)
@@ -102,7 +101,7 @@ func TestLookupGateNoMatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := udpPacket(t, "172.16.0.1", "20.2.2.2", 1, 2, 0)
-	inst, rec := a.LookupGate(p, pcu.TypeSecurity, time.Now(), nil)
+	inst, rec := a.LookupGate(p, pcu.TypeSecurity, pkt.Nanotime(), nil)
 	if inst != nil {
 		t.Errorf("unmatched flow returned instance %v", inst)
 	}
@@ -116,14 +115,14 @@ func TestBindFlushesAffectedFlows(t *testing.T) {
 	old := &testInstance{name: "old"}
 	a.Bind(pcu.TypeSecurity, MatchAll(), old, nil)
 	p := udpPacket(t, "10.1.1.1", "20.2.2.2", 7, 8, 0)
-	a.LookupGate(p, pcu.TypeSecurity, time.Now(), nil)
+	a.LookupGate(p, pcu.TypeSecurity, pkt.Nanotime(), nil)
 
 	// Install a more specific filter for the same flow; the cached
 	// record must be invalidated so the next packet reclassifies.
 	newer := &testInstance{name: "new"}
 	a.Bind(pcu.TypeSecurity, MustParseFilter("10.1.1.1, 20.2.2.2, UDP, 7, 8, *"), newer, nil)
 	p2 := udpPacket(t, "10.1.1.1", "20.2.2.2", 7, 8, 0)
-	inst, _ := a.LookupGate(p2, pcu.TypeSecurity, time.Now(), nil)
+	inst, _ := a.LookupGate(p2, pcu.TypeSecurity, pkt.Nanotime(), nil)
 	if inst != newer {
 		t.Errorf("after bind, instance = %v, want the more specific one", inst)
 	}
@@ -135,7 +134,7 @@ func TestUnbindInstanceRemovesEverything(t *testing.T) {
 	a.Bind(pcu.TypeSecurity, MustParseFilter("10.0.0.0/8, *, *, *, *, *"), inst, nil)
 	a.Bind(pcu.TypeSched, MatchAll(), inst, nil)
 	p := udpPacket(t, "10.1.1.1", "20.2.2.2", 7, 8, 0)
-	a.LookupGate(p, pcu.TypeSecurity, time.Now(), nil)
+	a.LookupGate(p, pcu.TypeSecurity, pkt.Nanotime(), nil)
 
 	if n := a.UnbindInstance(inst); n != 2 {
 		t.Fatalf("UnbindInstance removed %d filters, want 2", n)
@@ -145,7 +144,7 @@ func TestUnbindInstanceRemovesEverything(t *testing.T) {
 		t.Error("security table not empty")
 	}
 	p2 := udpPacket(t, "10.1.1.1", "20.2.2.2", 7, 8, 0)
-	if got, _ := a.LookupGate(p2, pcu.TypeSecurity, time.Now(), nil); got != nil {
+	if got, _ := a.LookupGate(p2, pcu.TypeSecurity, pkt.Nanotime(), nil); got != nil {
 		t.Errorf("freed instance still returned: %v", got)
 	}
 }
@@ -187,7 +186,7 @@ func TestClassifyKeyDirect(t *testing.T) {
 func TestLookupGateUnknownGate(t *testing.T) {
 	a := newTestAIU(t)
 	p := udpPacket(t, "10.1.1.1", "20.2.2.2", 7, 8, 0)
-	if inst, rec := a.LookupGate(p, pcu.Type(42), time.Now(), nil); inst != nil || rec != nil {
+	if inst, rec := a.LookupGate(p, pcu.Type(42), pkt.Nanotime(), nil); inst != nil || rec != nil {
 		t.Error("unknown gate should return nil")
 	}
 }
@@ -203,7 +202,7 @@ func TestGateSoftState(t *testing.T) {
 	var state sched.Slab[string]
 	get := func() (*string, bool) {
 		p := udpPacket(t, "10.1.1.1", "20.2.2.2", 7, 8, 0)
-		_, rec := a.LookupGate(p, pcu.TypeSched, time.Now(), nil)
+		_, rec := a.LookupGate(p, pcu.TypeSched, pkt.Nanotime(), nil)
 		return state.Get(rec.Slot(), p.FIXGen)
 	}
 	st, fresh := get()

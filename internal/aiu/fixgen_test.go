@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"github.com/routerplugins/eisr/internal/pcu"
+	"github.com/routerplugins/eisr/internal/pkt"
 )
 
 // Regression test for the FIX staleness race of the parallel engine:
@@ -30,7 +31,7 @@ func TestLookupGateStaleFIXReclassifies(t *testing.T) {
 	if _, err := a.Bind(pcu.TypeSched, MustParseFilter("172.16.0.0/12, *, UDP, *, *, *"), other, nil); err != nil {
 		t.Fatal(err)
 	}
-	now := time.Now()
+	now := pkt.Nanotime()
 
 	// Gate 1: classify the victim packet, caching rec+gen in the packet.
 	p := udpPacket(t, "10.1.1.1", "20.2.2.2", 1000, 2000, 0)
@@ -44,7 +45,7 @@ func TestLookupGateStaleFIXReclassifies(t *testing.T) {
 	// to a different instance.
 	for i := 0; i < 4; i++ {
 		q := udpPacket(t, "172.16.0.9", "20.2.2.2", uint16(5000+i), 53, 0)
-		a.LookupGate(q, pcu.TypeSched, now.Add(time.Duration(i+1)*time.Second), nil)
+		a.LookupGate(q, pcu.TypeSched, now+int64(time.Duration(i+1)*time.Second), nil)
 	}
 	if got := rec.Generation(); got == p.FIXGen {
 		t.Fatalf("recycle did not bump generation (still %d) — table too large for the test", got)
@@ -53,7 +54,7 @@ func TestLookupGateStaleFIXReclassifies(t *testing.T) {
 	// Gate 2: the stale FIX must NOT dispatch through the recycled
 	// record's new bindings; the packet reclassifies to its own
 	// instance.
-	inst2, rec2 := a.LookupGate(p, pcu.TypeSched, now.Add(10*time.Second), nil)
+	inst2, rec2 := a.LookupGate(p, pcu.TypeSched, now+int64(10*time.Second), nil)
 	if inst2 != mine {
 		t.Fatalf("stale FIX dispatched to %v, want reclassification to %v", inst2, mine)
 	}

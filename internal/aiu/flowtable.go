@@ -4,7 +4,6 @@ import (
 	"math/bits"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/routerplugins/eisr/internal/cycles"
 	"github.com/routerplugins/eisr/internal/pkt"
@@ -65,7 +64,7 @@ type FlowRecord struct {
 	// through the new flow's instances.
 	gen atomic.Uint64
 
-	// lastUse is the arrival time (unix nanos) of the last packet that
+	// lastUse is the arrival time (pkt.Nanotime) of the last packet that
 	// hit this record; the idle purge uses it. It is stored atomically
 	// because cache hits update it under the shard's read lock.
 	lastUse atomic.Int64
@@ -134,13 +133,13 @@ func (r *FlowRecord) Slot() uint32 { return r.slot }
 func (r *FlowRecord) Slots() int { return len(r.binds) }
 
 // LastUse returns the arrival time of the last packet that hit this
-// record.
-func (r *FlowRecord) LastUse() time.Time { return time.Unix(0, r.lastUse.Load()) }
+// record, on the pkt.Nanotime clock.
+func (r *FlowRecord) LastUse() int64 { return r.lastUse.Load() }
 
 // touch stamps the record's last-use time. Safe under the read lock.
 //
 //eisr:fastpath
-func (r *FlowRecord) touch(now time.Time) { r.lastUse.Store(now.UnixNano()) }
+func (r *FlowRecord) touch(now int64) { r.lastUse.Store(now) }
 
 // FlowStats counts flow-table events, merged across shards.
 type FlowStats struct {
@@ -466,7 +465,7 @@ func (sh *flowShard) unplace(h uint64, i uint32) {
 // counters are atomics for the same reason.
 //
 //eisr:fastpath
-func (t *FlowTable) Lookup(k pkt.Key, now time.Time, c *cycles.Counter) *FlowRecord {
+func (t *FlowTable) Lookup(k pkt.Key, now int64, c *cycles.Counter) *FlowRecord {
 	r, _ := t.LookupGen(k, now, c)
 	return r
 }
@@ -476,14 +475,14 @@ func (t *FlowTable) Lookup(k pkt.Key, now time.Time, c *cycles.Counter) *FlowRec
 // record was recycled for a different flow (FilterIfCurrent).
 //
 //eisr:fastpath
-func (t *FlowTable) LookupGen(k pkt.Key, now time.Time, c *cycles.Counter) (*FlowRecord, uint64) {
+func (t *FlowTable) LookupGen(k pkt.Key, now int64, c *cycles.Counter) (*FlowRecord, uint64) {
 	return t.lookup(&k, pkt.FlowHash(k), now, c)
 }
 
 // lookup is LookupGen for a key whose flow hash is already known.
 //
 //eisr:fastpath
-func (t *FlowTable) lookup(k *pkt.Key, h uint64, now time.Time, c *cycles.Counter) (*FlowRecord, uint64) {
+func (t *FlowTable) lookup(k *pkt.Key, h uint64, now int64, c *cycles.Counter) (*FlowRecord, uint64) {
 	c.FnPointer()
 	sh := t.shardFor(h)
 	sh.mu.RLock()
@@ -526,19 +525,19 @@ func (t *FlowTable) Probe(k pkt.Key) (lines, keys int) {
 // that is already live keeps its binds and only has its last use
 // stamped: the first classification of a flow wins, and a filter change
 // flushes the flows it affects anyway.
-func (t *FlowTable) Insert(k pkt.Key, now time.Time, filters []*FilterRecord) *FlowRecord {
+func (t *FlowTable) Insert(k pkt.Key, now int64, filters []*FilterRecord) *FlowRecord {
 	r, _ := t.InsertGen(k, now, filters)
 	return r
 }
 
 // InsertGen is Insert returning the record's generation, captured under
 // the shard lock (see LookupGen).
-func (t *FlowTable) InsertGen(k pkt.Key, now time.Time, filters []*FilterRecord) (*FlowRecord, uint64) {
+func (t *FlowTable) InsertGen(k pkt.Key, now int64, filters []*FilterRecord) (*FlowRecord, uint64) {
 	return t.insert(k, pkt.FlowHash(k), now, filters)
 }
 
 // insert is InsertGen for a key whose flow hash is already known.
-func (t *FlowTable) insert(k pkt.Key, h uint64, now time.Time, filters []*FilterRecord) (*FlowRecord, uint64) {
+func (t *FlowTable) insert(k pkt.Key, h uint64, now int64, filters []*FilterRecord) (*FlowRecord, uint64) {
 	sh := t.shardFor(h)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -621,12 +620,13 @@ func (t *FlowTable) Remove(k pkt.Key) bool {
 	return true
 }
 
-// PurgeIdle removes records idle since before the deadline (§3.2: "if a
-// cached flow remains idle for an extended period, its cached entry may
-// be removed"). Shards are purged one at a time — the janitor never
-// holds more than one shard lock. It returns the number purged.
-func (t *FlowTable) PurgeIdle(before time.Time) int {
-	return t.FlushWhere(func(r *FlowRecord) bool { return r.LastUse().Before(before) })
+// PurgeIdle removes records idle since before the deadline, a
+// pkt.Nanotime reading (§3.2: "if a cached flow remains idle for an
+// extended period, its cached entry may be removed"). Shards are purged
+// one at a time — the janitor never holds more than one shard lock. It
+// returns the number purged.
+func (t *FlowTable) PurgeIdle(before int64) int {
+	return t.FlushWhere(func(r *FlowRecord) bool { return r.LastUse() < before })
 }
 
 // FlushWhere removes every record for which pred returns true, oldest

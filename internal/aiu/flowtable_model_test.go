@@ -20,7 +20,7 @@ import (
 type modelFlow struct {
 	rec     *FlowRecord
 	gen     uint64
-	lastUse time.Time
+	lastUse int64
 }
 
 // flowModel is the reference the flow table is checked against: a map
@@ -76,7 +76,7 @@ func TestFlowTableMatchesModel(t *testing.T) {
 			// state is a plugin's per-flow state: each live flow's key,
 			// in the slot of its record under its generation.
 			var state sched.Slab[pkt.Key]
-			now := time.Unix(1000, 0)
+			now := int64(1000 * time.Second)
 			// evicted checks that k's old record went stale, and counts
 			// the eviction for the FlowStats check after every step.
 			evictions := uint64(0)
@@ -90,7 +90,7 @@ func TestFlowTableMatchesModel(t *testing.T) {
 			grew := 0
 			lastAlloc := ft.Stats().Alloc
 			for step := 0; step < tc.ops; step++ {
-				now = now.Add(time.Millisecond)
+				now += int64(time.Millisecond)
 				k := key(rng.Intn(tc.keys))
 				switch op := rng.Intn(100); {
 				case op < 45: // Insert
@@ -150,10 +150,10 @@ func TestFlowTableMatchesModel(t *testing.T) {
 						evicted("remove", k, f)
 					}
 				case op < 95: // PurgeIdle
-					before := now.Add(-time.Duration(rng.Intn(tc.keys)) * time.Millisecond)
+					before := now - int64(rng.Intn(tc.keys))*int64(time.Millisecond)
 					want := map[pkt.Key]*modelFlow{}
 					for mk, f := range m.live {
-						if f.lastUse.Before(before) {
+						if f.lastUse < before {
 							want[mk] = f
 						}
 					}
@@ -280,7 +280,7 @@ func TestFlowTableOverflowChains(t *testing.T) {
 			keys = append(keys, k)
 		}
 	}
-	now := time.Now()
+	now := pkt.Nanotime()
 	for _, k := range keys {
 		ft.Insert(k, now, nil)
 	}
@@ -331,7 +331,7 @@ func TestFlowTableRehashRace(t *testing.T) {
 	var hits atomic.Uint64
 	var wg sync.WaitGroup
 	errc := make(chan error, readers)
-	now := time.Now()
+	now := pkt.Nanotime()
 	for g := 0; g < readers; g++ {
 		wg.Add(1)
 		go func(g int) {

@@ -33,7 +33,7 @@ func TestFlowTableShardCounts(t *testing.T) {
 // table: every insert is visible, Len and Stats sum across shards.
 func TestFlowTableShardedAccounting(t *testing.T) {
 	ft := NewFlowTableSharded(64, 4096, 2, 8)
-	now := time.Now()
+	now := pkt.Nanotime()
 	const n = 500
 	for i := 0; i < n; i++ {
 		if ft.Insert(key(i), now, nil) == nil {
@@ -102,7 +102,7 @@ func TestSteerWorkerBalance(t *testing.T) {
 // flow's bindings.
 func TestFlowRecordGenerationBumpOnRecycle(t *testing.T) {
 	ft := NewFlowTableSharded(4, 8, 1, 1)
-	now := time.Now()
+	now := pkt.Nanotime()
 	inst := &testInstance{name: "old"}
 	rec, gen := ft.InsertGen(key(0), now, []*FilterRecord{{Instance: inst}})
 	if rec == nil {
@@ -113,9 +113,9 @@ func TestFlowRecordGenerationBumpOnRecycle(t *testing.T) {
 	}
 	// Fill the table so the next insert recycles the oldest (key 0).
 	for i := 1; i < 8; i++ {
-		ft.Insert(key(i), now.Add(time.Duration(i)), nil)
+		ft.Insert(key(i), now+int64(i), nil)
 	}
-	ft.Insert(key(100), now.Add(time.Hour), []*FilterRecord{{Instance: &testInstance{name: "new"}}})
+	ft.Insert(key(100), now+int64(time.Hour), []*FilterRecord{{Instance: &testInstance{name: "new"}}})
 	if ft.Lookup(key(0), now, nil) != nil {
 		t.Fatal("oldest flow should have been recycled")
 	}
@@ -131,7 +131,7 @@ func TestFlowRecordGenerationBumpOnRecycle(t *testing.T) {
 // generations exactly like recycling.
 func TestFlowRecordGenerationBumpOnRemoveAndFlush(t *testing.T) {
 	ft := NewFlowTableSharded(8, 32, 1, 2)
-	now := time.Now()
+	now := pkt.Nanotime()
 	r1, g1 := ft.InsertGen(key(1), now, []*FilterRecord{{Instance: &testInstance{name: "a"}}})
 	r2, g2 := ft.InsertGen(key(2), now, []*FilterRecord{{Instance: &testInstance{name: "b"}}})
 	ft.Remove(key(1))
@@ -166,7 +166,7 @@ func TestFlowTableRecycleRaceKeepsGenerationGuard(t *testing.T) {
 	for f := range insts {
 		insts[f] = &testInstance{name: fmt.Sprint("flow", f)}
 	}
-	now := time.Now()
+	now := pkt.Nanotime()
 	var stop atomic.Bool
 	var served, stale atomic.Uint64
 	var wg, ready sync.WaitGroup
@@ -242,10 +242,10 @@ func TestFlowTableRecycleRaceKeepsGenerationGuard(t *testing.T) {
 func TestFlowStatsRecycledAndRemoved(t *testing.T) {
 	const capacity = 4
 	ft := NewFlowTableSharded(capacity, capacity, 1, 1)
-	now := time.Now()
+	now := pkt.Nanotime()
 	inst := &testInstance{name: "i"}
 	ins := func(i int) *FlowRecord {
-		return ft.Insert(key(i), now.Add(time.Duration(i)), []*FilterRecord{{Instance: inst, Private: &flowState{flow: i}}})
+		return ft.Insert(key(i), now+int64(i), []*FilterRecord{{Instance: inst, Private: &flowState{flow: i}}})
 	}
 	recs := make([]*FlowRecord, 10)
 	for i := range recs {
@@ -275,7 +275,7 @@ func TestFlowStatsRecycledAndRemoved(t *testing.T) {
 	want.Removed, want.Live = 2, 2
 	check("after FlushWhere")
 	cleared(recs[8])
-	ft.PurgeIdle(now.Add(time.Hour))
+	ft.PurgeIdle(now + int64(time.Hour))
 	want.Removed, want.Live = 4, 0
 	check("after PurgeIdle")
 	cleared(recs[6])
@@ -289,7 +289,7 @@ func TestFlowStatsRecycledAndRemoved(t *testing.T) {
 // PurgeIdle racing Lookup and Insert across shards: run with -race.
 func TestFlowTableConcurrentPurgeIdle(t *testing.T) {
 	ft := NewFlowTableSharded(64, 4096, 1, 8)
-	t0 := time.Now()
+	t0 := pkt.Nanotime()
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -304,7 +304,7 @@ func TestFlowTableConcurrentPurgeIdle(t *testing.T) {
 				default:
 				}
 				k := key(g*10000 + i%512)
-				now := t0.Add(time.Duration(i) * time.Millisecond)
+				now := t0 + int64(time.Duration(i)*time.Millisecond)
 				if ft.Lookup(k, now, nil) == nil {
 					ft.Insert(k, now, []*FilterRecord{{Instance: &testInstance{name: "x"}}})
 				}
@@ -313,7 +313,7 @@ func TestFlowTableConcurrentPurgeIdle(t *testing.T) {
 		}(g)
 	}
 	for j := 0; j < 50; j++ {
-		ft.PurgeIdle(t0.Add(time.Duration(j*10) * time.Millisecond))
+		ft.PurgeIdle(t0 + int64(time.Duration(j*10)*time.Millisecond))
 	}
 	close(stop)
 	wg.Wait()
@@ -328,7 +328,7 @@ func TestFlowTableConcurrentPurgeIdle(t *testing.T) {
 // -race. Also exercises cross-shard traffic with FlushWhere mixed in.
 func TestFlowTableConcurrentInsertLookupFlush(t *testing.T) {
 	ft := NewFlowTableSharded(32, 1024, 2, 8)
-	now := time.Now()
+	now := pkt.Nanotime()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -356,9 +356,9 @@ func TestFlowTableShardedRecyclePerShard(t *testing.T) {
 	// With more live flows than capacity, every shard recycles its own
 	// oldest; the table never exceeds its aggregate allocation budget.
 	ft := NewFlowTableSharded(8, 64, 1, 4)
-	now := time.Now()
+	now := pkt.Nanotime()
 	for i := 0; i < 500; i++ {
-		if ft.Insert(key(i), now.Add(time.Duration(i)), nil) == nil {
+		if ft.Insert(key(i), now+int64(i), nil) == nil {
 			t.Fatalf("insert %d failed", i)
 		}
 	}
@@ -379,7 +379,7 @@ func TestFlowTableShardedRecyclePerShard(t *testing.T) {
 // limits apply to that shard alone and other shards stay usable.
 func TestFlowTableShardIsolation(t *testing.T) {
 	ft := NewFlowTableSharded(8, 64, 1, 8)
-	now := time.Now()
+	now := pkt.Nanotime()
 	target := ft.shardFor(pkt.FlowHash(key(0)))
 	same, other := 0, 0
 	for i := 0; i < 3000 && (same < 20 || other < 20); i++ {

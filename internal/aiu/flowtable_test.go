@@ -17,7 +17,7 @@ func key(i int) pkt.Key {
 
 func TestFlowTableInsertLookup(t *testing.T) {
 	ft := NewFlowTable(16, 64, 3)
-	now := time.Now()
+	now := pkt.Nanotime()
 	r := ft.Insert(key(1), now, nil)
 	if r == nil {
 		t.Fatal("Insert returned nil")
@@ -37,7 +37,7 @@ func TestFlowTableInsertLookup(t *testing.T) {
 
 func TestFlowTableSameFiveTupleDifferentIf(t *testing.T) {
 	ft := NewFlowTable(4, 16, 1)
-	now := time.Now()
+	now := pkt.Nanotime()
 	k1 := key(1)
 	k2 := k1
 	k2.InIf = 3
@@ -53,9 +53,9 @@ func TestFlowTableSameFiveTupleDifferentIf(t *testing.T) {
 
 func TestFlowTableInsertIdempotent(t *testing.T) {
 	ft := NewFlowTable(4, 16, 1)
-	now := time.Now()
+	now := pkt.Nanotime()
 	r1 := ft.Insert(key(9), now, nil)
-	r2 := ft.Insert(key(9), now.Add(time.Second), nil)
+	r2 := ft.Insert(key(9), now+int64(time.Second), nil)
 	if r1 != r2 {
 		t.Error("reinsert created a new record")
 	}
@@ -69,7 +69,7 @@ func TestFlowTableGrowth(t *testing.T) {
 	// so whether one shard hits its share of the cap) depends on the
 	// per-process hash seed.
 	ft := NewFlowTableSharded(4, 64, 1, 1)
-	now := time.Now()
+	now := pkt.Nanotime()
 	for i := 0; i < 40; i++ {
 		ft.Insert(key(i), now, nil)
 	}
@@ -87,17 +87,17 @@ func TestFlowTableRecycleOldest(t *testing.T) {
 	// A single shard keeps the paper's exact global-oldest recycling;
 	// with multiple shards each shard recycles its own oldest record.
 	ft := NewFlowTableSharded(4, 8, 1, 1)
-	now := time.Now()
+	now := pkt.Nanotime()
 	inst := &testInstance{name: "i"}
 	oldest, gen := ft.InsertGen(key(0), now, []*FilterRecord{{Instance: inst}})
 	for i := 1; i < 8; i++ {
-		ft.Insert(key(i), now.Add(time.Duration(i)), []*FilterRecord{{Instance: inst}})
+		ft.Insert(key(i), now+int64(i), []*FilterRecord{{Instance: inst}})
 	}
 	if ft.Stats().Alloc != 8 {
 		t.Fatalf("alloc = %d want 8 (cap)", ft.Stats().Alloc)
 	}
 	// Ninth flow must recycle the oldest (key 0).
-	rec, newGen := ft.InsertGen(key(100), now.Add(time.Hour), []*FilterRecord{{Instance: inst}})
+	rec, newGen := ft.InsertGen(key(100), now+int64(time.Hour), []*FilterRecord{{Instance: inst}})
 	if ft.Lookup(key(0), now, nil) != nil {
 		t.Error("oldest record not recycled")
 	}
@@ -127,7 +127,7 @@ func TestFlowTableRecycleOldest(t *testing.T) {
 
 func TestFlowTableRemove(t *testing.T) {
 	ft := NewFlowTable(4, 16, 1)
-	now := time.Now()
+	now := pkt.Nanotime()
 	ft.Insert(key(5), now, nil)
 	if !ft.Remove(key(5)) {
 		t.Fatal("Remove returned false")
@@ -151,11 +151,11 @@ func TestFlowTablePurgeIdle(t *testing.T) {
 	// the per-process hash seed, and a shard that reaches its cap
 	// recycles a record the purge would have counted.
 	ft := NewFlowTableSharded(8, 32, 1, 1)
-	t0 := time.Now()
+	t0 := pkt.Nanotime()
 	for i := 0; i < 10; i++ {
-		ft.Insert(key(i), t0.Add(time.Duration(i)*time.Second), nil)
+		ft.Insert(key(i), t0+int64(time.Duration(i)*time.Second), nil)
 	}
-	n := ft.PurgeIdle(t0.Add(5 * time.Second))
+	n := ft.PurgeIdle(t0 + int64(5*time.Second))
 	if n != 5 {
 		t.Errorf("purged %d want 5", n)
 	}
@@ -172,7 +172,7 @@ func TestFlowTableChainAccounting(t *testing.T) {
 	// bucket line and one per key compared — a hit reads its home
 	// bucket and compares only the key whose tag matched.
 	ft := NewFlowTable(8, 32, 1)
-	now := time.Now()
+	now := pkt.Nanotime()
 	for i := 0; i < 4; i++ {
 		ft.Insert(key(i), now, nil)
 	}
@@ -188,7 +188,7 @@ func TestFlowTableChainAccounting(t *testing.T) {
 
 func TestFlowTableFlushWhere(t *testing.T) {
 	ft := NewFlowTable(8, 32, 2)
-	now := time.Now()
+	now := pkt.Nanotime()
 	instA, instB := &testInstance{name: "a"}, &testInstance{name: "b"}
 	ft.Insert(key(1), now, []*FilterRecord{{Instance: instA}, nil})
 	ft.Insert(key(2), now, []*FilterRecord{{Instance: instB}, nil})

@@ -41,7 +41,7 @@ func TestClassifyFragmentedDatagram(t *testing.T) {
 		t.Fatalf("fragments = %d, want several", len(frags))
 	}
 
-	now := time.Now()
+	now := pkt.Nanotime()
 	for i, f := range frags {
 		k, err := pkt.ExtractKey(f, 0)
 		if err != nil {
@@ -77,7 +77,7 @@ func TestClassifyFragmentedDatagram(t *testing.T) {
 	re := pkt.NewReassembler(time.Minute)
 	var whole []byte
 	for _, f := range frags {
-		out, err := re.Add(f, now)
+		out, err := re.Add(f, time.Now())
 		if err != nil {
 			t.Fatal(err)
 		}

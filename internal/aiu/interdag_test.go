@@ -3,7 +3,6 @@ package aiu
 import (
 	"math/rand"
 	"testing"
-	"time"
 
 	"github.com/routerplugins/eisr/internal/cycles"
 	"github.com/routerplugins/eisr/internal/pcu"
@@ -34,7 +33,7 @@ func TestInterDAGSharingCorrectness(t *testing.T) {
 	on, gatesOn, _ := shareRig(true)
 	off, gatesOff, _ := shareRig(false)
 	rng := rand.New(rand.NewSource(9))
-	now := time.Now()
+	now := pkt.Nanotime()
 	for i := 0; i < 2000; i++ {
 		k := pkt.Key{
 			Src: pkt.AddrV4(0x0a000000 | rng.Uint32()&0x00ffffff), Dst: pkt.AddrV4(rng.Uint32()),
@@ -63,7 +62,7 @@ func TestInterDAGSharingCorrectness(t *testing.T) {
 func TestInterDAGSharingSavesAccesses(t *testing.T) {
 	on, gOn, _ := shareRig(true)
 	off, gOff, _ := shareRig(false)
-	now := time.Now()
+	now := pkt.Nanotime()
 	k := pkt.Key{Src: pkt.MustParseAddr("10.1.2.3"), Dst: pkt.AddrV4(5), Proto: pkt.ProtoUDP, DstPort: 53}
 
 	var cOn, cOff cycles.Counter
@@ -85,7 +84,7 @@ func TestInterDAGSharingDistinctTablesUnaffected(t *testing.T) {
 	drr := &testInstance{name: "drr"}
 	a.Bind(pcu.TypeSecurity, MustParseFilter("10.0.0.0/8, *, *, *, *, *"), sec, nil)
 	a.Bind(pcu.TypeSched, MustParseFilter("*, *, UDP, *, *, *"), drr, nil)
-	now := time.Now()
+	now := pkt.Nanotime()
 	k := pkt.Key{Src: pkt.MustParseAddr("10.9.9.9"), Dst: pkt.AddrV4(1), Proto: pkt.ProtoUDP}
 	p := keyedPacket(k)
 	i1, rec := a.LookupGate(p, pcu.TypeSecurity, now, nil)

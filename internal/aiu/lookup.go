@@ -1,8 +1,6 @@
 package aiu
 
 import (
-	"time"
-
 	"github.com/routerplugins/eisr/internal/cycles"
 	"github.com/routerplugins/eisr/internal/pcu"
 	"github.com/routerplugins/eisr/internal/pkt"
@@ -33,7 +31,7 @@ type Lane struct {
 //
 //eisr:fastpath
 //eisr:allow(snapdiscipline) deliberate second gate-slot load: a stale FIX falls through to Resolve, which reads a (possibly different) record's slot, each load generation-guarded
-func (a *AIU) LookupGate(p *pkt.Packet, gate pcu.Type, now time.Time, c *cycles.Counter) (pcu.Instance, *FlowRecord) {
+func (a *AIU) LookupGate(p *pkt.Packet, gate pcu.Type, now int64, c *cycles.Counter) (pcu.Instance, *FlowRecord) {
 	slot, ok := a.Slot(gate)
 	if !ok {
 		return nil, nil
@@ -87,7 +85,7 @@ func (l *Lane) FIX(slot int) bool {
 //
 //eisr:fastpath
 //eisr:allow(snapdiscipline) one gate-slot load per packet (not per invocation), each read under the shard lock or guarded by FilterIfCurrent
-func (a *AIU) Resolve(lanes []Lane, slot int, now time.Time) {
+func (a *AIU) Resolve(lanes []Lane, slot int, now int64) {
 	// Pass 1: keys.
 	for i := range lanes {
 		l := &lanes[i]

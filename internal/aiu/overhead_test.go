@@ -10,7 +10,6 @@ package aiu
 import (
 	"os"
 	"testing"
-	"time"
 
 	"github.com/routerplugins/eisr/internal/cycles"
 	"github.com/routerplugins/eisr/internal/pcu"
@@ -21,7 +20,7 @@ import (
 // newHitPathAIU builds a one-gate AIU with a primed flow so every
 // subsequent LookupGate is a flow-table hit. tel may be nil
 // (telemetry off — the configuration the guard measures).
-func newHitPathAIU(tb testing.TB, tel *telemetry.Telemetry) (*AIU, *pkt.Packet, time.Time) {
+func newHitPathAIU(tb testing.TB, tel *telemetry.Telemetry) (*AIU, *pkt.Packet, int64) {
 	tb.Helper()
 	a := New(Config{InitialFlows: 16, MaxFlows: 64}, pcu.TypeSched)
 	if tel != nil {
@@ -41,7 +40,7 @@ func newHitPathAIU(tb testing.TB, tel *telemetry.Telemetry) (*AIU, *pkt.Packet, 
 	if err != nil {
 		tb.Fatal(err)
 	}
-	now := time.Now()
+	now := pkt.Nanotime()
 	var c cycles.Counter
 	if inst, _ := a.LookupGate(p, pcu.TypeSched, now, &c); inst == nil {
 		tb.Fatal("priming lookup found no instance")
@@ -51,7 +50,7 @@ func newHitPathAIU(tb testing.TB, tel *telemetry.Telemetry) (*AIU, *pkt.Packet, 
 
 // hitOnce forces the flow-table path (not the even cheaper FIX path) by
 // clearing the packet's FIX before the lookup.
-func hitOnce(a *AIU, p *pkt.Packet, now time.Time, c *cycles.Counter) pcu.Instance {
+func hitOnce(a *AIU, p *pkt.Packet, now int64, c *cycles.Counter) pcu.Instance {
 	p.FIX = nil
 	inst, _ := a.LookupGate(p, pcu.TypeSched, now, c)
 	return inst

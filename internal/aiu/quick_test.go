@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"github.com/routerplugins/eisr/internal/pkt"
 )
@@ -85,7 +84,7 @@ func TestQuickMoreSpecificAntisymmetric(t *testing.T) {
 // removed, and never found after.
 func TestQuickFlowTableLookupAfterInsert(t *testing.T) {
 	ft := NewFlowTable(16, 1<<16, 1)
-	now := time.Now()
+	now := pkt.Nanotime()
 	f := func(src, dst uint32, proto uint8, sp, dp uint16, inIf int32) bool {
 		k := pkt.Key{Src: pkt.AddrV4(src), Dst: pkt.AddrV4(dst), Proto: proto, SrcPort: sp, DstPort: dp, InIf: inIf}
 		ft.Insert(k, now, nil)

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"github.com/routerplugins/eisr/internal/pcu"
 	"github.com/routerplugins/eisr/internal/pkt"
@@ -70,7 +69,7 @@ func TestConcurrentLookupBindUnbind(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				now := time.Now()
+				now := pkt.Nanotime()
 				// First gate: miss → classify+insert, hit → cache read.
 				a.LookupGate(p, pcu.TypeSecurity, now, nil)
 				// Second gate rides the FIX; dispatch to the bound instance.
@@ -115,7 +114,7 @@ func TestConcurrentLookupBindUnbind(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 200; i++ {
-			a.FlowTable().PurgeIdle(time.Now())
+			a.FlowTable().PurgeIdle(pkt.Nanotime())
 			a.FlowTable().Stats()
 			a.Stats()
 		}

@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"math/rand"
-	"time"
 
 	"github.com/routerplugins/eisr/internal/aiu"
 	"github.com/routerplugins/eisr/internal/bmp"
@@ -42,7 +41,7 @@ func RunAblateCache(seed int64, nFlows, nPackets int, burstiness float64) []Abla
 	}
 
 	var rows []AblateCacheRow
-	now := time.Now()
+	now := pkt.Nanotime()
 
 	a := build()
 	var mem uint64
@@ -170,7 +169,7 @@ func RunAblateInterDAG(seed int64, nGates, nFilters int) []AblateInterDAGRow {
 		for _, g := range gates {
 			a.ClassifyKey(g, keys[0], nil) // build every gate's DAG outside the timer
 		}
-		now := time.Now()
+		now := pkt.Nanotime()
 		var mem uint64
 		t0 := nowNs()
 		for i, k := range keys {

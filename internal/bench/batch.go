@@ -105,7 +105,7 @@ func RunBatchSweep(opt BatchSweepOptions) ([]BatchRow, error) {
 	}
 
 	// Prime every flow so the sweep measures the steady-state hit path.
-	now := time.Now()
+	now := pkt.Nanotime()
 	for f := 0; f < opt.Flows; f++ {
 		p, err := pkt.NewPacket(buf[f], 0)
 		if err != nil {

@@ -13,7 +13,6 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"github.com/routerplugins/eisr/internal/aiu"
 	"github.com/routerplugins/eisr/internal/bmp"
@@ -71,7 +70,7 @@ func newBatchAllocRig(tb testing.TB, batch int) (*ipcore.Router, *ipcore.Batcher
 	r.AddInterface(netdev.NewInterface(1, netdev.Config{}))
 	routes.Add(pkt.MustParsePrefix("0.0.0.0/0"), routing.NextHop{IfIndex: 1})
 
-	now := time.Now()
+	now := pkt.Nanotime()
 	ps := make([]*pkt.Packet, batch)
 	for i := range ps {
 		data, err := pkt.BuildUDP(pkt.UDPSpec{
@@ -213,7 +212,7 @@ func newFlowPacket(tb testing.TB, sport uint16) *pkt.Packet {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	p.Stamp = time.Now()
+	p.Stamp = pkt.Nanotime()
 	return p
 }
 

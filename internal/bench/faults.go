@@ -147,7 +147,7 @@ func RunFaults(opt FaultsOptions) ([]FaultsRow, int, error) {
 	if nE2E < 2000 {
 		nE2E = 2000
 	}
-	now := time.Now()
+	now := pkt.Nanotime()
 	start := time.Now()
 	for i := 0; i < nE2E; i++ {
 		// Rebuild the packet struct each iteration (Forward mutates it).

@@ -60,7 +60,7 @@ func RunFlowCache(seed int64, nFlows, nPackets int, burstiness float64, v6 bool)
 	hashNs := float64(time.Since(t0).Nanoseconds()) / 1e6
 	_ = sink
 
-	now := time.Now()
+	now := pkt.Nanotime()
 	var hitTime, missTime time.Duration
 	var hitMem, missMem uint64
 	var hits, misses int

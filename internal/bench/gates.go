@@ -43,7 +43,7 @@ func RunGateScale(maxGates int) []GateScalePoint {
 		for _, g := range gates {
 			a.Bind(g, aiu.MustParseFilter("10.0.0.0/8, *, UDP, *, *, *"), &inst, nil)
 		}
-		now := time.Now()
+		now := pkt.Nanotime()
 		const trials = 2000
 		var firstMem, cachedMem uint64
 		var firstNs, cachedNs int64

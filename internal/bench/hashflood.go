@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"time"
 
 	"github.com/routerplugins/eisr/internal/aiu"
 	"github.com/routerplugins/eisr/internal/pkt"
@@ -87,7 +86,7 @@ func RunHashFlood(opt HashFloodOptions) []HashFloodRow {
 		{"uniform", uniformKeys(rng, opt.Keys)},
 		{"adversarial (fixed src^dst, ports)", floodKeys(opt.Keys)},
 	}
-	now := time.Now()
+	now := pkt.Nanotime()
 	tables := make([]*aiu.FlowTable, len(sets))
 	rows := make([]HashFloodRow, len(sets))
 	for i, s := range sets {

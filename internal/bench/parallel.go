@@ -105,7 +105,7 @@ func RunParallel(opt ParallelOptions) ([]ParallelRow, error) {
 
 	// Prime every flow into the table so the sweep measures the
 	// steady-state hit path (the paper's cached-lookup regime).
-	now := time.Now()
+	now := pkt.Nanotime()
 	for f := 0; f < opt.Flows; f++ {
 		p, err := pkt.NewPacket(buf[f], 0)
 		if err != nil {

@@ -114,6 +114,7 @@ type bsplEntry struct {
 	// hasLonger directs the binary search upward: some real prefix
 	// longer than this entry's length extends this bit string.
 	hasLonger bool
+	_         [8 * is32]byte // 32 bytes on every target
 	// bmp is the longest real prefix matching this entry's bit string,
 	// including the entry itself when it is a real prefix; nil when none
 	// does.

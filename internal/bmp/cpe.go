@@ -517,7 +517,7 @@ func (t *CPE) layoutSlot(s uint32, own bool) {
 		return
 	}
 	off := len(t.pool)
-	if off >= cpeArena {
+	if uint64(off) >= cpeArena {
 		panic("bmp: CPE pool exceeds 2^31 words")
 	}
 	if own || old == nil {

@@ -44,8 +44,15 @@ type pchunk struct {
 // each group is touched.
 type pgroup struct {
 	gen     uint64
+	_       [12 * is32]byte // 32 bytes on every target
 	entries []bsplEntry
 }
+
+// is32 is 1 on 32-bit targets and 0 on 64-bit ones. Pad fields scaled
+// by it give the probe structures their 64-bit sizes (32-byte entries
+// and groups, 4 KiB chunks) everywhere; a pad sits before a struct's
+// last field because a trailing zero-size field would itself be padded.
+const is32 = 1 - ^uintptr(0)>>63
 
 // ptableTargetLoad is the mean entries-per-group above which the table
 // doubles. Groups are short slices scanned linearly, so the target

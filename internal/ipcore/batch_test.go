@@ -175,7 +175,7 @@ func eqPacket(t *testing.T, i int) *pkt.Packet {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.Stamp = time.Now()
+	p.Stamp = pkt.Nanotime()
 	return p
 }
 

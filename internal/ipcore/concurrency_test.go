@@ -60,7 +60,7 @@ func TestConcurrentControlAndData(t *testing.T) {
 			}
 			in.Inject(protos[i%len(protos)])
 			if p := in.Poll(); p != nil {
-				p.Stamp = time.Now()
+				p.Stamp = pkt.Nanotime()
 				r.ProcessOne(p)
 			}
 			i++
@@ -86,7 +86,7 @@ func TestConcurrentControlAndData(t *testing.T) {
 			}
 			a.ClassifyKey(pcu.TypeSecurity, pkt.Key{Src: pkt.AddrV4(1)}, nil)
 			if round%3 == 0 {
-				a.FlowTable().PurgeIdle(time.Now())
+				a.FlowTable().PurgeIdle(pkt.Nanotime())
 			}
 			if err := a.Unbind(rec); err != nil {
 				t.Error(err)

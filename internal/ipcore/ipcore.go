@@ -160,7 +160,7 @@ type Config struct {
 	// returns: a sink must not keep the *pkt.Packet or its Data past
 	// the call — it copies what it needs (Clone for a whole packet).
 	LocalSink func(p *pkt.Packet)
-	// Clock supplies the AIU's notion of now; defaults to time.Now.
+	// Clock times the ICMP rate limiter and packet traces; defaults to time.Now.
 	Clock func() time.Time
 	// Workers sizes the forwarding worker pool: Run steers ingress
 	// packets to Workers goroutines by flow hash, preserving per-flow

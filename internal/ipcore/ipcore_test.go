@@ -61,7 +61,7 @@ func sendUDP(t *testing.T, rig *testRig, src, dst string, sport, dport uint16) *
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.Stamp = time.Now()
+	p.Stamp = pkt.Nanotime()
 	return p
 }
 

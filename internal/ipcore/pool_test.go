@@ -61,7 +61,7 @@ func seqPacket(t *testing.T, f int, seq uint32) *pkt.Packet {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.Stamp = time.Now()
+	p.Stamp = pkt.Nanotime()
 	return p
 }
 

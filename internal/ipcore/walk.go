@@ -63,6 +63,7 @@ type laneState struct {
 type laneTrace struct {
 	te    *telemetry.TraceEntry // trace-ring entry; nil for path-only tracing
 	start time.Time
+	mono  int64          // start on the pkt.Nanotime clock of Packet.Stamp
 	cc    cycles.Counter // the lane's classifier accounting
 
 	// owner is the packet's pool, held back from the packet while the
@@ -169,7 +170,7 @@ func (r *Router) walk(w *vec, st *ifaceState, run []*pkt.Packet) int {
 	state := w.state[:len(lanes)]
 	w.alive, w.survived = len(lanes), 0
 	traced := false
-	var now time.Time
+	var now int64
 	for i := range lanes {
 		l, s := &lanes[i], &state[i]
 		p := l.P
@@ -194,11 +195,11 @@ func (r *Router) walk(w *vec, st *ifaceState, run []*pkt.Packet) int {
 			r.laneDone(w, i, false)
 			continue
 		}
-		if now.IsZero() {
-			// One flow-touch timestamp per vector.
+		if now == 0 {
+			// One flow-touch timestamp per vector: the receive stamp.
 			now = p.Stamp
-			if now.IsZero() {
-				now = r.clock()
+			if now == 0 {
+				now = pkt.Nanotime()
 			}
 		}
 	}
@@ -454,7 +455,7 @@ const (
 //
 //eisr:slowpath
 func (r *Router) traceBegin(l *aiu.Lane, s *laneState, te *telemetry.TraceEntry) {
-	t := &laneTrace{te: te, start: r.clock()}
+	t := &laneTrace{te: te, start: r.clock(), mono: pkt.Nanotime()}
 	t.owner, l.P.Owner = l.P.Owner, nil
 	s.tr = t
 	l.C = &t.cc
@@ -489,7 +490,7 @@ func (r *Router) traceRecord(p *pkt.Packet, t *laneTrace, pv uint8, elapsed int6
 	t.te.RecordKey(p.Key, t.start.UnixNano())
 	t.te.RecordClassify(!p.CacheMiss, p.CacheMiss, t.cc.Mem, t.cc.FnPtr)
 	if p.Path.Active {
-		r.pathStamp(p, pv, t.start, elapsed)
+		r.pathStamp(p, pv, t, elapsed)
 	}
 }
 
@@ -538,10 +539,10 @@ func (r *Router) traceDone(w *vec, i int, ok bool) {
 // ring.
 //
 //eisr:fastpath
-func (r *Router) pathStamp(p *pkt.Packet, verdict uint8, start time.Time, elapsed int64) {
+func (r *Router) pathStamp(p *pkt.Packet, verdict uint8, t *laneTrace, elapsed int64) {
 	var queueNs int64
-	if !p.Stamp.IsZero() {
-		queueNs = start.Sub(p.Stamp).Nanoseconds()
+	if p.Stamp != 0 {
+		queueNs = t.mono - p.Stamp
 	}
 	var worker uint16
 	if r.pool != nil {
@@ -560,7 +561,7 @@ func (r *Router) pathStamp(p *pkt.Packet, verdict uint8, start time.Time, elapse
 	p.Path.LocalGates = 0
 	p.Path.StampedHere = true
 	if verdict != pkt.PathVerdictForwarded {
-		r.ptrace.Fold(&p.Path, p.Key, start.UnixNano())
+		r.ptrace.Fold(&p.Path, p.Key, t.start.UnixNano())
 		p.Path.Active = false
 	}
 }

@@ -3,7 +3,6 @@ package ipsec
 import (
 	"testing"
 	"testing/quick"
-	"time"
 
 	"github.com/routerplugins/eisr/internal/aiu"
 	"github.com/routerplugins/eisr/internal/pcu"
@@ -134,7 +133,7 @@ func TestInstanceHandlePacketTransforms(t *testing.T) {
 		SrcPort: 1, DstPort: 2, Payload: []byte("pp"),
 	})
 	p, _ := pkt.NewPacket(append([]byte(nil), data...), 0)
-	inst, _ := a.LookupGate(p, pcu.TypeSecurity, time.Now(), nil)
+	inst, _ := a.LookupGate(p, pcu.TypeSecurity, pkt.Nanotime(), nil)
 	if inst != pcu.Instance(enc) {
 		t.Fatalf("gate resolved %v", inst)
 	}
@@ -157,7 +156,7 @@ func TestInstanceHandlePacketTransforms(t *testing.T) {
 		t.Fatal(err)
 	}
 	q, _ := pkt.NewPacket(p.Data, 1)
-	if got, _ := a.LookupGate(q, pcu.TypeSecurity, time.Now(), nil); got != pcu.Instance(dec) {
+	if got, _ := a.LookupGate(q, pcu.TypeSecurity, pkt.Nanotime(), nil); got != pcu.Instance(dec) {
 		t.Fatalf("decrypt gate resolved %v", got)
 	}
 	if err := dec.HandlePacket(q); err != nil {
@@ -171,7 +170,7 @@ func TestInstanceHandlePacketTransforms(t *testing.T) {
 	}
 	// A flow without an SA binding passes through untouched.
 	other, _ := pkt.NewPacket(data, 5)
-	rec := a.FlowTable().Insert(other.Key, time.Now(), nil)
+	rec := a.FlowTable().Insert(other.Key, pkt.Nanotime(), nil)
 	other.FIX = rec
 	if err := enc.HandlePacket(other); err != nil {
 		t.Fatal(err)
@@ -210,7 +209,7 @@ func TestPacketHashFollowsKey(t *testing.T) {
 	check("Reset", p)
 	inner := p.Hash
 
-	a.LookupGate(p, pcu.TypeSecurity, time.Now(), nil)
+	a.LookupGate(p, pcu.TypeSecurity, pkt.Nanotime(), nil)
 	if err := enc.HandlePacket(p); err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +222,7 @@ func TestPacketHashFollowsKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.LookupGate(q, pcu.TypeSecurity, time.Now(), nil)
+	a.LookupGate(q, pcu.TypeSecurity, pkt.Nanotime(), nil)
 	if err := dec.HandlePacket(q); err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/routerplugins/eisr/internal/pkt"
 	"github.com/routerplugins/eisr/internal/telemetry"
@@ -149,16 +148,21 @@ var (
 // attached link (or wire driver) are queued on the RX ring for the
 // router core to drain; packets the core transmits go out on the TX
 // path and are delivered to the peer interface or the wire.
+//
+// The per-packet paths take no lock to read the interface's state: up
+// is an atomic and the wiring (peer and driver) is an immutable
+// snapshot behind an atomic pointer, loaded once per Receive or
+// Transmit. mu guards the mbuf free list and serializes the control
+// path's writes (SetUp aside, which is one atomic store).
 type Interface struct {
 	Index int32
 	Name  string
 	MTU   int
 
-	mu     sync.Mutex
-	up     bool
-	rx     chan *pkt.Packet
-	peer   *Interface
-	driver Driver
+	mu   sync.Mutex
+	up   atomic.Bool
+	rx   chan *pkt.Packet
+	wire atomic.Pointer[wiring]
 
 	stats ifStats
 
@@ -185,7 +189,15 @@ type Interface struct {
 	Addr pkt.Addr
 
 	// clock supplies receive timestamps; overridable for tests.
-	clock func() time.Time
+	clock func() int64
+}
+
+// wiring is what an interface transmits into: the in-memory peer and
+// the wire driver. A value is never modified once published; Connect
+// and AttachDriver publish a fresh one.
+type wiring struct {
+	peer   *Interface
+	driver Driver
 }
 
 // Config parameterizes NewInterface.
@@ -194,7 +206,9 @@ type Config struct {
 	MTU    int // defaults to DefaultMTU
 	RxRing int // defaults to 512 descriptors
 	Addr   pkt.Addr
-	Clock  func() time.Time
+	// Clock supplies receive timestamps in pkt.Nanotime nanoseconds;
+	// defaults to pkt.Nanotime.
+	Clock func() int64
 }
 
 // NewInterface builds an administratively-up interface.
@@ -206,23 +220,32 @@ func NewInterface(index int32, cfg Config) *Interface {
 		cfg.RxRing = 512
 	}
 	if cfg.Clock == nil {
-		cfg.Clock = time.Now
+		cfg.Clock = pkt.Nanotime
 	}
 	name := cfg.Name
 	if name == "" {
 		name = fmt.Sprintf("sim%d", index)
 	}
-	return &Interface{
+	i := &Interface{
 		Index: index, Name: name, MTU: cfg.MTU,
-		up: true, rx: make(chan *pkt.Packet, cfg.RxRing),
+		rx:   make(chan *pkt.Packet, cfg.RxRing),
 		Addr: cfg.Addr, clock: cfg.Clock,
 	}
+	i.up.Store(true)
+	i.wire.Store(&wiring{})
+	return i
 }
 
 // SetUp raises or lowers the interface.
-func (i *Interface) SetUp(up bool) {
+func (i *Interface) SetUp(up bool) { i.up.Store(up) }
+
+// rewire publishes a copy of the interface's wiring with change applied.
+// Writers serialize on mu; readers load the snapshot without it.
+func (i *Interface) rewire(change func(w *wiring)) {
 	i.mu.Lock()
-	i.up = up
+	w := *i.wire.Load()
+	change(&w)
+	i.wire.Store(&w)
 	i.mu.Unlock()
 }
 
@@ -230,17 +253,11 @@ func (i *Interface) SetUp(up bool) {
 // not started; the router facade starts and stops attached drivers from
 // Start/Stop so sockets open and close with the forwarding loop.
 func (i *Interface) AttachDriver(d Driver) {
-	i.mu.Lock()
-	i.driver = d
-	i.mu.Unlock()
+	i.rewire(func(w *wiring) { w.driver = d })
 }
 
 // Driver returns the attached wire driver, or nil.
-func (i *Interface) Driver() Driver {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	return i.driver
-}
+func (i *Interface) Driver() Driver { return i.wire.Load().driver }
 
 // SetTelemetry exports the interface's counters on a metrics registry
 // (Prometheus exposition): the registry reads the interface's own
@@ -264,13 +281,10 @@ func (i *Interface) SetTelemetry(t *telemetry.Telemetry) {
 }
 
 // Connect wires two interfaces as a point-to-point link (both ways).
+// Each end publishes its own wiring value.
 func Connect(a, b *Interface) {
-	a.mu.Lock()
-	a.peer = b
-	a.mu.Unlock()
-	b.mu.Lock()
-	b.peer = a
-	b.mu.Unlock()
+	a.rewire(func(w *wiring) { w.peer = b })
+	b.rewire(func(w *wiring) { w.peer = a })
 }
 
 // Inject delivers raw datagram bytes into the interface's RX ring as if
@@ -281,17 +295,15 @@ func (i *Interface) Inject(data []byte) error { return i.Receive(data, nil) }
 // Receive is the interface's one receive path: Inject, the in-memory
 // peer hop in Transmit and wire drivers all deliver through it. Like a
 // real driver it takes a packet (the mbuf) from the pool and copies the
-// datagram into it, then parses the headers and timestamps the packet;
-// the caller's slice is not retained. An active path-trace context
+// datagram into it, then parses the headers in one pass (pkt.Reset) and
+// stamps the packet with one monotonic clock read; the caller's slice
+// is not retained. The only lock it takes is the mbuf free list's. An active path-trace context
 // rides along, without the sending router's local accumulation state.
 // Every outcome is counted here, once: received, or dropped as down,
 // too big, malformed or ring full. In steady state, with every packet
 // released by whoever retires it, Receive allocates nothing.
 func (i *Interface) Receive(data []byte, path *pkt.PathContext) error {
-	i.mu.Lock()
-	up := i.up
-	i.mu.Unlock()
-	if !up {
+	if !i.up.Load() {
 		i.stats.rxDrops[pkt.DropDown].Add(1)
 		return ErrDown
 	}
@@ -426,10 +438,7 @@ func (i *Interface) Poll() *pkt.Packet {
 // into a packet from the peer's own mbuf pool.
 func (i *Interface) Transmit(p *pkt.Packet) error {
 	defer p.ReleaseBuf()
-	i.mu.Lock()
-	up, peer, driver := i.up, i.peer, i.driver
-	i.mu.Unlock()
-	if !up {
+	if !i.up.Load() {
 		i.stats.txDrops[pkt.DropDown].Add(1)
 		return ErrDown
 	}
@@ -437,8 +446,9 @@ func (i *Interface) Transmit(p *pkt.Packet) error {
 		i.stats.txDrops[pkt.DropTooBig].Add(1)
 		return ErrTooBig
 	}
-	if driver != nil {
-		if err := driver.TransmitWire(p); err != nil {
+	w := i.wire.Load()
+	if w.driver != nil {
+		if err := w.driver.TransmitWire(p); err != nil {
 			why := pkt.DropRingFull
 			if err == ErrTooBig {
 				why = pkt.DropTooBig
@@ -452,10 +462,10 @@ func (i *Interface) Transmit(p *pkt.Packet) error {
 	}
 	i.stats.txPackets.Add(1)
 	i.stats.txBytes.Add(uint64(len(p.Data)))
-	if peer != nil {
+	if w.peer != nil {
 		// The peer receives like it would from a wire, and counts
 		// whatever it refuses as its own RX drop.
-		_ = peer.Receive(p.Data, &p.Path)
+		_ = w.peer.Receive(p.Data, &p.Path)
 	}
 	return nil
 }

@@ -155,7 +155,7 @@ func TestTransmitWireRestampsOwnHop(t *testing.T) {
 
 	p := tracedPacket(t)
 	p.Path.StampedHere = true
-	p.Stamp = time.Now().Add(-time.Millisecond) // ≥1ms residency by now
+	p.Stamp = pkt.Nanotime() - int64(time.Millisecond) // ≥1ms residency by now
 	if err := l.TransmitWire(p); err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestTransmitWireRestampsOwnHop(t *testing.T) {
 
 	// A foreign context (StampedHere false) must go out unmodified.
 	q := tracedPacket(t)
-	q.Stamp = time.Now().Add(-time.Millisecond)
+	q.Stamp = pkt.Nanotime() - int64(time.Millisecond)
 	if err := l.TransmitWire(q); err != nil {
 		t.Fatal(err)
 	}

@@ -390,9 +390,9 @@ func (l *UDPLink) TransmitWire(p *pkt.Packet) error {
 		// includes TX queueing up to this point (foreign hops — a
 		// context transiting an untraced best-effort router — are never
 		// touched). Then prepend the encapsulation.
-		if p.Path.StampedHere && !p.Stamp.IsZero() {
+		if p.Path.StampedHere && p.Stamp != 0 {
 			h := p.Path.Last()
-			if ns := pkt.ClampNs(time.Since(p.Stamp).Nanoseconds()); ns > h.TotalNs {
+			if ns := pkt.ClampNs(pkt.Nanotime() - p.Stamp); ns > h.TotalNs {
 				h.TotalNs = ns
 			}
 		}

@@ -88,7 +88,7 @@ func TestRxDeliversWirePackets(t *testing.T) {
 	if !p.KeyValid || p.Key.Proto != pkt.ProtoUDP || p.Key.SrcPort != 1111 {
 		t.Errorf("key not extracted on RX: %+v", p.Key)
 	}
-	if p.InIf != ifc.Index || p.OutIf != -1 || p.Stamp.IsZero() {
+	if p.InIf != ifc.Index || p.OutIf != -1 || p.Stamp == 0 {
 		t.Errorf("packet metadata: InIf=%d OutIf=%d stamp=%v", p.InIf, p.OutIf, p.Stamp)
 	}
 	// The batch counter records when the batch closes (after the drain

@@ -148,69 +148,111 @@ func BuildTCP(spec TCPSpec) ([]byte, error) {
 	return buf, nil
 }
 
-// ExtractKey parses the datagram and fills in the six-tuple. For IPv6 it
-// walks hop-by-hop extension headers to reach the transport header. For
-// protocols without ports (ICMP, ESP, ...) the port fields are zero. This
-// is the single header walk the core performs per received packet.
+// ExtractKey parses the datagram and fills in the six-tuple. It is the
+// one key parser: a single pass over the bytes in place that reads the
+// IPv4 header (options skipped, non-first fragments keyed on addresses
+// and protocol alone) or the IPv6 header and its hop-by-hop extension
+// headers, then the UDP or TCP ports. For protocols without ports (ICMP,
+// ESP, ...) the port fields are zero. It builds no header values and
+// copies no options, so it never allocates: a malformed datagram is
+// reported with one of the sentinels ErrTruncated, ErrBadVersion or
+// ErrBadHeader. It accepts and rejects exactly what ParseIPv4 or
+// ParseIPv6, ParseHopByHop and ParseUDP or ParseTCP do in sequence.
+//
+//eisr:fastpath
 func ExtractKey(data []byte, inIf int32) (Key, error) {
-	var k Key
-	k.InIf = inIf
+	k := Key{InIf: inIf}
 	if len(data) == 0 {
 		return k, ErrTruncated
 	}
-	var proto uint8
 	var l4 []byte
 	switch data[0] >> 4 {
 	case 4:
-		h, err := ParseIPv4(data)
-		if err != nil {
-			return k, err
+		if len(data) < IPv4HeaderLen {
+			return k, ErrTruncated
 		}
-		k.Src, k.Dst = h.Src, h.Dst
-		proto = h.Protocol
-		if h.FragOff != 0 {
-			// Non-first fragments carry no transport header; classify on
-			// addresses and protocol alone.
-			k.Proto = proto
+		ihl := int(data[0]&0x0f) * 4
+		total := int(binary.BigEndian.Uint16(data[2:4]))
+		if ihl < IPv4HeaderLen || total < ihl || total > len(data) {
+			return k, ErrBadHeader
+		}
+		copy(k.Src.b[:4], data[12:16])
+		copy(k.Dst.b[:4], data[16:20])
+		k.Proto = data[9]
+		if binary.BigEndian.Uint16(data[6:8])&0x1fff != 0 {
+			// Non-first fragments carry no transport header.
 			return k, nil
 		}
-		l4 = data[h.HeaderLen():int(h.TotalLen)]
+		l4 = data[ihl:total]
 	case 6:
-		h, err := ParseIPv6(data)
-		if err != nil {
-			return k, err
+		if len(data) < IPv6HeaderLen {
+			return k, ErrTruncated
 		}
-		k.Src, k.Dst = h.Src, h.Dst
-		proto = h.NextHeader
-		rest := data[IPv6HeaderLen : IPv6HeaderLen+int(h.PayloadLen)]
-		for proto == ProtoHopByHop {
-			hh, err := ParseHopByHop(rest)
+		end := IPv6HeaderLen + int(binary.BigEndian.Uint16(data[4:6]))
+		if end > len(data) {
+			return k, ErrBadHeader
+		}
+		k.Src = Addr{v6: true}
+		k.Dst = Addr{v6: true}
+		copy(k.Src.b[:], data[8:24])
+		copy(k.Dst.b[:], data[24:40])
+		k.Proto = data[6]
+		l4 = data[IPv6HeaderLen:end]
+		for k.Proto == ProtoHopByHop {
+			n, err := hopByHopLen(l4)
 			if err != nil {
 				return k, err
 			}
-			proto = hh.NextHeader
-			rest = rest[hh.Len:]
+			k.Proto = l4[0]
+			l4 = l4[n:]
 		}
-		l4 = rest
 	default:
 		return k, ErrBadVersion
 	}
-	k.Proto = proto
-	switch proto {
+	switch k.Proto {
 	case ProtoUDP:
-		uh, err := ParseUDP(l4)
-		if err != nil {
-			return k, err
+		if len(l4) < UDPHeaderLen {
+			return k, ErrTruncated
 		}
-		k.SrcPort, k.DstPort = uh.SrcPort, uh.DstPort
+		if binary.BigEndian.Uint16(l4[4:6]) < UDPHeaderLen {
+			return k, ErrBadHeader
+		}
 	case ProtoTCP:
-		th, err := ParseTCP(l4)
-		if err != nil {
-			return k, err
+		if len(l4) < TCPHeaderLen {
+			return k, ErrTruncated
 		}
-		k.SrcPort, k.DstPort = th.SrcPort, th.DstPort
+		if off := int(l4[12]>>4) * 4; off < TCPHeaderLen || off > len(l4) {
+			return k, ErrBadHeader
+		}
+	default:
+		return k, nil
 	}
+	k.SrcPort = binary.BigEndian.Uint16(l4[0:2])
+	k.DstPort = binary.BigEndian.Uint16(l4[2:4])
 	return k, nil
+}
+
+// hopByHopLen validates the hop-by-hop extension header at the start of
+// b in place, with ParseHopByHop's checks, and returns its length.
+func hopByHopLen(b []byte) (int, error) {
+	if len(b) < 8 {
+		return 0, ErrTruncated
+	}
+	n := (int(b[1]) + 1) * 8
+	if len(b) < n {
+		return 0, ErrTruncated
+	}
+	for opts := b[2:n]; len(opts) > 0; {
+		if opts[0] == Opt6Pad1 {
+			opts = opts[1:]
+			continue
+		}
+		if len(opts) < 2 || len(opts) < 2+int(opts[1]) {
+			return 0, ErrBadHeader
+		}
+		opts = opts[2+int(opts[1]):]
+	}
+	return n, nil
 }
 
 // NewPacket wraps raw datagram bytes into a Packet, extracting the
@@ -224,15 +266,16 @@ func NewPacket(data []byte, inIf int32) (*Packet, error) {
 }
 
 // Reset reinitializes p in place as a freshly received packet carrying
-// data from interface inIf: every header field is cleared, the six-tuple
-// is extracted and hashed once (SetKey) and the TOS (IPv6 traffic class)
-// is read from the IP header. On a malformed datagram it returns the
-// extraction error and leaves p cleared with KeyValid false. NewPacket
-// builds on it, and a driver recycling whole packets (netdev's mbuf
-// pool) calls it on every reuse, so a recycled packet carries nothing of
-// its previous life.
+// data from interface inIf: every header field is cleared in place, the
+// six-tuple is extracted in ExtractKey's one pass and hashed once
+// (SetKey), and the TOS (IPv6 traffic class) is read from the IP header.
+// On a malformed datagram it returns the extraction error and leaves p
+// cleared with KeyValid false. NewPacket builds on it, and a driver
+// recycling whole packets (netdev's mbuf pool) calls it on every reuse,
+// so a recycled packet carries nothing of its previous life.
 func (p *Packet) Reset(data []byte, inIf int32) error {
-	*p = Packet{Data: data, InIf: inIf, OutIf: -1}
+	*p = Packet{}
+	p.Data, p.InIf, p.OutIf = data, inIf, -1
 	k, err := ExtractKey(data, inIf)
 	if err != nil {
 		return err

@@ -97,10 +97,11 @@ type Packet struct {
 	// the row. Owned by the AIU, like FIX.
 	FIXGen uint64
 
-	// Stamp is the receive timestamp assigned by the device driver; the
-	// Table 3 measurement methodology timestamps packets on RX and
-	// compares against the cycle counter just before TX.
-	Stamp time.Time
+	// Stamp is the receive timestamp assigned by the device driver, in
+	// Nanotime nanoseconds; 0 means unstamped. The Table 3 measurement
+	// methodology timestamps packets on RX and compares against the
+	// cycle counter just before TX.
+	Stamp int64
 
 	// TOS carries the IPv4 TOS / IPv6 traffic class for schedulers that
 	// want class hints.
@@ -145,6 +146,19 @@ type Packet struct {
 	// and release is a no-op.
 	Owner BufOwner
 }
+
+// epoch anchors Nanotime. It is set one second before the package
+// initialises, so every reading is positive and 0 can mean "unstamped".
+var epoch = time.Now().Add(-time.Second)
+
+// Nanotime returns the process-wide monotonic clock in nanoseconds: the
+// clock of Packet.Stamp, of flow-record last use and of path-trace
+// residency. It reads only the monotonic clock, not the wall clock, so
+// a receive pays one clock read per packet, and differences between
+// readings are immune to wall-clock steps.
+//
+//eisr:fastpath
+func Nanotime() int64 { return int64(time.Since(epoch)) }
 
 // BufOwner recycles whole packets: header and receive buffer.
 // netdev.Interface implements it for its mbuf pool; the indirection

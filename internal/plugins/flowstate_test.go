@@ -3,7 +3,6 @@ package plugins
 import (
 	"sync"
 	"testing"
-	"time"
 
 	"github.com/routerplugins/eisr/internal/aiu"
 	"github.com/routerplugins/eisr/internal/pcu"
@@ -24,7 +23,7 @@ func tcpPacket(t testing.TB, src uint32, sport uint16, seq uint32) *pkt.Packet {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.Stamp = time.Now()
+	p.Stamp = pkt.Nanotime()
 	return p
 }
 
@@ -55,7 +54,7 @@ func TestTCPMonStateBoundedByFlowTable(t *testing.T) {
 		t.Errorf("report lists %d flows, the table holds %d", len(rep), st.Live)
 	}
 	for _, r := range rep {
-		if ft.Lookup(r.Key, time.Now(), nil) == nil {
+		if ft.Lookup(r.Key, pkt.Nanotime(), nil) == nil {
 			t.Errorf("report lists %v, which left the table", r.Key)
 		}
 		if r.Packets != 1 {
@@ -110,7 +109,7 @@ func TestTCPMonRecycleRace(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				p := tcpPacket(t, 0x0a000000+uint32((w*17+i)%flows), 1000, uint32(i))
-				if got, _ := a.LookupGate(p, pcu.TypeMonitor, time.Now(), nil); got != inst {
+				if got, _ := a.LookupGate(p, pcu.TypeMonitor, pkt.Nanotime(), nil); got != inst {
 					t.Errorf("flow bound to %v", got)
 					return
 				}

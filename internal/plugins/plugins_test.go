@@ -3,7 +3,6 @@ package plugins
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"github.com/routerplugins/eisr/internal/aiu"
 	"github.com/routerplugins/eisr/internal/bmp"
@@ -83,7 +82,7 @@ func udp(t *testing.T, src string, sport uint16, size int) *pkt.Packet {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.Stamp = time.Now()
+	p.Stamp = pkt.Nanotime()
 	return p
 }
 
@@ -335,7 +334,7 @@ func TestOptionsPluginRouterAlert(t *testing.T) {
 		HopByHop: []pkt.HopByHopOption{{Type: pkt.Opt6RouterAlert, Data: []byte{0, 0}}},
 	})
 	p, _ := pkt.NewPacket(data, 0)
-	p.Stamp = time.Now()
+	p.Stamp = pkt.Nanotime()
 	// Need a v6 route.
 	rg.r.Routes().Add(pkt.MustParsePrefix("2000::/3"), routing.NextHop{IfIndex: 1})
 	if !rg.r.ProcessOne(p) {
@@ -389,7 +388,7 @@ func TestTCPMonDetectsRetransmissions(t *testing.T) {
 			SrcPort: 5555, DstPort: 80, Seq: seq, Flags: flags, Payload: []byte("seg"),
 		})
 		p, _ := pkt.NewPacket(data, 0)
-		p.Stamp = time.Now()
+		p.Stamp = pkt.Nanotime()
 		rg.r.ProcessOne(p)
 	}
 	send(100, pkt.TCPSyn)

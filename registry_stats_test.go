@@ -432,7 +432,7 @@ func aiuRegistryCase(t *testing.T) (*telemetry.Telemetry, []statPair) {
 	}
 	slot, _ := a.Slot(pcu.TypeSched)
 	traffic := func() {
-		now := time.Now()
+		now := pkt.Nanotime()
 		for f := uint16(0); f < 8; f++ {
 			for rep := 0; rep < 3; rep++ {
 				a.LookupGate(newTestPacket(t, udpDatagram(t, "20.0.0.1", 100+f, 8), 0), pcu.TypeSched, now, nil)

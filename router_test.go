@@ -42,7 +42,7 @@ func newTestRouter(t *testing.T) (*Router, func(t *testing.T, src, dst string, s
 		if err != nil {
 			t.Fatal(err)
 		}
-		p.Stamp = time.Now()
+		p.Stamp = pkt.Nanotime()
 		return r.Core.ProcessOne(p)
 	}
 	return r, send

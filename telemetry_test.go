@@ -5,7 +5,6 @@ import (
 	"net"
 	"strings"
 	"testing"
-	"time"
 
 	"github.com/routerplugins/eisr/internal/ctl"
 	"github.com/routerplugins/eisr/internal/pkt"
@@ -53,7 +52,7 @@ func newTelemetryRouter(t *testing.T) (*Router, func(src, dst string, sport uint
 		if err != nil {
 			t.Fatal(err)
 		}
-		p.Stamp = time.Now()
+		p.Stamp = pkt.Nanotime()
 		return r.Core.ProcessOne(p)
 	}
 	return r, send
