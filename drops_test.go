@@ -176,8 +176,6 @@ func TestDropsCountedOnce(t *testing.T) {
 				p := in.Poll()
 				if r.Core.Pool().Submit(p) {
 					submitted++
-				} else {
-					p.ReleaseBuf()
 				}
 			}
 		}},
@@ -200,4 +198,68 @@ func TestDropsCountedOnce(t *testing.T) {
 		t.Errorf("injected %d = transmitted + delivered + queued %d + dropped %d fails by %d",
 			injected, out, drops, injected-(out+drops))
 	}
+}
+
+// TestRefusedHandoffEndsPathSpan: a path-traced packet that an output
+// stage refuses comes back to the walk, which re-stamps this router's
+// hop as dropped and folds the span. Two refusals: a DRR instance with
+// a one-packet queue that nothing drains (the second and third packets
+// of a flow), and the default output FIFO once its 1024 slots are full.
+func TestRefusedHandoffEndsPathSpan(t *testing.T) {
+	r, err := New(Options{Telemetry: true, PathSample: 1, RouterID: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, _ := r.AddInterface(0, "in0", "10.0.0.254")
+	r.AddInterface(1, "out0", "")
+	r.AddInterface(3, "sched0", "")
+	for _, rt := range []string{"20.0.0.0/8 dev 1", "50.0.0.0/8 dev 3"} {
+		if err := r.AddRoute(rt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := r.LoadPlugin("drr"); err != nil {
+		t.Fatal(err)
+	}
+	drr, err := r.CreateInstance("drr", map[string]string{"iface": "3", "qlen": "1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Register("drr", drr, map[string]string{"filter": "*, 50.0.0.0/8, UDP, *, *, *"}); err != nil {
+		t.Fatal(err)
+	}
+	send := func(dst string, n int) {
+		data, err := pkt.BuildUDP(pkt.UDPSpec{
+			Src: pkt.MustParseAddr("10.0.0.1"), Dst: pkt.MustParseAddr(dst),
+			SrcPort: 5, DstPort: 9, Payload: make([]byte, 16), TTL: 64,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			if err := in.Inject(data); err != nil {
+				t.Fatal(err)
+			}
+			r.Core.Forward(in.Poll())
+		}
+	}
+	pt := r.Telemetry.PathTracer()
+	check := func(what string, refused uint64) {
+		t.Helper()
+		if drops := r.Core.Stats().Dropped; drops != refused {
+			t.Fatalf("%s: %d drops, want %d", what, drops, refused)
+		}
+		if got := pt.Status().Spans; got != refused {
+			t.Fatalf("%s: %d spans folded, want one per refused packet (%d)", what, got, refused)
+		}
+		for _, s := range pt.SnapshotSpans(0) {
+			if n := len(s.Hops); n != 1 || s.Hops[0].Router != 9 || s.Hops[0].Verdict != "dropped" {
+				t.Fatalf("%s: span %+v, want one hop of router 9, dropped", what, s)
+			}
+		}
+	}
+	send("50.0.0.1", 3)
+	check("drr", 2)
+	send("20.0.0.1", 1024+2)
+	check("fifo", 4)
 }

@@ -124,7 +124,7 @@ func (m *meter) record(ns uint64) {
 	m.sched.RecordEnqueue()                        // negative: certified record method
 	if te := m.reg.Tracer().Acquire(); te != nil { // negative: certified trace acquisition
 		te.RecordHop("sched", 1, "drr0", 5) // negative: certified record method
-		te.Commit("forwarded", "", 1, 9)    // negative: certified record method
+		te.Commit("forwarded", 0, 1, 9)     // negative: certified record method
 	}
 	m.reg.Counter("pkts", "help") // want "calls telemetry.Telemetry.Counter on the fast path"
 }

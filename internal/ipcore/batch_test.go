@@ -77,7 +77,7 @@ func (e *eqVerdictInstance) InstanceName() string { return e.name }
 
 func (e *eqVerdictInstance) verdict(p *pkt.Packet) {
 	if p.Key.SrcPort%7 == 0 {
-		p.MarkDrop("eq: denied")
+		p.MarkDrop()
 	}
 }
 

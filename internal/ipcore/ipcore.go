@@ -467,31 +467,49 @@ func (r *Router) forward(p *pkt.Packet) (bool, int32) {
 //
 //eisr:fastpath
 func (r *Router) forwardMono(p *pkt.Packet, st *ifaceState) (bool, int32) {
-	if !r.validate(p) {
+	if why := r.validate(p); why != pkt.DropNone {
+		r.release(p, why)
 		return false, -1
 	}
-	if cont, ok := r.route(p, st, r.Counter); !cont {
-		return ok, -1
+	if done, why := r.route(p, st, r.Counter); done {
+		r.release(p, why)
+		return why == pkt.DropNone, -1
 	}
-	out := p.OutIf
-	if r.cfg.MonoSched != nil {
-		if err := r.cfg.MonoSched.Enqueue(p); err != nil {
-			r.stats.drops[pkt.DropQueueFull].Add(1)
-			p.ReleaseBuf()
-			return false, out
-		}
+	out, why := p.OutIf, pkt.DropNone
+	switch {
+	case r.cfg.MonoSched == nil:
+		why = r.enqueueFIFO(p, st)
+	case r.cfg.MonoSched.Enqueue(p) != nil:
+		why = pkt.DropQueueFull
+	default:
 		r.stats.schedEnq.Add(1)
 		r.stats.forwarded.Add(1)
-		return true, out
 	}
-	return r.enqueueFIFO(p, st), out
+	if why != pkt.DropNone {
+		r.release(p, why)
+	}
+	return why == pkt.DropNone, out
+}
+
+// release ends a packet's life in the core: it counts a lost packet
+// under its reason (pkt.DropNone, a delivered or fragmented one, counts
+// nothing) and returns the packet to its pool. It is the only place the
+// core counts a drop or releases a packet; the stages that decide a
+// packet's fate return a reason and leave the packet to their caller.
+//
+//eisr:fastpath
+func (r *Router) release(p *pkt.Packet, why pkt.DropReason) {
+	if why != pkt.DropNone {
+		r.stats.drops[why].Add(1)
+	}
+	p.ReleaseBuf()
 }
 
 // route is the forwarding decision, made once per packet: local
 // delivery, else the destination lookup (unless a routing instance
-// already chose the output interface), then the TTL decrement. cont
-// reports that the packet goes on to output; otherwise it reached its
-// verdict here and ok tells whether it survived (was delivered).
+// already chose the output interface), then the TTL decrement. done
+// reports that the packet reached its verdict here: delivered (why is
+// pkt.DropNone) or lost for why; otherwise it goes on to output.
 //
 // In plugin mode the decision is made at the routing gate, *after* the
 // security gate: a tunnel packet addressed to this gateway is decrypted
@@ -501,89 +519,84 @@ func (r *Router) forwardMono(p *pkt.Packet, st *ifaceState) (bool, int32) {
 // processing".
 //
 //eisr:fastpath
-func (r *Router) route(p *pkt.Packet, st *ifaceState, c *cycles.Counter) (cont, ok bool) {
+func (r *Router) route(p *pkt.Packet, st *ifaceState, c *cycles.Counter) (done bool, why pkt.DropReason) {
 	if r.deliverLocal(p, st) {
-		return false, true
+		return true, pkt.DropNone
 	}
 	if p.OutIf < 0 {
 		nh, found := r.cfg.Routes.Lookup(p.Key.Dst, c)
 		if !found {
-			return false, r.dropNoRoute(p)
+			r.sendICMPError(p, pkt.ICMPv4DestUnreach, pkt.ICMPv6DestUnreach, 0, 0)
+			return true, pkt.DropNoRoute
 		}
 		p.OutIf = nh.IfIndex
 		p.NextHop = nh.Gateway
 	}
-	return r.decTTL(p), false
+	why = r.decTTL(p)
+	return why != pkt.DropNone, why
 }
 
 // gateDispatch runs one gate's instance through the fault barrier and
-// applies the fault policy. It returns the instance's verdict — a
-// non-nil err rejects the packet, which the caller drops — then cont
-// (keep walking the gate chain; false when the fault policy dropped the
-// packet) and faulted: a faulted-but-continuing packet is *degraded* —
-// the caller must treat the gate as if no instance were bound (no
-// p.Drop honor, no sched bookkeeping), because the instance may have
-// panicked before doing any of its work. The no-fault path adds only
-// the barrier's open-coded defer; the fault arms below are cold.
+// applies the fault policy. It returns the packet's verdict at the
+// gate — a reason to drop it (the instance rejected it, or faulted
+// under the drop policy), else pkt.DropNone — and faulted: a
+// faulted-but-continuing packet is *degraded* — the caller must treat
+// the gate as if no instance were bound (no p.Drop honor, no sched
+// bookkeeping), because the instance may have panicked before doing
+// any of its work. The no-fault path adds only the barrier's
+// open-coded defer; the fault arms below are cold.
 //
 //eisr:fastpath
-func (r *Router) gateDispatch(g pcu.Type, inst pcu.Instance, p *pkt.Packet) (err error, cont, faulted bool) {
+func (r *Router) gateDispatch(g pcu.Type, inst pcu.Instance, p *pkt.Packet) (why pkt.DropReason, faulted bool) {
 	err, flt := r.guard.Dispatch(g, inst, p)
-	if flt == nil {
-		return err, true, false
+	switch {
+	case flt != nil:
+		r.stats.faults.Add(1)
+		return r.faultVerdict(p), true
+	case err != nil:
+		return pkt.DropPlugin, false
 	}
-	r.stats.faults.Add(1)
-	return nil, r.faultVerdict(p, flt), true
+	return pkt.DropNone, false
 }
 
 // faultVerdict applies the fault policy to one packet of a faulted
 // dispatch: under the forward policy the packet continues degraded
-// (true); otherwise it is dropped with the fault as reason.
+// (pkt.DropNone); otherwise it is a plugin-fault drop.
 //
 //eisr:fastpath
-func (r *Router) faultVerdict(p *pkt.Packet, flt *pcu.PluginFault) bool {
-	if r.guard.Policy() == pcu.PolicyForward {
-		p.Drop = false
-		r.stats.degraded.Add(1)
-		return true
+func (r *Router) faultVerdict(p *pkt.Packet) pkt.DropReason {
+	if r.guard.Policy() != pcu.PolicyForward {
+		return pkt.DropPluginFault
 	}
-	if !p.Drop {
-		p.MarkDrop(flt.Error())
-	}
-	r.stats.drops[pkt.DropPluginFault].Add(1)
-	p.ReleaseBuf()
-	return false
+	p.Drop = false
+	r.stats.degraded.Add(1)
+	return pkt.DropNone
 }
 
-// validate performs the version/checksum/sanity checks of ip_input.
-// The output interface is this forwarding pass's decision, so any value
-// the packet arrived with is cleared.
-func (r *Router) validate(p *pkt.Packet) bool {
+// validate performs the version/checksum/sanity checks of ip_input and
+// returns the reason to drop the packet, or pkt.DropNone. The output
+// interface is this forwarding pass's decision, so any value the packet
+// arrived with is cleared.
+func (r *Router) validate(p *pkt.Packet) pkt.DropReason {
 	p.OutIf = -1
 	switch p.Version() {
 	case 4:
 		if r.cfg.VerifyChecksums && !pkt.VerifyIPv4Checksum(p.Data) {
-			r.stats.drops[pkt.DropBadChecksum].Add(1)
-			p.ReleaseBuf()
-			return false
+			return pkt.DropBadChecksum
 		}
 	case 6:
 		// No header checksum in IPv6.
 	default:
-		r.stats.drops[pkt.DropMalformed].Add(1)
-		p.ReleaseBuf()
-		return false
+		return pkt.DropMalformed
 	}
 	if !p.KeyValid {
 		k, err := pkt.ExtractKey(p.Data, p.InIf)
 		if err != nil {
-			r.stats.drops[pkt.DropMalformed].Add(1)
-			p.ReleaseBuf()
-			return false
+			return pkt.DropMalformed
 		}
 		p.SetKey(k)
 	}
-	return true
+	return pkt.DropNone
 }
 
 // deliverLocal punts packets addressed to the router itself, including
@@ -604,17 +617,18 @@ func (r *Router) deliverLocal(p *pkt.Packet, st *ifaceState) bool {
 
 // deliver hands a packet to the local sink. Delivery is synchronous: a
 // handler that retains payload must copy it, so the packet recycles as
-// soon as the sink returns (the same validity contract the driver's
-// descriptor ring gave).
+// soon as its caller releases it after the sink returns (the same
+// validity contract the driver's descriptor ring gave).
 func (r *Router) deliver(p *pkt.Packet) {
 	r.stats.delivered.Add(1)
 	if r.cfg.LocalSink != nil {
 		r.cfg.LocalSink(p)
 	}
-	p.ReleaseBuf()
 }
 
-func (r *Router) decTTL(p *pkt.Packet) bool {
+// decTTL decrements the TTL or hop limit; an expired packet is answered
+// with an ICMP time-exceeded when enabled and returns pkt.DropTTL.
+func (r *Router) decTTL(p *pkt.Packet) pkt.DropReason {
 	var err error
 	switch p.Version() {
 	case 4:
@@ -623,21 +637,10 @@ func (r *Router) decTTL(p *pkt.Packet) bool {
 		_, err = pkt.DecHopLimit(p.Data)
 	}
 	if err != nil {
-		r.stats.drops[pkt.DropTTL].Add(1)
 		r.sendICMPError(p, pkt.ICMPv4TimeExceeded, pkt.ICMPv6TimeExceeded, 0, 0)
-		p.ReleaseBuf()
-		return false
+		return pkt.DropTTL
 	}
-	return true
-}
-
-// dropNoRoute counts a routing failure and answers with an ICMP
-// destination-unreachable when enabled.
-func (r *Router) dropNoRoute(p *pkt.Packet) bool {
-	r.stats.drops[pkt.DropNoRoute].Add(1)
-	r.sendICMPError(p, pkt.ICMPv4DestUnreach, pkt.ICMPv6DestUnreach, 0, 0)
-	p.ReleaseBuf()
-	return false
+	return pkt.DropNone
 }
 
 // sendICMPError emits a rate-limited ICMP error about p back toward its
@@ -682,7 +685,9 @@ func (r *Router) sendICMPError(p *pkt.Packet, v4type, v6type, v4code, v6code uin
 	q.NextHop = nh.Gateway
 	// Slow-path boundary: the error packet is a fresh invocation with
 	// its own snapshot, not part of the triggering packet's epoch.
-	r.enqueueFIFO(q, r.state.Load())
+	if why := r.enqueueFIFO(q, r.state.Load()); why != pkt.DropNone {
+		r.release(q, why)
+	}
 	r.stats.icmpSent.Add(1)
 }
 
@@ -716,22 +721,20 @@ func (r *Router) takeICMPToken() bool {
 	return true
 }
 
-// enqueueFIFO queues p on its output interface's FIFO: no-output when
-// the interface is not attached, queue-full when the FIFO has no room.
-func (r *Router) enqueueFIFO(p *pkt.Packet, st *ifaceState) bool {
+// enqueueFIFO queues p on its output interface's FIFO, which then owns
+// it. A refused packet stays the caller's, with the reason: no-output
+// when the interface is not attached, queue-full when the FIFO has no
+// room.
+func (r *Router) enqueueFIFO(p *pkt.Packet, st *ifaceState) pkt.DropReason {
 	q := st.outQ[p.OutIf]
 	if q == nil {
-		r.stats.drops[pkt.DropNoOutput].Add(1)
-		p.ReleaseBuf()
-		return false
+		return pkt.DropNoOutput
 	}
-	if err := q.Enqueue(p); err != nil {
-		r.stats.drops[pkt.DropQueueFull].Add(1)
-		p.ReleaseBuf()
-		return false
+	if q.Enqueue(p) != nil {
+		return pkt.DropQueueFull
 	}
 	r.stats.forwarded.Add(1)
-	return true
+	return pkt.DropNone
 }
 
 // TxDrain transmits up to budget packets queued for an interface,
@@ -781,13 +784,13 @@ func (r *Router) TxDrain(ifIdx int32, budget int) int {
 
 // transmit puts one packet on the wire via the caller's snapshot: a
 // whole TxDrain batch transmits against one interface-table generation.
+// It consumes the packet: the interface takes it, or release retires it.
 // A packet routed to an interface that is not attached (one the shared
 // mono scheduler hands over, or one detached since) is a no-output drop.
 func (r *Router) transmit(p *pkt.Packet, st *ifaceState) {
 	ifc := st.ifaces[p.OutIf]
 	if ifc == nil {
-		r.stats.drops[pkt.DropNoOutput].Add(1)
-		p.ReleaseBuf()
+		r.release(p, pkt.DropNoOutput)
 		return
 	}
 	if len(p.Data) > ifc.MTU {
@@ -809,13 +812,12 @@ func (r *Router) transmit(p *pkt.Packet, st *ifaceState) {
 					ifc.Transmit(&q)
 				}
 				r.stats.fragmented.Add(1)
-				p.ReleaseBuf()
+				r.release(p, pkt.DropNone)
 				return
 			}
 		}
-		r.stats.drops[pkt.DropMTU].Add(1)
 		r.sendICMPError(p, pkt.ICMPv4DestUnreach, pkt.ICMPv6PacketTooBig, 4, 0)
-		p.ReleaseBuf()
+		r.release(p, pkt.DropMTU)
 		return
 	}
 	ifc.Transmit(p)
@@ -875,13 +877,7 @@ func (r *Router) stepSubmit() int {
 			if p == nil {
 				break
 			}
-			if !r.pool.Submit(p) {
-				// The steered worker's queue is full and Submit shed
-				// (and counted) the packet: return the mbuf to its pool,
-				// or sustained overload would bleed the interface's
-				// buffer pool dry.
-				p.ReleaseBuf()
-			}
+			r.pool.Submit(p)
 			n++
 		}
 	}

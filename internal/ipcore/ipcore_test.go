@@ -162,7 +162,7 @@ type dropInstance struct{ dispatchInstance }
 
 func (d *dropInstance) HandlePacket(p *pkt.Packet) error {
 	d.calls++
-	p.MarkDrop("test: denied")
+	p.MarkDrop()
 	return nil
 }
 

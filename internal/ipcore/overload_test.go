@@ -14,12 +14,12 @@ import (
 // leak: stepSubmit used to ignore Submit's verdict, so a packet shed by
 // a full worker queue never returned its receive buffer and sustained
 // overload drained the interface's whole mbuf pool into the heap
-// fallback. With the fix, the shed arm releases the buffer and the shed
-// is counted once, as the core's overload drop: after injecting many
-// times the pool depth against a never-started pool, the fallback
-// counter must stay zero, the overload cell must show the sheds, and
-// every injected packet is either queued at a worker or counted lost
-// exactly once.
+// fallback. With the fix, Submit retires a shed packet: its buffer is
+// released and the shed counted once, as the core's overload drop.
+// After injecting many times the pool depth against a never-started
+// pool, the fallback counter must stay zero, the overload cell must
+// show the sheds, and every injected packet is either queued at a
+// worker or counted lost exactly once.
 func TestOverloadShedReleasesMbufs(t *testing.T) {
 	const workers = 2
 	routes, err := routing.New(bmp.KindBSPL)

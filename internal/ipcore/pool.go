@@ -131,15 +131,16 @@ func (p *Pool) Stop() {
 	}
 }
 
-// Submit hands a packet to the worker owning its flow. All packets of a
-// five-tuple flow map to the same worker, so per-flow order is the
-// submission order. Never blocks: when the owning worker's queue is
-// full the packet is shed, counted once as the core's overload drop,
-// and Submit returns false; the caller still owns the packet and
-// releases it. A blocking Submit would head-of-line-stall the shared RX
-// drain — one saturated worker would stop *every* flow on *every*
-// interface — so overload sheds on the overloaded flow's queue only,
-// the same never-block policy as the netio TX ring.
+// Submit hands a packet to the worker owning its flow and takes it
+// either way. All packets of a five-tuple flow map to the same worker,
+// so per-flow order is the submission order. Never blocks: when the
+// owning worker's queue is full the packet is shed — released as the
+// core's overload drop, so sustained overload cannot bleed the
+// interface's buffer pool dry — and Submit returns false. A blocking
+// Submit would head-of-line-stall the shared RX drain — one saturated
+// worker would stop *every* flow on *every* interface — so overload
+// sheds on the overloaded flow's queue only, the same never-block
+// policy as the netio TX ring.
 //
 //eisr:fastpath
 func (p *Pool) Submit(pk *pkt.Packet) bool {
@@ -148,7 +149,7 @@ func (p *Pool) Submit(pk *pkt.Packet) bool {
 	case p.queues[w] <- pk:
 		return true
 	default:
-		p.r.stats.drops[pkt.DropOverload].Add(1)
+		p.r.release(pk, pkt.DropOverload)
 		return false
 	}
 }

@@ -15,12 +15,15 @@
 // TTL) is Router.route, made once per packet.
 //
 // A packet has one owner (pkt.BufOwner). The walk owns its lanes'
-// packets until each reaches a verdict: it retires a dropped or
-// delivered packet itself, and it hands a forwarded one to an output
-// stage — a scheduling instance that takes it, or the default output
-// FIFO. Once handed over the packet belongs to that stage, whose
-// drainer may transmit and recycle it at once, so the walk never reads
-// or writes it again.
+// packets until each reaches a verdict, and it hands a forwarded one
+// to an output stage — a scheduling instance that takes it, or the
+// default output FIFO. Once handed over the packet belongs to that
+// stage, whose drainer may transmit and recycle it at once, so the walk
+// never reads or writes it again; a stage that refuses the packet gives
+// it back. The stages and helpers that decide a packet's fate only
+// return a pkt.DropReason. laneDone is the one place a lane ends: for a
+// packet the walk still owns — dropped, delivered or refused — it
+// finishes the trace and then retires the packet through release.
 //
 // Traced packets (trace-ring sample or in-band path context) are lanes
 // like any other, with a per-lane hook: a lane-local cycles counter so
@@ -32,7 +35,6 @@
 package ipcore
 
 import (
-	"errors"
 	"time"
 
 	"github.com/routerplugins/eisr/internal/aiu"
@@ -66,21 +68,13 @@ type laneTrace struct {
 	mono  int64          // start on the pkt.Nanotime clock of Packet.Stamp
 	cc    cycles.Counter // the lane's classifier accounting
 
-	// owner is the packet's pool, held back from the packet while the
-	// walk owns it so that a drop or delivery cannot recycle the packet
-	// before traceDone has read it; traceDone releases it.
-	owner pkt.BufOwner
 	// handed is set once the packet went to an output stage
-	// (traceHandoff); from then on the hook reads only what it
-	// recorded here.
+	// (traceHandoff) with its forwarded hop stamped; from then on the
+	// hook reads only what it recorded here, unless the stage refuses
+	// the packet and gives it back.
 	handed bool
 	outIf  int32
-	reason string
 }
-
-// errNotQueued is the drop reason for a packet a scheduling instance's
-// HandleBatch returned without taking it or marking it dropped.
-var errNotQueued = errors.New("ipcore: scheduler did not queue the packet")
 
 // vec is one vector in flight: the lookup lanes handed to aiu.Resolve
 // (a nil packet marks a lane whose packet reached its verdict) and the
@@ -191,8 +185,8 @@ func (r *Router) walk(w *vec, st *ifaceState, run []*pkt.Packet) int {
 			r.traceBegin(l, s, te)
 			traced = true
 		}
-		if !r.validate(p) {
-			r.laneDone(w, i, false)
+		if why := r.validate(p); why != pkt.DropNone {
+			r.laneDone(w, i, why, true)
 			continue
 		}
 		if now == 0 {
@@ -268,13 +262,9 @@ func (r *Router) walk(w *vec, st *ifaceState, run []*pkt.Packet) int {
 			default:
 				// At the scheduling gate the error is the whole verdict:
 				// nil means the instance took the packet.
-				err, cont, faulted := r.gateDispatch(g, l.Inst, p)
-				if err != nil {
-					r.laneDrop(w, i, err)
-					continue
-				}
-				if !cont {
-					r.laneDone(w, i, false)
+				why, faulted := r.gateDispatch(g, l.Inst, p)
+				if why != pkt.DropNone {
+					r.laneDone(w, i, why, true)
 					continue
 				}
 				degraded, taken = faulted, !faulted && g == pcu.TypeSched
@@ -295,7 +285,7 @@ func (r *Router) walk(w *vec, st *ifaceState, run []*pkt.Packet) int {
 				// have panicked before doing any of its work.
 			case p.Drop || g == pcu.TypeSched:
 				// Marked, or handed back by a scheduler's HandleBatch.
-				r.laneDrop(w, i, errNotQueued)
+				r.laneDone(w, i, pkt.DropPlugin, true)
 				continue
 			}
 			if t := s.tr; t != nil && t.te != nil {
@@ -305,12 +295,12 @@ func (r *Router) walk(w *vec, st *ifaceState, run []*pkt.Packet) int {
 				r.telGateNanos[gi].Observe(uint64(ns))
 			}
 			if taken {
-				r.laneDone(w, i, true)
+				r.laneDone(w, i, pkt.DropNone, false)
 				continue
 			}
 			if p.PuntLocal {
 				r.deliver(p)
-				r.laneDone(w, i, true)
+				r.laneDone(w, i, pkt.DropNone, true)
 			}
 		}
 	}
@@ -323,7 +313,8 @@ func (r *Router) walk(w *vec, st *ifaceState, run []*pkt.Packet) int {
 			if state[i].tr != nil {
 				r.traceHandoff(w, i)
 			}
-			r.laneDone(w, i, r.enqueueFIFO(p, st))
+			why := r.enqueueFIFO(p, st)
+			r.laneDone(w, i, why, why != pkt.DropNone)
 		}
 	}
 	return w.survived
@@ -335,46 +326,35 @@ func (r *Router) walk(w *vec, st *ifaceState, run []*pkt.Packet) int {
 //eisr:fastpath
 func (r *Router) laneRoute(w *vec, i int, st *ifaceState) bool {
 	l := &w.lanes[i]
-	if cont, ok := r.route(l.P, st, l.C); !cont {
-		r.laneDone(w, i, ok)
+	if done, why := r.route(l.P, st, l.C); done {
+		r.laneDone(w, i, why, true)
 		return false
 	}
 	w.state[i].routed, w.state[i].outIf = true, l.P.OutIf
 	return true
 }
 
-// laneDone records lane i's verdict: the lane leaves the vector, and a
-// traced packet's trace is finished.
+// laneDone ends lane i with its verdict: the packet was lost for why,
+// or survived (pkt.DropNone). owned tells that the walk still holds the
+// packet — dropped, delivered, or refused by an output stage — rather
+// than an output stage having taken it. The lane leaves the vector, a
+// traced packet's trace is finished, and an owned packet is then
+// retired: this is the only place the walk gives up a packet it owns.
 //
 //eisr:fastpath
-func (r *Router) laneDone(w *vec, i int, ok bool) {
-	if w.state[i].tr != nil {
-		r.traceDone(w, i, ok)
+func (r *Router) laneDone(w *vec, i int, why pkt.DropReason, owned bool) {
+	l := &w.lanes[i]
+	if t := w.state[i].tr; t != nil {
+		r.traceDone(t, l.P, why, owned)
 	}
-	w.lanes[i].P = nil
+	if owned {
+		r.release(l.P, why)
+	}
+	l.P = nil
 	w.alive--
-	if ok {
+	if why == pkt.DropNone {
 		w.survived++
 	}
-}
-
-// laneDrop drops lane i's packet on a plugin's verdict: a HandlePacket
-// error, or a packet a HandleBatch marked or handed back. err is the
-// reason unless the plugin marked one. A traced lane keeps the reason:
-// its trace must not read a handed-off packet once it is released.
-//
-//eisr:fastpath
-func (r *Router) laneDrop(w *vec, i int, err error) {
-	p := w.lanes[i].P
-	if !p.Drop {
-		p.MarkDrop(err.Error())
-	}
-	if t := w.state[i].tr; t != nil {
-		t.reason = p.DropMsg
-	}
-	r.stats.drops[pkt.DropPlugin].Add(1)
-	p.ReleaseBuf()
-	r.laneDone(w, i, false)
 }
 
 // dispatchRun sends the run starting at lane i through HandleBatch
@@ -427,10 +407,10 @@ func (r *Router) dispatchRun(w *vec, g pcu.Type, i int, run []*pkt.Packet) bool 
 		if flt == nil || s.taken {
 			continue
 		}
-		if r.faultVerdict(l.P, flt) {
-			w.state[i].degraded = true
+		if why := r.faultVerdict(l.P); why != pkt.DropNone {
+			r.laneDone(w, i, why, true)
 		} else {
-			r.laneDone(w, i, false)
+			s.degraded = true
 		}
 	}
 	if flt != nil {
@@ -447,26 +427,25 @@ const (
 )
 
 // traceBegin is the trace hook at a traced packet's entry: it starts
-// the packet clock, gives the lane its own classifier accounting and
-// holds back the packet's pool owner (see laneTrace.owner). Tracing is
-// sampled, and this is its exception path: the hook state is allocated
-// here because the route lookup's matcher interface call leaks the
-// lane counter, and the untraced lanes must stay on Forward's stack.
+// the packet clock and gives the lane its own classifier accounting.
+// Tracing is sampled, and this is its exception path: the hook state is
+// allocated here because the route lookup's matcher interface call
+// leaks the lane counter, and the untraced lanes must stay on Forward's
+// stack.
 //
 //eisr:slowpath
 func (r *Router) traceBegin(l *aiu.Lane, s *laneState, te *telemetry.TraceEntry) {
 	t := &laneTrace{te: te, start: r.clock(), mono: pkt.Nanotime()}
-	t.owner, l.P.Owner = l.P.Owner, nil
 	s.tr = t
 	l.C = &t.cc
 }
 
 // traceHandoff is the trace hook right before lane i's packet goes to
-// an output stage: it records what the trace needs from the packet,
-// stamps the in-band path context as forwarded, and gives the packet
-// back its pool owner so the stage can release it. A packet the stage
-// then rejects keeps its forwarded hop, as one the wire driver drops at
-// its TX ring does; its trace-ring entry reports the drop.
+// an output stage: it records what the trace needs from the packet and
+// stamps the in-band path context as forwarded. A packet the stage
+// refuses comes back to the walk, and traceDone re-stamps that hop. A
+// packet the wire driver later drops at its TX ring has left the walk
+// and keeps its forwarded hop.
 //
 //eisr:fastpath
 func (r *Router) traceHandoff(w *vec, i int) {
@@ -474,9 +453,7 @@ func (r *Router) traceHandoff(w *vec, i int) {
 	if t.handed {
 		return // degraded past a faulted scheduler: already recorded
 	}
-	p := w.lanes[i].P
-	r.traceRecord(p, t, pkt.PathVerdictForwarded, r.clock().Sub(t.start).Nanoseconds())
-	p.Owner, t.owner = t.owner, nil
+	r.traceRecord(w.lanes[i].P, t, pkt.PathVerdictForwarded, r.clock().Sub(t.start).Nanoseconds())
 	t.handed = true
 }
 
@@ -497,37 +474,34 @@ func (r *Router) traceRecord(p *pkt.Packet, t *laneTrace, pv uint8, elapsed int6
 // traceDone is the trace hook at a traced packet's verdict: it credits
 // the lane-local classifier accounting to the shared counter (so
 // benchmark accounting is unchanged) and commits the router-local trace
-// entry. A packet the walk retired itself (dropped or delivered) is
-// still the walk's: the hook records it, then releases it. A handed-off
-// packet is not touched.
+// entry with the drop reason. p is read only while the walk still owns
+// it (owned): a packet it retires is recorded here, and a packet an
+// output stage refused has its forwarded hop re-stamped with the
+// verdict and its span folded. A handed-off packet is not touched.
 //
 //eisr:fastpath
-func (r *Router) traceDone(w *vec, i int, ok bool) {
-	t := w.state[i].tr
+func (r *Router) traceDone(t *laneTrace, p *pkt.Packet, why pkt.DropReason, owned bool) {
 	elapsed := r.clock().Sub(t.start).Nanoseconds()
 	r.Counter.Merge(t.cc)
 	r.telPktNanos.Observe(uint64(elapsed))
-	if !t.handed {
-		p := w.lanes[i].P
-		pv := pkt.PathVerdictForwarded
-		switch {
-		case !ok:
-			pv, t.reason = pkt.PathVerdictDropped, p.DropMsg
-		case p.OutIf < 0:
-			pv = pkt.PathVerdictDelivered
-		}
-		r.traceRecord(p, t, pv, elapsed)
-		p.Owner = t.owner
-		p.ReleaseBuf()
-	}
-	verdict, reason := verdictForwarded, ""
+	verdict, pv := verdictForwarded, pkt.PathVerdictForwarded
 	switch {
-	case !ok:
-		verdict, reason = verdictDropped, t.reason
-	case t.outIf < 0:
-		verdict = verdictDelivered
+	case why != pkt.DropNone:
+		verdict, pv = verdictDropped, pkt.PathVerdictDropped
+	case owned:
+		verdict, pv = verdictDelivered, pkt.PathVerdictDelivered
 	}
-	t.te.Commit(verdict, reason, t.outIf, elapsed)
+	switch {
+	case !owned:
+	case !t.handed:
+		r.traceRecord(p, t, pv, elapsed)
+	case p.Path.Active:
+		if h := p.Path.Last(); h != nil && h.Router == r.ptrace.Router() {
+			h.Verdict = pv
+		}
+		r.pathFold(p, t)
+	}
+	t.te.Commit(verdict, why, t.outIf, elapsed)
 }
 
 // pathStamp appends this router's hop record to an active in-band trace
@@ -561,9 +535,17 @@ func (r *Router) pathStamp(p *pkt.Packet, verdict uint8, t *laneTrace, elapsed i
 	p.Path.LocalGates = 0
 	p.Path.StampedHere = true
 	if verdict != pkt.PathVerdictForwarded {
-		r.ptrace.Fold(&p.Path, p.Key, t.start.UnixNano())
-		p.Path.Active = false
+		r.pathFold(p, t)
 	}
+}
+
+// pathFold ends the packet's path at this router: the accumulated hops
+// fold into the span ring.
+//
+//eisr:fastpath
+func (r *Router) pathFold(p *pkt.Packet, t *laneTrace) {
+	r.ptrace.Fold(&p.Path, p.Key, t.start.UnixNano())
+	p.Path.Active = false
 }
 
 // hopIdentity resolves the plugin code and instance name recorded in a

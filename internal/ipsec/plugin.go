@@ -2,6 +2,7 @@ package ipsec
 
 import (
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"strconv"
 	"sync"
@@ -141,6 +142,13 @@ type Instance struct {
 // InstanceName implements pcu.Instance.
 func (i *Instance) InstanceName() string { return i.name }
 
+// HandlePacket's rejections are preallocated: the drop path formats
+// nothing.
+var (
+	errNoFlowRecord = errors.New("ipsec: packet carries no flow record")
+	errNoSA         = errors.New("ipsec: binding has no SA")
+)
+
 // HandlePacket implements pcu.Instance. On the encrypt side the matched
 // flow's datagram is replaced by the ESP tunnel packet (the packet key
 // is re-derived so routing forwards to the tunnel peer, while the FIX is
@@ -150,7 +158,7 @@ func (i *Instance) InstanceName() string { return i.name }
 func (i *Instance) HandlePacket(p *pkt.Packet) error {
 	rec, _ := p.FIX.(*aiu.FlowRecord)
 	if rec == nil {
-		return fmt.Errorf("ipsec: packet carries no flow record")
+		return errNoFlowRecord
 	}
 	fr := rec.Filter(i.slot)
 	if fr == nil {
@@ -158,12 +166,12 @@ func (i *Instance) HandlePacket(p *pkt.Packet) error {
 	}
 	sa, ok := fr.Private.(*SA)
 	if !ok || sa == nil {
-		return fmt.Errorf("ipsec: binding has no SA")
+		return errNoSA
 	}
 	if i.encrypt {
 		out, err := sa.Seal(p.Data, i.ttl)
 		if err != nil {
-			p.MarkDrop("ipsec: " + err.Error())
+			p.MarkDrop() // the SA counts authentication and replay failures
 			return nil
 		}
 		p.Data = out
@@ -176,7 +184,7 @@ func (i *Instance) HandlePacket(p *pkt.Packet) error {
 	}
 	inner, err := sa.Open(p.Data)
 	if err != nil {
-		p.MarkDrop("ipsec: " + err.Error())
+		p.MarkDrop() // the SA counts authentication and replay failures
 		return nil
 	}
 	p.Data = inner

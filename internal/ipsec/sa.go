@@ -188,7 +188,7 @@ func (sa *SA) Open(outer []byte) ([]byte, error) {
 	}
 	spi := binary.BigEndian.Uint32(esp[0:4])
 	if spi != sa.SPI {
-		return nil, fmt.Errorf("%w: got %#x want %#x", ErrBadSPI, spi, sa.SPI)
+		return nil, ErrBadSPI
 	}
 	seq := binary.BigEndian.Uint32(esp[4:8])
 

@@ -221,7 +221,7 @@ func TestMbufPoolResetsRecycledPacket(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := i.Poll()
-	p.MarkDrop("stale")
+	p.MarkDrop()
 	p.OutIf, p.FIX, p.FIXGen, p.CacheMiss, p.PuntLocal = 3, "stale-fix", 9, true, true
 	p.Path.Active, p.Path.NHops = true, 2
 	p.QNext = &pkt.Packet{}
@@ -242,7 +242,7 @@ func TestMbufPoolResetsRecycledPacket(t *testing.T) {
 		t.Fatal("Inject did not reuse the released packet")
 	}
 	want, _ := pkt.NewPacket(data, 0)
-	if q.Drop || q.DropMsg != "" || q.OutIf != -1 || q.FIX != nil || q.FIXGen != 0 ||
+	if q.Drop || q.OutIf != -1 || q.FIX != nil || q.FIXGen != 0 ||
 		q.CacheMiss || q.PuntLocal || q.Path != (pkt.PathContext{}) || q.QNext != nil {
 		t.Errorf("recycled header not reset: %+v", q)
 	}

@@ -57,12 +57,11 @@ type wireBuf struct {
 // metrics registry reads it. Everything a datagram meets at the
 // interface is counted there.
 type linkStats struct {
-	drops          [pkt.NumDropReasons]atomic.Uint64 // only DropBadPath: the encapsulation failed to decode
+	drops          [pkt.NumDropReasons]atomic.Uint64 // DropBadPath (the encapsulation failed to decode) and DropTxError (a socket write failed)
 	kernelDrops    atomic.Uint64                     // the kernel's count of receive-buffer drops at the socket, as last read
 	rxErrTransient atomic.Uint64                     // non-fatal socket read errors (skipped)
 	txPackets      atomic.Uint64
 	txBytes        atomic.Uint64
-	txErrors       atomic.Uint64
 	batches        atomic.Uint64
 	batchedPkts    atomic.Uint64
 	txBatches      atomic.Uint64
@@ -223,11 +222,10 @@ func (l *UDPLink) setTelemetry(t *telemetry.Telemetry) {
 	s := &l.stats
 	t.CounterFunc("eisr_netio_packets_total", "wire packets per link and direction", s.txPackets.Load, lbl, dir)
 	t.CounterFunc("eisr_netio_bytes_total", "wire bytes per link and direction", s.txBytes.Load, lbl, dir)
-	t.Drops("netio", func(why pkt.DropReason) uint64 { return s.drops[why].Load() }, []telemetry.Label{lbl}, pkt.DropBadPath)
+	t.Drops("netio", func(why pkt.DropReason) uint64 { return s.drops[why].Load() }, []telemetry.Label{lbl}, pkt.DropBadPath, pkt.DropTxError)
 	t.Drops("kernel", func(pkt.DropReason) uint64 { return l.readKernelDrops() }, []telemetry.Label{lbl}, pkt.DropRcvbuf)
 
 	t.CounterFunc("eisr_netio_rx_errors_total", "transient socket read errors per link (counted and skipped, never fatal)", s.rxErrTransient.Load, lbl)
-	t.CounterFunc("eisr_netio_tx_errors_total", "socket write failures per link", s.txErrors.Load, lbl)
 	l.tel = linkTel{
 		batchSize:   t.Histogram("eisr_netio_rx_batch", "datagrams drained per RX wakeup", lbl),
 		txBatchSize: t.Histogram("eisr_netio_tx_batch", "datagrams written per TX drain wakeup", lbl),
@@ -462,9 +460,9 @@ func (l *UDPLink) txLoop() {
 func (l *UDPLink) transmitOne(wb *wireBuf) {
 	peer := l.peer.Load()
 	if peer == nil {
-		l.stats.txErrors.Add(1)
+		l.stats.drops[pkt.DropTxError].Add(1)
 	} else if _, err := l.conn.WriteToUDPAddrPort(wb.buf[:wb.n], *peer); err != nil {
-		l.stats.txErrors.Add(1)
+		l.stats.drops[pkt.DropTxError].Add(1)
 	} else {
 		l.stats.txPackets.Add(1)
 		l.stats.txBytes.Add(uint64(wb.n))
@@ -495,7 +493,7 @@ func (l *UDPLink) Stats() netdev.LinkStats {
 		RxErrTransient: l.stats.rxErrTransient.Load(),
 		TxPackets:      l.stats.txPackets.Load(),
 		TxBytes:        l.stats.txBytes.Load(),
-		TxErrors:       l.stats.txErrors.Load(),
+		TxErrors:       l.stats.drops[pkt.DropTxError].Load(),
 		Batches:        l.stats.batches.Load(),
 		TxBatches:      l.stats.txBatches.Load(),
 	}

@@ -124,10 +124,12 @@ type Instance interface {
 //     scheduling instances take packets; at the scheduling gate a
 //     packet left in the slice was not queued and is dropped.
 //   - Other per-packet verdicts are signaled by marking the packet
-//     (p.MarkDrop) and leaving it in the slice; there is no per-packet
-//     error return. The core honors p.Drop after the call exactly as it
-//     honors a HandlePacket error, so each rejected packet is dropped
-//     once, with identical accounting on both paths.
+//     (p.MarkDrop, which takes no text) and leaving it in the slice;
+//     there is no per-packet error return. The core honors p.Drop after
+//     the call exactly as it honors a HandlePacket error, so each
+//     rejected packet is dropped once, as pkt.DropPlugin, with identical
+//     accounting on both paths. Why the instance rejected it is the
+//     instance's own statistics, not the packet's.
 //   - A panic is contained by the same Guard barrier as HandlePacket
 //     and counts one fault against the instance; every packet still in
 //     the slice then receives the fault policy (the per-packet path

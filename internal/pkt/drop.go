@@ -1,14 +1,18 @@
 package pkt
 
 // DropReason says why a packet was lost. It is the router's one list of
-// reasons: every layer that can lose a packet keeps one cell per reason
-// it produces, indexed by this enum, and exports them in the single
-// eisr_drops_total family under the reason's label.
+// reasons: the stage that loses a packet decides its reason there, and
+// every record of the loss reads that one value — the layer's cell,
+// indexed by this enum and exported in the single eisr_drops_total
+// family under the reason's label, the packet trace entry and the
+// in-band path hop. The zero value, DropNone, means the packet was not
+// lost.
 type DropReason uint8
 
 // The drop reasons.
 const (
-	DropDown        DropReason = iota // interface administratively down
+	DropNone        DropReason = iota // not dropped
+	DropDown                          // interface administratively down
 	DropTooBig                        // larger than the interface or wire MTU
 	DropMalformed                     // headers do not parse
 	DropBadPath                       // path-trace encapsulation does not decode
@@ -24,14 +28,20 @@ const (
 	DropMTU                           // too big for the output link, not fragmentable
 	DropEvicted                       // queued on a flow queue that was removed
 	DropRcvbuf                        // a kernel socket receive buffer was full
+	DropTxError                       // a socket write failed
 	NumDropReasons
 )
 
 var dropReasonLabels = [NumDropReasons]string{
-	"down", "too-big", "malformed", "bad-path", "ring-full", "overload",
+	"", "down", "too-big", "malformed", "bad-path", "ring-full", "overload",
 	"bad-checksum", "ttl-expired", "no-route", "no-output", "plugin",
-	"plugin-fault", "queue-full", "mtu", "evicted", "rcvbuf",
+	"plugin-fault", "queue-full", "mtu", "evicted", "rcvbuf", "tx-error",
 }
 
-// String returns the reason's eisr_drops_total label.
+// String returns the reason's eisr_drops_total label; DropNone's is
+// empty.
 func (r DropReason) String() string { return dropReasonLabels[r] }
+
+// MarshalText renders the reason as its label, so a trace reply names
+// the reason the counters use.
+func (r DropReason) MarshalText() ([]byte, error) { return []byte(r.String()), nil }

@@ -107,10 +107,9 @@ type Packet struct {
 	// want class hints.
 	TOS uint8
 
-	// Drop records that some stage decided to discard the packet and
-	// why; the core frees dropped packets at the end of the pipeline.
-	Drop    bool
-	DropMsg string
+	// Drop records that a plugin decided to discard the packet (MarkDrop);
+	// the core drops it after the gate as pkt.DropPlugin.
+	Drop bool
 
 	// CacheMiss records that this packet took the first-packet
 	// classification slow path (no flow-cache entry existed when it
@@ -189,12 +188,9 @@ func (p *Packet) ReleaseBuf() {
 	}
 }
 
-// MarkDrop flags the packet for discard with a reason used in statistics
-// and tests.
-func (p *Packet) MarkDrop(reason string) {
-	p.Drop = true
-	p.DropMsg = reason
-}
+// MarkDrop flags the packet for discard. The core counts it as a plugin
+// drop; the plugin keeps any detail in its own statistics.
+func (p *Packet) MarkDrop() { p.Drop = true }
 
 // Len returns the datagram length in bytes.
 func (p *Packet) Len() int { return len(p.Data) }

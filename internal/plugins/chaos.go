@@ -1,6 +1,7 @@
 package plugins
 
 import (
+	"errors"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -39,6 +40,9 @@ const (
 	ChaosError = "error" // return an error from HandlePacket
 	ChaosDelay = "delay" // sleep in HandlePacket
 )
+
+// errChaos is mode=error's verdict, preallocated like every drop error.
+var errChaos = errors.New("chaos: injected error")
 
 // Callback implements pcu.Plugin. create-instance args:
 //
@@ -145,7 +149,7 @@ func (i *ChaosInstance) HandlePacket(p *pkt.Packet) error {
 	case ChaosPanic:
 		panic(fmt.Sprintf("chaos: injected panic (call %d)", n))
 	case ChaosError:
-		return fmt.Errorf("chaos: injected error (call %d)", n)
+		return errChaos
 	case ChaosDelay:
 		time.Sleep(i.delay)
 	}

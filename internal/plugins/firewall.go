@@ -117,7 +117,7 @@ func (i *FirewallInstance) HandlePacket(p *pkt.Packet) error {
 	}
 	i.mu.Unlock()
 	if !allow {
-		p.MarkDrop("firewall: denied")
+		p.MarkDrop()
 	}
 	return nil
 }
@@ -142,7 +142,7 @@ func (i *FirewallInstance) HandleBatch(ps []*pkt.Packet) {
 			allowed++
 		} else {
 			denied++
-			p.MarkDrop("firewall: denied")
+			p.MarkDrop()
 		}
 	}
 	i.mu.Lock()

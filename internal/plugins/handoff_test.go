@@ -5,7 +5,6 @@ import (
 
 	"github.com/routerplugins/eisr/internal/pcu"
 	"github.com/routerplugins/eisr/internal/pkt"
-	"github.com/routerplugins/eisr/internal/sched"
 )
 
 // countRelease is a BufOwner that counts how often each packet is
@@ -15,17 +14,20 @@ type countRelease map[*pkt.Packet]int
 func (c countRelease) ReleaseMbuf(p *pkt.Packet) { c[p]++ }
 
 // TestREDRejectionsArePluginDrops: RED rejects by returning its verdict
-// as an error, and the core counts every rejection as one plugin drop
-// with RED's reason string, releasing the packet once. The first
+// as an error, and the core counts every rejection as one plugin drop,
+// releasing the packet once. RED's forced/early/full split is read from
+// the errors HandlePacket returns on a twin instance with the same
+// arguments and seed, which makes the same decisions packet by packet,
+// and must agree with the bound instance's counters. The first
 // configuration's average crosses maxth (forced and early drops); the
 // second's queue fills before the average reaches minth (tail drops).
 func TestREDRejectionsArePluginDrops(t *testing.T) {
 	for _, tc := range []struct {
 		args map[string]string
-		want []string
+		want []error
 	}{
-		{map[string]string{"minth": "5", "maxth": "15", "qlen": "64", "wq": "0.2"}, []string{"red: forced drop", "red: early drop"}},
-		{map[string]string{"minth": "4", "maxth": "8", "qlen": "2", "wq": "0.01"}, []string{"red: queue full"}},
+		{map[string]string{"minth": "5", "maxth": "15", "qlen": "64", "wq": "0.2"}, []error{errREDForced, errREDEarly}},
+		{map[string]string{"minth": "4", "maxth": "8", "qlen": "2", "wq": "0.01"}, []error{errREDFull}},
 	} {
 		rg := newRig(t)
 		if err := rg.reg.Load(NewREDPlugin(rg.env)); err != nil {
@@ -34,20 +36,20 @@ func TestREDRejectionsArePluginDrops(t *testing.T) {
 		tc.args["iface"] = "1"
 		inst := rg.create(t, "red", tc.args).(*REDInstance)
 		rg.bind(t, "red", inst, map[string]string{"filter": "*, *, *, *, *, *"})
+		twin := rg.create(t, "red", tc.args).(*REDInstance)
 		rel := countRelease{}
-		reasons := map[string]int{}
+		reasons := map[error]int{}
 		rejected := 0
 		for i := 0; i < 200; i++ {
+			if err := twin.HandlePacket(udp(t, "10.0.0.1", 1, 100)); err != nil {
+				reasons[err]++
+			}
 			p := udp(t, "10.0.0.1", 1, 100)
 			p.Owner = rel
 			if rg.r.Forward(p) {
 				continue
 			}
 			rejected++
-			if !p.Drop {
-				t.Fatal("rejected packet not marked dropped")
-			}
-			reasons[p.DropMsg]++
 			if rel[p] != 1 {
 				t.Fatalf("rejected packet released %d times", rel[p])
 			}
@@ -58,9 +60,9 @@ func TestREDRejectionsArePluginDrops(t *testing.T) {
 			}
 		}
 		st := inst.Snapshot()
-		forced, early, full := reasons["red: forced drop"], reasons["red: early drop"], reasons["red: queue full"]
+		forced, early, full := reasons[errREDForced], reasons[errREDEarly], reasons[errREDFull]
 		if forced+early+full != rejected {
-			t.Fatalf("reasons %v: want only RED's own", reasons)
+			t.Fatalf("reasons %v: the twin rejected %d, the core dropped %d", reasons, forced+early+full, rejected)
 		}
 		if uint64(forced+early) != st.EarlyDrops || uint64(full) != st.TailDrops {
 			t.Fatalf("reasons %v disagree with RED's counters %+v", reasons, st)
@@ -109,9 +111,13 @@ func TestHandleBatchContract(t *testing.T) {
 					t.Errorf("slot %d: queued packet's slot not cleared", i)
 				case i >= 4 && p != orig[i]:
 					t.Errorf("slot %d: rejected packet not kept", i)
-				case i >= 4 && (!p.Drop || p.DropMsg != sched.ErrQueueFull.Error()):
-					t.Errorf("slot %d: rejected packet drop=%v reason %q", i, p.Drop, p.DropMsg)
+				case i >= 4 && !p.Drop:
+					t.Errorf("slot %d: rejected packet not marked dropped", i)
 				}
+			}
+			// The queue-full detail is the flow's own drop count.
+			if sh := rg.shares(t, plugin, inst); len(sh) != 1 || sh[0].Drops != 2 {
+				t.Errorf("shares %+v, want one flow with 2 drops", sh)
 			}
 			for drain() != nil {
 			}
@@ -145,8 +151,8 @@ func TestHandleBatchContract(t *testing.T) {
 				case 0:
 				case 1:
 					dropped++
-					if !p.Drop || p.DropMsg != sched.ErrQueueFull.Error() {
-						t.Fatalf("released packet %d: drop=%v reason %q", i, p.Drop, p.DropMsg)
+					if !p.Drop {
+						t.Fatalf("released packet %d not marked dropped", i)
 					}
 				default:
 					t.Fatalf("packet %d released %d times before transmit", i, rel[p])
@@ -154,6 +160,9 @@ func TestHandleBatchContract(t *testing.T) {
 			}
 			if dropped != 4 {
 				t.Fatalf("%d packets released before transmit, want the 4 dropped", dropped)
+			}
+			if sh := rg.shares(t, plugin, inst); len(sh) != 1 || sh[0].Drops != 2+4 {
+				t.Fatalf("shares %+v, want one flow with 6 drops", sh)
 			}
 			for rg.r.TxDrain(1, 64) > 0 {
 			}

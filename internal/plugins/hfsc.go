@@ -1,6 +1,7 @@
 package plugins
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -195,12 +196,15 @@ func (i *HFSCInstance) Class(name string) *sched.Class {
 	return i.classes[name]
 }
 
+// errHFSCNoFlowRecord is preallocated: the drop path must not allocate.
+var errHFSCNoFlowRecord = errors.New("hfsc: packet carries no flow record")
+
 // HandlePacket implements pcu.Instance: map the flow to its class via
 // the filter reservation, enqueue at the current time.
 func (i *HFSCInstance) HandlePacket(p *pkt.Packet) error {
 	rec, _ := p.FIX.(*aiu.FlowRecord)
 	if rec == nil {
-		return fmt.Errorf("hfsc: packet carries no flow record")
+		return errHFSCNoFlowRecord
 	}
 	res := reservation(rec.Filter(i.slot))
 	i.mu.Lock()

@@ -106,7 +106,7 @@ func (i *OptionsInstance) HandlePacket(p *pkt.Packet) error {
 				i.st.Unknown++
 				if i.strict {
 					i.st.Dropped++
-					p.MarkDrop(fmt.Sprintf("options: unknown IPv4 option %#x", t))
+					p.MarkDrop()
 					return nil
 				}
 			}
@@ -134,7 +134,7 @@ func (i *OptionsInstance) HandlePacket(p *pkt.Packet) error {
 			// what to do; 00 = skip. Strict mode drops 01..11.
 			if i.strict && opt.Type>>6 != 0 {
 				i.st.Dropped++
-				p.MarkDrop(fmt.Sprintf("options: unknown IPv6 option %d", opt.Type))
+				p.MarkDrop()
 				return nil
 			}
 		}

@@ -168,8 +168,7 @@ func (i *FlowSchedInstance[Q, S]) HandlePacket(p *pkt.Packet) error {
 // — the lock/unlock pair and its cache-line bounce amortize across the
 // run. Each queued packet's slot is cleared (it is the queue's now);
 // rejected packets (no flow record, full queue) stay in the slice,
-// marked with the same preallocated reasons the scalar path returns as
-// errors.
+// marked dropped.
 //
 //eisr:fastpath
 func (i *FlowSchedInstance[Q, S]) HandleBatch(ps []*pkt.Packet) {
@@ -177,12 +176,8 @@ func (i *FlowSchedInstance[Q, S]) HandleBatch(ps []*pkt.Packet) {
 	i.mu.Lock()
 	for j, p := range ps {
 		rec, _ := p.FIX.(*aiu.FlowRecord)
-		if rec == nil {
-			p.MarkDrop(errNoFlowRecord.Error())
-			continue
-		}
-		if err := i.enqueue(rec, p); err != nil {
-			p.MarkDrop(err.Error())
+		if rec == nil || i.enqueue(rec, p) != nil {
+			p.MarkDrop()
 			continue
 		}
 		ps[j] = nil

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"encoding/json"
 	"strings"
 	"sync"
 	"testing"
@@ -134,7 +135,7 @@ func TestDisabledZeroAlloc(t *testing.T) {
 		sm.RecordEnqueue()
 		e := tr.Acquire()
 		e.RecordHop("ip-sec-in", 1, "", 0)
-		e.Commit("forwarded", "", 0, 0)
+		e.Commit("forwarded", pkt.DropNone, 0, 0)
 	})
 	if n != 0 {
 		t.Fatalf("disabled telemetry allocated %v per op", n)
@@ -157,7 +158,7 @@ func TestEnabledZeroAlloc(t *testing.T) {
 		e.RecordKey(key, 1)
 		e.RecordHop("routing", 2, "drr0", 10)
 		e.RecordClassify(true, false, 3, 1)
-		e.Commit("forwarded", "", 1, 100)
+		e.Commit("forwarded", pkt.DropNone, 1, 100)
 	})
 	if n != 0 {
 		t.Fatalf("enabled telemetry allocated %v per op", n)
@@ -221,7 +222,7 @@ func TestTraceRingBasics(t *testing.T) {
 		e.RecordKey(pkt.Key{SrcPort: uint16(i)}, int64(i))
 		e.RecordHop("ip-sec-in", 7, "aes0", int64(10*i))
 		e.RecordClassify(i > 0, i == 0, uint64(i), 1)
-		e.Commit("forwarded", "", 2, int64(100*i))
+		e.Commit("forwarded", pkt.DropNone, 2, int64(100*i))
 	}
 	got := r.Snapshot(0)
 	if len(got) != 4 {
@@ -254,7 +255,7 @@ func TestTraceRingSampling(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		if e := r.Acquire(); e != nil {
 			traced++
-			e.Commit("forwarded", "", 0, 0)
+			e.Commit("forwarded", pkt.DropNone, 0, 0)
 		}
 	}
 	if traced != 25 {
@@ -269,15 +270,19 @@ func TestTraceRingSkipsUncommitted(t *testing.T) {
 		t.Fatal("Acquire returned nil")
 	}
 	e2 := r.Acquire()
-	e2.Commit("dropped", "ttl-expired", -1, 1)
+	e2.Commit("dropped", pkt.DropTTL, -1, 1)
 	got := r.Snapshot(0)
-	if len(got) != 1 || got[0].Verdict != "dropped" || got[0].DropReason != "ttl-expired" {
+	if len(got) != 1 || got[0].Verdict != "dropped" || got[0].DropReason != pkt.DropTTL {
 		t.Fatalf("Snapshot = %+v, want only the committed entry", got)
+	}
+	// The control protocol names the reason by its eisr_drops_total label.
+	if b, err := json.Marshal(got[0]); err != nil || !strings.Contains(string(b), `"drop_reason":"ttl-expired"`) {
+		t.Fatalf("trace reply %s (%v), want drop_reason ttl-expired", b, err)
 	}
 	// The busy slot is eventually skipped by a lapping writer, counted.
 	for i := 0; i < 8; i++ {
 		if w := r.Acquire(); w != nil {
-			w.Commit("forwarded", "", 0, 0)
+			w.Commit("forwarded", pkt.DropNone, 0, 0)
 		}
 	}
 	if r.Skipped() == 0 {
@@ -290,7 +295,7 @@ func TestNilTraceEntryMethods(t *testing.T) {
 	e.RecordKey(pkt.Key{}, 0)
 	e.RecordHop("g", 0, "", 0)
 	e.RecordClassify(false, false, 0, 0)
-	e.Commit("", "", 0, 0)
+	e.Commit("", pkt.DropNone, 0, 0)
 	var r *TraceRing
 	if r.Acquire() != nil {
 		t.Fatal("nil ring acquired")
@@ -368,7 +373,7 @@ func TestTraceRingConcurrent(t *testing.T) {
 				}
 				e.RecordKey(pkt.Key{SrcPort: uint16(w)}, 1)
 				e.RecordHop("routing", uint32(w), "", int64(w))
-				e.Commit("forwarded", "", int32(w), int64(w)+1)
+				e.Commit("forwarded", pkt.DropNone, int32(w), int64(w)+1)
 			}
 		}(w)
 	}

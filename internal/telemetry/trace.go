@@ -42,7 +42,7 @@ type TraceEntry struct {
 	FnPtr       uint64 // function-pointer loads (cycles.Counter.FnPtr)
 	TotalNanos  int64
 	Verdict     string
-	DropReason  string
+	DropReason  pkt.DropReason
 	OutIf       int32
 }
 
@@ -84,16 +84,16 @@ func (e *TraceEntry) RecordClassify(cacheHit, firstPacket bool, accesses, fnptr 
 }
 
 // Commit finalizes the entry and releases its slot to readers. verdict
-// and dropReason must be preexisting strings (constants, preallocated
-// error text) — the copy is a header copy.
+// must be a preexisting string (a constant) — the copy is a header
+// copy; why is the drop reason, pkt.DropNone for a packet not lost.
 //
 //eisr:fastpath
-func (e *TraceEntry) Commit(verdict, dropReason string, outIf int32, totalNanos int64) {
+func (e *TraceEntry) Commit(verdict string, why pkt.DropReason, outIf int32, totalNanos int64) {
 	if e == nil {
 		return
 	}
 	e.Verdict = verdict
-	e.DropReason = dropReason
+	e.DropReason = why
 	e.OutIf = outIf
 	e.TotalNanos = totalNanos
 	e.commit()
@@ -146,7 +146,7 @@ func (r *TraceRing) Acquire() *TraceEntry {
 	e.CacheHit, e.FirstPacket = false, false
 	e.Accesses, e.FnPtr = 0, 0
 	e.TotalNanos = 0
-	e.Verdict, e.DropReason = "", ""
+	e.Verdict, e.DropReason = "", pkt.DropNone
 	e.OutIf = -1
 	return e
 }
@@ -163,18 +163,18 @@ func (r *TraceRing) Skipped() uint64 {
 // TraceSample is one committed entry copied out of the ring, rendered
 // for the control protocol.
 type TraceSample struct {
-	Seq         uint64    `json:"seq"`
-	Time        time.Time `json:"time"`
-	Flow        string    `json:"flow"`
-	Hops        []Hop     `json:"hops"`
-	CacheHit    bool      `json:"cache_hit"`
-	FirstPacket bool      `json:"first_packet"`
-	Accesses    uint64    `json:"accesses"`
-	FnPtr       uint64    `json:"fnptr_loads"`
-	TotalNanos  int64     `json:"total_ns"`
-	Verdict     string    `json:"verdict"`
-	DropReason  string    `json:"drop_reason,omitempty"`
-	OutIf       int32     `json:"out_if"`
+	Seq         uint64         `json:"seq"`
+	Time        time.Time      `json:"time"`
+	Flow        string         `json:"flow"`
+	Hops        []Hop          `json:"hops"`
+	CacheHit    bool           `json:"cache_hit"`
+	FirstPacket bool           `json:"first_packet"`
+	Accesses    uint64         `json:"accesses"`
+	FnPtr       uint64         `json:"fnptr_loads"`
+	TotalNanos  int64          `json:"total_ns"`
+	Verdict     string         `json:"verdict"`
+	DropReason  pkt.DropReason `json:"drop_reason,omitempty"`
+	OutIf       int32          `json:"out_if"`
 }
 
 // Snapshot copies up to max committed entries, newest first. Slots

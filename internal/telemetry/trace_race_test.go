@@ -48,7 +48,7 @@ func TestTraceRingSnapshotNoTear(t *testing.T) {
 				for h := 0; h < MaxHops; h++ {
 					e.RecordHop(gate, uint32(seq), "", int64(seq))
 				}
-				e.Commit(verdictFor(seq), "", int32(seq&0x7FFFFFFF), int64(seq))
+				e.Commit(verdictFor(seq), pkt.DropNone, int32(seq&0x7FFFFFFF), int64(seq))
 			}
 		}()
 	}

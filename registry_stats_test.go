@@ -410,7 +410,7 @@ func netioRegistryCase(t *testing.T) (*telemetry.Telemetry, []statPair) {
 		{field: "RxErrTransient", stat: s.RxErrTransient, metrics: []string{`eisr_netio_rx_errors_total{iface="wire0"}`}, mayBeZero: true},
 		{field: "TxPackets", stat: s.TxPackets, metrics: []string{"eisr_netio_packets_total" + dir("tx")}},
 		{field: "TxBytes", stat: s.TxBytes, metrics: []string{"eisr_netio_bytes_total" + dir("tx")}},
-		{field: "TxErrors", stat: s.TxErrors, metrics: []string{`eisr_netio_tx_errors_total{iface="wire0"}`}},
+		{field: "TxErrors", stat: s.TxErrors, metrics: []string{`eisr_drops_total{layer="netio",iface="wire0",reason="tx-error"}`}},
 		{field: "Batches", stat: s.Batches, metrics: []string{`eisr_netio_rx_batch{iface="wire0"}#count`}},
 		{field: "TxBatches", stat: s.TxBatches, metrics: []string{`eisr_netio_tx_batch{iface="wire0"}#count`}},
 	}
