@@ -316,6 +316,24 @@ func (a *AIU) FindRecord(gate pcu.Type, f Filter, inst pcu.Instance) *FilterReco
 	return nil
 }
 
+// Bound lists the records installed at gate for inst, in installation
+// order.
+func (a *AIU) Bound(gate pcu.Type, inst pcu.Instance) []*FilterRecord {
+	ft := a.table(gate)
+	if ft == nil {
+		return nil
+	}
+	a.mu.RLock()
+	defer a.mu.RUnlock()
+	var out []*FilterRecord
+	for _, r := range ft.records {
+		if r.Instance == inst {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
 // Table returns a gate's filter table.
 func (a *AIU) Table(gate pcu.Type) (*FilterTable, bool) {
 	ft := a.table(gate)

@@ -99,40 +99,52 @@ var coreReasons = []pkt.DropReason{
 }
 
 // ifaceState is one immutable generation of the router's interface
-// table: attached interfaces, the local-address set, per-interface
-// output queues, and registered drainers. Mutators copy, modify, and
-// republish; the data path reads it with a single atomic load.
+// table: one port per interface index and the local-address set.
+// Mutators copy, modify, and republish; the data path reads it with a
+// single atomic load and finds everything about an interface with one
+// map lookup.
 type ifaceState struct {
-	ifaces map[int32]*netdev.Interface
+	ports map[int32]*port
 	// list is the iteration order (attachment order) for Step/polling.
-	list     []*netdev.Interface
-	local    map[pkt.Addr]int32
-	outQ     map[int32]*sched.LockedFIFO
-	drainers map[int32][]Drainer
+	list  []*netdev.Interface
+	local map[pkt.Addr]int32
 }
 
-// clone deep-copies the maps (the interfaces themselves are shared).
+// port is one interface index's entry: the attached interface (nil
+// while only drainers are registered for it), its default output FIFO
+// and the registered drainers. A port is never modified once published;
+// mutators publish a changed copy.
+type port struct {
+	ifc      *netdev.Interface
+	outQ     *sched.LockedFIFO
+	drainers []Drainer
+}
+
+// clone copies the maps (ports and interfaces are shared).
 func (s *ifaceState) clone() *ifaceState {
 	ns := &ifaceState{
-		ifaces:   make(map[int32]*netdev.Interface, len(s.ifaces)+1),
-		list:     append([]*netdev.Interface(nil), s.list...),
-		local:    make(map[pkt.Addr]int32, len(s.local)+1),
-		outQ:     make(map[int32]*sched.LockedFIFO, len(s.outQ)+1),
-		drainers: make(map[int32][]Drainer, len(s.drainers)+1),
+		ports: make(map[int32]*port, len(s.ports)+1),
+		list:  append([]*netdev.Interface(nil), s.list...),
+		local: make(map[pkt.Addr]int32, len(s.local)+1),
 	}
-	for k, v := range s.ifaces {
-		ns.ifaces[k] = v
+	for k, v := range s.ports {
+		ns.ports[k] = v
 	}
 	for k, v := range s.local {
 		ns.local[k] = v
 	}
-	for k, v := range s.outQ {
-		ns.outQ[k] = v
-	}
-	for k, v := range s.drainers {
-		ns.drainers[k] = append([]Drainer(nil), v...)
-	}
 	return ns
+}
+
+// editPort returns a copy of idx's port to modify and publish in s, a
+// fresh one if idx has none.
+func (s *ifaceState) editPort(idx int32) *port {
+	pt := &port{}
+	if old := s.ports[idx]; old != nil {
+		*pt = *old
+	}
+	s.ports[idx] = pt
+	return pt
 }
 
 // Config assembles a router core.
@@ -264,10 +276,8 @@ func New(cfg Config) (*Router, error) {
 		clock: clock, guard: cfg.Guard,
 	}
 	r.state.Store(&ifaceState{
-		ifaces:   make(map[int32]*netdev.Interface),
-		local:    make(map[pkt.Addr]int32),
-		outQ:     make(map[int32]*sched.LockedFIFO),
-		drainers: make(map[int32][]Drainer),
+		ports: make(map[int32]*port),
+		local: make(map[pkt.Addr]int32),
 	})
 	if cfg.Workers > 1 {
 		r.pool = NewPool(r, cfg.Workers, cfg.Reclaim, cfg.BatchSize)
@@ -324,15 +334,15 @@ func (r *Router) AddInterface(ifc *netdev.Interface) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	ns := r.state.Load().clone()
-	if _, seen := ns.ifaces[ifc.Index]; !seen {
+	pt := ns.editPort(ifc.Index)
+	if pt.ifc == nil {
 		ns.list = append(ns.list, ifc)
 	}
-	ns.ifaces[ifc.Index] = ifc
 	depth := r.cfg.OutQueueLen
 	if depth <= 0 {
 		depth = 1024
 	}
-	ns.outQ[ifc.Index] = sched.NewLockedFIFO(depth)
+	pt.ifc, pt.outQ = ifc, sched.NewLockedFIFO(depth)
 	// With a worker pool a packet can sit in a worker's ingress queue
 	// long after it left the RX ring; extend the interface's mbuf pool to
 	// cover the total worker queue depth so a backlogged packet's buffer
@@ -350,7 +360,10 @@ func (r *Router) AddInterface(ifc *netdev.Interface) {
 
 // Interface returns an attached interface.
 func (r *Router) Interface(idx int32) *netdev.Interface {
-	return r.state.Load().ifaces[idx]
+	if pt := r.state.Load().ports[idx]; pt != nil {
+		return pt.ifc
+	}
+	return nil
 }
 
 // Interfaces lists attached interfaces in attachment order.
@@ -367,7 +380,8 @@ func (r *Router) RegisterDrainer(ifIdx int32, d Drainer) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	ns := r.state.Load().clone()
-	ns.drainers[ifIdx] = append(ns.drainers[ifIdx], d)
+	pt := ns.editPort(ifIdx)
+	pt.drainers = append(pt.drainers[:len(pt.drainers):len(pt.drainers)], d)
 	r.state.Store(ns)
 }
 
@@ -378,14 +392,14 @@ func (r *Router) UnregisterDrainer(ifIdx int32, d Drainer) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	ns := r.state.Load().clone()
-	old := ns.drainers[ifIdx]
-	list := make([]Drainer, 0, len(old))
-	for _, x := range old {
+	pt := ns.editPort(ifIdx)
+	list := make([]Drainer, 0, len(pt.drainers))
+	for _, x := range pt.drainers {
 		if x != d {
 			list = append(list, x)
 		}
 	}
-	ns.drainers[ifIdx] = list
+	pt.drainers = list
 	r.state.Store(ns)
 }
 
@@ -726,11 +740,11 @@ func (r *Router) takeICMPToken() bool {
 // when the interface is not attached, queue-full when the FIFO has no
 // room.
 func (r *Router) enqueueFIFO(p *pkt.Packet, st *ifaceState) pkt.DropReason {
-	q := st.outQ[p.OutIf]
-	if q == nil {
+	pt := st.ports[p.OutIf]
+	if pt == nil || pt.outQ == nil {
 		return pkt.DropNoOutput
 	}
-	if q.Enqueue(p) != nil {
+	if pt.outQ.Enqueue(p) != nil {
 		return pkt.DropQueueFull
 	}
 	r.stats.forwarded.Add(1)
@@ -745,54 +759,52 @@ func (r *Router) enqueueFIFO(p *pkt.Packet, st *ifaceState) pkt.DropReason {
 //eisr:fastpath
 func (r *Router) TxDrain(ifIdx int32, budget int) int {
 	st := r.state.Load()
-	ifc := st.ifaces[ifIdx]
-	q := st.outQ[ifIdx]
-	drainers := st.drainers[ifIdx] // immutable snapshot slice
-	if ifc == nil {
+	pt := st.ports[ifIdx]
+	if pt == nil || pt.ifc == nil {
 		return 0
 	}
 	sent := 0
 	for sent < budget {
 		var p *pkt.Packet
-		for _, d := range drainers {
+		for _, d := range pt.drainers {
 			if p = d.Drain(); p != nil {
 				break
 			}
 		}
 		if p == nil && r.mode == ModeBestEffort && r.cfg.MonoSched != nil {
-			if candidate := r.cfg.MonoSched.Dequeue(); candidate != nil && candidate.OutIf == ifIdx {
-				p = candidate
-			} else if candidate != nil {
-				// Mis-targeted packet (single shared mono scheduler):
-				// transmit on its own interface.
-				r.transmit(candidate, st)
-				sent++
-				continue
-			}
+			p = r.cfg.MonoSched.Dequeue()
 		}
-		if p == nil && q != nil {
-			p = q.Dequeue()
+		if p == nil {
+			p = pt.outQ.Dequeue()
 		}
 		if p == nil {
 			break
 		}
-		r.transmit(p, st)
+		// A packet leaves on the interface it was routed to, even from
+		// another interface's queue: a scheduler instance takes whatever
+		// its filters match, and the mono scheduler is shared.
+		out := pt
+		if p.OutIf != ifIdx {
+			out = st.ports[p.OutIf]
+		}
+		r.transmit(p, out)
 		sent++
 	}
 	return sent
 }
 
-// transmit puts one packet on the wire via the caller's snapshot: a
-// whole TxDrain batch transmits against one interface-table generation.
-// It consumes the packet: the interface takes it, or release retires it.
-// A packet routed to an interface that is not attached (one the shared
-// mono scheduler hands over, or one detached since) is a no-output drop.
-func (r *Router) transmit(p *pkt.Packet, st *ifaceState) {
-	ifc := st.ifaces[p.OutIf]
-	if ifc == nil {
+// transmit puts one packet on the wire through pt, the port of its
+// output interface in the caller's snapshot: a whole TxDrain batch
+// transmits against one interface-table generation. It consumes the
+// packet: the interface takes it, or release retires it. A packet routed
+// to an interface that is not attached (one the shared mono scheduler
+// hands over, or one detached since) is a no-output drop.
+func (r *Router) transmit(p *pkt.Packet, pt *port) {
+	if pt == nil || pt.ifc == nil {
 		r.release(p, pkt.DropNoOutput)
 		return
 	}
+	ifc := pt.ifc
 	if len(p.Data) > ifc.MTU {
 		// The next link cannot carry the datagram: fragment IPv4 when
 		// DF is clear; otherwise drop with fragmentation-needed (v4,

@@ -522,7 +522,7 @@ func (r *Router) pathStamp(p *pkt.Packet, verdict uint8, t *laneTrace, elapsed i
 	if r.pool != nil {
 		worker = uint16(aiu.SteerWorker(p.Hash, r.pool.n))
 	}
-	p.Path.AppendHop(pkt.PathHop{
+	appended := p.Path.AppendHop(pkt.PathHop{
 		Router:  r.ptrace.Router(),
 		InIf:    int16(p.InIf),
 		OutIf:   int16(p.OutIf),
@@ -533,7 +533,10 @@ func (r *Router) pathStamp(p *pkt.Packet, verdict uint8, t *laneTrace, elapsed i
 		TotalNs: pkt.ClampNs(queueNs + elapsed),
 	})
 	p.Path.LocalGates = 0
-	p.Path.StampedHere = true
+	// A context already holding MaxPathHops hops took no hop from this
+	// router, so its last hop is another router's: egress must not
+	// re-stamp it.
+	p.Path.StampedHere = appended
 	if verdict != pkt.PathVerdictForwarded {
 		r.pathFold(p, t)
 	}

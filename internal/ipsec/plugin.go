@@ -43,6 +43,8 @@ func (pl *Plugin) PluginCode() pcu.Code { return pcu.MakeCode(pcu.TypeSecurity, 
 // create-instance args: mode=encrypt|decrypt, ttl=N (64).
 // register-instance args: filter=SPEC, spi=N, local=ADDR, peer=ADDR,
 // secret=HEX — the SA bound to the filter.
+// Custom message: "stats" replies with a []SAStats snapshot, one per SA
+// bound to the instance, in installation order.
 func (pl *Plugin) Callback(msg *pcu.Message) error {
 	switch msg.Kind {
 	case pcu.MsgCreateInstance:
@@ -102,6 +104,21 @@ func (pl *Plugin) Callback(msg *pcu.Message) error {
 			return fmt.Errorf("ipsec: no binding for %s", f)
 		}
 		return pl.aiu.Unbind(rec)
+	case pcu.MsgCustom:
+		if msg.Verb != "stats" {
+			return fmt.Errorf("ipsec: no message %q", msg.Verb)
+		}
+		if _, ok := msg.Instance.(*Instance); !ok {
+			return fmt.Errorf("ipsec: stats needs an instance")
+		}
+		var out []SAStats
+		for _, rec := range pl.aiu.Bound(pcu.TypeSecurity, msg.Instance) {
+			if sa, ok := rec.Private.(*SA); ok {
+				out = append(out, sa.Stats())
+			}
+		}
+		msg.Reply = out
+		return nil
 	default:
 		return fmt.Errorf("ipsec: unhandled message kind %v", msg.Kind)
 	}
@@ -184,7 +201,7 @@ func (i *Instance) HandlePacket(p *pkt.Packet) error {
 	}
 	inner, err := sa.Open(p.Data)
 	if err != nil {
-		p.MarkDrop() // the SA counts authentication and replay failures
+		p.MarkDrop() // the SA counts the reason
 		return nil
 	}
 	p.Data = inner

@@ -257,3 +257,78 @@ func newTunnelInstance(t *testing.T, pl *Plugin, mode, filter string) *Instance 
 	}
 	return inst
 }
+
+// TestOpenCountsEachRefusalOnce feeds a decrypt instance one packet of
+// every kind Open meets — a good one, a forged one, a replay, a
+// truncated ESP packet, another SA's packet, a packet that is not ESP
+// and one whose decrypted datagram does not match its next header —
+// and checks, through the instance's stats reply, that each moves
+// exactly one counter of its SA and that every refused one is dropped.
+func TestOpenCountsEachRefusalOnce(t *testing.T) {
+	pl, a := pluginRig(t)
+	dec := newTunnelInstance(t, pl, "decrypt", "192.0.2.1, 198.51.100.1, *, *, *, *")
+	local, peer := pkt.MustParseAddr("192.0.2.1"), pkt.MustParseAddr("198.51.100.1")
+	secret := []byte{0xde, 0xad, 0xbe, 0xef}
+	tx := NewSA(0x2001, local, peer, secret)
+	inner := innerUDP(t)
+
+	good, err := tx.Seal(inner, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged, _ := tx.Seal(inner, 64)
+	forged[len(forged)-1] ^= 0x01
+	truncated := make([]byte, pkt.IPv4HeaderLen+8)
+	if _, err := (&pkt.IPv4Header{TotalLen: uint16(len(truncated)), TTL: 64, Protocol: pkt.ProtoESP,
+		Src: local, Dst: peer}).Marshal(truncated); err != nil {
+		t.Fatal(err)
+	}
+	otherSA, _ := NewSA(0x2002, local, peer, secret).Seal(inner, 64)
+	notESP, _ := pkt.BuildUDP(pkt.UDPSpec{Src: local, Dst: peer, SrcPort: 500, DstPort: 500, Payload: []byte("ike")})
+	badInner, _ := tx.seal(inner, nextHeaderIPv6, 64) // an IPv4 datagram labelled IPv6
+
+	stats := func() SAStats {
+		t.Helper()
+		m := &pcu.Message{Kind: pcu.MsgCustom, Verb: "stats", Instance: dec}
+		if err := pl.Callback(m); err != nil {
+			t.Fatal(err)
+		}
+		s := m.Reply.([]SAStats)
+		if len(s) != 1 || s[0].SPI != 0x2001 {
+			t.Fatalf("stats reply %+v, want the one bound SA", s)
+		}
+		return s[0]
+	}
+	for _, c := range []struct {
+		name string
+		data []byte
+		move func(s *SAStats)
+	}{
+		{"opened", good, func(s *SAStats) { s.Opened++ }},
+		{"forged", forged, func(s *SAStats) { s.AuthFails++ }},
+		{"replayed", good, func(s *SAStats) { s.ReplayHits++ }},
+		{"truncated", truncated, func(s *SAStats) { s.Truncated++ }},
+		{"other-spi", otherSA, func(s *SAStats) { s.BadSPI++ }},
+		{"not-esp", notESP, func(s *SAStats) { s.NotESP++ }},
+		{"bad-inner", badInner, func(s *SAStats) { s.BadInner++ }},
+	} {
+		want := stats()
+		c.move(&want)
+		p, err := pkt.NewPacket(append([]byte(nil), c.data...), 1)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if inst, _ := a.LookupGate(p, pcu.TypeSecurity, pkt.Nanotime(), nil); inst != pcu.Instance(dec) {
+			t.Fatalf("%s: gate resolved %v", c.name, inst)
+		}
+		if err := dec.HandlePacket(p); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if p.Drop != (c.name != "opened") {
+			t.Errorf("%s: dropped = %v", c.name, p.Drop)
+		}
+		if got := stats(); got != want {
+			t.Errorf("%s: counters %+v, want %+v", c.name, got, want)
+		}
+	}
+}

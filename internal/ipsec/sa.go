@@ -61,12 +61,21 @@ type SA struct {
 	mu     sync.Mutex
 	seq    uint32
 	window replayWindow
+	stats  SAStats
+}
 
-	// Counters.
+// SAStats is an SA's counters. Every Open either opens the packet or
+// counts it under exactly one of the failure reasons.
+type SAStats struct {
+	SPI        uint32
 	Sealed     uint64
 	Opened     uint64
-	AuthFails  uint64
-	ReplayHits uint64
+	AuthFails  uint64 // the ICV did not verify
+	ReplayHits uint64 // a replayed or stale sequence number
+	Truncated  uint64 // too short for ESP, or a padding length past the payload
+	BadSPI     uint64 // an ESP packet for another SA
+	NotESP     uint64 // the outer header is not IPv4 or IPv6 carrying ESP
+	BadInner   uint64 // the decrypted datagram does not match its next header
 }
 
 // NewSA derives an SA from a shared secret. Both tunnel endpoints derive
@@ -95,11 +104,15 @@ func (sa *SA) Seal(inner []byte, ttl uint8) ([]byte, error) {
 	default:
 		return nil, pkt.ErrBadVersion
 	}
+	return sa.seal(inner, nextHdr, ttl)
+}
 
+// seal is Seal with the ESP trailer's next header given.
+func (sa *SA) seal(inner []byte, nextHdr byte, ttl uint8) ([]byte, error) {
 	sa.mu.Lock()
 	sa.seq++
 	seq := sa.seq
-	sa.Sealed++
+	sa.stats.Sealed++
 	sa.mu.Unlock()
 
 	// Pad the plaintext to a 4-byte multiple counting the 2 trailer
@@ -158,58 +171,55 @@ func (sa *SA) Seal(inner []byte, ttl uint8) ([]byte, error) {
 }
 
 // Open authenticates, replay-checks, and decrypts a tunnel-mode ESP
-// packet, returning the inner datagram.
+// packet, returning the inner datagram. A packet it cannot open is
+// counted once, under the reason it returns.
 func (sa *SA) Open(outer []byte) ([]byte, error) {
 	var esp []byte
 	switch {
 	case len(outer) > 0 && outer[0]>>4 == 4:
 		h, err := pkt.ParseIPv4(outer)
 		if err != nil {
-			return nil, err
+			return sa.fail(&sa.stats.NotESP, err)
 		}
 		if h.Protocol != pkt.ProtoESP {
-			return nil, fmt.Errorf("ipsec: protocol %d is not ESP", h.Protocol)
+			return sa.fail(&sa.stats.NotESP, fmt.Errorf("ipsec: protocol %d is not ESP", h.Protocol))
 		}
 		esp = outer[h.HeaderLen():h.TotalLen]
 	case len(outer) > 0 && outer[0]>>4 == 6:
 		h, err := pkt.ParseIPv6(outer)
 		if err != nil {
-			return nil, err
+			return sa.fail(&sa.stats.NotESP, err)
 		}
 		if h.NextHeader != pkt.ProtoESP {
-			return nil, fmt.Errorf("ipsec: next header %d is not ESP", h.NextHeader)
+			return sa.fail(&sa.stats.NotESP, fmt.Errorf("ipsec: next header %d is not ESP", h.NextHeader))
 		}
 		esp = outer[pkt.IPv6HeaderLen : pkt.IPv6HeaderLen+int(h.PayloadLen)]
 	default:
-		return nil, pkt.ErrBadVersion
+		return sa.fail(&sa.stats.NotESP, pkt.ErrBadVersion)
 	}
 	if len(esp) < espHeaderLen+espIVLen+espICVLen+4 {
-		return nil, ErrTooShort
+		return sa.fail(&sa.stats.Truncated, ErrTooShort)
 	}
 	spi := binary.BigEndian.Uint32(esp[0:4])
 	if spi != sa.SPI {
-		return nil, ErrBadSPI
+		return sa.fail(&sa.stats.BadSPI, ErrBadSPI)
 	}
 	seq := binary.BigEndian.Uint32(esp[4:8])
 
 	mac := hmac.New(sha256.New, sa.authKey[:])
 	mac.Write(esp[:len(esp)-espICVLen])
 	if !hmac.Equal(mac.Sum(nil)[:espICVLen], esp[len(esp)-espICVLen:]) {
-		sa.mu.Lock()
-		sa.AuthFails++
-		sa.mu.Unlock()
-		return nil, ErrAuth
+		return sa.fail(&sa.stats.AuthFails, ErrAuth)
 	}
 	// Replay check after authentication (RFC 4303 order).
 	sa.mu.Lock()
 	ok := sa.window.check(seq)
 	if !ok {
-		sa.ReplayHits++
+		sa.stats.ReplayHits++
 		sa.mu.Unlock()
 		return nil, ErrReplay
 	}
 	sa.window.update(seq)
-	sa.Opened++
 	sa.mu.Unlock()
 
 	iv := esp[espHeaderLen : espHeaderLen+espIVLen]
@@ -220,27 +230,38 @@ func (sa *SA) Open(outer []byte) ([]byte, error) {
 		return nil, err
 	}
 	cipher.NewCTR(block, iv).XORKeyStream(plain, ct)
-	if len(plain) < 2 {
-		return nil, ErrTooShort
-	}
-	padLen := int(plain[len(plain)-2])
+	padLen := int(plain[len(plain)-2]) // the length check above left ≥ 4 bytes
 	nextHdr := plain[len(plain)-1]
 	if padLen+2 > len(plain) {
-		return nil, ErrTooShort
+		return sa.fail(&sa.stats.Truncated, ErrTooShort)
 	}
 	inner := plain[:len(plain)-2-padLen]
 	if (nextHdr == nextHeaderIPv4 && (len(inner) == 0 || inner[0]>>4 != 4)) ||
 		(nextHdr == nextHeaderIPv6 && (len(inner) == 0 || inner[0]>>4 != 6)) {
-		return nil, pkt.ErrBadHeader
+		return sa.fail(&sa.stats.BadInner, pkt.ErrBadHeader)
 	}
+	sa.mu.Lock()
+	sa.stats.Opened++
+	sa.mu.Unlock()
 	return inner, nil
 }
 
+// fail counts one packet Open refused under counter c, one of sa's, and
+// returns err.
+func (sa *SA) fail(c *uint64, err error) ([]byte, error) {
+	sa.mu.Lock()
+	*c++
+	sa.mu.Unlock()
+	return nil, err
+}
+
 // Stats snapshots the SA counters.
-func (sa *SA) Stats() (sealed, opened, authFails, replays uint64) {
+func (sa *SA) Stats() SAStats {
 	sa.mu.Lock()
 	defer sa.mu.Unlock()
-	return sa.Sealed, sa.Opened, sa.AuthFails, sa.ReplayHits
+	s := sa.stats
+	s.SPI = sa.SPI
+	return s
 }
 
 // replayWindow is the RFC 2401 64-packet sliding window.

@@ -88,7 +88,7 @@ func TestOpenRejectsTamper(t *testing.T) {
 	if _, err := rx.Open(outer); err != ErrAuth {
 		t.Errorf("tampered packet error = %v, want ErrAuth", err)
 	}
-	if _, _, fails, _ := rx.Stats(); fails != 1 {
+	if fails := rx.Stats().AuthFails; fails != 1 {
 		t.Errorf("auth fails = %d", fails)
 	}
 }
@@ -124,7 +124,7 @@ func TestAntiReplay(t *testing.T) {
 	if _, err := rx.Open(p2); err != ErrReplay {
 		t.Errorf("replay p2 error = %v", err)
 	}
-	if _, _, _, replays := rx.Stats(); replays != 2 {
+	if replays := rx.Stats().ReplayHits; replays != 2 {
 		t.Errorf("replay count = %d", replays)
 	}
 }

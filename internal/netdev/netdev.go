@@ -13,6 +13,14 @@
 // datagram to Receive, and Transmit hands egress packets to the driver
 // instead of the in-memory peer. Every arrival — Inject, the in-memory
 // peer, the wire — takes the one Receive path into the one mbuf pool.
+//
+// Nothing between Receive and Transmit takes a lock or touches a
+// channel. The RX ring is a bounded lock-free ring that any goroutine
+// may push to (Receive) and poll (Poll), and the mbuf pool is a
+// lock-free LIFO free list over a lazily grown table, so any goroutine
+// may take an mbuf (Receive) or return one (ReleaseMbuf). An
+// interface's mutex serializes only the control path: rewiring and
+// ReserveMbufs.
 package netdev
 
 import (
@@ -149,11 +157,11 @@ var (
 // router core to drain; packets the core transmits go out on the TX
 // path and are delivered to the peer interface or the wire.
 //
-// The per-packet paths take no lock to read the interface's state: up
-// is an atomic and the wiring (peer and driver) is an immutable
-// snapshot behind an atomic pointer, loaded once per Receive or
-// Transmit. mu guards the mbuf free list and serializes the control
-// path's writes (SetUp aside, which is one atomic store).
+// The per-packet paths take no lock: up is an atomic, the wiring (peer
+// and driver) is an immutable snapshot behind an atomic pointer, loaded
+// once per Receive or Transmit, and the RX ring and the mbuf pool are
+// lock-free. mu serializes the control path's writes (SetUp aside,
+// which is one atomic store).
 type Interface struct {
 	Index int32
 	Name  string
@@ -161,28 +169,26 @@ type Interface struct {
 
 	mu   sync.Mutex
 	up   atomic.Bool
-	rx   chan *pkt.Packet
+	rx   rxRing
 	wire atomic.Pointer[wiring]
 
 	stats ifStats
 
 	// The receive mbuf pool. An mbuf is a whole packet: the pkt.Packet
-	// header with its MTU-sized buffer attached. Receive takes one off
-	// the free list, copies the wire bytes into its buffer — exactly
-	// like a DMA engine filling a preallocated mbuf — resets the header
-	// in place and stamps its Owner, so whoever retires the packet
-	// (transmit, drop, shed) returns it whole with ReleaseMbuf.
-	// mbufFree is the LIFO free list; mbufMade counts mbufs created so
-	// far, capped at BufDepth (RX ring plus any reserve declared with
-	// ReserveMbufs: with a worker pool, a packet can sit in a worker's
-	// ingress queue long after it left the RX ring, so the reserve must
-	// cover the total worker queue depth). When the pool is exhausted —
-	// more packets in flight than the declared depth, the signature of
-	// a missing release upstream — nextMbuf degrades to a counted heap
-	// allocation instead of reusing a packet still in flight.
-	mbufFree  []*pkt.Packet
-	mbufMade  int
-	mbufExtra int
+	// header with its MTU-sized buffer attached. Receive takes one from
+	// the pool, copies the wire bytes into its buffer — exactly like a
+	// DMA engine filling a preallocated mbuf — resets the header in
+	// place and stamps its Owner, so whoever retires the packet
+	// (transmit, drop, shed) returns it whole with ReleaseMbuf. The pool
+	// makes at most BufDepth mbufs: the RX ring plus any reserve
+	// declared with ReserveMbufs (with a worker pool, a packet can sit
+	// in a worker's ingress queue long after it left the RX ring, so the
+	// reserve must cover the total worker queue depth). When the pool is
+	// exhausted — more packets in flight than the declared depth, the
+	// signature of a missing release upstream — nextMbuf degrades to a
+	// counted heap allocation instead of reusing a packet still in
+	// flight.
+	mbufs mbufPool
 
 	// Addr is the interface's own address (used by daemons and for
 	// locally destined traffic).
@@ -228,9 +234,10 @@ func NewInterface(index int32, cfg Config) *Interface {
 	}
 	i := &Interface{
 		Index: index, Name: name, MTU: cfg.MTU,
-		rx:   make(chan *pkt.Packet, cfg.RxRing),
 		Addr: cfg.Addr, clock: cfg.Clock,
 	}
+	i.rx.init(cfg.RxRing)
+	i.mbufs.depth.Store(uint32(cfg.RxRing) + 1)
 	i.up.Store(true)
 	i.wire.Store(&wiring{})
 	return i
@@ -297,8 +304,9 @@ func (i *Interface) Inject(data []byte) error { return i.Receive(data, nil) }
 // real driver it takes a packet (the mbuf) from the pool and copies the
 // datagram into it, then parses the headers in one pass (pkt.Reset) and
 // stamps the packet with one monotonic clock read; the caller's slice
-// is not retained. The only lock it takes is the mbuf free list's. An active path-trace context
-// rides along, without the sending router's local accumulation state.
+// is not retained. It takes no lock and touches no channel, so any
+// goroutine may call it. An active path-trace context rides along,
+// without the sending router's local accumulation state.
 // Every outcome is counted here, once: received, or dropped as down,
 // too big, malformed or ring full. In steady state, with every packet
 // released by whoever retires it, Receive allocates nothing.
@@ -313,7 +321,10 @@ func (i *Interface) Receive(data []byte, path *pkt.PathContext) error {
 	}
 	p := i.nextMbuf(len(data))
 	copy(p.Data, data)
-	if err := p.Reset(p.Data, i.Index); err != nil {
+	slot := p.Mbuf
+	err := p.Reset(p.Data, i.Index)
+	p.Mbuf = slot
+	if err != nil {
 		i.ReleaseMbuf(p)
 		i.stats.rxDrops[pkt.DropMalformed].Add(1)
 		return err
@@ -324,31 +335,30 @@ func (i *Interface) Receive(data []byte, path *pkt.PathContext) error {
 	}
 	p.Owner = i
 	p.Stamp = i.clock()
-	select {
-	case i.rx <- p:
-		i.stats.rxPackets.Add(1)
-		i.stats.rxBytes.Add(uint64(len(data)))
-		return nil
-	default:
+	if !i.rx.push(p) {
 		p.ReleaseBuf()
 		i.stats.rxDrops[pkt.DropRingFull].Add(1)
 		return ErrRingFull
 	}
+	i.stats.rxPackets.Add(1)
+	i.stats.rxBytes.Add(uint64(len(data)))
+	return nil
 }
 
 // ReserveMbufs extends the receive buffer pool beyond the RX ring by
 // extra buffers. The core calls this when a worker pool is configured:
 // a packet steered to a worker can sit in that worker's ingress queue
 // while the RX ring keeps turning over, so the pool must cover ring
-// depth plus the total worker queue depth. Control path only; buffers
-// allocate lazily so the larger depth costs nothing until used.
+// depth plus the total worker queue depth. Control path only, but safe
+// while packets flow: the depth only grows, and mbufs allocate lazily so
+// the larger depth costs nothing until used.
 func (i *Interface) ReserveMbufs(extra int) {
-	if extra < 0 {
-		extra = 0
+	if extra <= 0 {
+		return
 	}
 	i.mu.Lock()
-	if extra > i.mbufExtra {
-		i.mbufExtra = extra
+	if d := i.rx.depth + uint32(extra) + 1; d > i.mbufs.depth.Load() {
+		i.mbufs.depth.Store(d)
 	}
 	i.mu.Unlock()
 }
@@ -356,70 +366,40 @@ func (i *Interface) ReserveMbufs(extra int) {
 // BufDepth reports the receive mbuf pool depth: the number of packets
 // that can be in flight (RX ring, worker queues, output queues) before
 // allocation falls back to the heap.
-func (i *Interface) BufDepth() int {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	return cap(i.rx) + i.mbufExtra + 1
-}
-
-// depthLocked is BufDepth with i.mu already held.
-func (i *Interface) depthLocked() int { return cap(i.rx) + i.mbufExtra + 1 }
+func (i *Interface) BufDepth() int { return int(i.mbufs.depth.Load()) }
 
 // nextMbuf hands out a receive packet whose Data holds n bytes of an
 // MTU-sized buffer: recycled from the free list, created lazily up to
 // the pool depth, or — pool exhausted — a counted heap fallback
 // (graceful degradation, never a packet still in flight). The header is
-// stale; the caller resets it.
+// stale but for its Mbuf slot; the caller resets it.
 func (i *Interface) nextMbuf(n int) *pkt.Packet {
-	i.mu.Lock()
-	if l := len(i.mbufFree); l > 0 {
-		p := i.mbufFree[l-1]
-		i.mbufFree[l-1] = nil
-		i.mbufFree = i.mbufFree[:l-1]
-		i.mu.Unlock()
-		p.Data = p.Data[:n]
-		return p
+	p := i.mbufs.get(i.MTU)
+	if p == nil {
+		i.stats.mbufFallback.Add(1)
+		p = &pkt.Packet{Data: make([]byte, 0, i.MTU)}
 	}
-	if i.mbufMade < i.depthLocked() {
-		i.mbufMade++
-		i.mu.Unlock()
-		return &pkt.Packet{Data: make([]byte, n, i.MTU)}
-	}
-	i.mu.Unlock()
-	i.stats.mbufFallback.Add(1)
-	return &pkt.Packet{Data: make([]byte, n, i.MTU)}
+	p.Data = p.Data[:n]
+	return p
 }
 
 // ReleaseMbuf implements pkt.BufOwner: the holder retiring a packet
 // returns it, header and buffer, for recycling; from here on the pool
 // owns p and the next Receive may reuse it. A packet whose Data was
 // resliced or replaced (decapsulation, plugins swapping in their own
-// buffer) no longer reaches back to a full pool buffer and is left to
-// the garbage collector; the free list is capped at the pool depth so
-// released fallback packets cannot grow it without bound.
-func (i *Interface) ReleaseMbuf(p *pkt.Packet) {
-	if cap(p.Data) < i.MTU {
-		return
-	}
-	i.mu.Lock()
-	if len(i.mbufFree) < i.depthLocked() {
-		i.mbufFree = append(i.mbufFree, p)
-	}
-	i.mu.Unlock()
-}
+// buffer) no longer reaches back to a full pool buffer: it is left to
+// the garbage collector and its slot returns empty, to be remade with a
+// fresh buffer when next taken. A released heap fallback is left to the
+// collector too: only the pool's own slots go back on the free list, so
+// it never holds more than the pool depth. Any goroutine may release;
+// it takes no lock.
+func (i *Interface) ReleaseMbuf(p *pkt.Packet) { i.mbufs.put(p, i.MTU) }
 
 // Poll drains one packet from the RX ring without blocking; nil when the
-// ring is empty.
+// ring is empty. Any goroutine may poll; it takes no lock.
 //
 //eisr:fastpath
-func (i *Interface) Poll() *pkt.Packet {
-	select {
-	case p := <-i.rx:
-		return p
-	default:
-		return nil
-	}
-}
+func (i *Interface) Poll() *pkt.Packet { return i.rx.pop() }
 
 // Transmit sends a packet out this interface: it is accounted and then
 // handed to the wire driver if one is attached, else delivered into the

@@ -18,6 +18,28 @@ func buildUDP(t *testing.T, n int) []byte {
 	return data
 }
 
+// freeMbufs counts the packets on an interface's mbuf free list. Only
+// for a quiescent interface: it walks the list without claiming it.
+func freeMbufs(i *Interface) int {
+	_, pkts := freeSlots(&i.mbufs)
+	return pkts
+}
+
+// freeSlots walks a quiescent pool's free list: the slots on it, and
+// how many of them hold a packet (a slot whose packet left with a
+// foreign buffer comes back empty). A list longer than the slots made —
+// a cycle, or a slot pushed twice — counts as made+1 slots.
+func freeSlots(m *mbufPool) (slots, pkts int) {
+	made := int(m.made.Load())
+	for s := uint32(m.free.Load()); s != 0 && slots <= made; s = m.slot(s).next.Load() {
+		slots++
+		if m.slot(s).p != nil {
+			pkts++
+		}
+	}
+	return slots, pkts
+}
+
 func TestInjectPoll(t *testing.T) {
 	i := NewInterface(0, Config{RxRing: 4})
 	if err := i.Inject(buildUDP(t, 100)); err != nil {
@@ -144,6 +166,10 @@ rewire:
 	Connect(c, a)
 	for _, l := range [][2]*Interface{{a, c}, {c, a}} {
 		from, to := l[0], l[1]
+		// Empty the peer's ring first: the traffic above may have
+		// filled it, and a ring-full drop would say nothing of wiring.
+		for to.Poll() != nil {
+		}
 		before := to.Stats().RxPackets
 		if err := from.Transmit(&pkt.Packet{Data: data}); err != nil {
 			t.Fatal(err)
@@ -265,7 +291,7 @@ func TestMbufDoubleReleaseIsNoop(t *testing.T) {
 	p := i.Poll()
 	p.ReleaseBuf()
 	p.ReleaseBuf()
-	if n := len(i.mbufFree); n != 1 {
+	if n := freeMbufs(i); n != 1 {
 		t.Fatalf("free list holds %d packets after a double release, want 1", n)
 	}
 	for k := 0; k < 2; k++ {
@@ -297,7 +323,7 @@ func TestMbufReslicedOrReplacedNotPooled(t *testing.T) {
 			p := i.Poll()
 			tc.edit(p)
 			p.ReleaseBuf()
-			if n := len(i.mbufFree); n != 0 {
+			if n := freeMbufs(i); n != 0 {
 				t.Fatalf("free list holds %d packets, want 0", n)
 			}
 			if err := i.Inject(buildUDP(t, 10)); err != nil {
@@ -329,7 +355,7 @@ func TestMbufExhaustionFallsBack(t *testing.T) {
 	for _, p := range held {
 		p.ReleaseBuf()
 	}
-	if n := len(i.mbufFree); n != depth {
+	if n := freeMbufs(i); n != depth {
 		t.Fatalf("free list holds %d packets, want the depth %d", n, depth)
 	}
 	if err := i.Inject(buildUDP(t, 10)); err != nil {
@@ -338,5 +364,62 @@ func TestMbufExhaustionFallsBack(t *testing.T) {
 	i.Poll()
 	if got := i.Stats().MbufFallback; got != 3 {
 		t.Fatalf("MbufFallback = %d after a recycled receive, want 3", got)
+	}
+}
+
+// TestMbufPoolRefillsReplacedBuffers: a slot whose packet left with a
+// foreign buffer is not lost to the pool. After many times BufDepth
+// packets with replaced or resliced Data have been released, with the
+// whole depth in flight at once, the pool still serves its depth
+// without a heap fallback, and a steady receive/release cycle allocates
+// nothing.
+func TestMbufPoolRefillsReplacedBuffers(t *testing.T) {
+	i := NewInterface(0, Config{RxRing: 4})
+	depth := i.BufDepth()
+	data := buildUDP(t, 10)
+	edits := []func(p *pkt.Packet){
+		func(p *pkt.Packet) { p.Data = append([]byte(nil), p.Data...) },
+		func(p *pkt.Packet) { p.Data = p.Data[pkt.IPv4HeaderLen:] },
+	}
+	for round := 0; round < 4; round++ {
+		var held []*pkt.Packet
+		for k := 0; k < depth; k++ {
+			if err := i.Inject(data); err != nil {
+				t.Fatal(err)
+			}
+			if k%4 == 3 { // keep the RX ring from filling
+				for p := i.Poll(); p != nil; p = i.Poll() {
+					held = append(held, p)
+				}
+			}
+		}
+		for p := i.Poll(); p != nil; p = i.Poll() {
+			held = append(held, p)
+		}
+		for k, p := range held {
+			edits[k%2](p)
+			p.ReleaseBuf()
+		}
+	}
+	if got := i.Stats().MbufFallback; got != 0 {
+		t.Fatalf("MbufFallback = %d after %d rounds of the depth %d in flight, want 0", got, 4, depth)
+	}
+	if made := int(i.mbufs.made.Load()); made != depth {
+		t.Fatalf("pool made %d slots, want the depth %d", made, depth)
+	}
+	if slots, pkts := freeSlots(&i.mbufs); slots != depth || pkts != 0 {
+		t.Fatalf("free list holds %d slots, %d with a packet; want %d empty slots", slots, pkts, depth)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := i.Inject(data); err != nil {
+			t.Fatal(err)
+		}
+		i.Poll().ReleaseBuf()
+	})
+	if allocs != 0 {
+		t.Errorf("receive/release cycle allocates %.1f times, want 0", allocs)
+	}
+	if got := i.Stats().MbufFallback; got != 0 {
+		t.Errorf("MbufFallback = %d after the steady cycle, want 0", got)
 	}
 }

@@ -124,6 +124,11 @@ type Packet struct {
 	// addressed to the far-end session destination.
 	PuntLocal bool
 
+	// Mbuf is the packet's slot in its Owner's mbuf table, counted from
+	// 1; 0 for a packet no pool slot holds (a heap fallback, a clone, a
+	// generated packet). Written and read only by the pool.
+	Mbuf uint32
+
 	// Path is the in-band trace context (eisrpath). Inactive for the
 	// vast majority of packets; embedded by value so the untraced path
 	// pays one boolean check and no allocation.
@@ -214,5 +219,6 @@ func (p *Packet) Clone() *Packet {
 	q.CacheMiss = false
 	q.QNext = nil
 	q.Owner = nil // the clone's data is heap-owned, not pool-owned
+	q.Mbuf = 0
 	return &q
 }

@@ -107,16 +107,18 @@ type PathContext struct {
 	Hops  [MaxPathHops]PathHop
 }
 
-// AppendHop adds this router's record; beyond MaxPathHops the context
-// is forwarded unchanged (the span reports a truncated path).
+// AppendHop adds this router's record and reports whether it did;
+// beyond MaxPathHops the context is forwarded unchanged (the span
+// reports a truncated path).
 //
 //eisr:fastpath
-func (c *PathContext) AppendHop(h PathHop) {
+func (c *PathContext) AppendHop(h PathHop) bool {
 	if c.NHops >= MaxPathHops {
-		return
+		return false
 	}
 	c.Hops[c.NHops] = h
 	c.NHops++
+	return true
 }
 
 // Last returns the most recently appended hop, or nil.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"github.com/routerplugins/eisr/internal/aiu"
 	"github.com/routerplugins/eisr/internal/pcu"
@@ -123,15 +124,21 @@ func (d *FlowSchedPlugin[Q, S]) Callback(msg *pcu.Message) error {
 	}
 }
 
-// FlowSchedInstance is one interface's per-flow scheduler.
+// FlowSchedInstance is one interface's per-flow scheduler. backlog
+// mirrors the scheduler's length: it is stored under mu after every
+// enqueue, dequeue, clear and purge, so Drain and Backlog answer an
+// empty scheduler without the lock. A packet enqueued while a Drain
+// runs is never stranded: its enqueue stores backlog before it returns,
+// and the next Drain reads it.
 type FlowSchedInstance[Q sched.PerFlowQueue, S flowScheduler[Q]] struct {
 	outIf
 	name  string
 	slot  int
 	flows *aiu.FlowTable
 
-	mu sync.Mutex
-	s  S
+	backlog atomic.Int64
+	mu      sync.Mutex
+	s       S
 }
 
 // InstanceName implements pcu.Instance.
@@ -159,6 +166,7 @@ func (i *FlowSchedInstance[Q, S]) HandlePacket(p *pkt.Packet) error {
 	//eisr:allow(fastpath) per-instance queue mutex, bounded critical section, never held across a plugin or channel boundary
 	i.mu.Lock()
 	err := i.enqueue(rec, p)
+	i.backlog.Store(int64(i.s.Len()))
 	i.mu.Unlock()
 	return err
 }
@@ -182,6 +190,7 @@ func (i *FlowSchedInstance[Q, S]) HandleBatch(ps []*pkt.Packet) {
 		}
 		ps[j] = nil
 	}
+	i.backlog.Store(int64(i.s.Len()))
 	i.mu.Unlock()
 }
 
@@ -209,17 +218,18 @@ func (i *FlowSchedInstance[Q, S]) enqueue(rec *aiu.FlowRecord, p *pkt.Packet) er
 
 // Drain implements ipcore.Drainer.
 func (i *FlowSchedInstance[Q, S]) Drain() *pkt.Packet {
+	if i.backlog.Load() == 0 {
+		return nil
+	}
 	i.mu.Lock()
 	defer i.mu.Unlock()
-	return i.s.Dequeue()
+	p := i.s.Dequeue()
+	i.backlog.Store(int64(i.s.Len()))
+	return p
 }
 
 // Backlog implements ipcore.Drainer.
-func (i *FlowSchedInstance[Q, S]) Backlog() int {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	return i.s.Len()
-}
+func (i *FlowSchedInstance[Q, S]) Backlog() int { return int(i.backlog.Load()) }
 
 // clear drops every queued packet as evicted when the instance is
 // freed: nothing will drain it again.
@@ -227,13 +237,16 @@ func (i *FlowSchedInstance[Q, S]) clear() {
 	i.mu.Lock()
 	defer i.mu.Unlock()
 	i.s.Clear()
+	i.backlog.Store(int64(i.s.Len()))
 }
 
 // PurgeIdle reclaims every empty flow queue and reports how many.
 func (i *FlowSchedInstance[Q, S]) PurgeIdle() int {
 	i.mu.Lock()
 	defer i.mu.Unlock()
-	return i.s.PurgeIdle()
+	n := i.s.PurgeIdle()
+	i.backlog.Store(int64(i.s.Len()))
+	return n
 }
 
 // FlowShare is one flow's service snapshot.

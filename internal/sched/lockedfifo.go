@@ -2,6 +2,7 @@ package sched
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"github.com/routerplugins/eisr/internal/pkt"
 )
@@ -14,7 +15,13 @@ import (
 // It is deliberately NOT marked fast-path: the analyzer forbids
 // exclusive locks there, and the enqueue is the last step of the
 // pipeline, past every gate.
+//
+// n mirrors the queue's length: it is stored under mu after every
+// change, so Dequeue and Len answer an empty queue without the lock. A
+// packet enqueued while a Dequeue runs is never stranded: its Enqueue
+// stores n before it returns, and the next Dequeue reads it.
 type LockedFIFO struct {
+	n  atomic.Int64
 	mu sync.Mutex
 	f  FIFO
 }
@@ -33,19 +40,22 @@ func NewLockedFIFO(limit int) *LockedFIFO {
 func (q *LockedFIFO) Enqueue(p *pkt.Packet) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return q.f.Enqueue(p)
+	err := q.f.Enqueue(p)
+	q.n.Store(int64(q.f.Len()))
+	return err
 }
 
 // Dequeue implements Scheduler.
 func (q *LockedFIFO) Dequeue() *pkt.Packet {
+	if q.n.Load() == 0 {
+		return nil
+	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return q.f.Dequeue()
+	p := q.f.Dequeue()
+	q.n.Store(int64(q.f.Len()))
+	return p
 }
 
 // Len implements Scheduler.
-func (q *LockedFIFO) Len() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.f.Len()
-}
+func (q *LockedFIFO) Len() int { return int(q.n.Load()) }

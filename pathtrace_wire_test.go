@@ -228,3 +228,79 @@ func TestPathTraceUntracedPeerInterop(t *testing.T) {
 		t.Errorf("legacy frames counted as malformed: link %+v iface %+v", s, is)
 	}
 }
+
+// A context that already carries MaxPathHops hops takes no hop from the
+// next router, so that router must not re-stamp the last hop at wire
+// egress: the hop is the previous router's, and its residency is that
+// router's measurement. The probe enters B over a UDP link with a full
+// context and leaves over another to a bare socket; the last hop must
+// arrive with its total unchanged.
+func TestPathTraceFullContextKeepsLastHop(t *testing.T) {
+	b := newTracedRouter(t, 2, 0, "")
+	linkBIn, err := b.AttachUDPLink(0, "127.0.0.1:0", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	linkBOut, err := b.AttachUDPLink(1, "127.0.0.1:0", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sink.Close()
+	if err := linkBOut.SetPeer(sink.LocalAddr().String()); err != nil {
+		t.Fatal(err)
+	}
+	b.Start()
+	defer b.Stop()
+
+	// Egress re-stamps a hop only upward, to this router's residency,
+	// which is never under a nanosecond.
+	const lastTotal = 1
+	ctx := pkt.PathContext{Active: true, ID: 77}
+	for h := 0; h < pkt.MaxPathHops; h++ {
+		ctx.AppendHop(pkt.PathHop{Router: uint32(100 + h), Verdict: pkt.PathVerdictForwarded,
+			QueueNs: 10, TotalNs: uint32(1000 + h)})
+	}
+	ctx.Last().TotalNs = lastTotal
+	frame := make([]byte, ctx.EncodedPathLen())
+	encodePathOrFail(t, &ctx, frame)
+	frame = append(frame, traceProbe(t, 1)...)
+
+	peer, err := net.Dial("udp", linkBIn.LocalAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peer.Close()
+	if _, err := peer.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+
+	buf := make([]byte, 2048)
+	sink.SetReadDeadline(time.Now().Add(10 * time.Second))
+	n, _, err := sink.ReadFromUDP(buf)
+	if err != nil {
+		t.Fatalf("no frame left B: %v\nlinkB.in: %+v\nlinkB.out: %+v", err, linkBIn.Stats(), linkBOut.Stats())
+	}
+	var got pkt.PathContext
+	if _, ok := pkt.DecodePath(buf[:n], &got); !ok || !got.Active {
+		t.Fatal("the forwarded frame carries no path context")
+	}
+	if got.NHops != pkt.MaxPathHops {
+		t.Fatalf("forwarded context has %d hops, want %d", got.NHops, pkt.MaxPathHops)
+	}
+	if h := got.Last(); h.Router != 100+pkt.MaxPathHops-1 || h.TotalNs != lastTotal {
+		t.Errorf("last hop r%d total %dns, want r%d total %dns (re-stamped by a router that added no hop)",
+			h.Router, h.TotalNs, 100+pkt.MaxPathHops-1, lastTotal)
+	}
+}
+
+// encodePathOrFail encodes c into dst, which must be large enough.
+func encodePathOrFail(t *testing.T, c *pkt.PathContext, dst []byte) {
+	t.Helper()
+	if pkt.EncodePath(c, dst) != len(dst) {
+		t.Fatal("EncodePath wrote a short header")
+	}
+}
