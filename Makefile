@@ -27,7 +27,7 @@ vet: $(BIN)/eisrlint
 
 # Race-detector pass over the packages with concurrent kernel state:
 # sharded flow-table lookups and gate dispatch racing the PCU control
-# path, the parallel forwarding pool and epoch reclamation, metric
+# path, the forwarding workers and epoch reclamation, metric
 # registration/snapshot racing record calls, the fault barrier and
 # quarantine path plus the wire topology (root package), the control
 # server's connection-teardown bookkeeping, the netio RX/TX goroutines

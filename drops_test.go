@@ -22,8 +22,9 @@ func (d *refusingDriver) TransmitWire(*pkt.Packet) error { return d.err }
 // still queued, or lost — each exactly once. At the end the same
 // ledger must hold for the whole run.
 //
-// The router has a worker pool that is never started, so Submit sheds
-// once the owning worker's queue is full. Interface 1 is a sink, 2 a
+// The router has two workers that are never started, so a flow's
+// packets pile up on its worker's RX ring until Receive sheds them.
+// Interface 1 is a sink, 2 a
 // wire whose driver refuses on demand, and 3 carries a DRR instance
 // that nothing drains; 30.0.0.0/8 routes to an interface that is not
 // attached.
@@ -64,7 +65,19 @@ func TestDropsCountedOnce(t *testing.T) {
 		}
 		return data
 	}
-	var injected, submitted int64
+	// A flow steered to the other worker's RX ring than flow 2's.
+	steer := func(sport uint16) int {
+		p, err := pkt.NewPacket(datagram("20.0.0.1", sport, 64), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pkt.SteerWorker(p.Hash, 2)
+	}
+	other := uint16(3)
+	for steer(other) == steer(2) {
+		other++
+	}
+	var injected int64
 	inject := func(n int, data []byte) {
 		for i := 0; i < n; i++ {
 			in.Inject(data)
@@ -95,13 +108,13 @@ func TestDropsCountedOnce(t *testing.T) {
 		return n
 	}
 	// ledger reads where the packets went: out of the router
-	// (transmitted, delivered), still queued (at a worker, in the DRR
-	// instance), or lost.
+	// (transmitted, delivered), still queued (in the DRR instance), or
+	// lost.
 	ledger := func() (out, drops int64) {
 		for _, ifc := range r.Core.Interfaces() {
 			out += int64(ifc.Stats().TxPackets)
 		}
-		out += int64(r.Core.Stats().Delivered) + submitted
+		out += int64(r.Core.Stats().Delivered)
 		if mv, ok := r.Telemetry.Find(`eisr_sched_backlog{plugin="drr",instance="` + drr + `"}`); ok {
 			out += mv.Gauge
 		}
@@ -170,14 +183,11 @@ func TestDropsCountedOnce(t *testing.T) {
 			}
 			inject(1, datagram("50.0.0.1", 7, 64))
 		}},
-		{"shed", 1100 - 1024, func() {
-			for i := 0; i < 1100; i++ {
-				inject(1, datagram("20.0.0.1", 2, 64))
-				p := in.Poll()
-				if r.Core.Pool().Submit(p) {
-					submitted++
-				}
-			}
+		// Flow 2's worker ring fills and sheds; a flow steered to the
+		// other worker's ring is still received.
+		{"shed", 76, func() {
+			inject(512+76, datagram("20.0.0.1", 2, 64))
+			inject(1, datagram("20.0.0.1", other, 64))
 		}},
 	}
 	for _, s := range steps {

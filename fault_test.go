@@ -135,7 +135,7 @@ func TestQuarantineAfterThreshold(t *testing.T) {
 		t.Fatalf("health after threshold = %+v", rep)
 	}
 	if !rep[0].Drained {
-		t.Fatalf("no worker pool: quarantine should drain inline, got %+v", rep[0])
+		t.Fatalf("no worker online: quarantine should drain inline, got %+v", rep[0])
 	}
 	// The quarantined instance's flows were flushed: the same flow now
 	// re-classifies to the default path and forwards.

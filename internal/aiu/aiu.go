@@ -30,9 +30,9 @@ type Config struct {
 	// FlowShards is the flow-table shard count (rounded up to a power
 	// of two; 0 = DefaultFlowShards). Each shard has its own lock,
 	// index, slab, and recycle queue; the shard is picked from the top
-	// byte of the flow hash, the same byte the ipcore worker pool steers
-	// by, so a power-of-two worker count gives every shard a single
-	// owning worker.
+	// byte of the flow hash, the same byte packets are steered to the
+	// forwarding workers by, so a power-of-two worker count gives every
+	// shard a single owning worker.
 	FlowShards int
 	// ShareIdenticalTables enables the §5.1.2 inter-DAG optimization:
 	// "often, the same or similar filters are installed in two or more

@@ -23,8 +23,8 @@ import (
 // is split into power-of-two shards — each with its own lock, index,
 // record slab, free list, and recycle queue — so per-packet lookups on
 // different cores never serialize. The shard is selected from the top
-// byte of the flow hash, which lets the worker pool steer packets so
-// each shard is touched by one worker.
+// byte of the flow hash, the byte Receive steers packets to the workers'
+// RX rings by, so each shard is touched by one worker.
 const (
 	DefaultInitialFlows = 1024
 	DefaultMaxFlows     = 65536
@@ -326,28 +326,14 @@ func pow2(n int) int {
 // Shards returns the shard count.
 func (t *FlowTable) Shards() int { return len(t.shards) }
 
-// shardFor selects the shard from the hash's top byte. The worker pool
-// steers packets by the same byte (SteerWorker), so with a power-of-two
-// worker count no two workers ever contend on one shard.
+// shardFor selects the shard from the hash's top byte. Receive steers
+// packets to the workers' RX rings by the same byte (pkt.SteerWorker),
+// so with a power-of-two worker count no two workers ever contend on
+// one shard.
 //
 //eisr:fastpath
 func (t *FlowTable) shardFor(h uint64) *flowShard {
 	return t.shards[(h>>56)&t.shardMask]
-}
-
-// SteerWorker maps a flow hash (pkt.Packet.Hash) to a worker index in
-// [0, n): the hash's top byte modulo the worker count. Packets of one
-// flow always map to the same worker (per-flow ordering), and because
-// the flow table's shard is selected from the same byte, a power-of-two
-// worker count gives each shard a single owning worker — zero
-// cross-worker lock contention on the cache-hit path.
-//
-//eisr:fastpath
-func SteerWorker(h uint64, n int) int {
-	if n <= 1 {
-		return 0
-	}
-	return int((h >> 56) % uint64(n))
 }
 
 // rec returns the record at slab index i.

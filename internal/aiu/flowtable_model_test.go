@@ -32,7 +32,7 @@ type flowModel struct {
 	perMax int
 }
 
-func (m *flowModel) shard(k pkt.Key) int { return SteerWorker(pkt.FlowHash(k), len(m.fifo)) }
+func (m *flowModel) shard(k pkt.Key) int { return pkt.SteerWorker(pkt.FlowHash(k), len(m.fifo)) }
 
 func (m *flowModel) drop(k pkt.Key) {
 	q := m.fifo[m.shard(k)]

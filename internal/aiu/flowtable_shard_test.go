@@ -66,15 +66,15 @@ func TestSteerWorkerMatchesShard(t *testing.T) {
 	}
 	for i := 0; i < 2000; i++ {
 		h := pkt.FlowHash(key(i))
-		w := SteerWorker(h, n)
+		w := pkt.SteerWorker(h, n)
 		if w < 0 || w >= n {
-			t.Fatalf("SteerWorker(%#x) = %d out of range", h, w)
+			t.Fatalf("pkt.SteerWorker(%#x) = %d out of range", h, w)
 		}
 		if ft.shards[w] != ft.shardFor(h) {
 			t.Fatalf("key %d: worker %d does not own its shard", i, w)
 		}
 	}
-	if SteerWorker(pkt.FlowHash(key(1)), 1) != 0 || SteerWorker(pkt.FlowHash(key(2)), 0) != 0 {
+	if pkt.SteerWorker(pkt.FlowHash(key(1)), 1) != 0 || pkt.SteerWorker(pkt.FlowHash(key(2)), 0) != 0 {
 		t.Error("degenerate worker counts must steer to 0")
 	}
 }
@@ -85,7 +85,7 @@ func TestSteerWorkerBalance(t *testing.T) {
 	const workers = 4
 	counts := make([]int, workers)
 	for i := 0; i < 4096; i++ {
-		counts[SteerWorker(pkt.FlowHash(key(i)), workers)]++
+		counts[pkt.SteerWorker(pkt.FlowHash(key(i)), workers)]++
 	}
 	for w, c := range counts {
 		if c == 0 {

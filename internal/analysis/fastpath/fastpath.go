@@ -45,8 +45,7 @@ const telemetryPkg = "github.com/routerplugins/eisr/internal/telemetry"
 var telemetryFast = map[string]bool{
 	"Counter.Inc": true, "Counter.Add": true, "Counter.Value": true,
 	"Gauge.Set": true, "Gauge.Add": true, "Gauge.Inc": true,
-	"Gauge.Dec": true, "Gauge.Value": true,
-	"Histogram.Observe": true, "PerWorker.Add": true, "PerWorker.Value": true,
+	"Gauge.Dec": true, "Gauge.Value": true, "Histogram.Observe": true,
 	"SchedMetrics.RecordEnqueue": true, "SchedMetrics.RecordDequeue": true,
 	"SchedMetrics.SetQueues": true, "SchedMetrics.RecordHorizonClamp": true,
 	"TraceEntry.RecordKey": true, "TraceEntry.RecordHop": true,

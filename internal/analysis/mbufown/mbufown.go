@@ -16,7 +16,7 @@
 //	release  ch <- x, return x, x stored to a field/global/container,
 //	         x captured by a function literal, or x passed to a callee
 //	         whose name starts with a handoff verb (Transmit, Inject,
-//	         Submit, Enqueue, Free, Forward, Deliver, ...)
+//	         Enqueue, Free, Forward, Deliver, Send, ...)
 //
 // An mbuf pointer is *pkt.Packet or a pointer to a package-local
 // struct whose type declaration carries the //eisr:mbuf marker (netio
@@ -70,7 +70,7 @@ var releasePrefixes = []string{
 
 // condHandoffPrefixes name the refusable handoffs: a single bool result
 // that is false means the callee did NOT take the buffer (a full worker
-// queue sheds) and the caller owns it again. Deliberately narrower than
+// ring sheds) and the caller owns it again. Deliberately narrower than
 // releasePrefixes — Forward and Process return a verdict about a packet
 // they consumed either way.
 var condHandoffPrefixes = []string{"submit", "try", "offer"}
@@ -247,7 +247,7 @@ type checker struct {
 	// variable it guards (`np, ok := <-q`: ok false means np is nil).
 	guards map[*types.Var]*types.Var
 	// condRelease maps the bool result of a conditional handoff to the
-	// buffer it shipped (`ok := pool.Submit(p)`: ok false means the
+	// buffer it shipped (`ok := q.Offer(p)`: ok false means the
 	// handoff was refused and the caller owns p again).
 	condRelease map[*types.Var]*types.Var
 	// report is nil during solving and set during the reporting pass.
@@ -444,7 +444,7 @@ func (ck *checker) recvFromMbufChan(e ast.Expr) bool {
 }
 
 func (ck *checker) assign(n *ast.AssignStmt, s state) state {
-	// Conditional handoff with a named result: ok := pool.Submit(p).
+	// Conditional handoff with a named result: ok := q.Offer(p).
 	// Record the ok→buffer mapping before the call below releases p, so
 	// refine can restore ownership on the refused (`if !ok`) branch.
 	if len(n.Lhs) == 1 && len(n.Rhs) == 1 {
@@ -466,7 +466,7 @@ func (ck *checker) assign(n *ast.AssignStmt, s state) state {
 	}
 	// Batch formation: s = append(s, pk, ...) stores the mbuf into a
 	// container exactly like s[i] = pk — the slice owns it now. The
-	// vector forwarding loops (pool worker, TX drain) hand their whole
+	// vector forwarding loops (run-loop worker, TX drain) hand their whole
 	// batch to a forward/transmit sink, which is where the container's
 	// contents are consumed.
 	if len(n.Lhs) == 1 && len(n.Rhs) == 1 {
@@ -804,7 +804,7 @@ func (ck *checker) refine(cond ast.Expr, branch bool, s state) state {
 			return ck.refine(c.X, !branch, s)
 		}
 	case *ast.CallExpr:
-		// `if !pool.Submit(p)`: the condition node already released p
+		// `if !q.Offer(p)`: the condition node already released p
 		// (the handoff may succeed), so the false edge — the refused
 		// handoff — restores ownership and the shed arm must release.
 		if !branch {

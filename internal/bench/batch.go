@@ -125,7 +125,7 @@ func RunBatchSweep(opt BatchSweepOptions) ([]BatchRow, error) {
 			if err != nil {
 				return nil, err
 			}
-			wi := aiu.SteerWorker(pkt.FlowHash(k), opt.Workers)
+			wi := pkt.SteerWorker(pkt.FlowHash(k), opt.Workers)
 			for j := 0; j < opt.PerFlow; j++ {
 				p := &pkt.Packet{Data: buf[f], InIf: 0, OutIf: -1, Stamp: now}
 				p.SetKey(k)

@@ -97,3 +97,17 @@ func TestBenchSmokeFaultedDispatchContained(t *testing.T) {
 		}
 	}
 }
+
+// TestRunFaultsContainsFaults runs the faults experiment end to end at
+// a small size: the panicking instance, bound at the scheduling gate
+// and registered as no port's drainer, is dispatched, its panics are
+// contained and counted, and traffic keeps flowing after quarantine.
+func TestRunFaultsContainsFaults(t *testing.T) {
+	rows, faults, err := RunFaults(FaultsOptions{Packets: 2000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if faults == 0 || len(rows) == 0 {
+		t.Fatalf("faults = %d, rows = %d; want contained faults and rows", faults, len(rows))
+	}
+}

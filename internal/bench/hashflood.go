@@ -108,9 +108,9 @@ func RunHashFlood(opt HashFloodOptions) []HashFloodRow {
 			rows[i].MaxLines = max(rows[i].MaxLines, lines)
 			h := pkt.FlowHash(k)
 			// With a power-of-two count, steering equals the shard
-			// choice (aiu.SteerWorker's contract).
-			shards[aiu.SteerWorker(h, ft.Shards())]++
-			workers[aiu.SteerWorker(h, floodWorkers)]++
+			// choice (pkt.SteerWorker's contract).
+			shards[pkt.SteerWorker(h, ft.Shards())]++
+			workers[pkt.SteerWorker(h, floodWorkers)]++
 		}
 		rows[i].MeanKeys = float64(keys) / float64(len(s.keys))
 		rows[i].ShardSkew = skew(shards)

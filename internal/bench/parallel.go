@@ -36,7 +36,7 @@ type ParallelOptions struct {
 // worker count grows. Packets are pre-built and pre-partitioned by the
 // engine's own steering function outside the timed region, so the
 // measurement isolates the data path itself: per-worker goroutines call
-// Forward back-to-back the way pool workers do, all flows are primed
+// Forward back-to-back the way run-loop workers do, all flows are primed
 // into the flow table first, and each worker only ever touches the
 // flow-table shards its steering byte owns — the zero-cross-worker-
 // locking property under test.
@@ -127,7 +127,7 @@ func RunParallel(opt ParallelOptions) ([]ParallelRow, error) {
 			if err != nil {
 				return nil, err
 			}
-			wi := aiu.SteerWorker(pkt.FlowHash(k), w)
+			wi := pkt.SteerWorker(pkt.FlowHash(k), w)
 			for j := 0; j < opt.PerFlow; j++ {
 				p := &pkt.Packet{Data: buf[f], InIf: 0, OutIf: -1, Stamp: now}
 				p.SetKey(k)

@@ -42,8 +42,8 @@ type WireOptions struct {
 	// mode it must match the peer of the daemon's egress link
 	// (default 127.0.0.1:0, in-process mode only).
 	SinkBind string
-	// Workers sizes the in-process routers' worker pools (ignored in
-	// daemon mode).
+	// Workers sizes the in-process routers' forwarding workers (ignored
+	// in daemon mode).
 	Workers int
 	// Batch caps the in-process routers' per-worker forwarding vector
 	// (0 = the engine default; ignored in daemon mode).

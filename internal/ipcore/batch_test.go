@@ -1,6 +1,6 @@
 // The chunking-invariance property of the gate walk: one deterministic
 // packet trace, walked as vectors of any size — Forward's vector of one,
-// Batchers of several sizes, the worker pool — must produce the same
+// Batchers of several sizes, four Run workers — must produce the same
 // verdicts, drop reasons, telemetry totals, dispatch counts, flow-cache
 // accounting, output order and trace records.
 package ipcore
@@ -24,8 +24,8 @@ import (
 )
 
 // newEqRig builds a plugin-mode router with an output queue deep enough
-// that queue-full drops cannot differ between drain patterns. workers=0
-// forwards inline; workers>1 builds the pool.
+// that queue-full drops cannot differ between drain patterns. workers
+// sizes the Run loop (0 forwards inline).
 func newEqRig(t *testing.T, tel *telemetry.Telemetry, guard *pcu.Guard, workers int) *testRig {
 	t.Helper()
 	routes, err := routing.New(bmp.KindBSPL)
@@ -311,8 +311,8 @@ func eqBatched(t *testing.T, total, chunk, capacity int, survived *int) func(*te
 }
 
 // TestBatchEquivalence feeds the same trace at chunk sizes 1 (Forward),
-// 3 (re-chunked by a Batcher of cap 2), 8 and 32, and through the
-// 4-worker pool, with the trace ring and in-band path tracing sampling,
+// 3 (re-chunked by a Batcher of cap 2), 8 and 32, and through four Run
+// workers, with the trace ring and in-band path tracing sampling,
 // and requires every chunking to match the vector-of-one reference.
 // The panicking instance must cost one fault per run — per vector that
 // carries its flow — with that many faults recorded against it and the
@@ -482,33 +482,29 @@ func TestBatchEquivalence(t *testing.T) {
 	t.Run("pool4", func(t *testing.T) {
 		const workers = 4
 		got := eqWalk(t, total, workers, 0, true, func(rig *testRig) {
-			pool := rig.r.Pool()
-			pool.Start()
-			forwarded := func() uint64 {
-				var s uint64
-				for w := 0; w < workers; w++ {
-					s += pool.Forwarded(w)
-				}
-				return s
-			}
-			// Keep in-flight below half a worker queue so Submit never
-			// sheds: a shed would count a drop the reference lacks.
+			stop := startRun(rig)
+			defer stop()
+			// Keep in-flight below half a ring so Receive never sheds: a
+			// shed would count a drop the reference lacks.
 			for i := 0; i < total; i++ {
-				for uint64(i)-forwarded() > poolQueueLen/2 {
+				for uint64(i)-verdicts(rig.r) > 256 {
 					time.Sleep(50 * time.Microsecond)
 				}
-				if !pool.Submit(eqPacket(t, i)) {
-					t.Fatalf("submit %d shed despite pacing", i)
+				if err := rig.in.Inject(eqPacket(t, i).Data); err != nil {
+					t.Fatalf("inject %d: %v", i, err)
 				}
 			}
-			pool.Stop() // waits for the workers to drain every submitted packet
+			deadline := time.Now().Add(10 * time.Second)
+			for verdicts(rig.r) < total && time.Now().Before(deadline) {
+				time.Sleep(50 * time.Microsecond)
+			}
 		})
 		check(t, got, 0, false, 0)
-		// Worker batches vary with timing: between one fault per packet
-		// of the panicking flow and one per full batch of it.
+		// Worker vectors vary with timing: between one fault per packet
+		// of the panicking flow and one per full vector of it.
 		n := uint64(total / eqFlows)
 		if f := got.stats.PluginFaults; f == 0 || f > n {
-			t.Errorf("pool faults = %d, want 1..%d", f, n)
+			t.Errorf("Run faults = %d, want 1..%d", f, n)
 		}
 	})
 }
@@ -696,18 +692,18 @@ func (w *wedgeInstance) HandlePacket(p *pkt.Packet) error {
 	return nil
 }
 
-// TestSubmitShedsOnlyOverloadedWorker is the drop-policy regression for
-// the non-blocking Submit: wedging one worker fills only its own queue
-// — Submit sheds that flow, counts the drops, and every other flow
-// keeps forwarding undisturbed.
-func TestSubmitShedsOnlyOverloadedWorker(t *testing.T) {
-	rig := newParallelRig(t, 2, nil)
-	pool := rig.r.Pool()
+// TestWedgedWorkerFillsOnlyItsRing: a worker that cannot keep up —
+// here parked inside a dispatch — fills only its own RX ring. Receive
+// sheds that flow's further packets as netdev ring-full drops, while
+// every flow steered to the other worker keeps being forwarded.
+func TestWedgedWorkerFillsOnlyItsRing(t *testing.T) {
+	const workers = 2
+	rig := newParallelRig(t, workers)
 
 	// Find two flows steered to different workers.
 	fA, fB := -1, -1
 	for f := 0; f < 64 && (fA < 0 || fB < 0); f++ {
-		switch aiu.SteerWorker(seqPacket(t, f, 0).Hash, 2) {
+		switch pkt.SteerWorker(seqPacket(t, f, 0).Hash, workers) {
 		case 0:
 			if fA < 0 {
 				fA = f
@@ -721,61 +717,71 @@ func TestSubmitShedsOnlyOverloadedWorker(t *testing.T) {
 	if fA < 0 || fB < 0 {
 		t.Fatal("steering put 64 flows on one worker")
 	}
-	wA := aiu.SteerWorker(seqPacket(t, fA, 0).Hash, 2)
-	wB := 1 - wA
 
 	wedge := &wedgeInstance{name: "wedge", entered: make(chan struct{}), release: make(chan struct{})}
 	filt := aiu.MustParseFilter(fmt.Sprintf("10.0.0.%d/32, *, UDP, *, *, *", fA))
 	if _, err := rig.a.Bind(pcu.TypeSecurity, filt, wedge, nil); err != nil {
 		t.Fatal(err)
 	}
-	pool.Start()
+	stop := startRun(rig)
 	t.Cleanup(func() {
 		close(wedge.release)
-		pool.Stop()
+		stop()
 	})
 
-	pool.Submit(seqPacket(t, fA, 0))
-	<-wedge.entered // worker wA is now parked mid-dispatch
+	if err := injectSeq(t, rig, fA, 0); err != nil {
+		t.Fatal(err)
+	}
+	<-wedge.entered // flow A's worker is now parked mid-dispatch
 
-	// Fill the wedged worker's queue until Submit sheds.
+	// Fill the wedged worker's ring until Receive sheds.
 	shed := false
-	for i := 0; i < poolQueueLen+64 && !shed; i++ {
-		shed = !pool.Submit(seqPacket(t, fA, uint32(i+1)))
+	for i := 0; i < parallelRing+64 && !shed; i++ {
+		shed = injectSeq(t, rig, fA, uint32(i+1)) == netdev.ErrRingFull
 	}
 	if !shed {
-		t.Fatal("Submit never shed with a wedged worker")
+		t.Fatal("Receive never shed with a wedged worker")
 	}
-	sheds := rig.r.stats.drops[pkt.DropOverload].Value()
+	sheds := rig.in.Stats().RxDropRing
 	if sheds == 0 {
-		t.Fatal("shed not counted as an overload drop")
+		t.Fatal("shed not counted as a ring-full drop")
 	}
-	if rig.r.Stats().Dropped < sheds {
-		t.Errorf("router stats missed the sheds: dropped=%d, overload=%d", rig.r.Stats().Dropped, sheds)
+	if d := rig.r.Stats().Dropped; d != 0 {
+		t.Errorf("the core counted %d drops for packets it never saw", d)
 	}
 
 	// The other worker's flow is unaffected.
 	const n = 100
 	for i := 0; i < n; i++ {
-		if !pool.Submit(seqPacket(t, fB, uint32(i))) {
-			t.Fatalf("flow B submission %d shed despite an idle owner", i)
+		if err := injectSeq(t, rig, fB, uint32(i)); err != nil {
+			t.Fatalf("flow B packet %d: %v despite an idle owner", i, err)
 		}
 	}
+	got := 0
 	deadline := time.Now().Add(5 * time.Second)
-	for pool.Forwarded(wB) < n && time.Now().Before(deadline) {
+	for got < n && time.Now().Before(deadline) {
+		if p := rig.sink.Poll(); p != nil {
+			if src := p.Key.Src; src != pkt.AddrV4(0x0a000000+uint32(fB)) {
+				t.Fatalf("sink got a packet from %v, want only flow B", src)
+			}
+			p.ReleaseBuf()
+			got++
+			continue
+		}
 		time.Sleep(time.Millisecond)
 	}
-	if got := pool.Forwarded(wB); got < n {
+	if got < n {
 		t.Fatalf("idle worker forwarded %d of %d while its sibling was wedged", got, n)
 	}
-	if n := rig.r.stats.drops[pkt.DropOverload].Value(); n != sheds {
-		t.Errorf("idle worker shed %d packets", n-sheds)
+	if n := rig.in.Stats().RxDropRing; n != sheds {
+		t.Errorf("the idle worker's ring shed %d packets", n-sheds)
 	}
 }
 
-// TestPoolDropCounterExposed pins the export of Submit's sheds: with
-// the workers never started, the owning queue fills and every further
-// Submit is counted once, as the core's overload drop.
+// TestPoolDropCounterExposed pins the export of a full worker ring's
+// sheds: with no worker running, flow A's ring fills and every further
+// packet of it is counted once, as the interface's ring-full RX drop,
+// while the other worker's ring still has room.
 func TestPoolDropCounterExposed(t *testing.T) {
 	tel := telemetry.New()
 	routes, err := routing.New(bmp.KindBSPL)
@@ -787,21 +793,32 @@ func TestPoolDropCounterExposed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := r.Pool()
+	const ring = 64
+	in := netdev.NewInterface(0, netdev.Config{Name: "in0", RxRing: ring, MTU: parallelMTU})
+	r.AddInterface(in)
+	rig := &testRig{r: r, in: in}
+	fA := 1
+	fB := fA + 1
+	for pkt.SteerWorker(seqPacket(t, fB, 0).Hash, 2) == pkt.SteerWorker(seqPacket(t, fA, 0).Hash, 2) {
+		fB++
+	}
 	want := uint64(0)
-	for i := 0; i < poolQueueLen+200; i++ {
-		if !pool.Submit(seqPacket(t, 1, uint32(i))) {
+	for i := 0; i < ring+200; i++ {
+		if injectSeq(t, rig, fA, uint32(i)) != nil {
 			want++
 		}
 	}
-	if want == 0 {
-		t.Fatal("queue never filled")
+	if want != 200 {
+		t.Fatalf("%d sheds from a %d-deep ring after %d packets, want 200", want, ring, ring+200)
 	}
-	const overload = `eisr_drops_total{layer="ipcore",reason="overload"}`
-	if got := tel.CounterValue(overload); got != want {
-		t.Errorf("%s = %d, want %d", overload, got, want)
+	if err := injectSeq(t, rig, fB, 0); err != nil {
+		t.Errorf("the other worker's ring refused a packet: %v", err)
 	}
-	if got := r.Stats().Dropped; got != want {
-		t.Errorf("Stats().Dropped = %d, want %d", got, want)
+	const ringFull = `eisr_drops_total{layer="netdev",iface="in0",dir="rx",reason="ring-full"}`
+	if got := tel.CounterValue(ringFull); got != want {
+		t.Errorf("%s = %d, want %d", ringFull, got, want)
+	}
+	if got := r.Stats().Dropped; got != 0 {
+		t.Errorf("Stats().Dropped = %d, want 0: the core never saw the shed packets", got)
 	}
 }

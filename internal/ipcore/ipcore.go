@@ -14,6 +14,8 @@ package ipcore
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -93,39 +95,50 @@ type coreStats struct {
 
 // coreReasons are the reasons the core loses a packet.
 var coreReasons = []pkt.DropReason{
-	pkt.DropOverload, pkt.DropBadChecksum, pkt.DropMalformed, pkt.DropTTL,
+	pkt.DropBadChecksum, pkt.DropMalformed, pkt.DropTTL,
 	pkt.DropNoRoute, pkt.DropNoOutput, pkt.DropPlugin, pkt.DropPluginFault,
 	pkt.DropQueueFull, pkt.DropMTU,
 }
 
 // ifaceState is one immutable generation of the router's interface
-// table: one port per interface index and the local-address set.
-// Mutators copy, modify, and republish; the data path reads it with a
-// single atomic load and finds everything about an interface with one
-// map lookup.
+// table: one port per attached interface, the registered drainers and
+// the local-address set. Mutators copy, modify, and republish; the data
+// path reads it with a single atomic load.
 type ifaceState struct {
 	ports map[int32]*port
-	// list is the iteration order (attachment order) for Step/polling.
+	// list is the iteration order (attachment order) for polling.
 	list  []*netdev.Interface
 	local map[pkt.Addr]int32
+	// drains are the registered drainers in registration order, the
+	// order TxDrain serves a port's in. A flat list: the sched gate
+	// looks an instance up in it for every packet it schedules
+	// (servesElsewhere), and there are few.
+	drains []drain
 }
 
-// port is one interface index's entry: the attached interface (nil
-// while only drainers are registered for it), its default output FIFO
-// and the registered drainers. A port is never modified once published;
-// mutators publish a changed copy.
+// drain is a scheduling instance's output queue on port ifIdx.
+type drain struct {
+	ifIdx int32
+	d     Drainer
+}
+
+// port is one attached interface's entry: the interface, its default
+// output FIFO and draining, the run loop's try-lock that lets one
+// worker at a time drain the port. Every snapshot shares the port.
 type port struct {
 	ifc      *netdev.Interface
 	outQ     *sched.LockedFIFO
-	drainers []Drainer
+	draining atomic.Bool
 }
 
-// clone copies the maps (ports and interfaces are shared).
+// clone copies the maps (ports, interfaces and the drains' backing
+// array are shared; writers append with a full slice expression).
 func (s *ifaceState) clone() *ifaceState {
 	ns := &ifaceState{
-		ports: make(map[int32]*port, len(s.ports)+1),
-		list:  append([]*netdev.Interface(nil), s.list...),
-		local: make(map[pkt.Addr]int32, len(s.local)+1),
+		ports:  make(map[int32]*port, len(s.ports)+1),
+		list:   append([]*netdev.Interface(nil), s.list...),
+		local:  make(map[pkt.Addr]int32, len(s.local)+1),
+		drains: s.drains,
 	}
 	for k, v := range s.ports {
 		ns.ports[k] = v
@@ -136,15 +149,27 @@ func (s *ifaceState) clone() *ifaceState {
 	return ns
 }
 
-// editPort returns a copy of idx's port to modify and publish in s, a
-// fresh one if idx has none.
-func (s *ifaceState) editPort(idx int32) *port {
-	pt := &port{}
-	if old := s.ports[idx]; old != nil {
-		*pt = *old
+// servesElsewhere reports whether inst is registered as a drainer of
+// some port but not of port idx: a scheduling instance that serves
+// another port, which must not take a packet routed to idx. An instance
+// registered as no port's drainer is not one of them. It compares
+// interface values only, so it costs no type assertion and no
+// allocation on the forwarding path. It stays out of line: inlined
+// into the gate walk it measured slower on both benchmark workloads.
+//
+//eisr:fastpath
+//go:noinline
+func (s *ifaceState) servesElsewhere(idx int32, inst pcu.Instance) bool {
+	elsewhere := false
+	for _, x := range s.drains {
+		if any(x.d) == any(inst) {
+			if x.ifIdx == idx {
+				return false
+			}
+			elsewhere = true
+		}
 	}
-	s.ports[idx] = pt
-	return pt
+	return elsewhere
 }
 
 // Config assembles a router core.
@@ -172,24 +197,20 @@ type Config struct {
 	// returns: a sink must not keep the *pkt.Packet or its Data past
 	// the call — it copies what it needs (Clone for a whole packet).
 	LocalSink func(p *pkt.Packet)
-	// Clock times the ICMP rate limiter and packet traces; defaults to time.Now.
+	// Clock times the ICMP rate limiter; defaults to time.Now.
 	Clock func() time.Time
-	// Workers sizes the forwarding worker pool: Run steers ingress
-	// packets to Workers goroutines by flow hash, preserving per-flow
-	// ordering. 0 or 1 keeps the paper's single flow of control (Step
-	// and ProcessOne always run inline regardless).
+	// Workers sizes the forwarding engine: every attached interface gets
+	// one RX ring per worker, Receive steers each packet to a ring by
+	// flow hash, preserving per-flow ordering, and Run runs one worker
+	// per ring. 0 or 1 keeps the paper's single flow of control.
 	Workers int
 	// OutQueueLen overrides the per-interface output FIFO depth
 	// (0 = 1024).
 	OutQueueLen int
-	// Reclaim, when non-nil, is the epoch reclaimer the worker pool
-	// announces quiescence to; wire the same instance into the PCU so
-	// free-instance destruction waits out in-flight dispatches.
-	Reclaim *pcu.Reclaimer
-	// BatchSize caps the per-worker forwarding vector: each pool worker
-	// drains up to this many queued packets per iteration and walks
-	// them through ForwardBatch (0 = DefaultBatchSize; 1 degenerates to
-	// per-packet forwarding).
+	// BatchSize caps the per-worker forwarding vector: a worker polls up
+	// to this many packets from its ring per interface and pass and
+	// walks them through ForwardBatch (0 = DefaultBatchSize; 1
+	// degenerates to per-packet forwarding).
 	BatchSize int
 	// Tel, when non-nil, attaches the telemetry registry: per-gate
 	// dispatch counters, drop/verdict accounting, and (when a trace
@@ -220,9 +241,10 @@ type Router struct {
 	mu    sync.Mutex // serializes state mutators
 	state atomic.Pointer[ifaceState]
 
-	// pool is the worker pool (nil unless Config.Workers > 1); Run
-	// steers through it instead of forwarding inline.
-	pool *Pool
+	// rec is the epoch reclaimer the workers announce quiescence to.
+	rec *pcu.Reclaimer
+	// stepW holds Step's worker between Steps (Step).
+	stepW atomic.Pointer[worker]
 
 	// guard is the plugin fault barrier (Config.Guard; nil-safe).
 	guard *pcu.Guard
@@ -273,15 +295,12 @@ func New(cfg Config) (*Router, error) {
 	}
 	r := &Router{
 		cfg: cfg, mode: cfg.Mode, gates: gates, aiu: cfg.AIU,
-		clock: clock, guard: cfg.Guard,
+		clock: clock, guard: cfg.Guard, rec: pcu.NewReclaimer(),
 	}
 	r.state.Store(&ifaceState{
 		ports: make(map[int32]*port),
 		local: make(map[pkt.Addr]int32),
 	})
-	if cfg.Workers > 1 {
-		r.pool = NewPool(r, cfg.Workers, cfg.Reclaim, cfg.BatchSize)
-	}
 	if cfg.AIU != nil {
 		r.gateSlots = make([]int, len(gates))
 		for i, g := range gates {
@@ -329,27 +348,37 @@ func (r *Router) initTelemetry(t *telemetry.Telemetry) {
 		"end-to-end data-path nanoseconds (traced packets only)")
 }
 
-// AddInterface attaches an interface to the router.
+// AddInterface attaches an interface to the router. An interface
+// attached under an index that already has one replaces it, in the
+// same place of the polling order; attaching the same interface again
+// changes nothing.
 func (r *Router) AddInterface(ifc *netdev.Interface) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	ns := r.state.Load().clone()
-	pt := ns.editPort(ifc.Index)
-	if pt.ifc == nil {
+	old := r.state.Load()
+	prev := old.ports[ifc.Index]
+	if prev != nil && prev.ifc == ifc {
+		return
+	}
+	ns := old.clone()
+	if prev == nil {
 		ns.list = append(ns.list, ifc)
+	} else {
+		ns.list[slices.Index(ns.list, prev.ifc)] = ifc
+		maps.DeleteFunc(ns.local, func(_ pkt.Addr, idx int32) bool { return idx == ifc.Index })
 	}
 	depth := r.cfg.OutQueueLen
 	if depth <= 0 {
 		depth = 1024
 	}
-	pt.ifc, pt.outQ = ifc, sched.NewLockedFIFO(depth)
-	// With a worker pool a packet can sit in a worker's ingress queue
-	// long after it left the RX ring; extend the interface's mbuf pool to
-	// cover the total worker queue depth so a backlogged packet's buffer
-	// is not recycled underneath it.
-	if r.pool != nil {
-		ifc.ReserveMbufs(r.pool.n * poolQueueLen)
+	ns.ports[ifc.Index] = &port{ifc: ifc, outQ: sched.NewLockedFIFO(depth)}
+	// One RX ring per worker, and mbufs for every ring and every
+	// worker's vector, before the interface is published to the workers.
+	batch := r.cfg.BatchSize
+	if batch <= 0 {
+		batch = DefaultBatchSize
 	}
+	ifc.SetQueues(r.queues(), batch)
 	ifc.SetTelemetry(r.tel)
 	var zero pkt.Addr
 	if ifc.Addr != zero {
@@ -371,8 +400,15 @@ func (r *Router) Interfaces() []*netdev.Interface {
 	return append([]*netdev.Interface(nil), r.state.Load().list...)
 }
 
-// Pool returns the worker pool (nil in single-threaded configurations).
-func (r *Router) Pool() *Pool { return r.pool }
+// queues is the worker count, and so the RX ring count of every
+// attached interface: max(1, Config.Workers).
+func (r *Router) queues() int { return max(1, r.cfg.Workers) }
+
+// Reclaimer returns the epoch reclaimer the workers announce
+// quiescence to. The PCU defers free-instance callbacks through it, so
+// an instance is destroyed only after every dispatch in flight when it
+// was freed has finished.
+func (r *Router) Reclaimer() *pcu.Reclaimer { return r.rec }
 
 // RegisterDrainer attaches a scheduling instance's output queue to an
 // interface (called by scheduler plugins on create-instance).
@@ -380,26 +416,18 @@ func (r *Router) RegisterDrainer(ifIdx int32, d Drainer) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	ns := r.state.Load().clone()
-	pt := ns.editPort(ifIdx)
-	pt.drainers = append(pt.drainers[:len(pt.drainers):len(pt.drainers)], d)
+	ns.drains = append(ns.drains[:len(ns.drains):len(ns.drains)], drain{ifIdx, d})
 	r.state.Store(ns)
 }
 
 // UnregisterDrainer detaches a drainer (free-instance). The whole state
-// is rebuilt copy-on-write: TxDrain walks the drainer slice with no lock
-// held, so the old slice must stay intact for in-flight readers.
+// is rebuilt copy-on-write: TxDrain walks the drain list with no lock
+// held, so the old list must stay intact for in-flight readers.
 func (r *Router) UnregisterDrainer(ifIdx int32, d Drainer) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	ns := r.state.Load().clone()
-	pt := ns.editPort(ifIdx)
-	list := make([]Drainer, 0, len(pt.drainers))
-	for _, x := range pt.drainers {
-		if x != d {
-			list = append(list, x)
-		}
-	}
-	pt.drainers = list
+	ns.drains = slices.DeleteFunc(slices.Clone(ns.drains), func(x drain) bool { return x == drain{ifIdx, d} })
 	r.state.Store(ns)
 }
 
@@ -428,8 +456,7 @@ func (r *Router) Stats() Stats {
 	}
 }
 
-// dropped totals the core's drop cells, the worker pool's ingress sheds
-// included.
+// dropped totals the core's drop cells.
 func (r *Router) dropped() uint64 {
 	var n uint64
 	for i := range r.stats.drops {
@@ -741,7 +768,7 @@ func (r *Router) takeICMPToken() bool {
 // room.
 func (r *Router) enqueueFIFO(p *pkt.Packet, st *ifaceState) pkt.DropReason {
 	pt := st.ports[p.OutIf]
-	if pt == nil || pt.outQ == nil {
+	if pt == nil {
 		return pkt.DropNoOutput
 	}
 	if pt.outQ.Enqueue(p) != nil {
@@ -760,14 +787,17 @@ func (r *Router) enqueueFIFO(p *pkt.Packet, st *ifaceState) pkt.DropReason {
 func (r *Router) TxDrain(ifIdx int32, budget int) int {
 	st := r.state.Load()
 	pt := st.ports[ifIdx]
-	if pt == nil || pt.ifc == nil {
+	if pt == nil {
 		return 0
 	}
 	sent := 0
 	for sent < budget {
 		var p *pkt.Packet
-		for _, d := range pt.drainers {
-			if p = d.Drain(); p != nil {
+		for _, x := range st.drains {
+			if x.ifIdx != ifIdx {
+				continue
+			}
+			if p = x.d.Drain(); p != nil {
 				break
 			}
 		}
@@ -780,9 +810,10 @@ func (r *Router) TxDrain(ifIdx int32, budget int) int {
 		if p == nil {
 			break
 		}
-		// A packet leaves on the interface it was routed to, even from
-		// another interface's queue: a scheduler instance takes whatever
-		// its filters match, and the mono scheduler is shared.
+		// A packet leaves on the interface it was routed to. Only the
+		// shared mono scheduler hands over one routed elsewhere: the
+		// sched gate gives a plugin instance only packets routed to a
+		// port it drains.
 		out := pt
 		if p.OutIf != ifIdx {
 			out = st.ports[p.OutIf]
@@ -800,7 +831,7 @@ func (r *Router) TxDrain(ifIdx int32, budget int) int {
 // to an interface that is not attached (one the shared mono scheduler
 // hands over, or one detached since) is a no-output drop.
 func (r *Router) transmit(p *pkt.Packet, pt *port) {
-	if pt == nil || pt.ifc == nil {
+	if pt == nil {
 		r.release(p, pkt.DropNoOutput)
 		return
 	}
@@ -851,94 +882,4 @@ func (r *Router) ProcessOne(p *pkt.Packet) bool {
 		r.TxDrain(out, 4)
 	}
 	return true
-}
-
-// Step polls every interface once, forwarding what arrived and draining
-// outputs; returns the number of packets forwarded. Run loops use it.
-func (r *Router) Step() int {
-	st := r.state.Load()
-	n := 0
-	for _, ifc := range st.list {
-		for {
-			p := ifc.Poll()
-			if p == nil {
-				break
-			}
-			if r.Forward(p) {
-				n++
-			}
-		}
-	}
-	for _, ifc := range st.list {
-		r.TxDrain(ifc.Index, 64)
-	}
-	return n
-}
-
-// stepSubmit is the parallel-engine variant of Step's ingress half: it
-// polls every interface and hands each packet to the worker pool, which
-// steers it by flow hash. Output draining stays on the run loop — the
-// per-interface queues serialize on the link anyway, and a single
-// drainer keeps transmit ordering deterministic.
-func (r *Router) stepSubmit() int {
-	st := r.state.Load()
-	n := 0
-	for _, ifc := range st.list {
-		for {
-			p := ifc.Poll()
-			if p == nil {
-				break
-			}
-			r.pool.Submit(p)
-			n++
-		}
-	}
-	return n
-}
-
-// Run processes packets until done closes. With Config.Workers > 1 it
-// runs the parallel engine: ingress packets are steered to the worker
-// pool by flow hash (per-flow ordering preserved), while this loop
-// drains outputs and collects deferred plugin reclamation.
-func (r *Router) Run(done <-chan struct{}) {
-	if r.pool != nil {
-		r.runParallel(done)
-		return
-	}
-	for {
-		select {
-		case <-done:
-			return
-		default:
-		}
-		if r.Step() == 0 {
-			// Idle: yield briefly rather than spin hot.
-			time.Sleep(50 * time.Microsecond)
-		}
-	}
-}
-
-// runParallel is Run's worker-pool flavor.
-func (r *Router) runParallel(done <-chan struct{}) {
-	r.pool.Start()
-	defer r.pool.Stop()
-	for {
-		select {
-		case <-done:
-			return
-		default:
-		}
-		submitted := r.stepSubmit()
-		drained := 0
-		st := r.state.Load()
-		for _, ifc := range st.list {
-			drained += r.TxDrain(ifc.Index, 64)
-		}
-		if rc := r.pool.Reclaimer(); rc != nil {
-			rc.Collect()
-		}
-		if submitted == 0 && drained == 0 {
-			time.Sleep(50 * time.Microsecond)
-		}
-	}
 }

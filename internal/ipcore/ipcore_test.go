@@ -343,6 +343,121 @@ func TestDrainerPriorityOverFIFO(t *testing.T) {
 	}
 }
 
+// schedQueue is a scheduling instance that counts its dispatches and
+// queues what it takes, for TxDrain.
+type schedQueue struct {
+	dispatchInstance
+	drainQueue
+}
+
+func (s *schedQueue) HandlePacket(p *pkt.Packet) error {
+	s.calls++
+	s.q = append(s.q, p)
+	return nil
+}
+
+// TestSchedGatePortCheck: a scheduling instance registered as the
+// drainer of another port is skipped for a packet routed to this one,
+// which goes to its port's FIFO; an instance registered as no port's
+// drainer, and one registered for the routed port, are dispatched.
+func TestSchedGatePortCheck(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		drains  int32 // the port the instance drains; -1 = none
+		calls   int
+		fifoOut int
+	}{
+		{"drainer of the routed port", 1, 1, 0},
+		{"drainer of another port", 0, 0, 1},
+		{"no port's drainer", -1, 1, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rig := newRig(t, ModePlugin, nil)
+			inst := &schedQueue{dispatchInstance: dispatchInstance{name: "sched"}}
+			if _, err := rig.a.Bind(pcu.TypeSched, aiu.MatchAll(), inst, nil); err != nil {
+				t.Fatal(err)
+			}
+			if tc.drains >= 0 {
+				rig.r.RegisterDrainer(tc.drains, inst)
+			}
+			if !rig.r.Forward(sendUDP(t, rig, "10.0.0.1", "20.0.0.1", 1, 2)) {
+				t.Fatal("packet not forwarded")
+			}
+			if inst.calls != tc.calls {
+				t.Errorf("instance dispatched %d times, want %d", inst.calls, tc.calls)
+			}
+			if got := rig.r.state.Load().ports[1].outQ.Len(); got != tc.fifoOut {
+				t.Errorf("interface 1's FIFO holds %d, want %d", got, tc.fifoOut)
+			}
+		})
+	}
+}
+
+// TestStepAllocatesNothing: in steady state a Step pass that forwards a
+// packet allocates nothing; Step keeps its worker between passes.
+func TestStepAllocatesNothing(t *testing.T) {
+	rig := newRig(t, ModeBestEffort, nil)
+	data, err := pkt.BuildUDP(pkt.UDPSpec{
+		Src: pkt.MustParseAddr("10.0.0.1"), Dst: pkt.MustParseAddr("20.0.0.1"),
+		SrcPort: 9, DstPort: 9, Payload: []byte("step"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pass := func() {
+		if err := rig.in.Inject(data); err != nil {
+			t.Fatal(err)
+		}
+		if n := rig.r.Step(); n != 2 {
+			t.Fatalf("Step moved %d packets, want 2 (one forwarded, one sent)", n)
+		}
+		p := rig.sink.Poll()
+		if p == nil {
+			t.Fatal("packet did not reach the sink")
+		}
+		p.ReleaseBuf()
+	}
+	for i := 0; i < 4; i++ {
+		pass()
+	}
+	if a := testing.AllocsPerRun(100, pass); a != 0 {
+		t.Errorf("Step pass allocates %.1f times, want 0", a)
+	}
+}
+
+// TestAddInterfaceReattach: attaching the same interface again changes
+// nothing; a new interface under an attached index replaces the old one
+// in its place, and Step polls the new one.
+func TestAddInterfaceReattach(t *testing.T) {
+	rig := newRig(t, ModeBestEffort, nil)
+	rig.r.AddInterface(rig.in)
+	if got := rig.r.Interfaces(); len(got) != 2 || got[0] != rig.in {
+		t.Fatalf("after re-adding in0: interfaces %v", got)
+	}
+	in := netdev.NewInterface(0, netdev.Config{})
+	rig.r.AddInterface(in)
+	if got := rig.r.Interfaces(); len(got) != 2 || got[0] != in || rig.r.Interface(0) != in {
+		t.Fatalf("after replacing in0: interfaces %v", got)
+	}
+	if _, ok := rig.r.state.Load().local[pkt.MustParseAddr("192.0.2.1")]; ok {
+		t.Error("the replaced interface's address is still local")
+	}
+	data, err := pkt.BuildUDP(pkt.UDPSpec{
+		Src: pkt.MustParseAddr("10.0.0.1"), Dst: pkt.MustParseAddr("20.0.0.1"),
+		SrcPort: 9, DstPort: 9, Payload: []byte("new"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := in.Inject(data); err != nil {
+		t.Fatal(err)
+	}
+	rig.r.Step()
+	if rig.sink.Poll() == nil {
+		t.Error("a packet received on the new interface was not forwarded")
+	}
+}
+
 func TestRunLoop(t *testing.T) {
 	rig := newRig(t, ModeBestEffort, nil)
 	done := make(chan struct{})

@@ -6,31 +6,22 @@ import (
 	"github.com/routerplugins/eisr/internal/netdev"
 )
 
-// AddInterface on a pooled router must extend the interface's mbuf pool
-// to cover every worker's ingress queue: a packet parked in a worker
-// queue outlives its stay on the RX ring by up to workers × queue-depth
-// packets, and its receive buffer has to survive that backlog.
+// AddInterface gives the interface one RX ring per worker and an mbuf
+// pool that covers every ring plus each worker's vector: a packet a
+// worker has polled sits in its vector while its ring keeps turning
+// over, and its receive buffer has to survive that.
 func TestAddInterfaceReservesWorkerQueueMbufs(t *testing.T) {
 	const workers = 4
-	rig := newParallelRig(t, workers, nil)
-	want := 65536 + workers*poolQueueLen + 1
-	if got := rig.in.BufDepth(); got != want {
-		t.Errorf("pooled router BufDepth = %d, want %d (ring + workers×queue + 1)", got, want)
+	rig := newParallelRig(t, workers)
+	if got, want := rig.in.BufDepth(), workers*(parallelRing+DefaultBatchSize)+1; got != want {
+		t.Errorf("4-worker router BufDepth = %d, want %d (workers×(ring + vector) + 1)", got, want)
 	}
 
-	// Single-threaded routers keep the plain ring-sized pool.
-	single := NewInterface0ForReserveTest(t)
-	if got, want := single.BufDepth(), 512+1; got != want {
+	// A single-threaded router has one ring and one vector.
+	single := newRig(t, ModePlugin, nil)
+	ifc := netdev.NewInterface(7, netdev.Config{})
+	single.r.AddInterface(ifc)
+	if got, want := ifc.BufDepth(), 512+DefaultBatchSize+1; got != want {
 		t.Errorf("single-threaded BufDepth = %d, want %d", got, want)
 	}
-}
-
-// NewInterface0ForReserveTest attaches a default interface to a
-// single-threaded router and returns it.
-func NewInterface0ForReserveTest(t *testing.T) *netdev.Interface {
-	t.Helper()
-	rig := newRig(t, ModePlugin, nil)
-	ifc := netdev.NewInterface(7, netdev.Config{})
-	rig.r.AddInterface(ifc)
-	return ifc
 }

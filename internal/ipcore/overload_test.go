@@ -10,16 +10,14 @@ import (
 	"github.com/routerplugins/eisr/internal/routing"
 )
 
-// TestOverloadShedReleasesMbufs is the regression for the ingress shed
-// leak: stepSubmit used to ignore Submit's verdict, so a packet shed by
-// a full worker queue never returned its receive buffer and sustained
-// overload drained the interface's whole mbuf pool into the heap
-// fallback. With the fix, Submit retires a shed packet: its buffer is
-// released and the shed counted once, as the core's overload drop.
-// After injecting many times the pool depth against a never-started
-// pool, the fallback counter must stay zero, the overload cell must
-// show the sheds, and every injected packet is either queued at a
-// worker or counted lost exactly once.
+// TestOverloadShedReleasesMbufs: a worker ring that fills sheds at
+// Receive, which returns the shed packet's buffer to the pool, so
+// sustained overload cannot drain the interface's mbuf pool into the
+// heap fallback. Packets of flows on both workers arrive faster than
+// Step forwards them, many times the pool depth over; the fallback
+// counter must stay zero, the ring-full cell must show the sheds, and
+// every received packet is either forwarded, counted lost exactly
+// once, or still on a ring.
 func TestOverloadShedReleasesMbufs(t *testing.T) {
 	const workers = 2
 	routes, err := routing.New(bmp.KindBSPL)
@@ -37,45 +35,33 @@ func TestOverloadShedReleasesMbufs(t *testing.T) {
 	out := netdev.NewInterface(1, netdev.Config{RxRing: ring})
 	r.AddInterface(in)
 	r.AddInterface(out)
+	rig := &testRig{r: r, in: in, out: out}
 
-	// The pool is never started: each worker queue absorbs its depth and
-	// every further submission for it sheds.
 	depth := in.BufDepth()
-	data, err := pkt.BuildUDP(pkt.UDPSpec{
-		Src: pkt.MustParseAddr("10.0.0.1"), Dst: pkt.MustParseAddr("20.0.0.1"),
-		SrcPort: 1000, DstPort: 9, Payload: make([]byte, 32), TTL: 64,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	injected := 0
-	for round := 0; round < (depth*4)/ring+1; round++ {
-		for i := 0; i < ring; i++ {
-			if err := in.Inject(data); err != nil {
-				t.Fatalf("round %d: inject %d: %v (pool exhausted?)", round, i, err)
-			}
+	for round := 0; injected < depth*4; round++ {
+		for i := 0; i < 2*ring; i++ {
+			injectSeq(t, rig, i%8, uint32(round))
 			injected++
 		}
-		r.stepSubmit()
-	}
-	if injected < depth*4 {
-		t.Fatalf("injected only %d of %d", injected, depth*4)
+		r.Step()
 	}
 
 	st := in.Stats()
-	if r.stats.drops[pkt.DropOverload].Value() == 0 {
-		t.Error("no overload sheds counted despite a never-started pool")
+	if st.RxDropRing == 0 {
+		t.Error("no ring-full sheds counted despite the overload")
 	}
 	if st.MbufFallback != 0 {
 		t.Errorf("mbuf pool exhausted under overload: %d fallback allocations (shed packets leaked their buffers)", st.MbufFallback)
 	}
 	queued := 0
-	for _, q := range r.pool.queues {
-		queued += len(q)
+	for p := in.Poll(); p != nil; p = in.Poll() {
+		p.ReleaseBuf()
+		queued++
 	}
-	dropped := r.Stats().Dropped
-	if got := uint64(queued) + st.RxDrops + dropped; got != uint64(injected) {
-		t.Errorf("injected %d, but queued %d + interface drops %d + core drops %d = %d (residual %d)",
-			injected, queued, st.RxDrops, dropped, got, int64(injected)-int64(got))
+	s := r.Stats()
+	if got := s.Forwarded + s.Dropped + st.RxDrops + uint64(queued); got != uint64(injected) {
+		t.Errorf("injected %d, but forwarded %d + core drops %d + interface drops %d + queued %d = %d",
+			injected, s.Forwarded, s.Dropped, st.RxDrops, queued, got)
 	}
 }

@@ -15,9 +15,17 @@ import (
 	"github.com/routerplugins/eisr/internal/routing"
 )
 
-// newParallelRig builds a two-interface plugin-mode router with a worker
-// pool and a generous output queue (the pool tests drain after the fact).
-func newParallelRig(t *testing.T, workers int, rc *pcu.Reclaimer) *testRig {
+// parallelRing is the per-worker RX ring depth of newParallelRig's
+// interfaces, and parallelMTU their MTU: every packet in flight holds
+// an MTU-sized mbuf, so the tests keep both small.
+const (
+	parallelRing = 1024
+	parallelMTU  = 1500
+)
+
+// newParallelRig builds a two-interface plugin-mode router with workers
+// forwarding workers and a generous output queue.
+func newParallelRig(t *testing.T, workers int) *testRig {
 	t.Helper()
 	routes, err := routing.New(bmp.KindBSPL)
 	if err != nil {
@@ -27,25 +35,39 @@ func newParallelRig(t *testing.T, workers int, rc *pcu.Reclaimer) *testRig {
 	a := aiu.New(aiu.Config{InitialFlows: 256, MaxFlows: 4096}, DefaultGates...)
 	r, err := New(Config{
 		Mode: ModePlugin, AIU: a, Routes: routes,
-		Workers: workers, OutQueueLen: 65536, Reclaim: rc,
+		Workers: workers, OutQueueLen: 65536,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Large rings: these tests submit bursts far beyond the default 512
-	// descriptors and drain after the fact.
-	in := netdev.NewInterface(0, netdev.Config{Addr: pkt.MustParseAddr("192.0.2.1"), RxRing: 65536})
-	out := netdev.NewInterface(1, netdev.Config{RxRing: 65536})
-	sink := netdev.NewInterface(2, netdev.Config{RxRing: 65536})
+	in := netdev.NewInterface(0, netdev.Config{Addr: pkt.MustParseAddr("192.0.2.1"), RxRing: parallelRing, MTU: parallelMTU})
+	out := netdev.NewInterface(1, netdev.Config{RxRing: parallelRing, MTU: parallelMTU})
+	sink := netdev.NewInterface(2, netdev.Config{RxRing: 65536, MTU: parallelMTU})
 	netdev.Connect(out, sink)
 	r.AddInterface(in)
 	r.AddInterface(out)
 	return &testRig{r: r, in: in, out: out, sink: sink, a: a}
 }
 
-// seqPacket builds a UDP packet for flow f carrying sequence number seq
+// startRun runs the router's Run loop on its own goroutine; the
+// returned stop closes its done channel and waits for Run to return.
+func startRun(rig *testRig) (stop func()) {
+	done := make(chan struct{})
+	exited := make(chan struct{})
+	go func() {
+		rig.r.Run(done)
+		close(exited)
+	}()
+	var once sync.Once
+	return func() {
+		once.Do(func() { close(done) })
+		<-exited
+	}
+}
+
+// seqData builds a UDP datagram for flow f carrying sequence number seq
 // in its payload.
-func seqPacket(t *testing.T, f int, seq uint32) *pkt.Packet {
+func seqData(t *testing.T, f int, seq uint32) []byte {
 	t.Helper()
 	payload := make([]byte, 8)
 	binary.BigEndian.PutUint32(payload, uint32(f))
@@ -57,7 +79,13 @@ func seqPacket(t *testing.T, f int, seq uint32) *pkt.Packet {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := pkt.NewPacket(data, 0)
+	return data
+}
+
+// seqPacket is seqData parsed into a packet.
+func seqPacket(t *testing.T, f int, seq uint32) *pkt.Packet {
+	t.Helper()
+	p, err := pkt.NewPacket(seqData(t, f, seq), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,75 +93,93 @@ func seqPacket(t *testing.T, f int, seq uint32) *pkt.Packet {
 	return p
 }
 
+// injectSeq receives flow f's packet seq on the rig's ingress interface.
+func injectSeq(t *testing.T, rig *testRig, f int, seq uint32) error {
+	t.Helper()
+	return rig.in.Inject(seqData(t, f, seq))
+}
+
+// verdicts counts the packets the core has reached a verdict on.
+func verdicts(r *Router) uint64 {
+	s := r.Stats()
+	return s.Forwarded + s.Delivered + s.Dropped
+}
+
+// Workers=n gives every attached interface n RX rings and an mbuf pool
+// covering each ring and each worker's vector; Workers ≤ 1 keeps one
+// ring. Every router has an epoch reclaimer.
 func TestPoolConstruction(t *testing.T) {
-	rig := newParallelRig(t, 4, nil)
-	pool := rig.r.Pool()
-	if pool == nil {
-		t.Fatal("Workers=4 must build a pool")
+	rig := newParallelRig(t, 4)
+	for _, ifc := range []*netdev.Interface{rig.in, rig.out} {
+		if got := ifc.Queues(); got != 4 {
+			t.Errorf("%s: %d RX rings, want 4", ifc.Name, got)
+		}
+		if got, want := ifc.BufDepth(), 4*(parallelRing+DefaultBatchSize)+1; got != want {
+			t.Errorf("%s: BufDepth = %d, want %d", ifc.Name, got, want)
+		}
 	}
-	if pool.Workers() != 4 {
-		t.Errorf("workers = %d", pool.Workers())
+	if rig.sink.Queues() != 1 {
+		t.Error("an interface no router attached grew RX rings")
 	}
-	if pool.Reclaimer() == nil {
-		t.Error("pool must own a reclaimer when none was supplied")
+	if rig.r.Reclaimer() == nil {
+		t.Error("Workers=4 router has no reclaimer")
 	}
-	// Single-threaded configs have no pool.
 	single := newRig(t, ModePlugin, nil)
-	if single.r.Pool() != nil {
-		t.Error("Workers<=1 must not build a pool")
+	if got := single.in.Queues(); got != 1 {
+		t.Errorf("Workers<=1: %d RX rings, want 1", got)
+	}
+	if single.r.Reclaimer() == nil {
+		t.Error("Workers<=1 router has no reclaimer")
 	}
 }
 
-// Every packet of one flow must leave in submission order even with the
-// pool racing: steering pins a flow to one worker and the per-interface
-// output FIFO preserves that worker's enqueue order.
+// Every packet of one flow must leave in arrival order with four
+// workers racing: Receive pins a flow to one worker's ring, the worker
+// forwards its vector in order, and one worker at a time drains a port.
 func TestPoolPerFlowOrdering(t *testing.T) {
-	rig := newParallelRig(t, 4, nil)
-	pool := rig.r.Pool()
-	pool.Start()
+	rig := newParallelRig(t, 4)
+	stop := startRun(rig)
+	defer stop()
 	const flows, perFlow = 32, 200
-	for seq := uint32(0); seq < perFlow; seq++ {
-		for f := 0; f < flows; f++ {
-			// Submit never blocks; the producer supplies its own
-			// backpressure by retrying the rejected packet before moving
-			// on, which preserves per-flow submission order.
-			pk := seqPacket(t, f, seq)
-			for !pool.Submit(pk) {
-				time.Sleep(20 * time.Microsecond)
-			}
-		}
-	}
-	pool.Stop() // waits for every submitted packet
-	if got := rig.r.Stats().Forwarded; got != flows*perFlow {
-		t.Fatalf("forwarded %d of %d", got, flows*perFlow)
-	}
-	rig.r.TxDrain(1, flows*perFlow+10)
+	const total = flows * perFlow
 	next := make(map[uint32]uint32, flows)
 	seen := 0
-	for {
-		p := rig.sink.Poll()
-		if p == nil {
-			break
+	consume := func() {
+		for p := rig.sink.Poll(); p != nil; p = rig.sink.Poll() {
+			payload := p.Data[pkt.IPv4HeaderLen+8:]
+			f := binary.BigEndian.Uint32(payload)
+			seq := binary.BigEndian.Uint32(payload[4:])
+			if want := next[f]; seq != want {
+				t.Fatalf("flow %d: got seq %d want %d (reordered)", f, seq, want)
+			}
+			next[f]++
+			seen++
+			p.ReleaseBuf()
 		}
-		payload := p.Data[pkt.IPv4HeaderLen+8:]
-		f := binary.BigEndian.Uint32(payload)
-		seq := binary.BigEndian.Uint32(payload[4:])
-		if want := next[f]; seq != want {
-			t.Fatalf("flow %d: got seq %d want %d (reordered)", f, seq, want)
+	}
+	injected := 0
+	deadline := time.Now().Add(10 * time.Second)
+	for seen < total && time.Now().Before(deadline) {
+		// Keep fewer packets in flight than one ring holds, so none is
+		// shed and every flow's sequence stays whole.
+		if injected < total && injected-seen < parallelRing/2 {
+			f, seq := injected%flows, uint32(injected/flows)
+			if err := injectSeq(t, rig, f, seq); err != nil {
+				t.Fatalf("inject %d: %v", injected, err)
+			}
+			injected++
+			continue
 		}
-		next[f]++
-		seen++
+		consume()
+		time.Sleep(50 * time.Microsecond)
 	}
-	if seen != flows*perFlow {
-		t.Fatalf("sink saw %d of %d", seen, flows*perFlow)
+	stop()
+	consume()
+	if seen != total {
+		t.Fatalf("sink saw %d of %d (stats %+v)", seen, total, rig.r.Stats())
 	}
-	// The per-worker counters must account for every packet.
-	var sum uint64
-	for i := 0; i < pool.Workers(); i++ {
-		sum += pool.Forwarded(i)
-	}
-	if sum != flows*perFlow {
-		t.Errorf("per-worker counters sum to %d", sum)
+	if got := rig.r.Stats().Forwarded; got != total {
+		t.Errorf("forwarded %d of %d", got, total)
 	}
 }
 
@@ -142,34 +188,29 @@ func TestPoolPerFlowOrdering(t *testing.T) {
 func TestPoolSteeringDeterministic(t *testing.T) {
 	const workers = 4
 	k := pkt.Key{Src: pkt.AddrV4(1), Dst: pkt.AddrV4(2), Proto: pkt.ProtoUDP, SrcPort: 3, DstPort: 4}
-	w := aiu.SteerWorker(pkt.FlowHash(k), workers)
+	w := pkt.SteerWorker(pkt.FlowHash(k), workers)
 	for i := 0; i < 100; i++ {
-		if aiu.SteerWorker(pkt.FlowHash(k), workers) != w {
+		if pkt.SteerWorker(pkt.FlowHash(k), workers) != w {
 			t.Fatal("steering is not a pure function of the key")
 		}
 	}
 	hit := make(map[int]bool)
 	for f := 0; f < 256; f++ {
 		k.SrcPort = uint16(f)
-		hit[aiu.SteerWorker(pkt.FlowHash(k), workers)] = true
+		hit[pkt.SteerWorker(pkt.FlowHash(k), workers)] = true
 	}
 	if len(hit) != workers {
 		t.Errorf("256 flows hit only %d of %d workers", len(hit), workers)
 	}
 }
 
-// Run with Workers>1 drives the full loop: poll → steer → forward →
-// drain, with reclamation collected on the run loop.
+// Run with Workers>1 drives the full loop: receive → steer → poll →
+// forward → drain, with reclamation collected on the run loop.
 func TestRunParallelEndToEnd(t *testing.T) {
-	rig := newParallelRig(t, 4, nil)
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		rig.r.Run(done)
-	}()
-	// Pace the producer below worker-queue capacity: Submit sheds load
+	rig := newParallelRig(t, 4)
+	stop := startRun(rig)
+	defer stop()
+	// Pace the producer below the RX ring's capacity: a full ring sheds
 	// instead of blocking, so an unpaced burst would (correctly) drop.
 	// Keeping ≤512 packets in flight guarantees losslessness.
 	const n = 2000
@@ -177,18 +218,20 @@ func TestRunParallelEndToEnd(t *testing.T) {
 	injected, got := 0, 0
 	for got < n && time.Now().Before(deadline) {
 		if injected < n && injected-got < 512 {
-			rig.in.Inject(seqPacket(t, injected%16, uint32(injected/16)).Data)
+			if err := injectSeq(t, rig, injected%16, uint32(injected/16)); err != nil {
+				t.Fatal(err)
+			}
 			injected++
 			continue
 		}
 		if p := rig.sink.Poll(); p != nil {
+			p.ReleaseBuf()
 			got++
 			continue
 		}
 		time.Sleep(200 * time.Microsecond)
 	}
-	close(done)
-	wg.Wait()
+	stop()
 	if got != n {
 		t.Fatalf("received %d of %d", got, n)
 	}
@@ -224,8 +267,8 @@ func (b *blockingInstance) HandlePacket(p *pkt.Packet) error {
 // A worker mid-dispatch holds the epoch open: a deferred destruction
 // must not run until that worker passes its next quiescent point.
 func TestPoolReclaimWaitsForDispatch(t *testing.T) {
-	rc := pcu.NewReclaimer()
-	rig := newParallelRig(t, 2, rc)
+	rig := newParallelRig(t, 2)
+	rc := rig.r.Reclaimer()
 	inst := &blockingInstance{
 		name:    "blocker",
 		entered: make(chan struct{}, 1),
@@ -234,17 +277,15 @@ func TestPoolReclaimWaitsForDispatch(t *testing.T) {
 	if _, err := rig.a.Bind(pcu.TypeSecurity, aiu.MatchAll(), inst, nil); err != nil {
 		t.Fatal(err)
 	}
-	pool := rig.r.Pool()
-	if pool.Reclaimer() != rc {
-		t.Fatal("pool must use the supplied reclaimer")
-	}
-	pool.Start()
+	stop := startRun(rig)
 	defer func() {
 		close(inst.release)
-		pool.Stop()
+		stop()
 	}()
 
-	pool.Submit(seqPacket(t, 1, 0))
+	if err := injectSeq(t, rig, 1, 0); err != nil {
+		t.Fatal(err)
+	}
 	<-inst.entered // the worker is now online, inside HandlePacket
 
 	freed := make(chan struct{})
@@ -274,28 +315,23 @@ func TestPoolReclaimWaitsForDispatch(t *testing.T) {
 // The full stack under -race: parallel Run, control-path bind/unbind and
 // flow flushes, reclaimed frees.
 func TestRunParallelControlChurn(t *testing.T) {
-	rc := pcu.NewReclaimer()
-	rig := newParallelRig(t, 4, rc)
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		rig.r.Run(done)
-	}()
+	rig := newParallelRig(t, 4)
+	rc := rig.r.Reclaimer()
+	stop := startRun(rig)
 
-	stop := make(chan struct{})
+	halt := make(chan struct{})
+	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		i := 0
 		for {
 			select {
-			case <-stop:
+			case <-halt:
 				return
 			default:
 			}
-			rig.in.Inject(seqPacket(t, i%64, uint32(i/64)).Data)
+			rig.in.Inject(seqData(t, i%64, uint32(i/64)))
 			i++
 			if i%256 == 0 {
 				time.Sleep(100 * time.Microsecond)
@@ -317,12 +353,12 @@ func TestRunParallelControlChurn(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	close(stop)
-	time.Sleep(5 * time.Millisecond)
-	close(done)
+	close(halt)
 	wg.Wait()
-	if !rc.Drain(2 * time.Second) {
-		t.Error("reclaimer did not drain after shutdown")
+	time.Sleep(5 * time.Millisecond)
+	stop()
+	if n := rc.Pending(); n != 0 {
+		t.Errorf("%d destructions still pending after Run returned", n)
 	}
 	if rig.r.Stats().Forwarded == 0 {
 		t.Error("no packets forwarded during churn")

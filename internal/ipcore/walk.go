@@ -2,7 +2,7 @@
 // vector size.
 //
 // Every packet is forwarded as one lane of a vector. Forward walks a
-// vector of one whose lanes live on the caller's stack; a pool worker's
+// vector of one whose lanes live on the caller's stack; a run-loop worker's
 // Batcher walks up to its batch cap at a time. Per vector the walk loads
 // the interface snapshot once and bumps each gate's counter once with
 // the live-lane count. Per gate it resolves every lane's instance
@@ -35,8 +35,6 @@
 package ipcore
 
 import (
-	"time"
-
 	"github.com/routerplugins/eisr/internal/aiu"
 	"github.com/routerplugins/eisr/internal/cycles"
 	"github.com/routerplugins/eisr/internal/pcu"
@@ -64,9 +62,8 @@ type laneState struct {
 // laneTrace is a traced lane's hook state (traceBegin).
 type laneTrace struct {
 	te    *telemetry.TraceEntry // trace-ring entry; nil for path-only tracing
-	start time.Time
-	mono  int64          // start on the pkt.Nanotime clock of Packet.Stamp
-	cc    cycles.Counter // the lane's classifier accounting
+	start int64                 // on the pkt.Nanotime clock of Packet.Stamp
+	cc    cycles.Counter        // the lane's classifier accounting
 
 	// handed is set once the packet went to an output stage
 	// (traceHandoff) with its forwarded hop stamped; from then on the
@@ -202,9 +199,9 @@ func (r *Router) walk(w *vec, st *ifaceState, run []*pkt.Packet) int {
 			break
 		}
 		r.telGateDispatch[gi].Add(uint64(w.alive))
-		var gstart time.Time
+		var gstart int64
 		if traced {
-			gstart = r.clock()
+			gstart = pkt.Nanotime()
 		}
 		// The gate "macro" (§3.2): the instance comes from the FIX cached
 		// in the packet, else from the flow table or classification.
@@ -217,6 +214,21 @@ func (r *Router) walk(w *vec, st *ifaceState, run []*pkt.Packet) int {
 		if miss {
 			r.aiu.Resolve(lanes, slot, now)
 		}
+		if g == pcu.TypeSched {
+			// A gate set without an explicit routing gate still needs a
+			// forwarding decision before output. A scheduling instance
+			// that drains other ports does not take a packet routed to
+			// this one: the lane is treated as unbound here and the
+			// packet goes to its own port's FIFO.
+			for i := range lanes {
+				if lanes[i].P != nil && !state[i].routed {
+					r.laneRoute(w, i, st)
+				}
+				if lanes[i].P != nil && lanes[i].Inst != nil && st.servesElsewhere(state[i].outIf, lanes[i].Inst) {
+					lanes[i].Inst = nil
+				}
+			}
+		}
 		if traced && gi < 8 {
 			// The in-band hop record's gate-chain summary: bit i set when
 			// gate i dispatched a plugin instance for this packet.
@@ -226,14 +238,10 @@ func (r *Router) walk(w *vec, st *ifaceState, run []*pkt.Packet) int {
 				}
 			}
 		}
-		if g == pcu.TypeSched {
-			// A gate set without an explicit routing gate still needs a
-			// forwarding decision before output. A scheduling instance
-			// takes the packet, so the trace hook reads it first.
+		if traced && g == pcu.TypeSched {
+			// A scheduling instance takes the packet, so the trace hook
+			// reads it first.
 			for i := range lanes {
-				if lanes[i].P != nil && !state[i].routed {
-					r.laneRoute(w, i, st)
-				}
 				if lanes[i].P != nil && lanes[i].Inst != nil && state[i].tr != nil {
 					r.traceHandoff(w, i)
 				}
@@ -289,7 +297,7 @@ func (r *Router) walk(w *vec, st *ifaceState, run []*pkt.Packet) int {
 				continue
 			}
 			if t := s.tr; t != nil && t.te != nil {
-				ns := r.clock().Sub(gstart).Nanoseconds()
+				ns := pkt.Nanotime() - gstart
 				code, iname := hopIdentity(g, l.Inst)
 				t.te.RecordHop(r.gateNames[gi], code, iname, ns)
 				r.telGateNanos[gi].Observe(uint64(ns))
@@ -435,7 +443,7 @@ const (
 //
 //eisr:slowpath
 func (r *Router) traceBegin(l *aiu.Lane, s *laneState, te *telemetry.TraceEntry) {
-	t := &laneTrace{te: te, start: r.clock(), mono: pkt.Nanotime()}
+	t := &laneTrace{te: te, start: pkt.Nanotime()}
 	s.tr = t
 	l.C = &t.cc
 }
@@ -453,7 +461,7 @@ func (r *Router) traceHandoff(w *vec, i int) {
 	if t.handed {
 		return // degraded past a faulted scheduler: already recorded
 	}
-	r.traceRecord(w.lanes[i].P, t, pkt.PathVerdictForwarded, r.clock().Sub(t.start).Nanoseconds())
+	r.traceRecord(w.lanes[i].P, t, pkt.PathVerdictForwarded, pkt.Nanotime()-t.start)
 	t.handed = true
 }
 
@@ -464,7 +472,7 @@ func (r *Router) traceHandoff(w *vec, i int) {
 //eisr:fastpath
 func (r *Router) traceRecord(p *pkt.Packet, t *laneTrace, pv uint8, elapsed int64) {
 	t.outIf = p.OutIf
-	t.te.RecordKey(p.Key, t.start.UnixNano())
+	t.te.RecordKey(p.Key, pkt.WallNanos(t.start))
 	t.te.RecordClassify(!p.CacheMiss, p.CacheMiss, t.cc.Mem, t.cc.FnPtr)
 	if p.Path.Active {
 		r.pathStamp(p, pv, t, elapsed)
@@ -481,7 +489,7 @@ func (r *Router) traceRecord(p *pkt.Packet, t *laneTrace, pv uint8, elapsed int6
 //
 //eisr:fastpath
 func (r *Router) traceDone(t *laneTrace, p *pkt.Packet, why pkt.DropReason, owned bool) {
-	elapsed := r.clock().Sub(t.start).Nanoseconds()
+	elapsed := pkt.Nanotime() - t.start
 	r.Counter.Merge(t.cc)
 	r.telPktNanos.Observe(uint64(elapsed))
 	verdict, pv := verdictForwarded, pkt.PathVerdictForwarded
@@ -516,17 +524,13 @@ func (r *Router) traceDone(t *laneTrace, p *pkt.Packet, why pkt.DropReason, owne
 func (r *Router) pathStamp(p *pkt.Packet, verdict uint8, t *laneTrace, elapsed int64) {
 	var queueNs int64
 	if p.Stamp != 0 {
-		queueNs = t.mono - p.Stamp
-	}
-	var worker uint16
-	if r.pool != nil {
-		worker = uint16(aiu.SteerWorker(p.Hash, r.pool.n))
+		queueNs = t.start - p.Stamp
 	}
 	appended := p.Path.AppendHop(pkt.PathHop{
 		Router:  r.ptrace.Router(),
 		InIf:    int16(p.InIf),
 		OutIf:   int16(p.OutIf),
-		Worker:  worker,
+		Worker:  uint16(pkt.SteerWorker(p.Hash, r.queues())),
 		Gates:   p.Path.LocalGates,
 		Verdict: verdict,
 		QueueNs: pkt.ClampNs(queueNs),
@@ -547,7 +551,7 @@ func (r *Router) pathStamp(p *pkt.Packet, verdict uint8, t *laneTrace, elapsed i
 //
 //eisr:fastpath
 func (r *Router) pathFold(p *pkt.Packet, t *laneTrace) {
-	r.ptrace.Fold(&p.Path, p.Key, t.start.UnixNano())
+	r.ptrace.Fold(&p.Path, p.Key, pkt.WallNanos(t.start))
 	p.Path.Active = false
 }
 

@@ -132,33 +132,34 @@ func TestTelemetryExportsIfaceDrops(t *testing.T) {
 	}
 }
 
-// Satellite regression: with a worker pool, a packet can sit in a worker
-// queue while the RX ring wraps many times. ReserveMbufs must deepen the
-// pool so the parked packet's buffer survives ring-depth × many injects.
-func TestReserveMbufsSurvivesWraparound(t *testing.T) {
+// A packet a worker has polled sits in its vector while its RX ring
+// keeps turning over. SetQueues sizes the pool to cover every ring plus
+// each worker's vector, so the polled packet's buffer survives ring
+// depth plus vector-1 more receives.
+func TestQueueMbufsSurviveWraparound(t *testing.T) {
 	const ring = 4
-	const reserve = 64
+	const vector = 64
 	i := NewInterface(0, Config{RxRing: ring})
-	i.ReserveMbufs(reserve)
-	if got, want := i.BufDepth(), ring+reserve+1; got != want {
+	i.SetQueues(1, vector)
+	if got, want := i.BufDepth(), ring+vector+1; got != want {
 		t.Fatalf("BufDepth = %d, want %d", got, want)
 	}
 
 	marker, _ := pkt.BuildUDP(pkt.UDPSpec{
 		Src: pkt.MustParseAddr("1.1.1.1"), Dst: pkt.MustParseAddr("2.2.2.2"),
-		SrcPort: 7, DstPort: 7, Payload: []byte("parked-in-a-worker-queue"),
+		SrcPort: 7, DstPort: 7, Payload: []byte("parked-in-a-worker-vector"),
 	})
 	if err := i.Inject(marker); err != nil {
 		t.Fatal(err)
 	}
-	parked := i.Poll() // steered to a worker, sits in its queue
+	parked := i.Poll() // polled into a worker's vector, not yet forwarded
 	h, _ := pkt.ParseIPv4(parked.Data)
 	wantBody := string(parked.Data[h.HeaderLen()+pkt.UDPHeaderLen : h.TotalLen])
 
-	// Meanwhile the RX ring keeps turning: more injects than the ring
-	// depth but fewer than the reserved pool.
+	// Meanwhile the RX ring keeps turning: more receives than the ring
+	// depth but fewer than the pool covers.
 	filler := buildUDP(t, 32)
-	for n := 0; n < ring+reserve-1; n++ {
+	for n := 0; n < ring+vector-1; n++ {
 		if err := i.Inject(filler); err != nil {
 			t.Fatal(err)
 		}
@@ -201,20 +202,92 @@ func TestWraparoundWithoutReserveCorrupts(t *testing.T) {
 	}
 }
 
-// ReserveMbufs regrows an already-materialized pool.
-func TestReserveMbufsRegrowsLivePool(t *testing.T) {
-	i := NewInterface(0, Config{RxRing: 2})
+// SetQueues gives each worker its own RX ring: Receive puts a flow's
+// packets on ring pkt.SteerWorker(hash, n), PollRing(q) returns only
+// ring q's packets, Poll any ring's, and a full ring sheds at netdev as
+// ring-full while its siblings keep accepting. The mbuf pool covers
+// every ring plus each worker's vector, on a pool already in use too,
+// and its depth never shrinks.
+func TestSetQueuesSizesRingsAndPool(t *testing.T) {
+	const ring, workers, vector = 8, 4, 16
+	i := NewInterface(0, Config{RxRing: ring})
 	if err := i.Inject(buildUDP(t, 16)); err != nil { // materializes the pool
 		t.Fatal(err)
 	}
-	i.Poll()
-	i.ReserveMbufs(32)
-	if got, want := i.BufDepth(), 2+32+1; got != want {
-		t.Fatalf("BufDepth after regrow = %d, want %d", got, want)
+	i.Poll().ReleaseBuf()
+	i.SetQueues(workers, vector)
+	if got := i.Queues(); got != workers {
+		t.Fatalf("Queues = %d, want %d", got, workers)
 	}
-	// Smaller reserves never shrink the pool.
-	i.ReserveMbufs(8)
-	if got, want := i.BufDepth(), 2+32+1; got != want {
-		t.Fatalf("BufDepth after smaller reserve = %d, want %d", got, want)
+	if got, want := i.BufDepth(), workers*(ring+vector)+1; got != want {
+		t.Fatalf("BufDepth = %d, want %d", got, want)
+	}
+	i.SetQueues(workers, 1) // a smaller vector never shrinks the pool
+	if got, want := i.BufDepth(), workers*(ring+vector)+1; got != want {
+		t.Fatalf("BufDepth after a smaller SetQueues = %d, want %d", got, want)
+	}
+
+	// One flow per worker.
+	flows := make([][]byte, workers)
+	for port, found := 1, 0; found < workers; port++ {
+		d, err := pkt.BuildUDP(pkt.UDPSpec{
+			Src: pkt.MustParseAddr("10.0.0.1"), Dst: pkt.MustParseAddr("10.0.0.2"),
+			SrcPort: uint16(port), DstPort: 9, Payload: make([]byte, 8),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		k, err := pkt.ExtractKey(d, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if q := pkt.SteerWorker(pkt.FlowHash(k), workers); flows[q] == nil {
+			flows[q] = d
+			found++
+		}
+	}
+	// Fill worker 0's ring past its depth; the others take one each.
+	for n := 0; n < ring+3; n++ {
+		err := i.Inject(flows[0])
+		if n < ring && err != nil {
+			t.Fatalf("inject %d: %v", n, err)
+		}
+		if n >= ring && err != ErrRingFull {
+			t.Fatalf("inject %d into a full ring: %v, want ErrRingFull", n, err)
+		}
+	}
+	for q := 1; q < workers; q++ {
+		if err := i.Inject(flows[q]); err != nil {
+			t.Fatalf("worker %d's ring refused a packet beside a full sibling: %v", q, err)
+		}
+	}
+	if got := i.Stats().RxDropRing; got != 3 {
+		t.Errorf("RxDropRing = %d, want 3", got)
+	}
+	for q := workers - 1; q >= 0; q-- {
+		want := 1
+		if q == 0 {
+			want = ring
+		}
+		got := 0
+		for p := i.PollRing(q); p != nil; p = i.PollRing(q) {
+			if s := pkt.SteerWorker(p.Hash, workers); s != q {
+				t.Fatalf("ring %d held a packet steered to %d", q, s)
+			}
+			p.ReleaseBuf()
+			got++
+		}
+		if got != want {
+			t.Errorf("ring %d held %d packets, want %d", q, got, want)
+		}
+	}
+	if i.Poll() != nil {
+		t.Error("Poll found a packet after every ring was drained")
+	}
+	if err := i.Inject(flows[2]); err != nil {
+		t.Fatal(err)
+	}
+	if p := i.Poll(); p == nil || pkt.SteerWorker(p.Hash, workers) != 2 {
+		t.Error("Poll did not find the packet on ring 2")
 	}
 }

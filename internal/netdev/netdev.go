@@ -15,12 +15,15 @@
 // peer, the wire — takes the one Receive path into the one mbuf pool.
 //
 // Nothing between Receive and Transmit takes a lock or touches a
-// channel. The RX ring is a bounded lock-free ring that any goroutine
-// may push to (Receive) and poll (Poll), and the mbuf pool is a
-// lock-free LIFO free list over a lazily grown table, so any goroutine
-// may take an mbuf (Receive) or return one (ReleaseMbuf). An
-// interface's mutex serializes only the control path: rewiring and
-// ReserveMbufs.
+// channel. An interface has one RX ring per forwarding worker of the
+// core it is attached to (SetQueues), like a NIC's RSS queues: Receive
+// steers each packet to the ring of the worker that owns its flow
+// (pkt.SteerWorker), and that worker polls it (PollRing). Each ring is
+// a bounded lock-free ring that any goroutine may push to and poll, and
+// the mbuf pool is a lock-free LIFO free list over a lazily grown
+// table, so any goroutine may take an mbuf (Receive) or return one
+// (ReleaseMbuf). An interface's mutex serializes only the control
+// path: rewiring and SetQueues.
 package netdev
 
 import (
@@ -159,7 +162,7 @@ var (
 //
 // The per-packet paths take no lock: up is an atomic, the wiring (peer
 // and driver) is an immutable snapshot behind an atomic pointer, loaded
-// once per Receive or Transmit, and the RX ring and the mbuf pool are
+// once per Receive or Transmit, and the RX rings and the mbuf pool are
 // lock-free. mu serializes the control path's writes (SetUp aside,
 // which is one atomic store).
 type Interface struct {
@@ -169,7 +172,7 @@ type Interface struct {
 
 	mu   sync.Mutex
 	up   atomic.Bool
-	rx   rxRing
+	rx   []rxRing // one per forwarding worker (SetQueues)
 	wire atomic.Pointer[wiring]
 
 	stats ifStats
@@ -179,12 +182,9 @@ type Interface struct {
 	// the pool, copies the wire bytes into its buffer — exactly like a
 	// DMA engine filling a preallocated mbuf — resets the header in
 	// place and stamps its Owner, so whoever retires the packet
-	// (transmit, drop, shed) returns it whole with ReleaseMbuf. The pool
-	// makes at most BufDepth mbufs: the RX ring plus any reserve
-	// declared with ReserveMbufs (with a worker pool, a packet can sit
-	// in a worker's ingress queue long after it left the RX ring, so the
-	// reserve must cover the total worker queue depth). When the pool is
-	// exhausted — more packets in flight than the declared depth, the
+	// (transmit, drop) returns it whole with ReleaseMbuf. The pool makes
+	// at most BufDepth mbufs: every RX ring, plus the vector each worker
+	// holds after polling it (SetQueues). When the pool is exhausted — more packets in flight than the declared depth, the
 	// signature of a missing release upstream — nextMbuf degrades to a
 	// counted heap allocation instead of reusing a packet still in
 	// flight.
@@ -236,7 +236,8 @@ func NewInterface(index int32, cfg Config) *Interface {
 		Index: index, Name: name, MTU: cfg.MTU,
 		Addr: cfg.Addr, clock: cfg.Clock,
 	}
-	i.rx.init(cfg.RxRing)
+	i.rx = make([]rxRing, 1)
+	i.rx[0].init(cfg.RxRing)
 	i.mbufs.depth.Store(uint32(cfg.RxRing) + 1)
 	i.up.Store(true)
 	i.wire.Store(&wiring{})
@@ -302,9 +303,10 @@ func (i *Interface) Inject(data []byte) error { return i.Receive(data, nil) }
 // Receive is the interface's one receive path: Inject, the in-memory
 // peer hop in Transmit and wire drivers all deliver through it. Like a
 // real driver it takes a packet (the mbuf) from the pool and copies the
-// datagram into it, then parses the headers in one pass (pkt.Reset) and
-// stamps the packet with one monotonic clock read; the caller's slice
-// is not retained. It takes no lock and touches no channel, so any
+// datagram into it, then parses the headers in one pass (pkt.Reset),
+// stamps the packet with one monotonic clock read and pushes it on the
+// RX ring of the worker that owns its flow; the caller's slice is not
+// retained. It takes no lock and touches no channel, so any
 // goroutine may call it. An active path-trace context rides along,
 // without the sending router's local accumulation state.
 // Every outcome is counted here, once: received, or dropped as down,
@@ -335,7 +337,7 @@ func (i *Interface) Receive(data []byte, path *pkt.PathContext) error {
 	}
 	p.Owner = i
 	p.Stamp = i.clock()
-	if !i.rx.push(p) {
+	if !i.rx[pkt.SteerWorker(p.Hash, len(i.rx))].push(p) {
 		p.ReleaseBuf()
 		i.stats.rxDrops[pkt.DropRingFull].Add(1)
 		return ErrRingFull
@@ -345,26 +347,42 @@ func (i *Interface) Receive(data []byte, path *pkt.PathContext) error {
 	return nil
 }
 
-// ReserveMbufs extends the receive buffer pool beyond the RX ring by
-// extra buffers. The core calls this when a worker pool is configured:
-// a packet steered to a worker can sit in that worker's ingress queue
-// while the RX ring keeps turning over, so the pool must cover ring
-// depth plus the total worker queue depth. Control path only, but safe
-// while packets flow: the depth only grows, and mbufs allocate lazily so
-// the larger depth costs nothing until used.
-func (i *Interface) ReserveMbufs(extra int) {
-	if extra <= 0 {
-		return
-	}
+// SetQueues gives the interface one RX ring per forwarding worker, n
+// of them, each as deep as the configured ring, and sizes the mbuf pool
+// to cover every ring plus the vector of up to vector packets each
+// worker holds after polling its ring. The router core calls it once,
+// as it attaches the interface, before any other goroutine can reach
+// the interface: the ring count is read without a lock on every Receive
+// and Poll. Packets received before then move to their workers' rings.
+// The depth never shrinks: a pool already in use keeps its slots.
+// A second ring is only made for a second worker, and mbufs allocate
+// lazily, so the depth costs nothing until packets are in flight.
+func (i *Interface) SetQueues(n, vector int) {
+	n = max(n, 1)
 	i.mu.Lock()
-	if d := i.rx.depth + uint32(extra) + 1; d > i.mbufs.depth.Load() {
-		i.mbufs.depth.Store(d)
+	defer i.mu.Unlock()
+	depth := i.rx[0].depth
+	if n != len(i.rx) {
+		old := i.rx
+		i.rx = make([]rxRing, n)
+		for q := range i.rx {
+			i.rx[q].init(int(depth))
+		}
+		for q := range old {
+			for p := old[q].pop(); p != nil; p = old[q].pop() {
+				i.rx[pkt.SteerWorker(p.Hash, n)].push(p)
+			}
+		}
 	}
-	i.mu.Unlock()
+	i.mbufs.depth.Store(max(i.mbufs.depth.Load(), uint32(n)*(depth+uint32(vector))+1))
 }
 
+// Queues reports the interface's RX ring count: one per forwarding
+// worker of the core it is attached to.
+func (i *Interface) Queues() int { return len(i.rx) }
+
 // BufDepth reports the receive mbuf pool depth: the number of packets
-// that can be in flight (RX ring, worker queues, output queues) before
+// that can be in flight (RX rings, worker vectors, output queues) before
 // allocation falls back to the heap.
 func (i *Interface) BufDepth() int { return int(i.mbufs.depth.Load()) }
 
@@ -395,11 +413,25 @@ func (i *Interface) nextMbuf(n int) *pkt.Packet {
 // it takes no lock.
 func (i *Interface) ReleaseMbuf(p *pkt.Packet) { i.mbufs.put(p, i.MTU) }
 
-// Poll drains one packet from the RX ring without blocking; nil when the
-// ring is empty. Any goroutine may poll; it takes no lock.
+// Poll drains one packet from the first non-empty RX ring without
+// blocking; nil when every ring is empty. Any goroutine may poll; it
+// takes no lock.
 //
 //eisr:fastpath
-func (i *Interface) Poll() *pkt.Packet { return i.rx.pop() }
+func (i *Interface) Poll() *pkt.Packet {
+	for q := range i.rx {
+		if p := i.rx[q].pop(); p != nil {
+			return p
+		}
+	}
+	return nil
+}
+
+// PollRing drains one packet from RX ring q (0 ≤ q < Queues()) without
+// blocking; nil when that ring is empty. Worker q of the core polls it.
+//
+//eisr:fastpath
+func (i *Interface) PollRing(q int) *pkt.Packet { return i.rx[q].pop() }
 
 // Transmit sends a packet out this interface: it is accounted and then
 // handed to the wire driver if one is attached, else delivered into the

@@ -97,6 +97,19 @@ func (rc *Reclaimer) Register() *WorkerEpoch {
 	return w
 }
 
+// Unregister removes a worker cell, which must be offline: the worker
+// has exited and holds no instance pointer.
+func (rc *Reclaimer) Unregister(w *WorkerEpoch) {
+	rc.mu.Lock()
+	defer rc.mu.Unlock()
+	for i, x := range rc.workers {
+		if x == w {
+			rc.workers = append(rc.workers[:i], rc.workers[i+1:]...)
+			return
+		}
+	}
+}
+
 // Defer schedules fn to run once every worker online at the time of the
 // call has quiesced. The caller must already have made the resource
 // unreachable (unbound, flushed) — the grace period only covers readers

@@ -17,7 +17,6 @@ const (
 	DropMalformed                     // headers do not parse
 	DropBadPath                       // path-trace encapsulation does not decode
 	DropRingFull                      // an interface RX or TX ring had no room
-	DropOverload                      // the steered worker's ingress queue was full
 	DropBadChecksum                   // IPv4 header checksum mismatch
 	DropTTL                           // TTL or hop limit expired
 	DropNoRoute                       // no route to the destination
@@ -33,7 +32,7 @@ const (
 )
 
 var dropReasonLabels = [NumDropReasons]string{
-	"", "down", "too-big", "malformed", "bad-path", "ring-full", "overload",
+	"", "down", "too-big", "malformed", "bad-path", "ring-full",
 	"bad-checksum", "ttl-expired", "no-route", "no-output", "plugin",
 	"plugin-fault", "queue-full", "mtu", "evicted", "rcvbuf", "tx-error",
 }

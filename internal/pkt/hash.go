@@ -60,6 +60,22 @@ func mix(a, b uint64) uint64 {
 	return hi ^ lo
 }
 
+// SteerWorker maps a flow hash (Packet.Hash) to a forwarding worker, and
+// so to that worker's RX ring on every interface, in [0, n): the hash's
+// top byte modulo the worker count. Packets of one flow always map to
+// the same worker (per-flow ordering), and because the flow table's
+// shard is selected from the same byte, a power-of-two worker count
+// gives each shard a single owning worker — zero cross-worker lock
+// contention on the cache-hit path.
+//
+//eisr:fastpath
+func SteerWorker(h uint64, n int) int {
+	if n <= 1 {
+		return 0
+	}
+	return int((h >> 56) % uint64(n))
+}
+
 // SetKey records the packet's parsed six-tuple and its flow hash. Every
 // site that parses or rewrites the key goes through it, so Hash always
 // equals FlowHash(Key) and nothing downstream hashes again.

@@ -164,6 +164,18 @@ var epoch = time.Now().Add(-time.Second)
 //eisr:fastpath
 func Nanotime() int64 { return int64(time.Since(epoch)) }
 
+// epochWall is epoch on the wall clock, in Unix nanoseconds.
+var epochWall = epoch.UnixNano()
+
+// WallNanos converts a Nanotime reading to Unix nanoseconds, against
+// the one wall-clock reading taken with the monotonic anchor when the
+// package initialised: a record that needs a wall-clock time pays no
+// second clock read, and readings that are ordered on the monotonic
+// clock stay ordered on the wall.
+//
+//eisr:fastpath
+func WallNanos(mono int64) int64 { return epochWall + mono }
+
 // BufOwner recycles whole packets: header and receive buffer.
 // netdev.Interface implements it for its mbuf pool; the indirection
 // keeps the packet header free of a netdev dependency.

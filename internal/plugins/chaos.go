@@ -110,8 +110,8 @@ func (c *ChaosPlugin) Callback(msg *pcu.Message) error {
 	}
 }
 
-// ChaosInstance misbehaves on schedule. Counters are atomic: with a
-// worker pool several workers may dispatch through one instance
+// ChaosInstance misbehaves on schedule. Counters are atomic: with
+// several forwarding workers, each may dispatch through one instance
 // concurrently.
 type ChaosInstance struct {
 	name  string

@@ -162,6 +162,44 @@ func TestDRRPluginEndToEnd(t *testing.T) {
 	}
 }
 
+// TestSchedInstanceServesOnlyItsPort: a scheduling instance created
+// for one interface takes only the packets routed to it. Bound
+// match-all on interface 0, it leaves a packet routed out interface 1
+// to that interface's default FIFO, which ProcessOne transmits at once;
+// once the route points at interface 0, the instance takes the packet.
+func TestSchedInstanceServesOnlyItsPort(t *testing.T) {
+	for _, plugin := range schedPlugins {
+		t.Run(plugin, func(t *testing.T) {
+			rg := newRig(t)
+			rg.loadSched(t)
+			inst := rg.create(t, plugin, map[string]string{"iface": "0"})
+			drainer := inst.(ipcore.Drainer)
+			rg.bind(t, plugin, inst, map[string]string{"filter": "*, *, *, *, *, *"})
+
+			if !rg.r.ProcessOne(udp(t, "10.0.0.1", 111, 64)) {
+				t.Fatal("packet routed out interface 1 was not forwarded")
+			}
+			if tx := rg.r.Interface(1).Stats().TxPackets; tx != 1 {
+				t.Errorf("interface 1 TX = %d, want 1", tx)
+			}
+			if b := drainer.Backlog(); b != 0 {
+				t.Errorf("interface 0's instance took a packet routed out 1: backlog %d", b)
+			}
+
+			rg.r.Routes().Add(pkt.MustParsePrefix("20.0.0.0/8"), routing.NextHop{IfIndex: 0})
+			if !rg.r.Forward(udp(t, "10.0.0.1", 111, 64)) {
+				t.Fatal("packet routed out interface 0 was not forwarded")
+			}
+			if b := drainer.Backlog(); b != 1 {
+				t.Errorf("interface 0's instance backlog = %d, want 1", b)
+			}
+			if sent := rg.r.TxDrain(0, 4); sent != 1 {
+				t.Errorf("TxDrain(0) sent %d, want 1", sent)
+			}
+		})
+	}
+}
+
 // TestDRRPluginFlowEviction: an evicted flow's queue leaves the listing
 // at once, and the packets it still holds are dropped as evicted — and
 // its slot's queue reset in place — when the slot's next flow claims it.

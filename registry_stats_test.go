@@ -170,8 +170,7 @@ func (verdictInstance) HandlePacket(p *pkt.Packet) error {
 }
 
 // ipcoreRegistryCase drives every core verdict through a plugin-mode
-// router with a worker pool whose workers never start, so Submit sheds
-// once the owning queue is full. The core registers its cells at New:
+// router with two forwarding workers. The core registers its cells at New:
 // it has no before-attach phase, but its interfaces do (AddInterface).
 func ipcoreRegistryCase(t *testing.T) (*telemetry.Telemetry, []statPair) {
 	routes, err := routing.New(bmp.KindBSPL)
@@ -223,10 +222,6 @@ func ipcoreRegistryCase(t *testing.T) (*telemetry.Telemetry, []statPair) {
 		malformed := udpDatagram(t, "20.0.0.1", 3, 8)
 		malformed[0] = 0x55
 		r.Forward(&pkt.Packet{Data: malformed, OutIf: -1})
-		shed := newTestPacket(t, udpDatagram(t, "20.0.0.1", 4, 8), 0)
-		for i := 0; i < 1100; i++ {
-			r.Pool().Submit(shed)
-		}
 		if err := in.Inject(udpDatagram(t, "20.0.0.1", 3, 8)); err != nil {
 			t.Fatal(err)
 		}
@@ -237,7 +232,7 @@ func ipcoreRegistryCase(t *testing.T) (*telemetry.Telemetry, []statPair) {
 	verdict := func(v string) string { return `eisr_verdicts_total{verdict="` + v + `"}` }
 	reason := func(why string) string { return `eisr_drops_total{layer="ipcore",reason="` + why + `"}` }
 	var allDrops []string
-	for _, why := range []string{"overload", "bad-checksum", "malformed", "ttl-expired", "no-route", "no-output", "plugin", "plugin-fault", "queue-full", "mtu"} {
+	for _, why := range []string{"bad-checksum", "malformed", "ttl-expired", "no-route", "no-output", "plugin", "plugin-fault", "queue-full", "mtu"} {
 		allDrops = append(allDrops, reason(why))
 	}
 	return tel, []statPair{

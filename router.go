@@ -65,15 +65,16 @@ type Options struct {
 	// workers; with Workers a power of two ≤ FlowShards, each shard is
 	// touched by exactly one worker.
 	FlowShards int
-	// Workers sizes the parallel forwarding engine: Start runs Workers
-	// goroutines and steers each ingress packet to one by flow hash,
-	// preserving per-flow ordering. 0 or 1 keeps the paper's single
-	// flow of control.
+	// Workers sizes the parallel forwarding engine: every interface gets
+	// one RX ring per worker, each received packet is steered to a ring
+	// by flow hash, preserving per-flow ordering, and Start runs one
+	// worker goroutine per ring. 0 or 1 keeps the paper's single flow
+	// of control.
 	Workers int
-	// BatchSize caps each worker's forwarding vector: a worker drains up
-	// to BatchSize queued packets and pushes them through the batched
-	// gate walk in one pass (0 = the engine default; 1 degenerates to
-	// per-packet forwarding). Only meaningful with Workers > 1.
+	// BatchSize caps each worker's forwarding vector: a worker polls up
+	// to BatchSize packets from its ring on each interface and pushes
+	// them through the batched gate walk in one pass (0 = the engine
+	// default; 1 degenerates to per-packet forwarding).
 	BatchSize int
 	// ShareIdenticalTables enables the §5.1.2 inter-DAG optimization:
 	// gates with identical filter tables share classification results.
@@ -132,6 +133,7 @@ type Router struct {
 
 	mu            sync.Mutex
 	done          chan struct{}
+	exited        chan struct{} // closed once the Run that done stops returned
 	running       bool
 	serving       atomic.Bool
 	localHandlers map[uint16]func(*pkt.Packet)
@@ -185,14 +187,6 @@ func New(opts Options) (*Router, error) {
 		}
 		routes.SetTelemetry(tel)
 	}
-	// With a worker pool, free-instance destruction must wait out
-	// in-flight dispatches: one epoch reclaimer is shared between the
-	// pool (whose workers announce quiescence to it) and the PCU (which
-	// defers the destructive callbacks through it).
-	var rc *pcu.Reclaimer
-	if opts.Workers > 1 {
-		rc = pcu.NewReclaimer()
-	}
 	// The fault-isolation layer: policy decides the faulted packet's
 	// fate, health quarantines instances that keep faulting. The hook
 	// closes over r (assigned below) the same way LocalSink does.
@@ -220,7 +214,6 @@ func New(opts Options) (*Router, error) {
 		Clock:           opts.Clock,
 		Workers:         opts.Workers,
 		BatchSize:       opts.BatchSize,
-		Reclaim:         rc,
 		Tel:             tel,
 		Guard:           guard,
 		LocalSink:       func(p *pkt.Packet) { r.dispatchLocal(p) },
@@ -232,9 +225,10 @@ func New(opts Options) (*Router, error) {
 	if tel != nil {
 		reg.SetTelemetry(tel)
 	}
-	if rc != nil {
-		reg.SetReclaimer(rc)
-	}
+	// Free-instance destruction must wait out in-flight dispatches: the
+	// PCU defers the destructive callbacks through the epoch reclaimer
+	// the core's workers announce quiescence to.
+	reg.SetReclaimer(core.Reclaimer())
 	reg.SetGuard(guard)
 	if a != nil {
 		a.SetGuard(guard)
@@ -394,9 +388,8 @@ func (r *Router) CreateInstance(plugin string, args map[string]string) (string, 
 // FreeInstance frees a named instance. The instance is first made
 // unreachable from the data path — its filters unbound and its cached
 // flows flushed — and only then is the plugin's destructive callback
-// issued; with a worker pool, the PCU additionally defers that callback
-// until every worker in flight at this moment has passed a quiescent
-// point. A worker that fetched the instance through a FIX an instant
+// issued; the PCU additionally defers that callback until every worker
+// in flight at this moment has passed a quiescent point. A worker that fetched the instance through a FIX an instant
 // before the flush therefore always completes its dispatch against a
 // live instance.
 func (r *Router) FreeInstance(plugin, instance string) error {
@@ -421,18 +414,14 @@ func (r *Router) quarantineInstance(inst pcu.Instance) {
 	if r.AIU != nil {
 		r.AIU.UnbindInstance(inst)
 	}
-	// With a worker pool, a worker may have fetched the instance through
-	// a FIX an instant before the flush; reuse the epoch reclaimer (the
-	// same mechanism free-instance uses) to observe when every such
-	// dispatch has quiesced.
-	if rc := r.PCU.Reclaimer(); rc != nil {
-		_ = rc.Defer(func() error {
-			r.health.MarkDrained(inst)
-			return nil
-		})
-		return
-	}
-	r.health.MarkDrained(inst)
+	// A worker may have fetched the instance through a FIX an instant
+	// before the flush; reuse the epoch reclaimer (the same mechanism
+	// free-instance uses) to observe when every such dispatch has
+	// quiesced.
+	_ = r.PCU.Reclaimer().Defer(func() error {
+		r.health.MarkDrained(inst)
+		return nil
+	})
 }
 
 // HealthReport snapshots per-instance fault and quarantine state (the
@@ -501,9 +490,12 @@ func (r *Router) Start() {
 	if r.running {
 		return
 	}
-	r.done = make(chan struct{})
+	r.done, r.exited = make(chan struct{}), make(chan struct{})
 	r.running = true
-	go r.Core.Run(r.done)
+	go func(done <-chan struct{}, exited chan<- struct{}) {
+		r.Core.Run(done)
+		close(exited)
+	}(r.done, r.exited)
 	for _, ifc := range r.Core.Interfaces() {
 		if d := ifc.Driver(); d != nil {
 			d.Start()
@@ -518,18 +510,18 @@ func (r *Router) Start() {
 	r.serving.Store(true)
 }
 
-// Stop halts the forwarding loop, then stops the wire drivers: the
-// core's Run loop (and worker pool) wind down first so the epoch
-// reclaimer quiesces, then each driver closes its socket and joins its
-// I/O goroutines.
+// Stop halts the forwarding loop and waits until the core's Run and
+// every worker have exited and the epoch reclaimer has run its final
+// pass; then it stops the wire drivers, each closing its socket and
+// joining its I/O goroutines.
 func (r *Router) Stop() {
 	// Serving flips first — health probes report 503 for the whole
 	// teardown window — and unconditionally, so a Stop racing Start
 	// never leaves a stale 200.
 	r.serving.Store(false)
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	if !r.running {
+		r.mu.Unlock()
 		return
 	}
 	r.Telemetry.Journal().Record(telemetry.EvRouterStop, "forwarding down")
@@ -540,6 +532,16 @@ func (r *Router) Stop() {
 	}
 	close(r.done)
 	r.running = false
+	exited := r.exited
+	// Wait without mu: the workers may be inside a local handler, which
+	// takes it.
+	r.mu.Unlock()
+	<-exited
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.running {
+		return // a Start since has the drivers
+	}
 	for _, ifc := range r.Core.Interfaces() {
 		if d := ifc.Driver(); d != nil {
 			d.Stop()

@@ -275,7 +275,7 @@ func TestWireTwoRouterTopology(t *testing.T) {
 // -race by `make race` (this package is in the race list).
 func TestWireTwoRouterTopologyWorkers(t *testing.T) {
 	if testing.Short() {
-		t.Skip("wire exchange with worker pool")
+		t.Skip("wire exchange with forwarding workers")
 	}
 	runWireTopology(t, 4, 3000)
 }
