@@ -30,8 +30,8 @@ vet: $(BIN)/eisrlint
 # path, the forwarding workers and epoch reclamation, metric
 # registration/snapshot racing record calls, the fault barrier and
 # quarantine path plus the wire topology (root package), the control
-# server's connection-teardown bookkeeping, the netio RX/TX goroutines
-# racing forwarding workers and Stop, the routing table's lock-free
+# server's connection-teardown bookkeeping, the netio RX goroutine and
+# concurrent wire transmits racing Stop, the routing table's lock-free
 # lookups racing batched applies, the route-feed daemon's flush/sweep
 # machinery racing its sources, the analyzer suite (whose shared
 # fixture loader is hit from parallel tests), and the packet-ownership

@@ -260,8 +260,3 @@ func RecvNamed(f *types.Func) *types.Named {
 	n, _ := t.(*types.Named)
 	return n
 }
-
-// PosIn reports whether pos falls inside node.
-func PosIn(pos token.Pos, node ast.Node) bool {
-	return node != nil && pos >= node.Pos() && pos <= node.End()
-}

@@ -75,6 +75,14 @@ type WireHop struct {
 	Iface netdev.Stats
 }
 
+// TxConserved reports whether every datagram the interface handed its
+// link is accounted for there: the interface's TX count equals the
+// link's written datagrams plus its tx-errors. The link counts both
+// before TransmitWire returns, so this holds whenever the hop is idle.
+func (h WireHop) TxConserved() bool {
+	return h.Iface.TxPackets == h.Link.Stats.TxPackets+h.Link.Stats.TxErrors
+}
+
 // Lost reports how many packets never reached the sink.
 func (r WireResult) Lost() int { return r.Packets - r.Received }
 
@@ -340,10 +348,14 @@ func WireTable(r WireResult) *Table {
 	t.Note("sink: kernel rcvbuf drops %d", r.SinkRcvbufDrops)
 	for _, h := range r.Links {
 		li, s := h.Link, h.Iface
-		t.Note("%s (%s %s -> %s): rx %d tx %d drops rx=%d tx=%d; wire tx %d bad-path=%d rcvbuf=%d (buffer %d B, asked %d) errs=%d avg-batch %.1f",
+		conserved := "="
+		if !h.TxConserved() {
+			conserved = "!= (TX NOT CONSERVED)"
+		}
+		t.Note("%s (%s %s -> %s): rx %d tx %d drops rx=%d tx=%d; wire tx %d bad-path=%d rcvbuf=%d (buffer %d B, asked %d) errs=%d; iface tx %s wire tx + errs",
 			li.Name, li.Kind, li.Local, li.Peer, s.RxPackets, s.TxPackets, s.RxDrops, s.TxDrops,
 			li.Stats.TxPackets, li.Stats.RxDropBadPath, li.Stats.RxDropRcvbuf, li.RcvbufGranted, li.RcvbufRequested,
-			li.Stats.TxErrors, li.Stats.AvgBatch)
+			li.Stats.TxErrors, conserved)
 	}
 	return t
 }

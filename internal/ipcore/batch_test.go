@@ -822,3 +822,97 @@ func TestPoolDropCounterExposed(t *testing.T) {
 		t.Errorf("Stats().Dropped = %d, want 0: the core never saw the shed packets", got)
 	}
 }
+
+// takeThenPanic is a scheduling instance whose HandleBatch takes the
+// first k packets of its run — clearing their slots, the receipt — and
+// then panics.
+type takeThenPanic struct {
+	k     int
+	held  []*pkt.Packet
+	calls int
+}
+
+func (s *takeThenPanic) InstanceName() string { return "take-then-panic" }
+func (s *takeThenPanic) HandlePacket(*pkt.Packet) error {
+	panic("take-then-panic: scalar dispatch")
+}
+func (s *takeThenPanic) HandleBatch(ps []*pkt.Packet) {
+	s.calls++
+	for i := range s.k {
+		s.held = append(s.held, ps[i])
+		ps[i] = nil
+	}
+	panic("take-then-panic: boom")
+}
+
+// releaseCounter is a BufOwner that counts each packet's releases.
+type releaseCounter map[*pkt.Packet]int
+
+func (c releaseCounter) ReleaseMbuf(p *pkt.Packet) { c[p]++ }
+
+// TestSchedBatchPanicAfterTaking pins dispatchRun's rule that a cleared
+// slot is the handler's receipt, even from a run that went on to panic.
+// The k packets the instance took before panicking are its own: counted
+// as scheduler enqueues and forwarded, given no fault verdict and never
+// released by the walk. The rest of the run meets the fault policy —
+// plugin-fault drops under PolicyDrop, the port FIFO under
+// PolicyForward — and the run is one fault.
+func TestSchedBatchPanicAfterTaking(t *testing.T) {
+	const run, k = 6, 2
+	for _, policy := range []pcu.Policy{pcu.PolicyDrop, pcu.PolicyForward} {
+		t.Run(policy.String(), func(t *testing.T) {
+			rig := newEqRig(t, nil, pcu.NewGuard(policy, pcu.NewHealth(pcu.HealthConfig{Threshold: -1})), 0)
+			inst := &takeThenPanic{k: k}
+			if _, err := rig.a.Bind(pcu.TypeSched, aiu.MatchAll(), inst, nil); err != nil {
+				t.Fatal(err)
+			}
+			released := releaseCounter{}
+			ps := make([]*pkt.Packet, run)
+			for i := range ps {
+				ps[i] = sendUDP(t, rig, "10.0.0.1", "20.0.0.1", 1000, 9)
+				ps[i].Owner = released
+			}
+			in := append([]*pkt.Packet(nil), ps...)
+			rig.r.NewBatcher(run).ForwardBatch(ps)
+
+			if inst.calls != 1 || len(inst.held) != k {
+				t.Fatalf("HandleBatch ran %d times and took %d packets, want 1 and %d", inst.calls, len(inst.held), k)
+			}
+			for i, p := range inst.held {
+				if p != in[i] || released[p] != 0 || p.Owner == nil {
+					t.Errorf("taken packet %d: released %d times by the walk, want 0", i, released[p])
+				}
+			}
+			s := rig.r.Stats()
+			if s.SchedEnq != k || s.PluginFaults != 1 {
+				t.Errorf("SchedEnq %d, PluginFaults %d; want %d and 1: %+v", s.SchedEnq, s.PluginFaults, k, s)
+			}
+			fifo := rig.r.state.Load().ports[1].outQ.Len()
+			rest := in[k:]
+			if policy == pcu.PolicyDrop {
+				if s.Forwarded != k || s.Dropped != run-k || s.Degraded != 0 || fifo != 0 {
+					t.Errorf("drop policy: forwarded %d, dropped %d, degraded %d, FIFO %d; want %d, %d, 0, 0",
+						s.Forwarded, s.Dropped, s.Degraded, fifo, k, run-k)
+				}
+				if got := rig.r.stats.drops[pkt.DropPluginFault].Value(); got != run-k {
+					t.Errorf("plugin-fault drops = %d, want %d", got, run-k)
+				}
+				for i, p := range rest {
+					if released[p] != 1 {
+						t.Errorf("dropped packet %d released %d times, want once", i, released[p])
+					}
+				}
+				return
+			}
+			if s.Forwarded != run || s.Dropped != 0 || s.Degraded != run-k || fifo != run-k {
+				t.Errorf("forward policy: forwarded %d, dropped %d, degraded %d, FIFO %d; want %d, 0, %d, %d",
+					s.Forwarded, s.Dropped, s.Degraded, fifo, run, run-k, run-k)
+			}
+			for i, p := range rest {
+				if released[p] != 0 {
+					t.Errorf("queued packet %d released %d times, want 0", i, released[p])
+				}
+			}
+		})
+	}
+}

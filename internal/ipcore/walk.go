@@ -452,8 +452,8 @@ func (r *Router) traceBegin(l *aiu.Lane, s *laneState, te *telemetry.TraceEntry)
 // an output stage: it records what the trace needs from the packet and
 // stamps the in-band path context as forwarded. A packet the stage
 // refuses comes back to the walk, and traceDone re-stamps that hop. A
-// packet the wire driver later drops at its TX ring has left the walk
-// and keeps its forwarded hop.
+// packet the wire driver later refuses has left the walk and keeps its
+// forwarded hop.
 //
 //eisr:fastpath
 func (r *Router) traceHandoff(w *vec, i int) {

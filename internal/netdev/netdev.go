@@ -11,7 +11,8 @@
 // (internal/netio provides the UDP overlay driver) the same rings are
 // fed by real OS sockets: the driver's RX goroutine hands each received
 // datagram to Receive, and Transmit hands egress packets to the driver
-// instead of the in-memory peer. Every arrival — Inject, the in-memory
+// instead of the in-memory peer; the driver writes them on the caller's
+// goroutine. Every arrival — Inject, the in-memory
 // peer, the wire — takes the one Receive path into the one mbuf pool.
 //
 // Nothing between Receive and Transmit takes a lock or touches a
@@ -48,18 +49,20 @@ var (
 
 // Driver backs an interface with a real transport (a "wire"). The
 // contract mirrors a kernel NIC driver: TransmitWire must never block
-// the forwarding worker — when the driver's TX ring is full it returns
-// ErrRingFull immediately, and Transmit counts the drop. RX is
+// the forwarding worker — when the wire cannot take a datagram now it
+// returns ErrRingFull immediately, and Transmit counts the drop. RX is
 // push-based: the driver hands each received datagram to the
 // interface's Receive from its own goroutine(s) between Start and Stop.
 type Driver interface {
-	// Start launches the driver's RX/TX goroutines. Idempotent.
+	// Start launches the driver's RX goroutine(s). Idempotent.
 	Start()
 	// Stop closes the wire and joins the driver goroutines. Idempotent.
 	Stop()
-	// TransmitWire queues one egress datagram on the wire. It must not
-	// block: ErrRingFull signals backpressure, ErrTooBig a datagram the
-	// wire cannot carry, and the caller counts either as a TX drop.
+	// TransmitWire writes one egress datagram to the wire on the
+	// caller's goroutine and keeps no reference to p or its Data once
+	// it returns. It must not block: ErrRingFull signals backpressure,
+	// ErrTooBig a datagram the wire cannot carry, and the caller counts
+	// either as a TX drop.
 	TransmitWire(p *pkt.Packet) error
 }
 
@@ -68,16 +71,12 @@ type Driver interface {
 // (received, ring full, too big, malformed, TX ring full) is counted
 // once, in the interface's Stats.
 type LinkStats struct {
-	RxDropBadPath  uint64  `json:"rx_drop_bad_path"` // path-trace encapsulation failed to decode
-	RxDropRcvbuf   uint64  `json:"rx_drop_rcvbuf"`   // the kernel dropped: the socket receive buffer was full
-	RxErrTransient uint64  `json:"rx_err_transient"` // transient socket read errors (skipped, not fatal)
-	TxPackets      uint64  `json:"tx_packets"`       // datagrams written to the socket
-	TxBytes        uint64  `json:"tx_bytes"`
-	TxErrors       uint64  `json:"tx_errors"`    // socket write failures
-	Batches        uint64  `json:"rx_batches"`   // RX wakeups (one batched drain each)
-	AvgBatch       float64 `json:"rx_avg_batch"` // mean datagrams per RX batch
-	TxBatches      uint64  `json:"tx_batches"`   // TX wakeups (one batched drain each)
-	AvgTxBatch     float64 `json:"tx_avg_batch"` // mean datagrams per TX drain
+	RxDropBadPath  uint64 `json:"rx_drop_bad_path"` // path-trace encapsulation failed to decode
+	RxDropRcvbuf   uint64 `json:"rx_drop_rcvbuf"`   // the kernel dropped: the socket receive buffer was full
+	RxErrTransient uint64 `json:"rx_err_transient"` // transient socket read errors (skipped, not fatal)
+	TxPackets      uint64 `json:"tx_packets"`       // datagrams written to the socket
+	TxBytes        uint64 `json:"tx_bytes"`
+	TxErrors       uint64 `json:"tx_errors"` // socket write failures, and datagrams with no peer
 }
 
 // LinkInfo describes a wire-backed interface for operator tooling (the
@@ -445,9 +444,9 @@ func (i *Interface) PollRing(q int) *pkt.Packet { return i.rx[q].pop() }
 // Transmit consumes the packet's receive buffer on every arm — wire,
 // peer, sink, and the drop paths alike — returning it to its pool
 // before returning. This is safe because no arm retains p.Data past
-// the call: drivers copy into their own wire buffers synchronously
-// (the TransmitWire contract) and the in-memory peer's Receive copies
-// into a packet from the peer's own mbuf pool.
+// the call: drivers write it to the wire synchronously (the
+// TransmitWire contract) and the in-memory peer's Receive copies into a
+// packet from the peer's own mbuf pool.
 func (i *Interface) Transmit(p *pkt.Packet) error {
 	defer p.ReleaseBuf()
 	if !i.up.Load() {

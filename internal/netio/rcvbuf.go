@@ -34,12 +34,18 @@ func DatagramTruesize(n int) int {
 	return size + truesizeOverhead
 }
 
-// RcvbufFor is the receive buffer a socket needs to absorb one full
-// peer TX ring (DefaultTxRing) of the largest datagrams an mtu-sized
-// interface sends, path-trace encapsulation included, while its reader
-// is off the CPU.
+// PeerBurst is how many datagrams a peer may write to a link while the
+// link's reader is off the CPU. The peer's workers write as they drain
+// their ports, so no ring of theirs bounds a burst; this is the
+// allowance a receive buffer is sized to.
+const PeerBurst = 512
+
+// RcvbufFor is the receive buffer a socket needs to absorb a peer's
+// burst (PeerBurst) of the largest datagrams an mtu-sized interface
+// sends, path-trace encapsulation included, while its reader is off the
+// CPU.
 func RcvbufFor(mtu int) int {
-	return DefaultTxRing * DatagramTruesize(mtu+pkt.MaxPathEncap)
+	return PeerBurst * DatagramTruesize(mtu+pkt.MaxPathEncap)
 }
 
 // SizeReadBuffer asks the kernel for want bytes of receive buffer on

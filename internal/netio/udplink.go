@@ -5,9 +5,9 @@ import (
 	"fmt"
 	"net"
 	"net/netip"
-	"os"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"github.com/routerplugins/eisr/internal/netdev"
@@ -25,11 +25,6 @@ type Config struct {
 	// addresses); settable later with SetPeer. Egress with no peer
 	// configured counts as a TX error.
 	Peer string
-	// TxRing is the wire-buffer count of the TX path (default
-	// DefaultTxRing).
-	TxRing int
-	// Batch caps datagrams drained per RX wakeup (default DefaultBatch).
-	Batch int
 	// Tel optionally registers the link's counters for Prometheus
 	// exposition (eisr_netio_* families, labeled by interface).
 	Tel *telemetry.Telemetry
@@ -39,51 +34,48 @@ type Config struct {
 	rcvbuf int
 }
 
-// wireBuf is one TX descriptor: egress bytes are copied in by the
-// forwarding worker and written out by the drain goroutine. The pool
-// is conserved — free and txq together always hold exactly TxRing
-// buffers — so every holder must pass its buffer on (mbufown enforces
-// this linearly).
-//
-//eisr:mbuf
-type wireBuf struct {
-	buf []byte
-	n   int
-}
-
 // linkStats is the live counter set of the events only the wire sees
-// (atomics; the RX goroutine and the TX drain record concurrently). It
-// is the only record of these events: Stats snapshots it and the
-// metrics registry reads it. Everything a datagram meets at the
-// interface is counted there.
+// (atomics; the RX goroutine and the transmitting workers record
+// concurrently). It is the only record of these events: Stats snapshots
+// it and the metrics registry reads it. Everything a datagram meets at
+// the interface is counted there.
 type linkStats struct {
 	drops          [pkt.NumDropReasons]atomic.Uint64 // DropBadPath (the encapsulation failed to decode) and DropTxError (a socket write failed)
 	kernelDrops    atomic.Uint64                     // the kernel's count of receive-buffer drops at the socket, as last read
 	rxErrTransient atomic.Uint64                     // non-fatal socket read errors (skipped)
 	txPackets      atomic.Uint64
 	txBytes        atomic.Uint64
-	batches        atomic.Uint64
-	batchedPkts    atomic.Uint64
-	txBatches      atomic.Uint64
-	txBatchedPkts  atomic.Uint64
 }
 
-// linkTel is the link's registry-owned metric set: the batch-size
-// histograms, which have no Stats twin. Nil without a registry, and
-// record calls on nil cells are no-ops.
-type linkTel struct {
-	batchSize   *telemetry.Histogram
-	txBatchSize *telemetry.Histogram
+// wirePeer is the link's remote endpoint: its address, and the socket
+// address a sendto names it by (nil where this socket's family cannot
+// reach it).
+type wirePeer struct {
+	netip.AddrPort
+	sa syscall.Sockaddr
+}
+
+// sendScratch is one transmit's working set. Transmits take one from
+// the link's pool, so concurrent transmits share none, and its callback
+// is built with it, so a transmit allocates nothing.
+type sendScratch struct {
+	buf  []byte                // a traced packet: the encapsulation, then the datagram
+	sa4  syscall.SockaddrInet4 // the peer, copied per write: sendto writes
+	sa6  syscall.SockaddrInet6 // into the socket address it is handed
+	to   syscall.Sockaddr
+	out  []byte
+	err  error
+	call func(fd uintptr)
 }
 
 // UDPLink is a wire driver carrying an interface's traffic as UDP
 // datagrams to one peer. It implements netdev.Driver and
 // netdev.LinkReporter.
 type UDPLink struct {
-	ifc   *netdev.Interface
-	conn  *net.UDPConn
-	peer  atomic.Pointer[netip.AddrPort]
-	batch int
+	ifc  *netdev.Interface
+	conn *net.UDPConn
+	rc   syscall.RawConn
+	peer atomic.Pointer[wirePeer]
 
 	// rcvbufWant is the socket receive buffer requested, rcvbufGranted
 	// what the kernel reported granting (0 if it cannot say).
@@ -93,26 +85,23 @@ type UDPLink struct {
 	// touches it. Receive copies each datagram into an mbuf.
 	rxBuf []byte
 
-	// readFrom is the socket read the RX loop issues — a seam so tests
-	// can inject read errors. Set once at construction, never changed
-	// while the RX goroutine runs.
+	// readFrom is the socket read the RX loop issues, and sendto the
+	// socket write a transmit issues on the descriptor — seams so tests
+	// can inject read errors and make the kernel refuse a write. Set
+	// once at construction, never changed while the link runs. sendto
+	// is unused where the platform has no sendto flags.
 	readFrom func(b []byte) (int, netip.AddrPort, error)
+	sendto   func(fd uintptr, b []byte, to syscall.Sockaddr) error
 
-	// free and txq together hold exactly TxRing wire buffers: a
-	// forwarding worker moves a buffer free→txq (non-blocking on both
-	// ends), the drain goroutine moves it back.
-	free chan *wireBuf
-	txq  chan *wireBuf
+	// scratch pools the send scratches (newScratch).
+	scratch sync.Pool
 
 	mu      sync.Mutex
-	started bool
 	stopped bool
-	done    chan struct{}
 	wg      sync.WaitGroup
 	running atomic.Bool
 
 	stats linkStats
-	tel   linkTel
 
 	// jr is the event journal (nil = off); ring-full burst onsets and
 	// peer changes are journaled. The burst gates rate-limit the
@@ -145,8 +134,8 @@ func (g *burstGate) onset(now int64) bool {
 
 // NewUDPLink binds the local socket and builds the link for an
 // interface. The socket is bound immediately (so a port-0 bind can be
-// queried with LocalAddr before Start); I/O goroutines launch on Start.
-// Its receive buffer is sized to absorb one full peer TX ring of
+// queried with LocalAddr before Start); the RX goroutine launches on
+// Start. Its receive buffer is sized to absorb a peer's burst of
 // MTU-sized datagrams (RcvbufFor); a kernel that grants less is
 // journaled.
 func NewUDPLink(ifc *netdev.Interface, cfg Config) (*UDPLink, error) {
@@ -161,6 +150,7 @@ func NewUDPLink(ifc *netdev.Interface, cfg Config) (*UDPLink, error) {
 	if err != nil {
 		return nil, fmt.Errorf("netio: bind %s: %w", cfg.Local, err)
 	}
+	rc, _ := conn.SyscallConn() // fails only on a nil conn
 	want := cfg.rcvbuf
 	if want <= 0 {
 		want = RcvbufFor(ifc.MTU)
@@ -170,32 +160,18 @@ func NewUDPLink(ifc *netdev.Interface, cfg Config) (*UDPLink, error) {
 		conn.Close()
 		return nil, err
 	}
-	txRing := cfg.TxRing
-	if txRing <= 0 {
-		txRing = DefaultTxRing
-	}
-	batch := cfg.Batch
-	if batch <= 0 {
-		batch = DefaultBatch
-	}
 	l := &UDPLink{
-		ifc: ifc, conn: conn, batch: batch,
+		ifc: ifc, conn: conn, rc: rc,
 		rcvbufWant: want, rcvbufGranted: granted,
 		// MTU plus the worst-case path-trace encapsulation, plus one
 		// byte so an oversized inner datagram is detectable (a read that
 		// fills the buffer was too big) instead of being silently
 		// truncated at the buffer boundary.
-		rxBuf: make([]byte, ifc.MTU+pkt.MaxPathEncap+1),
-		free:  make(chan *wireBuf, txRing),
-		txq:   make(chan *wireBuf, txRing),
-		done:  make(chan struct{}),
+		rxBuf:  make([]byte, ifc.MTU+pkt.MaxPathEncap+1),
+		sendto: sendNonblocking,
 	}
 	l.readFrom = conn.ReadFromUDPAddrPort
-	for i := 0; i < txRing; i++ {
-		// Egress frames carry up to MaxPathEncap bytes of trace context
-		// in front of an MTU-sized datagram.
-		l.free <- &wireBuf{buf: make([]byte, ifc.MTU+pkt.MaxPathEncap)}
-	}
+	l.scratch.New = l.newScratch
 	if cfg.Tel != nil {
 		l.setTelemetry(cfg.Tel)
 		l.jr = cfg.Tel.Journal()
@@ -213,9 +189,20 @@ func NewUDPLink(ifc *netdev.Interface, cfg Config) (*UDPLink, error) {
 	return l, nil
 }
 
+// newScratch makes a send scratch when the pool has none to hand out.
+//
+//eisr:slowpath
+func (l *UDPLink) newScratch() any {
+	// Egress frames carry up to MaxPathEncap bytes of trace context in
+	// front of an MTU-sized datagram.
+	s := &sendScratch{buf: make([]byte, l.ifc.MTU+pkt.MaxPathEncap)}
+	s.call = func(fd uintptr) { s.err = l.sendto(fd, s.out, s.to) }
+	return s
+}
+
 // setTelemetry exports the link's counters under the eisr_netio_*
 // families and its drops under eisr_drops_total, labeled by interface
-// name, and registers its batch-size histograms.
+// name.
 func (l *UDPLink) setTelemetry(t *telemetry.Telemetry) {
 	lbl := telemetry.Label{Key: "iface", Value: l.ifc.Name}
 	dir := telemetry.Label{Key: "dir", Value: "tx"}
@@ -224,12 +211,7 @@ func (l *UDPLink) setTelemetry(t *telemetry.Telemetry) {
 	t.CounterFunc("eisr_netio_bytes_total", "wire bytes per link and direction", s.txBytes.Load, lbl, dir)
 	t.Drops("netio", func(why pkt.DropReason) uint64 { return s.drops[why].Load() }, []telemetry.Label{lbl}, pkt.DropBadPath, pkt.DropTxError)
 	t.Drops("kernel", func(pkt.DropReason) uint64 { return l.readKernelDrops() }, []telemetry.Label{lbl}, pkt.DropRcvbuf)
-
 	t.CounterFunc("eisr_netio_rx_errors_total", "transient socket read errors per link (counted and skipped, never fatal)", s.rxErrTransient.Load, lbl)
-	l.tel = linkTel{
-		batchSize:   t.Histogram("eisr_netio_rx_batch", "datagrams drained per RX wakeup", lbl),
-		txBatchSize: t.Histogram("eisr_netio_tx_batch", "datagrams written per TX drain wakeup", lbl),
-	}
 }
 
 // LocalAddr reports the bound socket address (resolves port 0).
@@ -248,29 +230,41 @@ func (l *UDPLink) SetPeer(addr string) error {
 		}
 		ap = ua.AddrPort()
 	}
+	// An AF_INET6 socket (bound to no IPv4 address) writes IPv6
+	// addresses, IPv4 ones mapped; an AF_INET one reaches IPv4 only.
+	p := &wirePeer{AddrPort: ap}
+	switch a := ap.Addr(); {
+	case l.conn.LocalAddr().(*net.UDPAddr).IP.To4() == nil:
+		sa := &syscall.SockaddrInet6{Port: int(ap.Port()), Addr: a.As16()}
+		if ifi, err := net.InterfaceByName(a.Zone()); err == nil {
+			sa.ZoneId = uint32(ifi.Index)
+		}
+		p.sa = sa
+	case a.Unmap().Is4():
+		p.sa = &syscall.SockaddrInet4{Port: int(ap.Port()), Addr: a.Unmap().As4()}
+	}
 	l.mu.Lock()
-	l.peer.Store(&ap)
+	l.peer.Store(p)
 	l.mu.Unlock()
 	l.jr.Record(telemetry.EvLinkPeer, l.ifc.Name+" peer "+ap.String())
 	return nil
 }
 
-// Start launches the RX and TX goroutines. Idempotent.
+// Start launches the RX goroutine. Idempotent.
 func (l *UDPLink) Start() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.started || l.stopped {
+	if l.running.Load() || l.stopped {
 		return
 	}
-	l.started = true
 	l.running.Store(true)
-	l.wg.Add(2)
+	l.wg.Add(1)
 	go l.rxLoop()
-	go l.txLoop()
 }
 
-// Stop closes the socket (unblocking the RX read) and joins the I/O
-// goroutines. Idempotent; the link cannot be restarted.
+// Stop closes the socket (unblocking the RX read, and failing any later
+// transmit at once) and joins the RX goroutine. Idempotent; the link
+// cannot be restarted.
 func (l *UDPLink) Stop() {
 	l.mu.Lock()
 	if l.stopped {
@@ -278,74 +272,37 @@ func (l *UDPLink) Stop() {
 		return
 	}
 	l.stopped = true
-	started := l.started
 	l.mu.Unlock()
-	close(l.done)
 	l.readKernelDrops() // the last value, kept once the socket is gone
 	l.conn.Close()
-	if started {
-		l.wg.Wait()
-	}
+	l.wg.Wait()
 	l.running.Store(false)
 }
 
-// rxLoop drains the socket batch by batch until the link stops.
-func (l *UDPLink) rxLoop() {
-	defer l.wg.Done()
-	for {
-		n, closed := l.rxBatch()
-		if n > 0 {
-			l.stats.batches.Add(1)
-			l.stats.batchedPkts.Add(uint64(n))
-			l.tel.batchSize.Observe(uint64(n))
-		}
-		if closed {
-			return
-		}
-	}
-}
-
-// rxBatch reads one batch: a blocking read for the batch head, then
-// short-deadline reads until the batch cap or the socket runs dry. At
-// saturation the cap is hit before the deadline, so the loop cycles
-// batches with no timeout errors and no allocations.
+// rxLoop reads the socket until the link stops: one blocking read, then
+// one delivery, per datagram.
 //
 // Read errors are classified, not fatal: only net.ErrClosed (the link
 // stopping) ends the RX loop. Anything else — e.g. an ICMP
 // port-unreachable surfacing as ECONNREFUSED on a connected UDP socket
 // — is a transient condition of one datagram exchange; it is counted
 // (rx_err_transient), its onset journaled, and the loop keeps reading.
-func (l *UDPLink) rxBatch() (n int, closed bool) {
-	if err := l.conn.SetReadDeadline(time.Time{}); err != nil {
-		return 0, true
-	}
-	for n < l.batch {
-		cnt, _, err := l.readFrom(l.rxBuf)
-		if err != nil {
-			if errors.Is(err, os.ErrDeadlineExceeded) {
-				// Batch drain window expired: the batch is done, the
-				// link is healthy.
-				return n, false
-			}
-			if errors.Is(err, net.ErrClosed) {
-				return n, true
-			}
+func (l *UDPLink) rxLoop() {
+	defer l.wg.Done()
+	for {
+		n, _, err := l.readFrom(l.rxBuf)
+		switch {
+		case err == nil:
+			l.deliver(n)
+		case errors.Is(err, net.ErrClosed):
+			return
+		default:
 			l.stats.rxErrTransient.Add(1)
 			if l.jr != nil && l.errBurst.onset(time.Now().UnixNano()) {
 				l.jr.Record(telemetry.EvRxErrBurst, l.ifc.Name+" "+err.Error())
 			}
-			continue
-		}
-		l.deliver(cnt)
-		n++
-		if n == 1 {
-			// Batch head arrived; linger briefly for the rest.
-			if err := l.conn.SetReadDeadline(time.Now().Add(batchDrainWindow)); err != nil {
-				return n, true
-			}
 		}
 	}
-	return n, false
 }
 
 // deliver strips the path-trace encapsulation off the n-byte datagram
@@ -366,23 +323,26 @@ func (l *UDPLink) deliver(n int) {
 	}
 }
 
-// TransmitWire queues one egress datagram: grab a wire buffer, copy the
-// packet, hand it to the drain goroutine. Non-blocking end to end — an
-// exhausted buffer pool is wire backpressure: ErrRingFull, which
-// netdev.Transmit counts as a TX drop, rather than a stalled forwarding
-// worker.
+// TransmitWire writes one egress datagram to the peer, on the calling
+// goroutine (the worker draining the port): an untraced packet straight
+// from its buffer, a traced one behind its encapsulation in a send
+// scratch. The write never waits: a datagram the kernel would have to
+// block for is wire backpressure, ErrRingFull, which netdev.Transmit
+// counts as a TX ring-full drop. A datagram with no peer, or one the
+// socket refuses otherwise (the link stopped, say), is the link's
+// tx-error, and nil: the interface sent it. So the link has counted
+// every datagram it was handed, written or tx-error, by the time
+// TransmitWire returns: nothing is left in flight to count later.
 //
 //eisr:fastpath
 func (l *UDPLink) TransmitWire(p *pkt.Packet) error {
-	var wb *wireBuf
-	select {
-	case wb = <-l.free:
-	default:
-		if l.jr != nil && l.txBurst.onset(time.Now().UnixNano()) {
-			l.jr.Record(telemetry.EvTxRingBurst, l.ifc.Name)
-		}
-		return netdev.ErrRingFull
+	peer := l.peer.Load()
+	if peer == nil {
+		l.stats.drops[pkt.DropTxError].Add(1)
+		return nil
 	}
+	s := l.scratch.Get().(*sendScratch)
+	b := p.Data
 	if p.Path.Active && p.Path.NHops > 0 {
 		// Re-stamp the hop this router appended so its total residency
 		// includes TX queueing up to this point (foreign hops — a
@@ -394,83 +354,24 @@ func (l *UDPLink) TransmitWire(p *pkt.Packet) error {
 				h.TotalNs = ns
 			}
 		}
-		n := pkt.EncodePath(&p.Path, wb.buf)
-		wb.n = n + copy(wb.buf[n:], p.Data)
-	} else {
-		wb.n = copy(wb.buf, p.Data)
+		n := pkt.EncodePath(&p.Path, s.buf)
+		b = s.buf[:n+copy(s.buf[n:], p.Data)]
 	}
-	select {
-	case l.txq <- wb:
-		return nil
-	default:
-	}
-	// Rare full-txq fallback: the buffer MUST return to the pool. The
-	// send cannot block — free and txq together hold exactly TxRing
-	// buffers and we hold one of them, so free has a slot — and a
-	// non-blocking send that drops wb on the default arm would leak a
-	// pool buffer per occurrence until the link runs dry.
-	//eisr:allow(fastpath) pool-conservation makes this send non-blocking
-	l.free <- wb
-	if l.jr != nil && l.txBurst.onset(time.Now().UnixNano()) {
-		l.jr.Record(telemetry.EvTxRingBurst, l.ifc.Name)
-	}
-	return netdev.ErrRingFull
-}
-
-// txLoop writes queued wire buffers to the socket until the link stops.
-// Each wakeup drains everything already queued (up to the pool size, so
-// the slice is preallocated and never grows) and writes the whole batch
-// back to back — forwarding workers batch their enqueues, so one wakeup
-// typically flushes a worker's whole TX vector instead of cycling the
-// scheduler per datagram.
-func (l *UDPLink) txLoop() {
-	defer l.wg.Done()
-	pend := make([]*wireBuf, 0, cap(l.txq))
-	for {
-		select {
-		case <-l.done:
-			return
-		case wb := <-l.txq:
-			pend = append(pend, wb)
-		fill:
-			for len(pend) < cap(pend) {
-				select {
-				case more := <-l.txq:
-					pend = append(pend, more)
-				default:
-					break fill
-				}
-			}
-			for _, w := range pend {
-				l.transmitOne(w)
-			}
-			l.stats.txBatches.Add(1)
-			l.stats.txBatchedPkts.Add(uint64(len(pend)))
-			l.tel.txBatchSize.Observe(uint64(len(pend)))
-			pend = pend[:0]
-		}
-	}
-}
-
-// transmitOne writes one wire buffer to the peer and recycles it — the
-// per-packet transmit work, allocation-free in steady state. Takes
-// ownership of wb: the buffer is back on the free list on return.
-//
-//eisr:fastpath
-func (l *UDPLink) transmitOne(wb *wireBuf) {
-	peer := l.peer.Load()
-	if peer == nil {
-		l.stats.drops[pkt.DropTxError].Add(1)
-	} else if _, err := l.conn.WriteToUDPAddrPort(wb.buf[:wb.n], *peer); err != nil {
-		l.stats.drops[pkt.DropTxError].Add(1)
-	} else {
+	err := l.write(s, b, peer)
+	l.scratch.Put(s)
+	switch err {
+	case nil:
 		l.stats.txPackets.Add(1)
-		l.stats.txBytes.Add(uint64(wb.n))
+		l.stats.txBytes.Add(uint64(len(b)))
+	case netdev.ErrRingFull:
+		if l.jr != nil && l.txBurst.onset(time.Now().UnixNano()) {
+			l.jr.Record(telemetry.EvTxRingBurst, l.ifc.Name)
+		}
+		return err
+	default:
+		l.stats.drops[pkt.DropTxError].Add(1)
 	}
-	// Same conservation argument as TransmitWire's fallback: we hold a
-	// pool buffer, so the free list has room and the send cannot block.
-	//eisr:allow(fastpath) pool-conservation makes this send non-blocking
-	l.free <- wb
+	return nil
 }
 
 // readKernelDrops reads the kernel's receive-buffer drop count at the
@@ -487,23 +388,14 @@ func (l *UDPLink) readKernelDrops() uint64 {
 
 // Stats snapshots the link counters, reading the kernel's drop count.
 func (l *UDPLink) Stats() netdev.LinkStats {
-	s := netdev.LinkStats{
+	return netdev.LinkStats{
 		RxDropBadPath:  l.stats.drops[pkt.DropBadPath].Load(),
 		RxDropRcvbuf:   l.readKernelDrops(),
 		RxErrTransient: l.stats.rxErrTransient.Load(),
 		TxPackets:      l.stats.txPackets.Load(),
 		TxBytes:        l.stats.txBytes.Load(),
 		TxErrors:       l.stats.drops[pkt.DropTxError].Load(),
-		Batches:        l.stats.batches.Load(),
-		TxBatches:      l.stats.txBatches.Load(),
 	}
-	if s.Batches > 0 {
-		s.AvgBatch = float64(l.stats.batchedPkts.Load()) / float64(s.Batches)
-	}
-	if s.TxBatches > 0 {
-		s.AvgTxBatch = float64(l.stats.txBatchedPkts.Load()) / float64(s.TxBatches)
-	}
-	return s
 }
 
 // LinkInfo describes the link for operator tooling (pmgr links).
@@ -520,7 +412,7 @@ func (l *UDPLink) LinkInfo() netdev.LinkInfo {
 		Stats:           l.Stats(),
 	}
 	if p := l.peer.Load(); p != nil {
-		info.Peer = p.String()
+		info.Peer = p.AddrPort.String()
 	}
 	return info
 }

@@ -239,6 +239,20 @@ func runWireTopology(t *testing.T, workers, packets int) {
 			t.Errorf("%s lost datagrams in its kernel receive buffer: %+v", name, s)
 		}
 	}
+	// Wire TX conservation: a link writes on the transmitting worker,
+	// so every datagram an interface handed its link is written or is
+	// the link's tx-error once TransmitWire returns — nothing waits in
+	// a queue between them.
+	for _, h := range []struct {
+		name string
+		ifc  *netdev.Interface
+		link *netio.UDPLink
+	}{{"A.wan", a.Interface(1), linkA}, {"B.lan", b.Interface(0), linkBIn}, {"B.wan", b.Interface(1), linkBOut}} {
+		ls, is := h.link.Stats(), h.ifc.Stats()
+		if is.TxPackets != ls.TxPackets+ls.TxErrors {
+			t.Errorf("%s: interface sent %d, its link wrote %d with %d tx-errors", h.name, is.TxPackets, ls.TxPackets, ls.TxErrors)
+		}
+	}
 
 	// The packets went through A's full gate/classifier path: the sched
 	// gate dispatched every one and the flow cache engaged.
